@@ -41,7 +41,9 @@
 //!                                     a synthetic demand curve through the
 //!                                     sharded watch cache and report the
 //!                                     deterministic scale telemetry
-//!                                     (objects, window peak, cache bytes)
+//!                                     (objects, window peak, cache bytes);
+//!                                     the trace is hashed and counted but
+//!                                     not stored (digest-only)
 //! phtool lint [--json] [--root DIR]  static determinism lint + §4.2
 //!                                     partial-history hazard analysis
 //! phtool check [--json] [--root DIR] symbolic model check (minimal
@@ -57,7 +59,11 @@
 //! merge by trial index, so output bytes are identical at any thread
 //! count.
 //!
-//! Exit codes: `0` clean, `1` runtime error, `2` usage error, `3` a
+//! Each subcommand accepts only the flags listed for it; an unknown flag
+//! is a usage error.
+//!
+//! Exit codes: `0` clean, `1` runtime error (I/O), `2` usage error (unknown
+//! command or flag, missing, ill-typed or out-of-range value), `3` a
 //! violation was detected (a dynamic oracle fired, a hunt found a
 //! violating candidate, or `lint` found unsuppressed findings or a
 //! static/dynamic disagreement) — so CI can gate on any subcommand.
@@ -172,8 +178,79 @@ fn make_strategy(name: &str, guided: GuidedFn, seed: u64) -> Result<Box<dyn Stra
     })
 }
 
+/// Why a command produced no verdict. A bare `String` error converts to
+/// [`Failure::Usage`] — nearly every check in this file is on the command
+/// line — so only the I/O sites name their kind.
+enum Failure {
+    /// The command line is wrong (exit 2): unknown command or flag, a
+    /// missing, ill-typed or out-of-range value.
+    Usage(String),
+    /// The command line was fine but the run could not finish (exit 1).
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Usage(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Failure {
+        Failure::Usage(message.to_string())
+    }
+}
+
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["metrics", "json", "witnesses", "all"];
+
+type Command = fn(&Args) -> Result<i32, Failure>;
+
+/// Every subcommand with the flags it accepts; any other flag is a usage
+/// error.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("list", &[], cmd_list),
+    (
+        "run",
+        &[
+            "scenario", "strategy", "variant", "seed", "trace", "format", "prom", "metrics",
+            "json", "threads",
+        ],
+        cmd_run,
+    ),
+    (
+        "explain",
+        &[
+            "scenario", "all", "strategy", "variant", "seed", "json", "threads",
+        ],
+        cmd_explain,
+    ),
+    (
+        "report",
+        &["scenario", "strategy", "variant", "seed", "threads"],
+        cmd_report,
+    ),
+    ("matrix", &["trials", "seed", "threads", "prom"], cmd_matrix),
+    (
+        "hunt",
+        &[
+            "scenario",
+            "budget",
+            "depth",
+            "seed",
+            "threads",
+            "witnesses",
+        ],
+        cmd_hunt,
+    ),
+    (
+        "scale",
+        &["nodes", "pods", "shards", "seed", "json"],
+        cmd_scale,
+    ),
+    ("lint", &["json", "root"], cmd_lint),
+    ("check", &["json", "root"], cmd_check),
+];
 
 /// Minimal `--key value` flag parser (plus valueless boolean flags).
 struct Args {
@@ -181,13 +258,25 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parses `argv` against the flags `cmd` accepts.
+    fn parse(cmd: &str, allowed: &[&str], argv: &[String]) -> Result<Args, String> {
         let mut flags = BTreeMap::new();
         let mut it = argv.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
+            if !allowed.contains(&key) {
+                let takes: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
+                return Err(format!(
+                    "phtool {cmd} has no flag --{key} (it takes: {})",
+                    if takes.is_empty() {
+                        "no flags".to_string()
+                    } else {
+                        takes.join(" ")
+                    }
+                ));
+            }
             if BOOL_FLAGS.contains(&key) {
                 flags.insert(key.to_string(), "true".to_string());
                 continue;
@@ -229,7 +318,8 @@ impl Args {
 fn usage() -> &'static str {
     "usage:\n  phtool list\n  phtool run --scenario <name> [--strategy <name>] \
      [--variant buggy|fixed] [--seed N] [--trace out.json] \
-     [--format json|jsonl|chrome] [--metrics] [--json] [--threads N]\n  phtool explain \
+     [--format json|jsonl|chrome] [--prom <file>] [--metrics] [--json] [--threads N]\n  \
+     phtool explain \
      --scenario <name> | --all [--strategy <name>] [--variant buggy|fixed] [--seed N] \
      [--json] [--threads N]\n  phtool report \
      [--scenario <name>] [--strategy <name>] [--variant buggy|fixed] [--seed N] \
@@ -248,7 +338,7 @@ fn lookup<'r>(reg: &'r BTreeMap<&'static str, Entry>, name: &str) -> Result<&'r 
         .ok_or_else(|| format!("unknown scenario {name:?} (phtool list)"))
 }
 
-fn cmd_list() {
+fn cmd_list(_args: &Args) -> Result<i32, Failure> {
     let reg = registry();
     println!("scenarios:");
     for (name, e) in &reg {
@@ -258,6 +348,7 @@ fn cmd_list() {
         );
     }
     println!("strategies: {}", STRATEGIES.join(", "));
+    Ok(0)
 }
 
 /// Serializes a trace in the chosen export format.
@@ -276,7 +367,7 @@ fn format_trace(trace: &Trace, format: &str) -> Result<String, String> {
 /// runtime (1) and usage (2) errors so CI can gate on it.
 const EXIT_VIOLATION: i32 = 3;
 
-fn cmd_run(args: &Args) -> Result<i32, String> {
+fn cmd_run(args: &Args) -> Result<i32, Failure> {
     let reg = registry();
     let scenario = args.get("scenario").ok_or("--scenario is required")?;
     let entry = lookup(&reg, scenario)?;
@@ -284,7 +375,7 @@ fn cmd_run(args: &Args) -> Result<i32, String> {
     let variant = match args.get("variant").unwrap_or("buggy") {
         "buggy" => Variant::Buggy,
         "fixed" => Variant::Fixed,
-        other => return Err(format!("unknown variant {other:?}")),
+        other => return Err(format!("unknown variant {other:?}").into()),
     };
     let strategy_name = args.get("strategy").unwrap_or("guided");
     let mut strategy = make_strategy(strategy_name, entry.guided, seed)?;
@@ -294,7 +385,7 @@ fn cmd_run(args: &Args) -> Result<i32, String> {
     let report = if let Some(path) = args.get("trace") {
         let (report, trace) = (entry.run_traced)(seed, strategy.as_mut(), variant);
         std::fs::write(path, format_trace(&trace, format)?)
-            .map_err(|e| format!("writing {path}: {e}"))?;
+            .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
         println!("trace written to {path} ({} events, {format})", trace.len());
         report
     } else {
@@ -313,7 +404,7 @@ fn cmd_run(args: &Args) -> Result<i32, String> {
 
     if let Some(path) = args.get("prom") {
         std::fs::write(path, report.metrics.to_prometheus())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+            .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
         // Status goes to stderr so `--json --prom` keeps stdout diffable.
         eprintln!("metrics written to {path} (Prometheus text exposition)");
     }
@@ -360,19 +451,17 @@ fn cmd_run(args: &Args) -> Result<i32, String> {
 /// Exit 3 when the dynamic class disagrees with the static one (or the run
 /// produced no violation to explain while one was statically predicted) —
 /// CI gates on it.
-fn cmd_explain(args: &Args) -> Result<i32, String> {
+fn cmd_explain(args: &Args) -> Result<i32, Failure> {
     let reg = registry();
     let seed = args.get_u64("seed", 1)?;
     let variant = match args.get("variant").unwrap_or("buggy") {
         "buggy" => Variant::Buggy,
         "fixed" => Variant::Fixed,
-        other => return Err(format!("unknown variant {other:?}")),
+        other => return Err(format!("unknown variant {other:?}").into()),
     };
     let strategy_name = args.get("strategy").unwrap_or("guided");
     if !STRATEGIES.contains(&strategy_name) {
-        return Err(format!(
-            "unknown strategy {strategy_name:?} (try: {STRATEGIES:?})"
-        ));
+        return Err(format!("unknown strategy {strategy_name:?} (try: {STRATEGIES:?})").into());
     }
     let threads = args.threads()?;
     let selected: Vec<&'static str> = if args.has("all") {
@@ -447,19 +536,17 @@ fn cmd_explain(args: &Args) -> Result<i32, String> {
 
 /// The observability dashboard: run every scenario (or one) once and
 /// summarize verdicts, effort, and divergence side by side.
-fn cmd_report(args: &Args) -> Result<i32, String> {
+fn cmd_report(args: &Args) -> Result<i32, Failure> {
     let reg = registry();
     let seed = args.get_u64("seed", 1)?;
     let variant = match args.get("variant").unwrap_or("buggy") {
         "buggy" => Variant::Buggy,
         "fixed" => Variant::Fixed,
-        other => return Err(format!("unknown variant {other:?}")),
+        other => return Err(format!("unknown variant {other:?}").into()),
     };
     let strategy_name = args.get("strategy").unwrap_or("guided");
     if !STRATEGIES.contains(&strategy_name) {
-        return Err(format!(
-            "unknown strategy {strategy_name:?} (try: {STRATEGIES:?})"
-        ));
+        return Err(format!("unknown strategy {strategy_name:?} (try: {STRATEGIES:?})").into());
     }
     let threads = args.threads()?;
     let selected: Vec<&'static str> = match args.get("scenario") {
@@ -571,7 +658,7 @@ fn cmd_report(args: &Args) -> Result<i32, String> {
     Ok(0)
 }
 
-fn cmd_matrix(args: &Args) -> Result<i32, String> {
+fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
     let trials = args.get_u64("trials", 5)? as u32;
     let base_seed = args.get_u64("seed", 1000)?;
     let threads = args.threads()?;
@@ -604,7 +691,7 @@ fn cmd_matrix(args: &Args) -> Result<i32, String> {
     print!("{}", hunt_report.render());
     if let Some(path) = args.get("prom") {
         std::fs::write(path, hunt_report.to_prometheus())
-            .map_err(|e| format!("writing {path}: {e}"))?;
+            .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
         println!("prometheus exposition written to {path}");
     }
     if matrix.cells().iter().any(|c| c.detected()) {
@@ -616,7 +703,7 @@ fn cmd_matrix(args: &Args) -> Result<i32, String> {
 /// Witness-guided hunt: try the model checker's compiled witness priors
 /// first, then fall back to the unguided strategy cycle. Works for every
 /// scenario (no causal trace needed — the priors come from the IR).
-fn cmd_hunt_witnesses(args: &Args, scenario: &str) -> Result<i32, String> {
+fn cmd_hunt_witnesses(args: &Args, scenario: &str) -> Result<i32, Failure> {
     use ph_scenarios::witness_bridge;
     let entry = witness_bridge::entry_for(scenario)
         .ok_or_else(|| format!("unknown scenario {scenario:?} (phtool list)"))?;
@@ -648,7 +735,7 @@ fn cmd_hunt_witnesses(args: &Args, scenario: &str) -> Result<i32, String> {
     }
 }
 
-fn cmd_hunt(args: &Args) -> Result<i32, String> {
+fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
     let reg = registry();
     let scenario = args.get("scenario").ok_or("--scenario is required")?;
     if args.has("witnesses") {
@@ -664,7 +751,8 @@ fn cmd_hunt(args: &Args) -> Result<i32, String> {
         return Err(format!(
             "scenario {scenario:?} is not wired for causal hunting (huntable: {huntable:?}; \
              every scenario supports --witnesses)"
-        ));
+        )
+        .into());
     };
     let seed = args.get_u64("seed", 1)?;
     let budget = args.get_u64("budget", 20)? as usize;
@@ -729,26 +817,28 @@ fn cmd_hunt(args: &Args) -> Result<i32, String> {
 
 /// Finds the workspace root: `--root` if given, else ascend from the
 /// current directory to the first `Cargo.toml` declaring `[workspace]`.
-fn workspace_root(args: &Args) -> Result<std::path::PathBuf, String> {
+fn workspace_root(args: &Args) -> Result<std::path::PathBuf, Failure> {
     if let Some(root) = args.get("root") {
         let root = std::path::PathBuf::from(root);
         if !root.join("Cargo.toml").is_file() {
-            return Err(format!("--root {}: no Cargo.toml there", root.display()));
+            return Err(format!("--root {}: no Cargo.toml there", root.display()).into());
         }
         return Ok(root);
     }
-    let mut dir = std::env::current_dir().map_err(|e| format!("getcwd: {e}"))?;
+    let mut dir = std::env::current_dir().map_err(|e| Failure::Runtime(format!("getcwd: {e}")))?;
     loop {
         let manifest = dir.join("Cargo.toml");
         if manifest.is_file() {
             let text = std::fs::read_to_string(&manifest)
-                .map_err(|e| format!("reading {}: {e}", manifest.display()))?;
+                .map_err(|e| Failure::Runtime(format!("reading {}: {e}", manifest.display())))?;
             if text.contains("[workspace]") {
                 return Ok(dir);
             }
         }
         if !dir.pop() {
-            return Err("no workspace Cargo.toml above the current directory (use --root)".into());
+            return Err(Failure::Runtime(
+                "no workspace Cargo.toml above the current directory (use --root)".into(),
+            ));
         }
     }
 }
@@ -762,7 +852,7 @@ fn workspace_root(args: &Args) -> Result<std::path::PathBuf, String> {
 /// deterministic (no wall-clock numbers — throughput lives in
 /// `cargo bench -p ph-bench --bench e10_scale`), so two invocations with
 /// the same flags are byte-identical, shard count included.
-fn cmd_scale(args: &Args) -> Result<i32, String> {
+fn cmd_scale(args: &Args) -> Result<i32, Failure> {
     let nodes = args.get_u64("nodes", 100)? as usize;
     let shards = args.get_u64("shards", 1)? as usize;
     let seed = args.get_u64("seed", 1)?;
@@ -807,6 +897,16 @@ fn cmd_scale(args: &Args) -> Result<i32, String> {
     println!("shards   : {shards}");
     println!("events   : {}", report.trace_events);
     println!("digest   : {:#018x}", report.trace_digest);
+    // Where the memory did not go. The line states the family's retention,
+    // so it must change with it.
+    const _: () = assert!(matches!(
+        ph_scenarios::mega_cluster::RETENTION,
+        ph_sim::Retention::DigestOnly
+    ));
+    println!(
+        "trace    : {} recorded, 0 retained (digest-only)",
+        report.trace_events
+    );
     println!(
         "objects  : {} (peak live in the watch cache)",
         gauge("apiserver.objects")
@@ -828,10 +928,10 @@ fn cmd_scale(args: &Args) -> Result<i32, String> {
     Ok(exit)
 }
 
-fn cmd_lint(args: &Args) -> Result<i32, String> {
+fn cmd_lint(args: &Args) -> Result<i32, Failure> {
     let root = workspace_root(args)?;
-    let report =
-        ph_lint::scan_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
+    let report = ph_lint::scan_workspace(&root)
+        .map_err(|e| Failure::Runtime(format!("scanning {}: {e}", root.display())))?;
     let table = ph_scenarios::static_crosscheck();
     let violated = report.unsuppressed_count() > 0 || !table.all_static_agree();
 
@@ -906,7 +1006,7 @@ fn cmd_lint(args: &Args) -> Result<i32, String> {
 /// sources. Exits 3 when a buggy variant lacks a witness of its documented
 /// class, a fixed variant fails to prove epoch-safe, or unsuppressed
 /// conformance drift exists.
-fn cmd_check(args: &Args) -> Result<i32, String> {
+fn cmd_check(args: &Args) -> Result<i32, Failure> {
     use ph_lint::conformance;
     use ph_lint::findings::esc as jesc;
     use ph_lint::modelcheck::model_check_all;
@@ -942,7 +1042,7 @@ fn cmd_check(args: &Args) -> Result<i32, String> {
     // IR ↔ source conformance over the cluster sources.
     let cluster_src = root.join("crates/cluster/src");
     let scans = conformance::scan_dir(&cluster_src, "crates/cluster/src")
-        .map_err(|e| format!("scanning {}: {e}", cluster_src.display()))?;
+        .map_err(|e| Failure::Runtime(format!("scanning {}: {e}", cluster_src.display())))?;
     let declared = ph_cluster::topology::declared_access_summaries();
     let drift = conformance::check_conformance(&scans, &declared);
     let unsuppressed_drift = drift.iter().filter(|f| f.suppressed.is_none()).count();
@@ -1062,30 +1162,24 @@ fn main() {
         eprintln!("{}", usage());
         std::process::exit(2);
     };
-    let result = match cmd.as_str() {
-        "list" => {
-            cmd_list();
-            Ok(0)
-        }
-        "run" => Args::parse(rest).and_then(|a| cmd_run(&a)),
-        "explain" => Args::parse(rest).and_then(|a| cmd_explain(&a)),
-        "report" => Args::parse(rest).and_then(|a| cmd_report(&a)),
-        "matrix" => Args::parse(rest).and_then(|a| cmd_matrix(&a)),
-        "hunt" => Args::parse(rest).and_then(|a| cmd_hunt(&a)),
-        "scale" => Args::parse(rest).and_then(|a| cmd_scale(&a)),
-        "lint" => Args::parse(rest).and_then(|a| cmd_lint(&a)),
-        "check" => Args::parse(rest).and_then(|a| cmd_check(&a)),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
+        Some((name, flags, run)) => Args::parse(name, flags, rest)
+            .map_err(Failure::Usage)
+            .and_then(|args| run(&args)),
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
             println!("{}", usage());
             Ok(0)
         }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        None => Err(Failure::Usage(format!(
+            "unknown command {cmd:?}\n{}",
+            usage()
+        ))),
     };
-    match result {
+    let (kind, message, code) = match result {
         Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+        Err(Failure::Usage(message)) => ("usage error", message, 2),
+        Err(Failure::Runtime(message)) => ("error", message, 1),
+    };
+    eprintln!("{kind}: {message}");
+    std::process::exit(code);
 }

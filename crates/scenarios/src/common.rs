@@ -15,7 +15,7 @@ use ph_core::divergence::{DivergenceSummary, LagSampler, ViewSlot};
 use ph_core::harness::RunReport;
 use ph_core::oracle::{check_all, Oracle};
 use ph_core::perturb::{Strategy, Targets};
-use ph_sim::{ActorId, Duration, Name, SimTime, Sym, World, WorldConfig};
+use ph_sim::{ActorId, Duration, Name, Retention, SimTime, Sym, World, WorldConfig};
 use ph_store::{Revision, StoreNode};
 
 /// Which implementation variant a trial runs.
@@ -94,7 +94,27 @@ impl Runner {
         t0: Duration,
         horizon: Duration,
     ) -> Runner {
-        let mut world = World::new(WorldConfig::default(), seed);
+        Runner::with_retention(name, seed, cfg, t0, horizon, Retention::All)
+    }
+
+    /// [`Runner::new`] with the world's trace retention chosen by the
+    /// caller. [`Retention::DigestOnly`] is only for runs nothing reads
+    /// events from — no trace-fed strategy, no oracle, and
+    /// [`Runner::finish`] rather than [`Runner::finish_with_trace`], which
+    /// panics on such a world.
+    pub fn with_retention(
+        name: &str,
+        seed: u64,
+        cfg: &ClusterConfig,
+        t0: Duration,
+        horizon: Duration,
+        retention: Retention,
+    ) -> Runner {
+        let config = WorldConfig {
+            retention,
+            ..WorldConfig::default()
+        };
+        let mut world = World::new(config, seed);
         let cluster = ph_cluster::topology::spawn_cluster(&mut world, cfg);
         let t0 = SimTime(t0.as_nanos());
         assert!(
@@ -367,6 +387,10 @@ impl Runner {
     /// Like [`Runner::finish`], but also hands back the full run trace
     /// (for narration, causality analysis, or archiving). The trace is
     /// moved out of the world, not cloned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the runner was built [`Retention::DigestOnly`].
     pub fn finish_with_trace(
         mut self,
         strategy: &mut dyn Strategy,

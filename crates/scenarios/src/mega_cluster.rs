@@ -26,7 +26,7 @@ use ph_cluster::objects::Object;
 use ph_cluster::topology::ClusterConfig;
 use ph_core::harness::RunReport;
 use ph_core::perturb::NoFault;
-use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, TimerId};
+use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, Retention, TimerId};
 use ph_store::msgs::Expect;
 use ph_store::{Completion, StoreClient, StoreClientConfig};
 
@@ -277,6 +277,12 @@ pub struct ScaleProbe {
     pub cache_objects: usize,
 }
 
+/// What a scale run keeps of its trace: nothing. The run injects no fault,
+/// evaluates no oracle and returns no trace, so nobody reads the events —
+/// it only reports their count and digest — and at 5 000 nodes storing
+/// them cost more memory than the whole simulated cluster.
+pub const RETENTION: Retention = Retention::DigestOnly;
+
 /// Runs one scale point to completion. Clean by construction (no oracles,
 /// no faults); the interesting outputs are `trace_events` and the
 /// `apiserver.objects` / `apiserver.window_peak` gauges. The report is
@@ -288,10 +294,23 @@ pub fn run(seed: u64, p: &ScaleParams) -> RunReport {
 /// Like [`run`], but also hands back the shard-layout-dependent
 /// [`ScaleProbe`] the E10 bench reports per-object memory from.
 pub fn run_probed(seed: u64, p: &ScaleParams) -> (RunReport, ScaleProbe) {
+    run_with(seed, p, RETENTION)
+}
+
+/// [`run`] on a world that stores every event — the reference the
+/// retention-invisibility test compares the real (digest-only) path to.
+/// Not for callers: it costs ≈ 67 B of memory per event for nothing.
+#[doc(hidden)]
+pub fn run_retaining_trace(seed: u64, p: &ScaleParams) -> RunReport {
+    run_with(seed, p, Retention::All).0
+}
+
+fn run_with(seed: u64, p: &ScaleParams, retention: Retention) -> (RunReport, ScaleProbe) {
     assert!(p.pods > 0, "the demand curve needs at least one pod slot");
     let cfg = cluster_config(p);
     let horizon = Duration(p.churn.0 + Duration::secs(2).0);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), horizon);
+    let mut runner =
+        Runner::with_retention(NAME, seed, &cfg, Duration::secs(1), horizon, retention);
     let api = runner.cluster.apiservers[0];
     for i in 0..p.watchers {
         let name = format!("pod-watcher-{}", i + 1);

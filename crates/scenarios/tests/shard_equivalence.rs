@@ -6,9 +6,17 @@
 //! `RunReport` JSON and identical trace digests. Parameters are drawn as
 //! tuples from a fixed-seed [`SimRng`], so every trial is reproducible
 //! from the seed alone.
+//!
+//! Trace retention is the second invisible axis: the family runs
+//! digest-only (nothing reads its events), and must report exactly what a
+//! retaining run reports — while anything that *would* read events from a
+//! digest-only world fails loudly instead of seeing an empty history.
 
-use ph_scenarios::mega_cluster::{run, ScaleParams};
-use ph_sim::{Duration, SimRng};
+use ph_cluster::topology::ClusterConfig;
+use ph_core::perturb::NoFault;
+use ph_scenarios::common::Runner;
+use ph_scenarios::mega_cluster::{run, run_retaining_trace, ScaleParams, RETENTION};
+use ph_sim::{Duration, Retention, SimRng, SimTime};
 
 #[test]
 fn shard_count_never_changes_a_run_report() {
@@ -45,4 +53,65 @@ fn shard_count_never_changes_a_run_report() {
             );
         }
     }
+}
+
+#[test]
+fn trace_retention_never_changes_a_run_report() {
+    assert_eq!(RETENTION, Retention::DigestOnly);
+    for shards in [1usize, 8] {
+        let params = ScaleParams {
+            nodes: 10,
+            pods: 200,
+            shards,
+            watchers: 2,
+            churn: Duration::millis(600),
+        };
+        let retained = run_retaining_trace(7, &params);
+        assert!(retained.trace_events > 1_000);
+        assert_eq!(
+            run(7, &params).to_json(),
+            retained.to_json(),
+            "report bytes moved with retention at shards={shards}"
+        );
+    }
+}
+
+/// A ready default cluster on a world that stores no events.
+fn digest_only_runner() -> Runner {
+    Runner::with_retention(
+        "digest-only",
+        3,
+        &ClusterConfig::default(),
+        Duration::secs(1),
+        Duration::secs(3),
+        Retention::DigestOnly,
+    )
+}
+
+#[test]
+#[should_panic(expected = "trace not retained")]
+fn events_of_a_digest_only_world_panic() {
+    let runner = digest_only_runner();
+    assert!(!runner.world.trace().is_empty(), "events are still counted");
+    let _ = runner.world.trace().events();
+}
+
+#[test]
+#[should_panic(expected = "trace not retained")]
+fn take_trace_on_a_digest_only_world_panics() {
+    let _ = digest_only_runner().world.take_trace();
+}
+
+#[test]
+#[should_panic(expected = "trace not retained")]
+fn run_until_event_on_a_digest_only_world_panics() {
+    let mut runner = digest_only_runner();
+    let deadline = SimTime(Duration::secs(2).as_nanos());
+    let _ = runner.world.run_until_event(deadline, |_| true);
+}
+
+#[test]
+#[should_panic(expected = "trace not retained")]
+fn finish_with_trace_on_a_digest_only_runner_panics() {
+    let _ = digest_only_runner().finish_with_trace(&mut NoFault, Duration::millis(100), &mut []);
 }

@@ -80,5 +80,5 @@ pub use msg::{AnyMsg, Envelope};
 pub use net::{LinkConfig, NetConfig, Network, Partition, SendOutcome};
 pub use rng::SimRng;
 pub use time::{Duration, SimTime};
-pub use trace::{DropReason, Trace, TraceEvent, TraceEventKind};
+pub use trace::{DropReason, Retention, Trace, TraceEvent, TraceEventKind};
 pub use world::{World, WorldConfig};

@@ -195,64 +195,165 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// The full, ordered record of a simulation run.
-#[derive(Debug, Default, Clone)]
+/// What a [`Trace`] keeps of the events appended to it. Fixed when the
+/// trace (and the [`crate::World`] around it) is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Retention {
+    /// Store every event; every reader works.
+    #[default]
+    All,
+    /// Hash and count every event but store none. [`Trace::digest`] and
+    /// [`Trace::len`] report exactly what a retaining trace would; anything
+    /// that reads events back panics rather than see an empty history.
+    /// Only for runs nobody inspects afterwards (no trace-fed strategy, no
+    /// oracle, no export).
+    DigestOnly,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// The ordered record of a simulation run: a sink that folds every appended
+/// event into the run digest and — unless built [`Retention::DigestOnly`] —
+/// stores it for the readers.
+#[derive(Debug, Clone)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    /// Retained events; `None` for a digest-only trace.
+    events: Option<Vec<TraceEvent>>,
+    /// Events appended so far, retained or not.
+    recorded: usize,
+    /// Running FNV-1a state over every appended event's bytes.
+    hash: u64,
+    /// Reused rendering buffer for the fold.
+    scratch: Vec<u8>,
+}
+
+impl Default for Trace {
+    fn default() -> Trace {
+        Trace::with_buffer(Vec::new())
+    }
 }
 
 impl Trace {
-    /// Creates an empty trace.
+    /// Creates an empty trace that retains every event.
     pub fn new() -> Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace on top of a recycled event buffer, keeping its
-    /// capacity. Used by the world's trial buffer pool.
-    pub(crate) fn with_buffer(mut events: Vec<TraceEvent>) -> Trace {
-        events.clear();
-        Trace { events }
+    /// Creates an empty [`Retention::DigestOnly`] trace.
+    pub(crate) fn digest_only() -> Trace {
+        Trace {
+            events: None,
+            ..Trace::new()
+        }
     }
 
-    /// Surrenders the backing event buffer so its capacity can be reused.
-    pub(crate) fn take_buffer(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+    /// Creates an empty retaining trace on top of a recycled event buffer,
+    /// keeping its capacity. Used by the world's trial buffer pool.
+    pub(crate) fn with_buffer(mut events: Vec<TraceEvent>) -> Trace {
+        events.clear();
+        Trace {
+            events: Some(events),
+            recorded: 0,
+            hash: FNV_OFFSET,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Surrenders the backing event buffer so its capacity can be reused;
+    /// `None` if this trace never retained.
+    pub(crate) fn take_buffer(&mut self) -> Option<Vec<TraceEvent>> {
+        self.events.as_mut().map(std::mem::take)
+    }
+
+    /// What this trace keeps of its events.
+    pub fn retention(&self) -> Retention {
+        match self.events {
+            Some(_) => Retention::All,
+            None => Retention::DigestOnly,
+        }
     }
 
     pub(crate) fn push(&mut self, at: SimTime, kind: TraceEventKind) {
-        let seq = self.events.len() as u64;
-        self.events.push(TraceEvent { seq, at, kind });
+        let seq = self.recorded as u64;
+        self.append(TraceEvent { seq, at, kind });
+    }
+
+    /// Folds one event into the digest, counts it, and stores it if this
+    /// trace retains. The hashed bytes are `at.0.to_le_bytes()` followed by
+    /// the `format!("{:?}")` rendering of the kind — streamed through
+    /// [`render_kind`] into one reused buffer, because `core::fmt` plus a
+    /// fresh `String` per event used to dominate whole-trial wall time.
+    fn append(&mut self, event: TraceEvent) {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&event.at.0.to_le_bytes());
+        render_kind(&event.kind, &mut self.scratch);
+        let mut h = self.hash;
+        for &b in &self.scratch {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.hash = h;
+        self.recorded += 1;
+        if let Some(events) = &mut self.events {
+            events.push(event);
+        }
+    }
+
+    /// The retained events.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Retention::DigestOnly`] trace: it has no events to
+    /// show, and an empty slice would read as "nothing happened".
+    fn retained(&self) -> &[TraceEvent] {
+        self.events.as_deref().expect(
+            "trace not retained: this world was built digest-only \
+             (WorldConfig::retention), so only digest() and len() are available",
+        )
     }
 
     /// A copy of this trace containing only the events matching `pred`,
     /// with original sequence numbers and timestamps preserved. For
     /// carving a focused export — say, the queue-physics slice of a
     /// congested run — out of a full record; the result is an export
-    /// source, not a replayable run.
+    /// source, not a replayable run, and its digest and length describe
+    /// the slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was not retained.
     pub fn filtered(&self, pred: impl Fn(&TraceEvent) -> bool) -> Trace {
-        Trace {
-            events: self.events.iter().filter(|e| pred(e)).cloned().collect(),
+        let mut out = Trace::new();
+        for e in self.retained().iter().filter(|e| pred(e)) {
+            out.append(e.clone());
         }
+        out
     }
 
-    /// Number of recorded events.
+    /// Number of events recorded — retained or not.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.recorded
     }
 
     /// `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.recorded == 0
     }
 
     /// All events, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace was not retained — as does every other reader
+    /// of events below.
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        self.retained()
     }
 
     /// Iterates over events in order.
     pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
+        self.retained().iter()
     }
 
     /// All annotations with the given label, in order, as `(actor, data)`.
@@ -260,7 +361,7 @@ impl Trace {
         &'a self,
         label: &'a str,
     ) -> impl Iterator<Item = (ActorId, &'a str)> + 'a {
-        self.events.iter().filter_map(move |e| match &e.kind {
+        self.iter().filter_map(move |e| match &e.kind {
             TraceEventKind::Annotation {
                 actor,
                 label: l,
@@ -272,7 +373,7 @@ impl Trace {
 
     /// All annotations from one actor, in order, as `(label, data)`.
     pub fn annotations_of(&self, actor: ActorId) -> impl Iterator<Item = (&str, &str)> + '_ {
-        self.events.iter().filter_map(move |e| match &e.kind {
+        self.iter().filter_map(move |e| match &e.kind {
             TraceEventKind::Annotation {
                 actor: a,
                 label,
@@ -284,42 +385,27 @@ impl Trace {
 
     /// Counts events matching a predicate.
     pub fn count(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
-        self.events.iter().filter(|e| pred(e)).count()
+        self.iter().filter(|e| pred(e)).count()
     }
 
-    /// A 64-bit order-sensitive digest of the trace; two runs with equal
-    /// digests almost certainly behaved identically. Used by determinism
-    /// tests and by the harness to deduplicate schedules.
+    /// A 64-bit order-sensitive digest of every event recorded so far; two
+    /// runs with equal digests almost certainly behaved identically. Used
+    /// by determinism tests and by the harness to deduplicate schedules.
     ///
-    /// The hashed bytes are each event's `at.0.to_le_bytes()` followed by
-    /// the `format!("{:?}")` rendering of its kind — but rendered through
-    /// [`render_kind`] into one reused buffer, because `core::fmt` plus a
-    /// fresh `String` per event used to dominate whole-trial wall time.
+    /// FNV-1a over the bytes each event contributed when it was appended,
+    /// so reading it is O(1) and it is the same whether or not the events
+    /// were retained.
     pub fn digest(&self) -> u64 {
-        // FNV-1a over a stable textual rendering of each event.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        let mut buf: Vec<u8> = Vec::with_capacity(160);
-        for e in &self.events {
-            eat(&e.at.0.to_le_bytes());
-            buf.clear();
-            render_kind(&e.kind, &mut buf);
-            eat(&buf);
-        }
-        h
+        self.hash
     }
 
     /// Renders the trace as a JSON array of event objects (hand-rolled to
     /// keep the dependency set minimal).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 2);
+        let events = self.retained();
+        let mut out = String::with_capacity(events.len() * 96 + 2);
         out.push('[');
-        for (i, e) in self.events.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -588,7 +674,7 @@ impl<'a> IntoIterator for &'a Trace {
     type Item = &'a TraceEvent;
     type IntoIter = std::slice::Iter<'a, TraceEvent>;
     fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
+        self.retained().iter()
     }
 }
 
@@ -714,6 +800,82 @@ mod tests {
                 format!("{kind:?}"),
                 "streamed rendering diverged"
             );
+        }
+    }
+
+    /// The digest's definition, stated over a finished event list: what
+    /// `digest()` computed before the fold moved to append.
+    fn reference_digest(events: &[TraceEvent]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for e in events {
+            let rendered = format!("{:?}", e.kind);
+            for &b in e.at.0.to_le_bytes().iter().chain(rendered.as_bytes()) {
+                h ^= b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    /// Appends a seeded random event sequence drawn from `every_kind()`.
+    fn random_trace(seed: u64, mut t: Trace) -> Trace {
+        let kinds = every_kind();
+        let mut rng = crate::rng::SimRng::from_seed(seed);
+        let mut at = 0u64;
+        for _ in 0..rng.below(400) {
+            at += rng.below(1 << 40);
+            t.push(
+                SimTime(at),
+                kinds[rng.below(kinds.len() as u64) as usize].clone(),
+            );
+        }
+        t
+    }
+
+    #[test]
+    fn appended_fold_equals_reference_fold_over_events() {
+        let mut all = Trace::new();
+        for (i, kind) in every_kind().into_iter().enumerate() {
+            all.push(SimTime(i as u64 * 7), kind);
+            assert_eq!(all.digest(), reference_digest(all.events()));
+        }
+        assert_eq!(Trace::new().digest(), reference_digest(&[]));
+        for seed in 0..32 {
+            let t = random_trace(seed, Trace::new());
+            assert_eq!(t.digest(), reference_digest(t.events()), "seed {seed}");
+            assert_eq!(t.len(), t.events().len());
+        }
+    }
+
+    #[test]
+    fn digest_only_records_hashes_and_counts_but_stores_nothing() {
+        for seed in 0..32 {
+            let kept = random_trace(seed, Trace::new());
+            let folded = random_trace(seed, Trace::digest_only());
+            assert_eq!(folded.retention(), Retention::DigestOnly);
+            assert_eq!(folded.digest(), kept.digest(), "seed {seed}");
+            assert_eq!(folded.len(), kept.len(), "seed {seed}");
+            assert_eq!(folded.is_empty(), kept.is_empty());
+        }
+    }
+
+    #[test]
+    fn recycled_and_filtered_traces_hash_as_their_own_contents() {
+        for seed in 0..16 {
+            let mut used = random_trace(seed, Trace::new());
+            let recycled = Trace::with_buffer(used.take_buffer().expect("retaining"));
+            assert_eq!((recycled.len(), recycled.digest()), (0, FNV_OFFSET));
+            let recycled = random_trace(seed + 100, recycled);
+            assert_eq!(recycled.digest(), reference_digest(recycled.events()));
+            assert!(recycled.iter().enumerate().all(|(i, e)| e.seq == i as u64));
+
+            let timers = recycled.filtered(|e| matches!(e.kind, TraceEventKind::TimerSet { .. }));
+            assert_eq!(timers.digest(), reference_digest(timers.events()));
+            assert_eq!(timers.len(), timers.events().len());
+            // Original positions survive the carve.
+            assert!(timers
+                .iter()
+                .all(|e| recycled.events()[e.seq as usize] == *e));
         }
     }
 

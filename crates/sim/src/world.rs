@@ -19,7 +19,7 @@ use crate::msg::{AnyMsg, Envelope};
 use crate::net::{NetConfig, Network, Partition, SendOutcome};
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
-use crate::trace::{DropReason, Trace, TraceEvent, TraceEventKind};
+use crate::trace::{DropReason, Retention, Trace, TraceEvent, TraceEventKind};
 
 /// Tuning knobs for a [`World`].
 #[derive(Debug, Clone, Copy)]
@@ -29,6 +29,11 @@ pub struct WorldConfig {
     /// Safety cap on processed events; exceeding it panics (it nearly always
     /// means a zero-delay message loop in a protocol).
     pub max_events: u64,
+    /// Whether the trace stores its events or only hashes and counts them.
+    /// A choice for the code that builds the world, made by what will read
+    /// the trace afterwards — not a tuning knob: [`Retention::DigestOnly`]
+    /// makes every reader of events panic.
+    pub retention: Retention,
 }
 
 impl Default for WorldConfig {
@@ -36,25 +41,35 @@ impl Default for WorldConfig {
         WorldConfig {
             net: NetConfig::default(),
             max_events: 50_000_000,
+            retention: Retention::All,
         }
     }
 }
 
 /// Recyclable backing storage for a [`World`]: the allocations that grow
-/// large over a trial (the event queue and the trace) plus the effect
+/// large over a trial (the event queue and its slab) plus the effect
 /// scratch vector. Pooling them lets back-to-back trials reuse warmed-up
 /// capacity instead of re-growing each buffer from empty.
 struct WorldBuffers {
     queue: BinaryHeap<Reverse<Scheduled>>,
     event_slab: Vec<Option<Event>>,
     free_slots: Vec<u32>,
-    trace: Vec<TraceEvent>,
     effects: Vec<Effect>,
 }
 
-/// Cap on pooled buffer sets per thread. Worlds are almost always live
-/// one-at-a-time (an explorer runs trials sequentially per worker thread),
-/// so anything beyond a few entries would be dead weight.
+/// The per-thread free lists. Trace buffers are pooled apart from the rest
+/// because only retaining worlds have one: a digest-only world neither
+/// draws nor returns a trace buffer, so it cannot pin (or lose) the warm
+/// capacity a retaining trial left behind.
+struct BufferPool {
+    worlds: Vec<WorldBuffers>,
+    traces: Vec<Vec<TraceEvent>>,
+}
+
+/// Cap on pooled buffer sets, and on pooled trace buffers, per thread.
+/// Worlds are almost always live one-at-a-time (an explorer runs trials
+/// sequentially per worker thread), so anything beyond a few entries would
+/// be dead weight.
 const BUFFER_POOL_MAX: usize = 4;
 
 thread_local! {
@@ -64,8 +79,8 @@ thread_local! {
     /// thread-local it needs no synchronization, and because only *capacity*
     /// survives — contents are cleared on both paths — reuse cannot leak
     /// state between trials or perturb the deterministic schedule.
-    static BUFFER_POOL: std::cell::RefCell<Vec<WorldBuffers>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static BUFFER_POOL: std::cell::RefCell<BufferPool> =
+        const { std::cell::RefCell::new(BufferPool { worlds: Vec::new(), traces: Vec::new() }) };
 }
 
 struct Slot {
@@ -128,23 +143,25 @@ impl World {
     pub fn new(config: WorldConfig, seed: u64) -> World {
         // Reuse pooled buffers from a previous world on this thread, if any.
         // Capacity is the only thing that survives the round trip.
-        let (queue, event_slab, free_slots, trace, effects_scratch) =
-            match BUFFER_POOL.with(|pool| pool.borrow_mut().pop()) {
-                Some(b) => (
-                    b.queue,
-                    b.event_slab,
-                    b.free_slots,
-                    Trace::with_buffer(b.trace),
-                    b.effects,
-                ),
-                None => (
-                    BinaryHeap::new(),
-                    Vec::new(),
-                    Vec::new(),
-                    Trace::new(),
-                    Vec::new(),
-                ),
+        let (buffers, trace) = BUFFER_POOL.with(|pool| {
+            let mut pool = pool.borrow_mut();
+            let trace = match config.retention {
+                Retention::All => Trace::with_buffer(pool.traces.pop().unwrap_or_default()),
+                Retention::DigestOnly => Trace::digest_only(),
             };
+            (pool.worlds.pop(), trace)
+        });
+        let WorldBuffers {
+            queue,
+            event_slab,
+            free_slots,
+            effects: effects_scratch,
+        } = buffers.unwrap_or_else(|| WorldBuffers {
+            queue: BinaryHeap::new(),
+            event_slab: Vec::new(),
+            free_slots: Vec::new(),
+            effects: Vec::new(),
+        });
         World {
             now: SimTime::ZERO,
             seed,
@@ -190,7 +207,16 @@ impl World {
     /// Takes ownership of the trace, leaving an empty one behind. For
     /// harnesses that keep the trace after the world is torn down — taking
     /// is free where cloning would deep-copy every event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world was built [`Retention::DigestOnly`]: there is no
+    /// history to hand over.
     pub fn take_trace(&mut self) -> Trace {
+        assert!(
+            self.trace.retention() == Retention::All,
+            "trace not retained: take_trace on a digest-only world"
+        );
         std::mem::take(&mut self.trace)
     }
 
@@ -523,6 +549,11 @@ impl World {
     /// would pass `deadline`. Returns the matching event's sequence number,
     /// or `None` on timeout. Events recorded before this call are not
     /// considered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world was built [`Retention::DigestOnly`] — the
+    /// predicate would have nothing to look at.
     pub fn run_until_event(
         &mut self,
         deadline: SimTime,
@@ -914,22 +945,28 @@ impl Drop for World {
         event_slab.clear();
         let mut free_slots = std::mem::take(&mut self.free_slots);
         free_slots.clear();
-        let mut trace = self.trace.take_buffer();
-        trace.clear();
+        let trace = self.trace.take_buffer().map(|mut events| {
+            events.clear();
+            events
+        });
         let mut effects = std::mem::take(&mut self.effects_scratch);
         effects.clear();
         // `try_with` so a world dropped during thread teardown (after the
         // pool's TLS destructor ran) degrades to a plain free.
         let _ = BUFFER_POOL.try_with(|pool| {
             let mut pool = pool.borrow_mut();
-            if pool.len() < BUFFER_POOL_MAX {
-                pool.push(WorldBuffers {
+            if pool.worlds.len() < BUFFER_POOL_MAX {
+                pool.worlds.push(WorldBuffers {
                     queue,
                     event_slab,
                     free_slots,
-                    trace,
                     effects,
                 });
+            }
+            if let Some(trace) = trace {
+                if pool.traces.len() < BUFFER_POOL_MAX {
+                    pool.traces.push(trace);
+                }
             }
         });
     }
@@ -1222,11 +1259,43 @@ mod tests {
         // First run grows fresh buffers; dropping the world parks them in
         // the thread-local pool.
         let first = run();
-        let pooled = BUFFER_POOL.with(|p| p.borrow().len());
+        let pooled = BUFFER_POOL.with(|p| {
+            let p = p.borrow();
+            p.worlds.len().min(p.traces.len())
+        });
         assert!(pooled >= 1, "drop must return buffers to the pool");
         // Second run draws the recycled buffers and must be byte-identical.
         let second = run();
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn retention_changes_neither_digest_nor_count() {
+        let run = |retention| {
+            let config = WorldConfig {
+                retention,
+                ..WorldConfig::default()
+            };
+            let mut w = World::new(config, 42);
+            let a = w.spawn("a", Echo { received: vec![] });
+            let b = w.spawn("b", Echo { received: vec![] });
+            let t = w.spawn(
+                "ticker",
+                Ticker {
+                    ticks: 0,
+                    period: Duration::millis(10),
+                },
+            );
+            w.invoke::<Echo, _>(a, move |_, ctx| ctx.send(b, 0u32));
+            w.run_for(Duration::millis(45));
+            w.crash(t);
+            w.restart(t);
+            w.run_for(Duration::millis(45));
+            (w.trace().digest(), w.trace().len(), w.metrics_report())
+        };
+        let kept = run(Retention::All);
+        assert!(kept.1 > 20);
+        assert_eq!(run(Retention::DigestOnly), kept);
     }
 
     #[test]

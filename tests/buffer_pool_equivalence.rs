@@ -13,9 +13,10 @@
 use ph_core::harness::RunReport;
 use ph_core::perturb::Strategy;
 use ph_scenarios::{
-    cass_398, cass_400, cass_402, hbase_3136, k8s_56261, k8s_59848, node_fencing, volume_17,
-    Variant,
+    cass_398, cass_400, cass_402, hbase_3136, k8s_56261, k8s_59848, mega_cluster, node_fencing,
+    volume_17, Variant,
 };
+use ph_sim::Duration;
 
 type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
 type GuidedFn = fn(u64) -> Box<dyn Strategy>;
@@ -106,4 +107,31 @@ fn pooled_and_fresh_runs_are_identical_for_fixed_variants() {
         let pooled = run_once(run, guided, SEED, Variant::Fixed);
         assert_reports_identical(name, Variant::Fixed, &fresh, &pooled);
     }
+}
+
+/// A digest-only world shares the pool with retaining trials but has no
+/// trace buffer to draw or return: run between two retaining trials, it
+/// changes nothing either of them reports.
+#[test]
+fn a_digest_only_world_between_retaining_trials_is_invisible() {
+    const SEED: u64 = 0xD16;
+    let scale = mega_cluster::ScaleParams {
+        nodes: 10,
+        pods: 200,
+        shards: 1,
+        watchers: 2,
+        churn: Duration::millis(600),
+    };
+    let (name, run, guided) = scenarios().swap_remove(0);
+    let fresh = run_fresh(run, guided, SEED, Variant::Buggy);
+    let before = run_once(run, guided, SEED, Variant::Buggy);
+    let between = mega_cluster::run(SEED, &scale);
+    let after = run_once(run, guided, SEED, Variant::Buggy);
+    assert_reports_identical(name, Variant::Buggy, &fresh, &before);
+    assert_reports_identical(name, Variant::Buggy, &fresh, &after);
+    // And the digest-only run itself is pool-transparent.
+    let scale_fresh = std::thread::spawn(move || mega_cluster::run(SEED, &scale))
+        .join()
+        .expect("fresh-pool scale run panicked");
+    assert_eq!(scale_fresh.to_json(), between.to_json());
 }

@@ -190,11 +190,11 @@ fn independence_matrix_json_is_deterministic() {
 }
 
 #[test]
-fn phtool_lint_json_is_thread_count_invariant() {
+fn phtool_lint_json_is_deterministic() {
     let bin = env!("CARGO_BIN_EXE_phtool");
-    let run = |threads: &str| {
+    let run = || {
         let out = std::process::Command::new(bin)
-            .args(["lint", "--json", "--threads", threads])
+            .args(["lint", "--json"])
             .current_dir(env!("CARGO_MANIFEST_DIR"))
             .output()
             .expect("spawning phtool");
@@ -206,13 +206,56 @@ fn phtool_lint_json_is_thread_count_invariant() {
         );
         out.stdout
     };
-    let one = run("1");
+    let one = run();
     assert!(!one.is_empty());
-    assert_eq!(one, run("1"), "same invocation diverged");
-    assert_eq!(one, run("4"), "--threads 1 vs 4 diverged");
+    assert_eq!(one, run(), "same invocation diverged");
     // The independence section is present and carries per-pair
     // justifications.
     let text = String::from_utf8(one).unwrap();
     assert!(text.contains("\"independence\":["));
     assert!(text.contains("\"why\":"));
+}
+
+/// Usage errors exit 2 and say what was wrong on stderr; a well-formed
+/// command that cannot finish exits 1. (`lint --threads` is the flag this
+/// suite itself used to pass — and phtool to ignore.)
+#[test]
+fn phtool_rejects_bad_command_lines_with_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_phtool");
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(bin)
+            .args(args)
+            .output()
+            .expect("spawning phtool");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for (args, complaint) in [
+        (&["frob"][..], "unknown command \"frob\""),
+        (&["scale", "--bogusflag", "x"], "has no flag --bogusflag"),
+        (&["lint", "--threads", "4"], "has no flag --threads"),
+        (&["list", "--json"], "has no flag --json"),
+        (&["scale", "--nodes"], "--nodes needs a value"),
+        (&["scale", "--nodes", "many"], "--nodes wants a number"),
+        (&["scale", "--nodes", "0"], "--nodes must be at least 1"),
+        (&["scale", "100"], "unexpected argument"),
+        (&["run", "--scenario", "no-such"], "unknown scenario"),
+        (&["run"], "--scenario is required"),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+    }
+    let (code, stderr) = run(&[
+        "run",
+        "--scenario",
+        "k8s-59848",
+        "--trace",
+        "/nonexistent-dir/trace.json",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: writing"), "{stderr}");
 }
