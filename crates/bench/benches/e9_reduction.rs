@@ -12,8 +12,7 @@
 //!   [`ph_core::plan_class`]), plus wall-clock per hunt. Detection must
 //!   not change; only the trial budget spent may shrink.
 //!
-//! Writes `BENCH_PR8.json` (path override: `PH_BENCH_E9_OUT`) next to
-//! `BENCH_PR4.json`.
+//! Writes `BENCH_PR8.json` (path override: `PH_BENCH_E9_OUT`).
 //!
 //! Run with `cargo bench -p ph-bench --bench e9_reduction`.
 

@@ -147,21 +147,22 @@ impl HuntReport {
             .unwrap_or(8)
             .max("cell".len());
         let mut out = format!(
-            "{:<first_col$}  {:>6}  {:>7}  {:>7}  {:>9}  {:>11}  {:>12}  {:>12}  {:>9}\n",
+            "{:<first_col$}  {:>6}  {:>7}  {:>7}  {:>9}  {:>12}  {:>9}  {:>9}  {:>7}\n",
             "cell",
             "trials",
             "classes",
             "deduped",
             "events",
-            "events/sec",
+            "events/sim-s",
             "p95-trial",
-            "detect-ns",
+            "detect",
             "inj-eff"
         );
         for r in &self.rows {
             let label = format!("{} / {}", r.scenario, r.strategy);
+            let p95 = human_ns(r.trial_latency.quantile(0.95));
             let ttd = match r.time_to_detection_ns {
-                Some(ns) => ns.to_string(),
+                Some(ns) => human_ns(ns),
                 None => "-".to_string(),
             };
             let eff = match r.effectiveness_pct() {
@@ -170,14 +171,13 @@ impl HuntReport {
             };
             let _ = writeln!(
                 out,
-                "{label:<first_col$}  {:>6}  {:>7}  {:>7}  {:>9}  {:>11}  {:>12}  {ttd:>12}  \
-                 {eff:>9}",
+                "{label:<first_col$}  {:>6}  {:>7}  {:>7}  {:>9}  {:>12}  {p95:>9}  {ttd:>9}  \
+                 {eff:>7}",
                 r.trials,
                 r.distinct_classes,
                 r.deduped_trials,
                 r.total_events,
                 r.events_per_sim_sec(),
-                r.trial_latency.quantile(0.95),
             );
         }
         out
@@ -302,6 +302,26 @@ impl HuntReport {
     }
 }
 
+/// Simulated nanoseconds in the largest unit that keeps the value at or
+/// above 1, to two decimals with trailing zeros dropped: `7.5 s`,
+/// `120 ms`, `1.23 us`. Integer arithmetic only (floors), so the table
+/// stays deterministic.
+fn human_ns(ns: u64) -> String {
+    let (unit, name) = match ns {
+        1_000_000_000.. => (1_000_000_000, "s"),
+        1_000_000.. => (1_000_000, "ms"),
+        1_000.. => (1_000, "us"),
+        _ => (1, "ns"),
+    };
+    let hundredths = (ns % unit) * 100 / unit;
+    let whole = ns / unit;
+    match (hundredths / 10, hundredths % 10) {
+        (0, 0) => format!("{whole} {name}"),
+        (tenths, 0) => format!("{whole}.{tenths} {name}"),
+        _ => format!("{whole}.{hundredths:02} {name}"),
+    }
+}
+
 /// Prints the Prometheus exposition to stdout — the metrics endpoint body
 /// the planned `phtool serve` will return; until then, pipe it to a file
 /// or node-exporter textfile collector.
@@ -377,5 +397,27 @@ mod tests {
         assert!(text.contains("cell"));
         assert!(text.contains("inj-eff"));
         assert_eq!(text.lines().count(), 3);
+        // Durations carry their unit; the rate says which clock it is per.
+        assert!(text.contains("events/sim-s") && !text.contains("-ns"));
+        let detected = text.lines().nth(1).expect("first row");
+        let cols: Vec<&str> = detected.split_whitespace().collect();
+        assert!(cols.ends_with(&["1", "s", "-"]), "{detected:?}");
+    }
+
+    #[test]
+    fn durations_render_in_the_largest_fitting_unit() {
+        for (ns, want) in [
+            (0, "0 ns"),
+            (999, "999 ns"),
+            (1_230, "1.23 us"),
+            (120_000_000, "120 ms"),
+            (7_500_000_000, "7.5 s"),
+            (10_000_000_000, "10 s"),
+            (1_005_000_000, "1 s"),
+            (1_050_000_000, "1.05 s"),
+            (3_600_000_000_000, "3600 s"),
+        ] {
+            assert_eq!(human_ns(ns), want);
+        }
     }
 }

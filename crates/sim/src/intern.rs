@@ -12,8 +12,9 @@
 //! pure function of the simulation schedule — no hash-seed, allocator, or
 //! wall-clock dependence — so two same-seed runs intern identically.
 //! [`Name`] prints (`Debug`/`Display`) and compares exactly like the string
-//! it wraps, which keeps trace digests and JSON exports byte-identical to
-//! the pre-interning representation.
+//! it wraps, which keeps the trace exports byte-identical to a
+//! `String`-holding representation; the trace digest hashes a name's bytes
+//! and never sees its `Debug`.
 
 use std::rc::Rc;
 
@@ -60,9 +61,9 @@ impl std::borrow::Borrow<str> for Name {
     }
 }
 
-// Debug must render byte-identically to `String`'s Debug: trace digests
-// hash `format!("{:?}")` of event kinds, and the interning refactor must
-// not change a single digest.
+// Debug must render byte-identically to `String`'s Debug: the trace
+// exports print `format!("{:?}")` of event kinds, and their goldens must
+// not see that a field is interned.
 impl std::fmt::Debug for Name {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         std::fmt::Debug::fmt(self.as_str(), f)

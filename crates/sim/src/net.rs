@@ -16,8 +16,8 @@
 //! involved. This is the §4.1 story: partial histories exist because the
 //! store saturates, not only because someone injected a fault. Links with
 //! `bandwidth == 0` (the default) keep the legacy infinite-capacity
-//! behaviour bit-for-bit, including the RNG draw sequence, so existing
-//! scenario digests are unchanged.
+//! behaviour bit-for-bit, including the RNG draw sequence, so the runs of
+//! scenarios that never queue are unchanged.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -249,7 +249,7 @@ impl Network {
         };
         if link.bandwidth == 0 {
             // Legacy infinite-capacity path. The draws above happen in the
-            // exact pre-queueing order, keeping historical digests stable.
+            // exact pre-queueing order, so unqueued links run as they always did.
             let mut at = now + link.latency + jitter + extra_delay;
             if link.fifo {
                 let horizon = self.fifo_horizon.entry((src, dst)).or_insert(SimTime::ZERO);

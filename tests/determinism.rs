@@ -9,28 +9,10 @@
 
 use ph_core::harness::RunReport;
 use ph_core::perturb::Strategy;
-use ph_scenarios::{
-    cass_398, cass_400, cass_402, congestion, hbase_3136, k8s_56261, k8s_59848, node_fencing,
-    volume_17, Variant,
-};
+use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Variant};
 
 type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
 type GuidedFn = fn(u64) -> Box<dyn Strategy>;
-
-/// Every registered scenario, with its guided-strategy factory.
-fn scenarios() -> Vec<(&'static str, RunFn, GuidedFn)> {
-    vec![
-        (k8s_59848::NAME, k8s_59848::run, k8s_59848::guided),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
-        (cass_400::NAME, cass_400::run, cass_400::guided),
-        (cass_402::NAME, cass_402::run, cass_402::guided),
-        (hbase_3136::NAME, hbase_3136::run, hbase_3136::guided),
-        (node_fencing::NAME, node_fencing::run, node_fencing::guided),
-        (congestion::NAME, congestion::run, congestion::guided),
-    ]
-}
 
 fn run_once(run: RunFn, guided: GuidedFn, seed: u64) -> RunReport {
     let mut strategy = guided(seed);
@@ -40,9 +22,10 @@ fn run_once(run: RunFn, guided: GuidedFn, seed: u64) -> RunReport {
 #[test]
 fn same_seed_same_trace_and_metrics_for_every_scenario() {
     const SEED: u64 = 7;
-    for (name, run, guided) in scenarios() {
-        let a = run_once(run, guided, SEED);
-        let b = run_once(run, guided, SEED);
+    for e in scenario_statics() {
+        let name = e.name;
+        let a = run_once(e.run, e.guided, SEED);
+        let b = run_once(e.run, e.guided, SEED);
         assert_eq!(
             a.trace_digest, b.trace_digest,
             "{name}: trace digests diverge across same-seed runs"
@@ -79,6 +62,125 @@ fn different_seeds_change_the_trace() {
         (b.trace_digest, b.trace_events),
         "seeds 1 and 2 produced bit-identical runs"
     );
+}
+
+/// The digest as it was defined before it moved to a binary encoding,
+/// restated from public API: FNV-1a over each event's `at` (LE bytes)
+/// followed by the `{:?}` rendering of its kind.
+fn debug_fnv_digest(trace: &ph_sim::Trace) -> u64 {
+    let fnv = |h: u64, b: &u8| (h ^ *b as u64).wrapping_mul(0x100_0000_01b3);
+    trace.events().iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
+        let h = e.at.0.to_le_bytes().iter().fold(h, fnv);
+        format!("{:?}", e.kind).as_bytes().iter().fold(h, fnv)
+    })
+}
+
+/// The re-encoding of the digest changed every digest's value and must
+/// have changed nothing else: over a corpus of runs, the old definition
+/// and `Trace::digest()` must call exactly the same pairs of runs equal.
+#[test]
+fn binary_digest_partitions_runs_exactly_like_the_debug_rendering_digest() {
+    use ph_core::perturb::{NoFault, RandomCrashes, TrafficSurge};
+    use ph_scenarios::strategies::{
+        Compose, EventSelector, HoldMatching, PartitionComponent, TargetRef,
+    };
+    use ph_sim::Duration;
+
+    const SEEDS: [u64; 3] = [3, 7, 1000];
+    // 0–3 are the matrix's generic axes; 4 and 5 are the two orders of the
+    // commuting hold/partition pair `canonical_equivalence.rs` composes —
+    // one canonical class, so one behaviour, so one digest.
+    let strategy = |which: usize, guided: GuidedFn, seed: u64| -> Box<dyn Strategy> {
+        let hold = || {
+            Box::new(HoldMatching::new(
+                TargetRef::Cache(0),
+                EventSelector::key("zzz-untouched-key"),
+                Duration::millis(100),
+                None,
+            )) as Box<dyn Strategy>
+        };
+        let cut = || {
+            Box::new(PartitionComponent::new(
+                0,
+                Duration::millis(200),
+                Duration::millis(450),
+            )) as Box<dyn Strategy>
+        };
+        match which {
+            0 => guided(seed),
+            1 => Box::new(NoFault),
+            2 => Box::new(RandomCrashes {
+                seed,
+                count: 3,
+                down: Duration::millis(300),
+            }),
+            3 => Box::new(TrafficSurge::new(
+                0,
+                2_000,
+                4,
+                Duration::millis(1100),
+                Some(Duration::millis(3600)),
+            )),
+            4 => Box::new(Compose::new("pair", vec![hold(), cut()])),
+            _ => Box::new(Compose::new("pair", vec![cut(), hold()])),
+        }
+    };
+
+    let entries = scenario_statics();
+    let mut jobs = Vec::new();
+    for scenario in 0..entries.len() {
+        for variant in [Variant::Buggy, Variant::Fixed] {
+            for seed in SEEDS {
+                for which in 0..4 {
+                    // Each run twice: the replay is the equal pair.
+                    jobs.extend([(scenario, variant, which, seed); 2]);
+                }
+            }
+            jobs.push((scenario, variant, 4, SEEDS[0]));
+            jobs.push((scenario, variant, 5, SEEDS[0]));
+        }
+    }
+    assert!(jobs.len() >= 400, "corpus shrank to {}", jobs.len());
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+    // (old digest, new digest) per run; traces are not `Send`, so both are
+    // taken where the run happened.
+    let digests: Vec<(u64, u64)> = ph_core::run_indexed(threads, jobs.len(), |i| {
+        let (scenario, variant, which, seed) = jobs[i];
+        let e = &entries[scenario];
+        let mut s = strategy(which, e.guided, seed);
+        let (report, trace) = (e.run_traced)(seed, s.as_mut(), variant);
+        assert_eq!(report.trace_digest, trace.digest());
+        (debug_fnv_digest(&trace), trace.digest())
+    });
+
+    // Per scenario, (equal, unequal) pairs seen — so the equivalence
+    // below cannot hold vacuously.
+    let mut seen = vec![(0usize, 0usize); entries.len()];
+    for (i, (old_a, new_a)) in digests.iter().enumerate() {
+        for (j, (old_b, new_b)) in digests[..i].iter().enumerate() {
+            assert_eq!(
+                old_a == old_b,
+                new_a == new_b,
+                "{:?} vs {:?}: old {old_a:#x}/{old_b:#x}, new {new_a:#x}/{new_b:#x}",
+                jobs[i],
+                jobs[j]
+            );
+            if jobs[i].0 == jobs[j].0 {
+                let s = &mut seen[jobs[i].0];
+                if new_a == new_b {
+                    s.0 += 1;
+                } else {
+                    s.1 += 1;
+                }
+            }
+        }
+    }
+    for (e, (equal, unequal)) in entries.iter().zip(seen) {
+        // 24 replayed configurations and 2 commuting pairs each…
+        assert!(equal >= 26, "{}: only {equal} equal pairs", e.name);
+        // …while seeds, variants and strategies still tell runs apart.
+        assert!(unequal >= 100, "{}: only {unequal} unequal pairs", e.name);
+    }
 }
 
 #[test]
@@ -150,7 +252,7 @@ fn blame_chains_are_identical_across_same_seed_runs_and_thread_counts() {
     // diffable in CI.
     use ph_core::provenance::explain;
     const SEED: u64 = 7;
-    let entries = ph_scenarios::scenario_statics();
+    let entries = scenario_statics();
     let explain_all = |threads: usize| -> Vec<String> {
         ph_core::run_indexed(threads, entries.len(), |i| {
             let e = &entries[i];
