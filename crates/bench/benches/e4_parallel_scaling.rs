@@ -31,13 +31,14 @@ fn print_scaling_curve() {
         max_trials: budget,
         base_seed: 0x5CA1E,
     };
-    let scenario = |seed: u64, s: &mut dyn Strategy| cass_398::run(seed, s, Variant::Buggy);
+    let scenario =
+        |seed: u64, s: &mut dyn Strategy| cass_398::SCENARIO.run(seed, s, Variant::Buggy);
     let factory = |_seed: u64| Box::new(NoFault) as Box<dyn Strategy>;
 
     println!(
         "\n=== E4: parallel exploration scaling ({budget} trials of {}, no-fault, \
          {} core(s) available) ===\n",
-        cass_398::NAME,
+        cass_398::SCENARIO.name,
         ph_core::default_threads(),
     );
     println!(
@@ -47,7 +48,7 @@ fn print_scaling_curve() {
 
     // The sequential path is the reference for both timing and bytes.
     let t = Instant::now();
-    let reference = explorer.explore(cass_398::NAME, &scenario, &factory);
+    let reference = explorer.explore(cass_398::SCENARIO.name, &scenario, &factory);
     let seq_secs = t.elapsed().as_secs_f64();
     let reference_effort = {
         let mut m = DetectionMatrix::new();
@@ -64,7 +65,8 @@ fn print_scaling_curve() {
 
     for threads in [1usize, 2, 4, 8] {
         let t = Instant::now();
-        let outcome = explorer.explore_parallel(threads, cass_398::NAME, &scenario, &factory);
+        let outcome =
+            explorer.explore_parallel(threads, cass_398::SCENARIO.name, &scenario, &factory);
         let secs = t.elapsed().as_secs_f64();
         let effort = {
             let mut m = DetectionMatrix::new();
@@ -109,8 +111,8 @@ fn bench(c: &mut Criterion) {
             explorer
                 .explore_parallel(
                     ph_core::default_threads(),
-                    cass_398::NAME,
-                    &|seed, s| cass_398::run(seed, s, Variant::Buggy),
+                    cass_398::SCENARIO.name,
+                    &|seed, s| cass_398::SCENARIO.run(seed, s, Variant::Buggy),
                     &|_seed| Box::new(NoFault) as Box<dyn Strategy>,
                 )
                 .total_events

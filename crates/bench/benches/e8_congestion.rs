@@ -13,7 +13,22 @@
 //! Run with `cargo bench -p ph-bench --bench e8_congestion`.
 
 use ph_bench::{criterion_group, criterion_main, Criterion};
-use ph_scenarios::{congestion, Variant};
+use ph_core::perturb::NoFault;
+use ph_scenarios::congestion::{at_capacity, CAPACITY_AMPLE, CAPACITY_SCARCE};
+use ph_scenarios::{Scenario, Variant};
+
+/// The sweep: the scenario at each static feed capacity (bytes per second).
+fn sweep() -> [(u64, Scenario); 7] {
+    [
+        (256_000, at_capacity::<256_000>()),
+        (64_000, at_capacity::<64_000>()),
+        (16_000, at_capacity::<16_000>()),
+        (8_000, at_capacity::<8_000>()),
+        (4_000, at_capacity::<4_000>()),
+        (2_000, at_capacity::<2_000>()),
+        (1_000, at_capacity::<1_000>()),
+    ]
+}
 
 fn print_table() {
     println!("-- E8: lag vs offered load (buggy variant, NoFault, seed 1) --\n");
@@ -21,8 +36,8 @@ fn print_table() {
         "{:<16} {:>9} {:>14} {:>13} {:>12}  verdict",
         "capacity (B/s)", "drops", "p95 wait", "sched lag max", "gap frac"
     );
-    for capacity in [256_000u64, 64_000, 16_000, 8_000, 4_000, 2_000, 1_000] {
-        let (report, _trace) = congestion::run_at_capacity(1, Variant::Buggy, capacity);
+    for (capacity, scenario) in sweep() {
+        let report = scenario.run(1, &mut NoFault, Variant::Buggy);
         let drops = report.metrics.counter_total("net.queue_dropped");
         let p95 = report
             .metrics
@@ -52,16 +67,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
-    for (label, capacity) in [
-        ("ample", congestion::CAPACITY_AMPLE),
-        ("scarce", congestion::CAPACITY_SCARCE),
+    for (label, scenario) in [
+        ("ample", at_capacity::<CAPACITY_AMPLE>()),
+        ("scarce", at_capacity::<CAPACITY_SCARCE>()),
     ] {
         group.bench_function(format!("congestion_trial_{label}"), |b| {
-            b.iter(|| {
-                congestion::run_at_capacity(1, Variant::Buggy, capacity)
-                    .0
-                    .trace_events
-            })
+            b.iter(|| scenario.run(1, &mut NoFault, Variant::Buggy).trace_events)
         });
     }
     group.finish();

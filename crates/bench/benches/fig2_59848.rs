@@ -7,12 +7,13 @@
 //! Run with `cargo bench -p ph-bench --bench fig2_59848`.
 
 use ph_bench::{criterion_group, criterion_main, Criterion};
-use ph_scenarios::{k8s_59848, Variant};
+use ph_scenarios::k8s_59848::SCENARIO;
+use ph_scenarios::Variant;
 
 fn print_figure() {
     println!("\n=== F2 (Figure 2): Kubernetes-59848 reproduction ===");
-    let mut strategy = k8s_59848::guided(1);
-    let report = k8s_59848::run(1, strategy.as_mut(), Variant::Buggy);
+    let mut strategy = (SCENARIO.guided)(1);
+    let report = SCENARIO.run(1, strategy.as_mut(), Variant::Buggy);
     assert!(report.failed(), "the reproduction must fire");
     for v in &report.violations {
         println!("  violation: {v}");
@@ -22,8 +23,8 @@ fn print_figure() {
          events in {} of simulated time",
         report.trace_events, report.sim_time
     );
-    let mut strategy = k8s_59848::guided(1);
-    let fixed = k8s_59848::run(1, strategy.as_mut(), Variant::Fixed);
+    let mut strategy = (SCENARIO.guided)(1);
+    let fixed = SCENARIO.run(1, strategy.as_mut(), Variant::Fixed);
     println!(
         "  fixed kubelet under identical injection: {} violations\n",
         fixed.violations.len()
@@ -38,16 +39,16 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(5));
     group.bench_function("guided_reproduction_buggy", |b| {
         b.iter(|| {
-            let mut strategy = k8s_59848::guided(1);
-            let report = k8s_59848::run(1, strategy.as_mut(), Variant::Buggy);
+            let mut strategy = (SCENARIO.guided)(1);
+            let report = SCENARIO.run(1, strategy.as_mut(), Variant::Buggy);
             assert!(report.failed());
             report.trace_events
         })
     });
     group.bench_function("guided_regression_fixed", |b| {
         b.iter(|| {
-            let mut strategy = k8s_59848::guided(1);
-            let report = k8s_59848::run(1, strategy.as_mut(), Variant::Fixed);
+            let mut strategy = (SCENARIO.guided)(1);
+            let report = SCENARIO.run(1, strategy.as_mut(), Variant::Fixed);
             assert!(!report.failed());
             report.trace_events
         })

@@ -1,8 +1,8 @@
 //! **T1 — the §7 results**: "our tool has reproduced two known bugs in
 //! Kubernetes … and detected three new bugs in a Kubernetes controller for
 //! Cassandra" — as a detection matrix over the seven encoded paper bugs
-//! plus the node-fencing hazard this reproduction adds, across six
-//! strategies.
+//! plus the node-fencing and congestion hazards this reproduction adds,
+//! across six strategies.
 //!
 //! Expected shape: the guided column detects every bug on trial 1; the
 //! baseline heuristics are sparse (CoFI's consistency-guided partitions
@@ -16,46 +16,8 @@
 
 use ph_bench::{criterion_group, criterion_main, Criterion};
 
-use ph_core::harness::{DetectionMatrix, Explorer, RunReport};
-use ph_core::perturb::{CoFiPartitions, CrashTunerCrashes, NoFault, RandomCrashes, Strategy};
-use ph_scenarios::{
-    cass_398, cass_400, cass_402, hbase_3136, k8s_56261, k8s_59848, node_fencing, volume_17,
-    Variant,
-};
-use ph_sim::Duration;
-
-type ScenarioRun = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type Guided = fn(u64) -> Box<dyn Strategy>;
-
-fn scenarios() -> Vec<(&'static str, ScenarioRun, Guided)> {
-    vec![
-        (
-            k8s_59848::NAME,
-            k8s_59848::run as ScenarioRun,
-            k8s_59848::guided as Guided,
-        ),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
-        (cass_400::NAME, cass_400::run, cass_400::guided),
-        (cass_402::NAME, cass_402::run, cass_402::guided),
-        (hbase_3136::NAME, hbase_3136::run, hbase_3136::guided),
-        (node_fencing::NAME, node_fencing::run, node_fencing::guided),
-    ]
-}
-
-fn baseline(kind: &str, seed: u64) -> Box<dyn Strategy> {
-    match kind {
-        "random-crash" => Box::new(RandomCrashes {
-            seed,
-            count: 3,
-            down: Duration::millis(300),
-        }),
-        "crashtuner" => Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300))),
-        "cofi" => Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500))),
-        _ => Box::new(NoFault),
-    }
-}
+use ph_core::harness::{DetectionMatrix, Explorer};
+use ph_scenarios::{volume_17, Variant, SCENARIOS, STRATEGIES};
 
 fn build_matrix(max_trials: u32) -> DetectionMatrix {
     let explorer = Explorer {
@@ -63,18 +25,16 @@ fn build_matrix(max_trials: u32) -> DetectionMatrix {
         base_seed: 1000,
     };
     let mut matrix = DetectionMatrix::new();
-    for (name, run, guided) in scenarios() {
-        let mut outcome =
-            explorer.explore(name, &|seed, s| run(seed, s, Variant::Buggy), &|seed| {
-                guided(seed)
-            });
-        outcome.strategy = "guided".into();
-        matrix.add(outcome);
-        for kind in ["random-crash", "crashtuner", "cofi", "no-fault"] {
-            let outcome =
-                explorer.explore(name, &|seed, s| run(seed, s, Variant::Buggy), &|seed| {
-                    baseline(kind, seed)
-                });
+    for scenario in SCENARIOS {
+        for strategy in STRATEGIES {
+            let mut outcome = explorer.explore(
+                scenario.name,
+                &|seed, s| scenario.run(seed, s, Variant::Buggy),
+                &|seed| scenario.strategy(strategy, seed),
+            );
+            if *strategy == "guided" {
+                outcome.strategy = "guided".into();
+            }
             matrix.add(outcome);
         }
     }
@@ -94,8 +54,12 @@ fn print_table() -> DetectionMatrix {
         .iter()
         .filter(|c| c.strategy == "guided" && c.detected())
         .count();
-    println!("guided: {guided_detected}/8 detected (expected 8/8 on trial 1)");
-    assert_eq!(guided_detected, 8, "guided strategies must find every bug");
+    let all = SCENARIOS.len();
+    println!("guided: {guided_detected}/{all} detected (expected {all}/{all} on trial 1)");
+    assert_eq!(
+        guided_detected, all,
+        "guided strategies must find every bug"
+    );
     matrix
 }
 
@@ -107,8 +71,10 @@ fn bench(c: &mut Criterion) {
     // The tool's unit of work: one guided trial on the fastest scenario.
     group.bench_function("one_guided_trial_volume17", |b| {
         b.iter(|| {
-            let mut s = volume_17::guided(1);
-            volume_17::run(1, s.as_mut(), Variant::Buggy).failed()
+            let mut s = (volume_17::SCENARIO.guided)(1);
+            volume_17::SCENARIO
+                .run(1, s.as_mut(), Variant::Buggy)
+                .failed()
         })
     });
     group.finish();

@@ -12,28 +12,21 @@
 
 use ph_bench::{criterion_group, criterion_main, Criterion};
 
-use ph_core::harness::{Explorer, RunReport};
-use ph_core::perturb::{CoFiPartitions, CrashTunerCrashes, RandomCrashes, Strategy};
+use ph_core::harness::Explorer;
+use ph_core::perturb::RandomCrashes;
 use ph_scenarios::{cass_398, k8s_56261, k8s_59848, volume_17, Variant};
 use ph_sim::Duration;
-
-type ScenarioRun = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type Guided = fn(u64) -> Box<dyn Strategy>;
 
 fn print_table() {
     let budget: u32 = std::env::var("PH_TRIALS2")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(12);
-    let scenarios: Vec<(&str, ScenarioRun, Guided)> = vec![
-        (
-            k8s_59848::NAME,
-            k8s_59848::run as ScenarioRun,
-            k8s_59848::guided as Guided,
-        ),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
+    let scenarios = [
+        &k8s_59848::SCENARIO,
+        &k8s_56261::SCENARIO,
+        &volume_17::SCENARIO,
+        &cass_398::SCENARIO,
     ];
     println!("\n=== T2 (§5/§6.1): trials to first detection (budget {budget}) ===\n");
     println!(
@@ -44,33 +37,27 @@ fn print_table() {
         max_trials: budget,
         base_seed: 2000,
     };
-    for (name, run, guided) in scenarios {
+    for scenario in scenarios {
+        let name = scenario.name;
         let fmt = |n: Option<u32>| match n {
             Some(n) => n.to_string(),
             None => "✗".to_string(),
         };
-        let g = explorer
-            .explore(name, &|s, st| run(s, st, Variant::Buggy), &|s| guided(s))
-            .first_violation;
-        let r = explorer
-            .explore(name, &|s, st| run(s, st, Variant::Buggy), &|seed| {
-                Box::new(RandomCrashes {
-                    seed,
-                    count: 3,
-                    down: Duration::millis(300),
-                })
-            })
-            .first_violation;
-        let ct = explorer
-            .explore(name, &|s, st| run(s, st, Variant::Buggy), &|seed| {
-                Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300)))
-            })
-            .first_violation;
-        let cf = explorer
-            .explore(name, &|s, st| run(s, st, Variant::Buggy), &|seed| {
-                Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500)))
-            })
-            .first_violation;
+        let trials = |strategy: &str| {
+            explorer
+                .explore(
+                    name,
+                    &|s, st| scenario.run(s, st, Variant::Buggy),
+                    &|seed| scenario.strategy(strategy, seed),
+                )
+                .first_violation
+        };
+        let (g, r, ct, cf) = (
+            trials("guided"),
+            trials("random-crash"),
+            trials("crashtuner"),
+            trials("cofi"),
+        );
         println!(
             "{:<16} {:>8} {:>14} {:>12} {:>8}",
             name,
@@ -96,7 +83,9 @@ fn bench(c: &mut Criterion) {
                 count: 3,
                 down: Duration::millis(300),
             };
-            k8s_59848::run(7, &mut s, Variant::Buggy).trace_events
+            k8s_59848::SCENARIO
+                .run(7, &mut s, Variant::Buggy)
+                .trace_events
         })
     });
     group.finish();

@@ -128,6 +128,11 @@ pub struct ClusterHandle {
     pub admin: ActorId,
 }
 
+/// Reads one view's frontier revision `|H′|` out of the world (a crashed
+/// view's frontier is wherever it stopped); `None` if the actor is not the
+/// kind of view the reader is for.
+pub type Frontier = fn(&World, ActorId) -> Option<Revision>;
+
 /// The control-plane component configurations a [`ClusterConfig`] implies,
 /// resolved against a concrete apiserver list.
 ///
@@ -334,6 +339,46 @@ pub fn spawn_cluster(world: &mut World, cfg: &ClusterConfig) -> ClusterHandle {
 }
 
 impl ClusterHandle {
+    /// Every partial view of `H` the cluster maintains — each one an
+    /// order-preserving sub-history with a frontier revision — as
+    /// `(actor, frontier reader)`, in the fixed dense order lag sampling
+    /// and strategy targets index by: apiservers, kubelets, then the
+    /// configured singletons (scheduler, volume controller, replica-set
+    /// controller, operator, node-lifecycle controller).
+    pub fn views(&self) -> impl Iterator<Item = (ActorId, Frontier)> + '_ {
+        let singletons: [(Option<ActorId>, Frontier); 5] = [
+            (self.scheduler, |w, id| {
+                w.actor_ref::<Scheduler>(id).map(Scheduler::view_revision)
+            }),
+            (self.volume_controller, |w, id| {
+                w.actor_ref::<VolumeController>(id)
+                    .map(VolumeController::view_revision)
+            }),
+            (self.rs_controller, |w, id| {
+                w.actor_ref::<ReplicaSetController>(id)
+                    .map(ReplicaSetController::view_revision)
+            }),
+            (self.operator, |w, id| {
+                w.actor_ref::<CassandraOperator>(id)
+                    .map(CassandraOperator::view_revision)
+            }),
+            (self.node_lifecycle, |w, id| {
+                w.actor_ref::<NodeLifecycleController>(id)
+                    .map(NodeLifecycleController::view_revision)
+            }),
+        ];
+        let apiserver: Frontier =
+            |w, id| w.actor_ref::<ApiServer>(id).map(ApiServer::cache_revision);
+        let kubelet: Frontier = |w, id| w.actor_ref::<Kubelet>(id).map(Kubelet::view_revision);
+        (self.apiservers.iter().map(move |&a| (a, apiserver)))
+            .chain(self.kubelets.iter().map(move |&k| (k, kubelet)))
+            .chain(
+                singletons
+                    .into_iter()
+                    .filter_map(|(id, read)| Some((id?, read))),
+            )
+    }
+
     /// Runs the world until the store has a leader and every apiserver is
     /// serving. Returns `false` on timeout.
     pub fn wait_ready(&self, world: &mut World, deadline: SimTime) -> bool {

@@ -71,111 +71,23 @@
 use std::collections::BTreeMap;
 
 use ph_core::autoguide;
-use ph_core::harness::{DetectionMatrix, Explorer, RunReport};
-use ph_core::perturb::{
-    CoFiPartitions, CrashTunerCrashes, NoFault, RandomCrashes, Strategy, Targets, TrafficSurge,
-};
-use ph_core::provenance::{explain, BlameSpec};
+use ph_core::harness::{DetectionMatrix, Explorer};
+use ph_core::perturb::Strategy;
+use ph_core::provenance::explain;
 use ph_core::telemetry::HuntReport;
-use ph_lint::summary::PatternClass;
-use ph_scenarios::{k8s_56261, volume_17, Variant};
-use ph_sim::{Duration, Trace};
+use ph_scenarios::{Scenario, Variant, SCENARIOS, STRATEGIES};
+use ph_sim::Trace;
 
-type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type TraceRunFn = fn(u64, &mut dyn Strategy, Variant) -> (RunReport, Trace);
-type GuidedFn = fn(u64) -> Box<dyn Strategy>;
-
-/// Decision labels + targets builder, for scenarios wired into the
-/// auto-explorer (the trace-returning runner lives on every [`Entry`]).
-type HuntSpec = (&'static [&'static str], fn() -> Targets);
-
-/// Everything the CLI knows about one scenario.
-struct Entry {
-    run: RunFn,
-    run_traced: TraceRunFn,
-    blame: fn() -> BlameSpec,
-    pattern: PatternClass,
-    guided: GuidedFn,
-    hunt: Option<HuntSpec>,
+/// Every scenario in name order — the order every listing and table prints.
+fn by_name() -> Vec<&'static Scenario> {
+    let mut all = SCENARIOS.to_vec();
+    all.sort_by_key(|s| s.name);
+    all
 }
 
-fn volume_targets() -> Targets {
-    let cfg = ph_cluster::topology::ClusterConfig {
-        volume_controller: Some(ph_cluster::controllers::VcMode::MarkOnly),
-        ..ph_cluster::topology::ClusterConfig::default()
-    };
-    let mut world = ph_sim::World::new(ph_sim::WorldConfig::default(), 1);
-    let cluster = ph_cluster::topology::spawn_cluster(&mut world, &cfg);
-    ph_scenarios::common::targets_for(&cluster, Duration::secs(5))
-}
-
-fn scheduler_targets() -> Targets {
-    let cfg = ph_cluster::topology::ClusterConfig {
-        scheduler: Some(false),
-        rs_controller: Some(false),
-        ..ph_cluster::topology::ClusterConfig::default()
-    };
-    let mut world = ph_sim::World::new(ph_sim::WorldConfig::default(), 1);
-    let cluster = ph_cluster::topology::spawn_cluster(&mut world, &cfg);
-    ph_scenarios::common::targets_for(&cluster, Duration::secs(6))
-}
-
-fn registry() -> BTreeMap<&'static str, Entry> {
-    let mut m: BTreeMap<&'static str, Entry> = BTreeMap::new();
-    for e in ph_scenarios::scenario_statics() {
-        m.insert(
-            e.name,
-            Entry {
-                run: e.run,
-                run_traced: e.run_traced,
-                blame: e.blame,
-                pattern: e.pattern,
-                guided: e.guided,
-                hunt: None,
-            },
-        );
-    }
-    // Causal-hunt wiring (the scenarios with a stable reference schedule).
-    m.get_mut(k8s_56261::NAME).expect("registered").hunt =
-        Some((&["scheduler.bind"], scheduler_targets));
-    m.get_mut(volume_17::NAME).expect("registered").hunt =
-        Some((&["vc.release_pvc"], volume_targets));
-    m
-}
-
-const STRATEGIES: &[&str] = &[
-    "guided",
-    "random-crash",
-    "crashtuner",
-    "cofi",
-    "traffic-surge",
-    "no-fault",
-];
-
-fn make_strategy(name: &str, guided: GuidedFn, seed: u64) -> Result<Box<dyn Strategy>, String> {
-    Ok(match name {
-        "guided" => guided(seed),
-        "random-crash" => Box::new(RandomCrashes {
-            seed,
-            count: 3,
-            down: Duration::millis(300),
-        }),
-        "crashtuner" => Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300))),
-        "cofi" => Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500))),
-        // The generic load axis: squeeze the primary cache's whole fan-out
-        // to a scarce trickle mid-run. The congestion scenario's tuned form
-        // (via `guided`) focuses this on one component; the generic axis is
-        // for probing every other scenario under load.
-        "traffic-surge" => Box::new(TrafficSurge::new(
-            0,
-            2_000,
-            4,
-            Duration::millis(1100),
-            Some(Duration::millis(3600)),
-        )),
-        "no-fault" => Box::new(NoFault),
-        other => return Err(format!("unknown strategy {other:?} (try: {STRATEGIES:?})")),
-    })
+/// The scenario called `name` (`-`/`_` tolerant).
+fn lookup(name: &str) -> Result<&'static Scenario, String> {
+    ph_scenarios::lookup(name).ok_or_else(|| format!("unknown scenario {name:?} (phtool list)"))
 }
 
 /// Why a command produced no verdict. A bare `String` error converts to
@@ -304,6 +216,25 @@ impl Args {
         }
     }
 
+    /// `--variant buggy|fixed`, defaulting to buggy.
+    fn variant(&self) -> Result<Variant, String> {
+        match self.get("variant").unwrap_or("buggy") {
+            "buggy" => Ok(Variant::Buggy),
+            "fixed" => Ok(Variant::Fixed),
+            other => Err(format!("unknown variant {other:?}")),
+        }
+    }
+
+    /// `--strategy <name>`, defaulting to guided; rejects names outside
+    /// [`STRATEGIES`], so `Scenario::strategy` cannot panic on it.
+    fn strategy(&self) -> Result<&str, String> {
+        let name = self.get("strategy").unwrap_or("guided");
+        if !STRATEGIES.contains(&name) {
+            return Err(format!("unknown strategy {name:?} (try: {STRATEGIES:?})"));
+        }
+        Ok(name)
+    }
+
     /// Worker-pool size: `--threads N`, defaulting to the machine's
     /// available parallelism.
     fn threads(&self) -> Result<usize, String> {
@@ -331,21 +262,10 @@ fn usage() -> &'static str {
      exit codes: 0 clean, 1 error, 2 usage, 3 violation detected"
 }
 
-/// Scenario lookup tolerant of `_`/`-` spelling (`k8s_59848` = `k8s-59848`).
-fn lookup<'r>(reg: &'r BTreeMap<&'static str, Entry>, name: &str) -> Result<&'r Entry, String> {
-    reg.get(name)
-        .or_else(|| reg.get(name.replace('_', "-").as_str()))
-        .ok_or_else(|| format!("unknown scenario {name:?} (phtool list)"))
-}
-
 fn cmd_list(_args: &Args) -> Result<i32, Failure> {
-    let reg = registry();
     println!("scenarios:");
-    for (name, e) in &reg {
-        println!(
-            "  {name}{}",
-            if e.hunt.is_some() { "  (huntable)" } else { "" }
-        );
+    for scenario in by_name() {
+        println!("  {}", scenario.name);
     }
     println!("strategies: {}", STRATEGIES.join(", "));
     Ok(0)
@@ -368,22 +288,16 @@ fn format_trace(trace: &Trace, format: &str) -> Result<String, String> {
 const EXIT_VIOLATION: i32 = 3;
 
 fn cmd_run(args: &Args) -> Result<i32, Failure> {
-    let reg = registry();
-    let scenario = args.get("scenario").ok_or("--scenario is required")?;
-    let entry = lookup(&reg, scenario)?;
+    let scenario = lookup(args.get("scenario").ok_or("--scenario is required")?)?;
     let seed = args.get_u64("seed", 1)?;
-    let variant = match args.get("variant").unwrap_or("buggy") {
-        "buggy" => Variant::Buggy,
-        "fixed" => Variant::Fixed,
-        other => return Err(format!("unknown variant {other:?}").into()),
-    };
-    let strategy_name = args.get("strategy").unwrap_or("guided");
-    let mut strategy = make_strategy(strategy_name, entry.guided, seed)?;
+    let variant = args.variant()?;
+    let strategy_name = args.strategy()?;
+    let new_strategy = || scenario.strategy(strategy_name, seed);
     let format = args.get("format").unwrap_or("json");
     let threads = args.threads()?;
 
     let report = if let Some(path) = args.get("trace") {
-        let (report, trace) = (entry.run_traced)(seed, strategy.as_mut(), variant);
+        let (report, trace) = scenario.run_traced(seed, new_strategy().as_mut(), variant);
         std::fs::write(path, format_trace(&trace, format)?)
             .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
         println!("trace written to {path} ({} events, {format})", trace.len());
@@ -392,11 +306,8 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
         // Route the run through the deterministic pool so --threads
         // exercises the parallel path; a single trial's report is
         // byte-identical at any pool size.
-        let run = entry.run;
-        let guided = entry.guided;
-        ph_core::run_indexed(threads, 1, move |_| {
-            let mut strategy = make_strategy(strategy_name, guided, seed).expect("validated above");
-            run(seed, strategy.as_mut(), variant)
+        ph_core::run_indexed(threads, 1, |_| {
+            scenario.run(seed, new_strategy().as_mut(), variant)
         })
         .pop()
         .expect("one job, one report")
@@ -452,47 +363,32 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
 /// produced no violation to explain while one was statically predicted) —
 /// CI gates on it.
 fn cmd_explain(args: &Args) -> Result<i32, Failure> {
-    let reg = registry();
     let seed = args.get_u64("seed", 1)?;
-    let variant = match args.get("variant").unwrap_or("buggy") {
-        "buggy" => Variant::Buggy,
-        "fixed" => Variant::Fixed,
-        other => return Err(format!("unknown variant {other:?}").into()),
-    };
-    let strategy_name = args.get("strategy").unwrap_or("guided");
-    if !STRATEGIES.contains(&strategy_name) {
-        return Err(format!("unknown strategy {strategy_name:?} (try: {STRATEGIES:?})").into());
-    }
+    let variant = args.variant()?;
+    let strategy_name = args.strategy()?;
     let threads = args.threads()?;
-    let selected: Vec<&'static str> = if args.has("all") {
-        reg.keys().copied().collect()
+    let selected = if args.has("all") {
+        by_name()
     } else {
-        let s = args
+        let name = args
             .get("scenario")
             .ok_or("--scenario <name> or --all is required")?;
-        lookup(&reg, s)?;
-        let dashed = s.replace('_', "-");
-        reg.keys().copied().filter(|k| *k == dashed).collect()
+        vec![lookup(name)?]
     };
 
     // One run per scenario through the deterministic pool: output bytes are
     // identical at any --threads value.
-    type ExplainCell = (TraceRunFn, GuidedFn, fn() -> BlameSpec);
-    let cells: Vec<ExplainCell> = selected
-        .iter()
-        .map(|n| (reg[n].run_traced, reg[n].guided, reg[n].blame))
-        .collect();
-    let chains = ph_core::run_indexed(threads, cells.len(), |i| {
-        let (run_traced, guided, blame) = cells[i];
-        let mut strategy = make_strategy(strategy_name, guided, seed).expect("validated above");
-        let (report, trace) = run_traced(seed, strategy.as_mut(), variant);
-        let chain = explain(&trace, &blame(), &report.violations);
+    let chains = ph_core::run_indexed(threads, selected.len(), |i| {
+        let scenario = selected[i];
+        let mut strategy = scenario.strategy(strategy_name, seed);
+        let (report, trace) = scenario.run_traced(seed, strategy.as_mut(), variant);
+        let chain = explain(&trace, &scenario.blame, &report.violations);
         (report.failed(), chain)
     });
 
     let mut disagreements = 0usize;
-    for (name, (failed, chain)) in selected.iter().zip(&chains) {
-        let expected = reg[name].pattern;
+    for (scenario, (failed, chain)) in selected.iter().zip(&chains) {
+        let expected = scenario.pattern;
         if args.has("json") {
             println!("{}", chain.to_json());
         } else {
@@ -537,44 +433,27 @@ fn cmd_explain(args: &Args) -> Result<i32, Failure> {
 /// The observability dashboard: run every scenario (or one) once and
 /// summarize verdicts, effort, and divergence side by side.
 fn cmd_report(args: &Args) -> Result<i32, Failure> {
-    let reg = registry();
     let seed = args.get_u64("seed", 1)?;
-    let variant = match args.get("variant").unwrap_or("buggy") {
-        "buggy" => Variant::Buggy,
-        "fixed" => Variant::Fixed,
-        other => return Err(format!("unknown variant {other:?}").into()),
-    };
-    let strategy_name = args.get("strategy").unwrap_or("guided");
-    if !STRATEGIES.contains(&strategy_name) {
-        return Err(format!("unknown strategy {strategy_name:?} (try: {STRATEGIES:?})").into());
-    }
+    let variant = args.variant()?;
+    let strategy_name = args.strategy()?;
     let threads = args.threads()?;
-    let selected: Vec<&'static str> = match args.get("scenario") {
-        Some(s) => {
-            lookup(&reg, s)?;
-            let dashed = s.replace('_', "-");
-            reg.keys().copied().filter(|k| *k == dashed).collect()
-        }
-        None => reg.keys().copied().collect(),
+    let selected = match args.get("scenario") {
+        Some(name) => vec![lookup(name)?],
+        None => by_name(),
     };
 
     // One job per scenario through the pool; results come back in
     // scenario order, so the dashboard is identical at any thread count.
-    let cells: Vec<(RunFn, GuidedFn)> = selected
-        .iter()
-        .map(|n| (reg[n].run, reg[n].guided))
-        .collect();
-    let reports = ph_core::run_indexed(threads, cells.len(), |i| {
-        let (run, guided) = cells[i];
-        let mut strategy = make_strategy(strategy_name, guided, seed).expect("validated above");
-        run(seed, strategy.as_mut(), variant)
+    let reports = ph_core::run_indexed(threads, selected.len(), |i| {
+        let mut strategy = selected[i].strategy(strategy_name, seed);
+        selected[i].run(seed, strategy.as_mut(), variant)
     });
 
     println!("phtool report  (strategy {strategy_name}, variant {variant}, seed {seed})");
     println!();
     let wide = selected
         .iter()
-        .map(|s| s.len())
+        .map(|s| s.name.len())
         .max()
         .unwrap_or(8)
         .max("scenario".len());
@@ -646,7 +525,7 @@ fn cmd_report(args: &Args) -> Result<i32, Failure> {
     for row in table
         .rows
         .iter()
-        .filter(|r| selected.contains(&r.scenario.as_str()))
+        .filter(|r| selected.iter().any(|s| s.name == r.scenario))
     {
         for w in &row.buggy_witnesses {
             println!("{}  {}", row.scenario, w);
@@ -666,18 +545,15 @@ fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
         max_trials: trials,
         base_seed,
     };
-    let reg = registry();
     let mut matrix = DetectionMatrix::new();
     let mut hunt_report = HuntReport::new();
-    for (name, entry) in &reg {
+    for scenario in by_name() {
         for strategy_name in STRATEGIES {
-            let run = entry.run;
-            let guided = entry.guided;
             let mut outcome = explorer.explore_parallel(
                 threads,
-                name,
-                &|seed, s| run(seed, s, Variant::Buggy),
-                &|seed| make_strategy(strategy_name, guided, seed).expect("known strategy"),
+                scenario.name,
+                &|seed, s| scenario.run(seed, s, Variant::Buggy),
+                &|seed| scenario.strategy(strategy_name, seed),
             );
             if *strategy_name == "guided" {
                 outcome.strategy = "guided".into();
@@ -705,8 +581,11 @@ fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
 /// scenario (no causal trace needed — the priors come from the IR).
 fn cmd_hunt_witnesses(args: &Args, scenario: &str) -> Result<i32, Failure> {
     use ph_scenarios::witness_bridge;
-    let entry = witness_bridge::entry_for(scenario)
-        .ok_or_else(|| format!("unknown scenario {scenario:?} (phtool list)"))?;
+    let name = lookup(scenario)?.name;
+    let entry = ph_scenarios::scenario_statics()
+        .into_iter()
+        .find(|e| e.name == name)
+        .expect("every scenario has a static entry");
     let budget = args.get_u64("budget", 30)? as usize;
     let base_seed = args.get_u64("seed", 1)?;
 
@@ -736,32 +615,19 @@ fn cmd_hunt_witnesses(args: &Args, scenario: &str) -> Result<i32, Failure> {
 }
 
 fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
-    let reg = registry();
     let scenario = args.get("scenario").ok_or("--scenario is required")?;
     if args.has("witnesses") {
         return cmd_hunt_witnesses(args, scenario);
     }
-    let entry = lookup(&reg, scenario)?;
-    let Some((labels, targets_fn)) = entry.hunt else {
-        let huntable: Vec<&str> = reg
-            .iter()
-            .filter(|(_, e)| e.hunt.is_some())
-            .map(|(n, _)| *n)
-            .collect();
-        return Err(format!(
-            "scenario {scenario:?} is not wired for causal hunting (huntable: {huntable:?}; \
-             every scenario supports --witnesses)"
-        )
-        .into());
-    };
+    let entry = lookup(scenario)?;
+    let labels = entry.blame.action_labels;
     let seed = args.get_u64("seed", 1)?;
     let budget = args.get_u64("budget", 20)? as usize;
     let depth = args.get_u64("depth", 8)? as usize;
     let threads = args.threads()?;
 
-    let run_with_trace = entry.run_traced;
     let run = |strategy: &mut dyn Strategy| {
-        let (report, trace) = run_with_trace(seed, strategy, Variant::Buggy);
+        let (report, trace) = entry.run_traced(seed, strategy, Variant::Buggy);
         (
             report
                 .violations
@@ -773,7 +639,7 @@ fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
     };
     println!("hunting {scenario} (decisions {labels:?}, depth {depth}, budget {budget})…");
     let (findings, total, census) =
-        autoguide::explore_parallel(run, |_| targets_fn(), labels, depth, budget, threads);
+        autoguide::explore_parallel(run, |_| entry.targets(seed), labels, depth, budget, threads);
     println!(
         "{total} candidates derived; {} distinct classes, {} deduplicated; {} tried",
         census.distinct_classes,
@@ -937,15 +803,14 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
 
     // Static independence matrices over every scenario's perturbation
     // alphabet (buggy variants — the alphabets the hunts actually use).
-    let matrices: Vec<(&'static str, ph_lint::independence::IndependenceMatrix)> =
-        ph_scenarios::scenario_statics()
-            .iter()
-            .flat_map(|e| {
-                ph_lint::independence::derive_all(&(e.summaries)(Variant::Buggy))
-                    .into_iter()
-                    .map(|m| (e.name, m))
-            })
-            .collect();
+    let matrices: Vec<(&'static str, ph_lint::independence::IndependenceMatrix)> = SCENARIOS
+        .iter()
+        .flat_map(|e| {
+            ph_lint::independence::derive_all(&e.summaries(Variant::Buggy))
+                .into_iter()
+                .map(|m| (e.name, m))
+        })
+        .collect();
 
     if args.has("json") {
         let independence = matrices
@@ -1021,13 +886,13 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
         buggy: Vec<ph_lint::modelcheck::ModelCheckReport>,
         fixed: Vec<ph_lint::modelcheck::ModelCheckReport>,
     }
-    let verdicts: Vec<ScenarioVerdict> = ph_scenarios::scenario_statics()
-        .into_iter()
+    let verdicts: Vec<ScenarioVerdict> = SCENARIOS
+        .iter()
         .map(|e| ScenarioVerdict {
             name: e.name,
             expected: e.pattern,
-            buggy: model_check_all(&(e.summaries)(Variant::Buggy)),
-            fixed: model_check_all(&(e.summaries)(Variant::Fixed)),
+            buggy: model_check_all(&e.summaries(Variant::Buggy)),
+            fixed: model_check_all(&e.summaries(Variant::Fixed)),
         })
         .collect();
 

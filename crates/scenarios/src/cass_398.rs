@@ -18,16 +18,46 @@
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::operator::OperatorFlags;
 use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
 use crate::strategies::CrashOnAnnotation;
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "cass-op-398";
+/// cassandra-operator-398 as a value. The operator must delete the
+/// decommissioned node's PVC (`operator.delete_pvc`); in the buggy run it
+/// never does — an omission sink across its crash/restart. Its
+/// observed-terminating-only PVC cleanup is the gap the static pass looks
+/// at.
+pub static SCENARIO: Scenario = Scenario {
+    name: "cass-op-398",
+    pattern: PatternClass::ObservabilityGap,
+    blame: BlameSpec {
+        scenario: "cass-op-398",
+        component: "cassandra-operator",
+        action_labels: &["operator.delete_pvc"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::secs(7),
+    stack: Stack::Cluster {
+        config: |variant| operator_cluster(flags(variant)),
+        focal: "cassandra-operator",
+        seed: seed_datacenter::<3>,
+        workload,
+        oracles: |cluster| {
+            vec![
+                oracles::no_orphan_pvcs(cluster.clone()),
+                oracles::no_wrongful_pvc_delete(cluster.clone()),
+                oracles::cassdc_converged(cluster.clone(), "dc1", 2),
+            ]
+        },
+    },
+    guided,
+    realize,
+};
 
 /// Defect switches for this scenario's buggy variant: only bug 398.
 fn flags(variant: Variant) -> OperatorFlags {
@@ -44,7 +74,7 @@ fn flags(variant: Variant) -> OperatorFlags {
 
 /// The tuned §7 injection: crash the operator right after its decommission
 /// decision; restart it after the pod has been finalized.
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(CrashOnAnnotation::new(
         "operator.decommission",
         None,
@@ -54,86 +84,47 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     ))
 }
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass =
-    ph_lint::summary::PatternClass::ObservabilityGap;
-
-/// What the blame slicer needs to know: the operator must delete the
-/// decommissioned node's PVC (`operator.delete_pvc`); in the buggy run it
-/// never does — an omission sink across its crash/restart.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "cassandra-operator",
-        action_labels: &["operator.delete_pvc"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// The operator's decommission acknowledgement is lost across its
+/// crash-restart: the drop-notification letter lands as a crash in the
+/// decision window (the restart wipes the in-flight event).
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DropNotification { .. } | PriorShape::CrashRestartReplay => vec![guided(0)],
+        _ => Vec::new(),
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes).
-fn cluster_config(variant: Variant) -> ClusterConfig {
+/// The cluster the three cassandra-operator scenarios share: two nodes, a
+/// scheduler, and the operator with one scenario's defect switches.
+pub(crate) fn operator_cluster(flags: OperatorFlags) -> ClusterConfig {
     ClusterConfig {
         store_nodes: 3,
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         scheduler: Some(true),
-        operator: Some(flags(variant)),
+        operator: Some(flags),
         ..ClusterConfig::default()
     }
 }
 
-/// Static access summaries of the focal component (the operator, whose
-/// observed-terminating-only PVC cleanup is the bug-398 gap).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "cassandra-operator")
-        .collect()
+/// Datacenter `dc1` at `desired` Cassandra nodes.
+pub(crate) fn datacenter(desired: u32) -> Object {
+    Object::new("dc1", Body::CassandraDatacenter { desired })
 }
 
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the blame
-/// slicer and the causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(7));
+/// The three scenarios' common start: both nodes and `dc1` at `DESIRED`.
+pub(crate) fn seed_datacenter<const DESIRED: u32>(runner: &mut Runner) {
     runner.seed(&Object::node("node-1"));
     runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::new(
-        "dc1",
-        Body::CassandraDatacenter { desired: 3 },
-    ));
+    runner.seed(&datacenter(DESIRED));
+}
 
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::secs(3), Duration::millis(10));
-
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::secs(3), QUANTUM);
     // Scale down: the operator decommissions dc1-2 and must then clean up
     // its PVC.
-    runner.seed(&Object::new(
-        "dc1",
-        Body::CassandraDatacenter { desired: 2 },
-    ));
-
-    runner.drive(strategy, Duration::secs(7), Duration::millis(10));
-    let cluster = runner.cluster.clone();
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> = vec![
-        oracles::no_orphan_pvcs(cluster.clone()),
-        oracles::no_wrongful_pvc_delete(cluster.clone()),
-        oracles::cassdc_converged(cluster, "dc1", 2),
-    ];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.seed(&datacenter(2));
+    runner.drive(strategy, SCENARIO.horizon, QUANTUM);
 }
 
 #[cfg(test)]
@@ -143,8 +134,7 @@ mod tests {
 
     #[test]
     fn restart_during_decommission_leaks_the_pvc() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected dc1-pvc-2 to leak");
         assert!(
             report
@@ -158,15 +148,13 @@ mod tests {
 
     #[test]
     fn fixed_operator_cleans_up_despite_the_restart() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

@@ -25,18 +25,45 @@
 //! freeze api-2 at `3.05s` → crash operator `3.3s`, restart `3.6s` →
 //! release backlog `5.0s` → `8.0s` end.
 
-use ph_cluster::objects::{Body, Object};
 use ph_cluster::operator::OperatorFlags;
-use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::{Strategy, TimeTravelInjector};
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
+use crate::cass_398::{datacenter, operator_cluster, seed_datacenter};
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "cass-op-400";
+/// cassandra-operator-400 as a value. The operator's decommission mark
+/// (`operator.decommission`) is the destructive action taken on a stale
+/// datacenter view; that unfenced mark is the staleness vector the static
+/// pass looks at.
+pub static SCENARIO: Scenario = Scenario {
+    name: "cass-op-400",
+    pattern: PatternClass::Staleness,
+    blame: BlameSpec {
+        scenario: "cass-op-400",
+        component: "cassandra-operator",
+        action_labels: &["operator.decommission"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::secs(8),
+    stack: Stack::Cluster {
+        config: |variant| operator_cluster(flags(variant)),
+        focal: "cassandra-operator",
+        seed: seed_datacenter::<3>,
+        workload,
+        oracles: |cluster| {
+            vec![
+                oracles::cassdc_converged(cluster.clone(), "dc1", 1),
+                oracles::no_wrongful_pvc_delete(cluster.clone()),
+            ]
+        },
+    },
+    guided,
+    realize,
+};
 
 /// Defect switches for this scenario's buggy variant: only bug 400.
 fn flags(variant: Variant) -> OperatorFlags {
@@ -54,7 +81,7 @@ fn flags(variant: Variant) -> OperatorFlags {
 /// The tuned §7 time-travel injection. Components are kubelet-1, kubelet-2,
 /// scheduler, operator → the operator is component 3; apiserver-2 is
 /// cache 1.
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(TimeTravelInjector::new(
         1,
         3,
@@ -65,84 +92,23 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     ))
 }
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass = ph_lint::summary::PatternClass::Staleness;
-
-/// What the blame slicer needs to know: the operator's decommission mark
-/// (`operator.decommission`) is the destructive action taken on a stale
-/// datacenter view.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "cassandra-operator",
-        action_labels: &["operator.decommission"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// The operator lands on the lagging apiserver-2 mid-scale-down: the
+/// delay-cache, switch and crash letters all concretize to that landing.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DelayCache { .. }
+        | PriorShape::UpstreamSwitch
+        | PriorShape::CrashRestartReplay => vec![guided(0)],
+        _ => Vec::new(),
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes).
-fn cluster_config(variant: Variant) -> ClusterConfig {
-    ClusterConfig {
-        store_nodes: 3,
-        apiservers: 2,
-        nodes: vec!["node-1".into(), "node-2".into()],
-        scheduler: Some(true),
-        operator: Some(flags(variant)),
-        ..ClusterConfig::default()
-    }
-}
-
-/// Static access summaries of the focal component (the operator, whose
-/// unfenced decommission mark is the bug-400 staleness vector).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "cassandra-operator")
-        .collect()
-}
-
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the blame
-/// slicer and the causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(8));
-    runner.seed(&Object::node("node-1"));
-    runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::new(
-        "dc1",
-        Body::CassandraDatacenter { desired: 3 },
-    ));
-
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::secs(3), Duration::millis(10));
-
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::secs(3), QUANTUM);
     // Scale down by two: dc1-2 then dc1-1 must be decommissioned, one at a
     // time.
-    runner.seed(&Object::new(
-        "dc1",
-        Body::CassandraDatacenter { desired: 1 },
-    ));
-
-    runner.drive(strategy, Duration::secs(8), Duration::millis(10));
-    let cluster = runner.cluster.clone();
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> = vec![
-        oracles::cassdc_converged(cluster.clone(), "dc1", 1),
-        oracles::no_wrongful_pvc_delete(cluster),
-    ];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.seed(&datacenter(1));
+    runner.drive(strategy, SCENARIO.horizon, QUANTUM);
 }
 
 #[cfg(test)]
@@ -152,8 +118,7 @@ mod tests {
 
     #[test]
     fn stale_decommission_target_blocks_scale_down() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected the scale-down to wedge");
         assert!(
             report
@@ -167,15 +132,13 @@ mod tests {
 
     #[test]
     fn fixed_operator_converges_despite_the_same_injection() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

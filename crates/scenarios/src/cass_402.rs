@@ -22,19 +22,40 @@
 //! `dc1-pvc-2` then `dc1-2`) → crash operator 300 ms after the create,
 //! restart 300 ms later on api-2 → release backlog at teardown → `6.5s` end.
 
-use ph_cluster::objects::{Body, Object};
 use ph_cluster::operator::OperatorFlags;
-use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
+use crate::cass_398::{datacenter, operator_cluster, seed_datacenter};
 use crate::strategies::{Compose, CrashOnAnnotation, EventSelector, HoldMatching, TargetRef};
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "cass-op-402";
+/// cassandra-operator-402 as a value. The operator's orphan sweep deletes a
+/// live pod's PVC (`operator.delete_pvc`) off a stale apiserver view; that
+/// cache-trusting sweep is the staleness vector the static pass looks at.
+pub static SCENARIO: Scenario = Scenario {
+    name: "cass-op-402",
+    pattern: PatternClass::Staleness,
+    blame: BlameSpec {
+        scenario: "cass-op-402",
+        component: "cassandra-operator",
+        action_labels: &["operator.delete_pvc"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::millis(6500),
+    stack: Stack::Cluster {
+        config: |variant| operator_cluster(flags(variant)),
+        focal: "cassandra-operator",
+        seed: seed_datacenter::<2>,
+        workload,
+        oracles: |cluster| vec![oracles::no_wrongful_pvc_delete(cluster.clone())],
+    },
+    guided,
+    realize,
+};
 
 /// Defect switches for this scenario's buggy variant: only bug 402.
 fn flags(variant: Variant) -> OperatorFlags {
@@ -49,11 +70,16 @@ fn flags(variant: Variant) -> OperatorFlags {
     }
 }
 
-/// The tuned §7 injection (see module docs). The operator is component 3;
+/// The tuned §7 injection (see module docs).
+fn guided(_seed: u64) -> Box<dyn Strategy> {
+    hold_and_crash("staleness+time-travel")
+}
+
+/// The hold+crash pair under the name `label`. The operator is component 3;
 /// apiserver-2 is cache 1.
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn hold_and_crash(label: &str) -> Box<dyn Strategy> {
     Box::new(Compose::new(
-        "staleness+time-travel",
+        label,
         vec![
             Box::new(HoldMatching::new(
                 TargetRef::Cache(1),
@@ -72,80 +98,28 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     ))
 }
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass = ph_lint::summary::PatternClass::Staleness;
-
-/// What the blame slicer needs to know: the operator's orphan sweep deletes
-/// a live pod's PVC (`operator.delete_pvc`) off a stale apiserver view.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "cassandra-operator",
-        action_labels: &["operator.delete_pvc"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// Hold the pod-created update away from the operator's cache while a
+/// restart makes it act on the held (stale) view. The switch and crash
+/// letters concretize to the very same hold+crash pair (the restart IS the
+/// switch onto the held view), so they dedup.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    let lands = match shape {
+        PriorShape::DelayCache { resource } => resource == "pods",
+        PriorShape::UpstreamSwitch | PriorShape::CrashRestartReplay => true,
+        _ => false,
+    };
+    if lands {
+        vec![hold_and_crash("witness[delay-cache(pods) ; crash-restart]")]
+    } else {
+        Vec::new()
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes).
-fn cluster_config(variant: Variant) -> ClusterConfig {
-    ClusterConfig {
-        store_nodes: 3,
-        apiservers: 2,
-        nodes: vec!["node-1".into(), "node-2".into()],
-        scheduler: Some(true),
-        operator: Some(flags(variant)),
-        ..ClusterConfig::default()
-    }
-}
-
-/// Static access summaries of the focal component (the operator, whose
-/// cache-trusting orphan sweep is the bug-402 staleness vector).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "cassandra-operator")
-        .collect()
-}
-
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the blame
-/// slicer and the causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::millis(6500));
-    runner.seed(&Object::node("node-1"));
-    runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::new(
-        "dc1",
-        Body::CassandraDatacenter { desired: 2 },
-    ));
-
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::millis(2500), Duration::millis(10));
-
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::millis(2500), QUANTUM);
     // Scale up: the operator creates dc1-pvc-2, then pod dc1-2.
-    runner.seed(&Object::new(
-        "dc1",
-        Body::CassandraDatacenter { desired: 3 },
-    ));
-
-    runner.drive(strategy, Duration::millis(6500), Duration::millis(10));
-    let cluster = runner.cluster.clone();
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> =
-        vec![oracles::no_wrongful_pvc_delete(cluster)];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.seed(&datacenter(3));
+    runner.drive(strategy, SCENARIO.horizon, QUANTUM);
 }
 
 #[cfg(test)]
@@ -155,8 +129,7 @@ mod tests {
 
     #[test]
     fn stale_view_deletes_a_live_pods_storage() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected a wrongful PVC deletion");
         assert!(
             report
@@ -170,15 +143,13 @@ mod tests {
 
     #[test]
     fn fresh_confirmation_protects_the_pvc() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

@@ -5,18 +5,13 @@
 //! assembles a [`RunReport`] from its oracles. Driving is quantized
 //! ([`Runner::drive`]) so trace-triggered strategies act promptly.
 
-use ph_cluster::apiserver::ApiServer;
-use ph_cluster::controllers::{NodeLifecycleController, ReplicaSetController, VolumeController};
-use ph_cluster::kubelet::Kubelet;
-use ph_cluster::operator::CassandraOperator;
-use ph_cluster::scheduler::Scheduler;
-use ph_cluster::topology::{ClusterConfig, ClusterHandle};
+use ph_cluster::topology::{ClusterConfig, ClusterHandle, Frontier};
 use ph_core::divergence::{DivergenceSummary, LagSampler, ViewSlot};
 use ph_core::harness::RunReport;
 use ph_core::oracle::{check_all, Oracle};
 use ph_core::perturb::{Strategy, Targets};
-use ph_sim::{ActorId, Duration, Name, Retention, SimTime, Sym, World, WorldConfig};
-use ph_store::{Revision, StoreNode};
+use ph_sim::{ActorId, Duration, Retention, SimTime, Sym, World, WorldConfig};
+use ph_store::{Revision, StoreCluster, StoreNode};
 
 /// Which implementation variant a trial runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,27 +51,83 @@ pub struct Runner {
     pub name: String,
     /// Root seed.
     pub seed: u64,
-    /// Sampled per-view lag, folded into the report by
-    /// [`Runner::finish_with_trace`].
-    pub divergence: DivergenceSummary,
-    /// Reused buffer for the full (legacy) sampling path (capacity persists
-    /// across quanta so sampling stays allocation-free in steady state).
-    lag_scratch: Vec<(Name, u64)>,
+    probe: LagProbe,
+}
+
+/// The per-view lag sampling state of a [`Runner`], kept apart from the
+/// world so the shared [`drive`] loop can borrow both at once.
+struct LagProbe {
+    /// The store whose leader's revision is the truth `|H|`.
+    store: StoreCluster,
+    /// The samples so far; moved into the report when the run finishes.
+    divergence: DivergenceSummary,
+    /// [`ClusterHandle::views`], resolved once: the walk order is fixed for
+    /// the lifetime of a run and is the dense index of `meta`.
+    views: Vec<(ActorId, Frontier)>,
     /// Per-view `(metrics component sym, divergence slot)` pairs, resolved
-    /// lazily the first time a view is sampled. Indexed by the dense view
-    /// walk order (apiservers, kubelets, then the optional singletons),
-    /// which is fixed for the lifetime of a run.
-    view_meta: Vec<Option<(Sym, ViewSlot)>>,
+    /// lazily the first time a view is sampled.
+    meta: Vec<Option<(Sym, ViewSlot)>>,
     /// Dirty-set tracker: remembers each view's last sampled lag so the
     /// `view_lag.last` gauge is only rewritten when the value moved.
     sampler: LagSampler,
     /// Interned metric-name syms for the two per-view lag series.
     hist_sym: Sym,
     gauge_sym: Sym,
-    /// `PH_DIVERGENCE_FULL=1` routes sampling through the legacy
-    /// string-keyed full diff (used by the regression test that pins the
-    /// incremental path to it).
-    full_sampling: bool,
+    /// `PH_DIVERGENCE_FULL=1` routes sampling through the string-keyed
+    /// full diff (the reference `divergence_equivalence.rs` pins the
+    /// incremental path to).
+    full: bool,
+}
+
+/// The drive loop every trial shares: runs `world` up to absolute time
+/// `until` in `quantum` slices — so trace-triggered strategies stay
+/// responsive — and after each slice takes a lag `sample`, then ticks
+/// `strategy`.
+pub(crate) fn drive(
+    world: &mut World,
+    strategy: &mut dyn Strategy,
+    targets: &Targets,
+    until: Duration,
+    quantum: Duration,
+    mut sample: impl FnMut(&mut World),
+) {
+    let until = SimTime(until.as_nanos());
+    while world.now() < until {
+        let step = SimTime((world.now() + quantum).0.min(until.0));
+        world.run_until(step);
+        sample(world);
+        strategy.tick(world, targets);
+    }
+}
+
+/// The report assembly every trial shares: tears the strategy down, lets
+/// the system settle for `settle`, takes the final lag `sample`, evaluates
+/// the oracles, and builds the report.
+pub(crate) fn finish(
+    world: &mut World,
+    scenario: String,
+    seed: u64,
+    strategy: &mut dyn Strategy,
+    settle: Duration,
+    oracles: &mut [Box<dyn Oracle>],
+    sample: impl FnOnce(&mut World) -> DivergenceSummary,
+) -> RunReport {
+    strategy.teardown(world);
+    world.run_for(settle);
+    let divergence = sample(world);
+    let violations = check_all(oracles, world);
+    RunReport {
+        scenario,
+        strategy: strategy.name(),
+        seed,
+        violations,
+        sim_time: world.now(),
+        trace_events: world.trace().len(),
+        trace_digest: world.trace().digest(),
+        metrics: world.metrics_report(),
+        divergence,
+        blame: None,
+    }
 }
 
 impl Runner {
@@ -126,22 +177,23 @@ impl Runner {
         // Pre-interning metric names is byte-invisible in exports (reports
         // sort resolved keys), and keeps the per-sample hot path sym-only.
         let metrics = world.metrics_mut();
-        let hist_sym = metrics.sym("view_lag.revisions");
-        let gauge_sym = metrics.sym("view_lag.last");
-        let full_sampling = std::env::var_os("PH_DIVERGENCE_FULL").is_some_and(|v| v != "0");
+        let probe = LagProbe {
+            store: cluster.store.clone(),
+            divergence: DivergenceSummary::new(),
+            meta: vec![None; cluster.views().count()],
+            views: cluster.views().collect(),
+            sampler: LagSampler::default(),
+            hist_sym: metrics.sym("view_lag.revisions"),
+            gauge_sym: metrics.sym("view_lag.last"),
+            full: std::env::var_os("PH_DIVERGENCE_FULL").is_some_and(|v| v != "0"),
+        };
         Runner {
             world,
             cluster,
             targets,
             name: name.to_string(),
             seed,
-            divergence: DivergenceSummary::new(),
-            lag_scratch: Vec::new(),
-            view_meta: Vec::new(),
-            sampler: LagSampler::default(),
-            hist_sym,
-            gauge_sym,
-            full_sampling,
+            probe,
         }
     }
 
@@ -159,25 +211,28 @@ impl Runner {
             .unwrap_or_else(|| panic!("seeding {} timed out", obj.key()));
     }
 
+    /// Deletes one key through the admin client.
+    pub fn delete(&mut self, key: &str) {
+        let dl = self.admin_deadline();
+        self.cluster.delete_key(&mut self.world, key, dl);
+    }
+
     /// Runs the world up to absolute time `until`, ticking `strategy`
     /// every `quantum` so trace-triggered strategies stay responsive, and
     /// sampling per-view lag once per quantum.
     pub fn drive(&mut self, strategy: &mut dyn Strategy, until: Duration, quantum: Duration) {
-        let until = SimTime(until.as_nanos());
-        while self.world.now() < until {
-            let step = SimTime((self.world.now() + quantum).0.min(until.0));
-            self.world.run_until(step);
-            self.sample_divergence();
-            strategy.tick(&mut self.world, &self.targets);
-        }
+        let (world, probe) = (&mut self.world, &mut self.probe);
+        drive(world, strategy, &self.targets, until, quantum, |world| {
+            probe.sample(world)
+        });
     }
 
     /// Takes one divergence sample: for every view in the cluster (each
     /// apiserver cache and each component's informer frontier), record how
     /// many revisions it is behind the ground truth `|H| − |H′|`. Samples
-    /// land both in [`Runner::divergence`] and in the world's metrics (a
-    /// `view_lag.revisions` histogram and `view_lag.last` gauge per view),
-    /// so they surface in trace/metric exports too. Skipped while the store
+    /// land both in the report's divergence summary and in the world's
+    /// metrics (a `view_lag.revisions` histogram and `view_lag.last` gauge
+    /// per view), so they surface in trace/metric exports too. Skipped while the store
     /// has no leader (the truth frontier is unknowable then).
     ///
     /// The default path is incremental: per view it folds the lag into a
@@ -185,190 +240,11 @@ impl Runner {
     /// observes the histogram, and rewrites the gauge only when the lag
     /// actually moved since the last quantum (gauges are last-value, so
     /// skipping unchanged writes is report-invisible). Cost per quantum is
-    /// therefore O(views) with a constant far below the legacy string-keyed
-    /// full diff, which `PH_DIVERGENCE_FULL=1` still selects for the
-    /// equivalence regression test.
+    /// therefore O(views) with a constant far below the string-keyed full
+    /// diff, which `PH_DIVERGENCE_FULL=1` still selects as the reference
+    /// of the equivalence regression test.
     pub fn sample_divergence(&mut self) {
-        let Some(truth) = self
-            .cluster
-            .store
-            .leader(&self.world)
-            .and_then(|n| self.world.actor_ref::<StoreNode>(n))
-            .map(|s| s.mvcc().revision())
-        else {
-            return;
-        };
-        if self.full_sampling {
-            self.sample_divergence_full(truth);
-            return;
-        }
-        // The dense view index must be stable across quanta, so it advances
-        // for every *configured* view — crashed actors (actor_ref None)
-        // skip the record but still consume their index.
-        let mut idx = 0usize;
-        for i in 0..self.cluster.apiservers.len() {
-            let a = self.cluster.apiservers[i];
-            let rv = self
-                .world
-                .actor_ref::<ApiServer>(a)
-                .map(|s| s.cache_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, a, rv, truth);
-            }
-            idx += 1;
-        }
-        for i in 0..self.cluster.kubelets.len() {
-            let k = self.cluster.kubelets[i];
-            let rv = self
-                .world
-                .actor_ref::<Kubelet>(k)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, k, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.scheduler {
-            let rv = self
-                .world
-                .actor_ref::<Scheduler>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.volume_controller {
-            let rv = self
-                .world
-                .actor_ref::<VolumeController>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.rs_controller {
-            let rv = self
-                .world
-                .actor_ref::<ReplicaSetController>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.operator {
-            let rv = self
-                .world
-                .actor_ref::<CassandraOperator>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.node_lifecycle {
-            let rv = self
-                .world
-                .actor_ref::<NodeLifecycleController>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        let _ = idx;
-    }
-
-    /// Folds one view's lag sample into the divergence summary and metrics.
-    /// Resolves the view's `(component sym, divergence slot)` pair on first
-    /// contact — lazily, so views that never get sampled (e.g. a run that
-    /// ends before its first quantum) leave no empty entries in exports.
-    fn record_view(&mut self, idx: usize, id: ActorId, frontier: Revision, truth: Revision) {
-        let lag = truth.0.saturating_sub(frontier.0);
-        let meta = match self.view_meta.get(idx).copied().flatten() {
-            Some(meta) => meta,
-            None => {
-                let name = self.world.name_handle(id);
-                let comp = self.world.metrics_mut().sym(name.as_str());
-                let slot = self.divergence.slot(name.as_str());
-                if idx >= self.view_meta.len() {
-                    self.view_meta.resize(idx + 1, None);
-                }
-                self.view_meta[idx] = Some((comp, slot));
-                (comp, slot)
-            }
-        };
-        let (comp, slot) = meta;
-        self.divergence.record_slot(slot, lag);
-        let dirty = self.sampler.changed(idx, lag);
-        let metrics = self.world.metrics_mut();
-        // Histograms count samples, so every quantum must observe; the
-        // gauge is last-value, so only dirty views need the write.
-        metrics.observe_sym(comp, self.hist_sym, lag);
-        if dirty {
-            metrics.gauge_set_sym(comp, self.gauge_sym, lag as i64);
-        }
-    }
-
-    /// The legacy full-diff sampling path: walks every view, collects
-    /// `(Name, lag)` pairs, and records them through the string-keyed
-    /// APIs. Kept (behind `PH_DIVERGENCE_FULL=1`) as the oracle the
-    /// incremental path is regression-tested against — both must produce
-    /// identical divergence summaries and metric reports.
-    fn sample_divergence_full(&mut self, truth: Revision) {
-        let mut lags = std::mem::take(&mut self.lag_scratch);
-        lags.clear();
-        // Names are interned `Rc<str>` handles, so collecting them is a
-        // refcount bump per view — no string copies on this path.
-        let push = |lags: &mut Vec<(Name, u64)>, name: Name, frontier: Revision| {
-            lags.push((name, truth.0.saturating_sub(frontier.0)));
-        };
-        for &a in &self.cluster.apiservers {
-            if let Some(s) = self.world.actor_ref::<ApiServer>(a) {
-                push(&mut lags, self.world.name_handle(a), s.cache_revision());
-            }
-        }
-        for &k in &self.cluster.kubelets {
-            if let Some(s) = self.world.actor_ref::<Kubelet>(k) {
-                push(&mut lags, self.world.name_handle(k), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.scheduler {
-            if let Some(s) = self.world.actor_ref::<Scheduler>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.volume_controller {
-            if let Some(s) = self.world.actor_ref::<VolumeController>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.rs_controller {
-            if let Some(s) = self.world.actor_ref::<ReplicaSetController>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.operator {
-            if let Some(s) = self.world.actor_ref::<CassandraOperator>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.node_lifecycle {
-            if let Some(s) = self.world.actor_ref::<NodeLifecycleController>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        for (name, lag) in &lags {
-            let (name, lag) = (name.as_str(), *lag);
-            self.divergence.record(name, lag);
-            let metrics = self.world.metrics_mut();
-            metrics.observe(name, "view_lag.revisions", lag);
-            metrics.gauge_set(name, "view_lag.last", lag as i64);
-        }
-        lags.clear();
-        self.lag_scratch = lags;
+        self.probe.sample(&mut self.world);
     }
 
     /// Finishes the run: tears the strategy down, lets the system settle
@@ -408,44 +284,111 @@ impl Runner {
         settle: Duration,
         oracles: &mut [Box<dyn Oracle>],
     ) -> RunReport {
-        strategy.teardown(&mut self.world);
-        self.world.run_for(settle);
-        self.sample_divergence();
-        let violations = check_all(oracles, &self.world);
-        RunReport {
-            scenario: std::mem::take(&mut self.name),
-            strategy: strategy.name(),
-            seed: self.seed,
-            violations,
-            sim_time: self.world.now(),
-            trace_events: self.world.trace().len(),
-            trace_digest: self.world.trace().digest(),
-            metrics: self.world.metrics_report(),
-            divergence: std::mem::take(&mut self.divergence),
-            blame: None,
+        let probe = &mut self.probe;
+        finish(
+            &mut self.world,
+            std::mem::take(&mut self.name),
+            self.seed,
+            strategy,
+            settle,
+            oracles,
+            |world| {
+                probe.sample(world);
+                std::mem::take(&mut probe.divergence)
+            },
+        )
+    }
+}
+
+impl LagProbe {
+    fn sample(&mut self, world: &mut World) {
+        let Some(truth) = (self.store)
+            .leader(world)
+            .and_then(|n| world.actor_ref::<StoreNode>(n))
+            .map(|s| s.mvcc().revision())
+        else {
+            return;
+        };
+        if self.full {
+            self.sample_full(world, truth);
+            return;
+        }
+        for idx in 0..self.views.len() {
+            let (id, frontier) = self.views[idx];
+            if let Some(rv) = frontier(world, id) {
+                self.record_view(world, idx, id, rv, truth);
+            }
+        }
+    }
+
+    /// Folds one view's lag sample into the divergence summary and metrics.
+    /// Resolves the view's `(component sym, divergence slot)` pair on first
+    /// contact — lazily, so views that never get sampled (e.g. a run that
+    /// ends before its first quantum) leave no empty entries in exports.
+    fn record_view(
+        &mut self,
+        world: &mut World,
+        idx: usize,
+        id: ActorId,
+        frontier: Revision,
+        truth: Revision,
+    ) {
+        let lag = truth.0.saturating_sub(frontier.0);
+        let (comp, slot) = *self.meta[idx].get_or_insert_with(|| {
+            let name = world.name_handle(id);
+            let comp = world.metrics_mut().sym(name.as_str());
+            (comp, self.divergence.slot(name.as_str()))
+        });
+        self.divergence.record_slot(slot, lag);
+        let dirty = self.sampler.changed(idx, lag);
+        let metrics = world.metrics_mut();
+        // Histograms count samples, so every quantum must observe; the
+        // gauge is last-value, so only dirty views need the write.
+        metrics.observe_sym(comp, self.hist_sym, lag);
+        if dirty {
+            metrics.gauge_set_sym(comp, self.gauge_sym, lag as i64);
+        }
+    }
+
+    /// The full-diff sampling path: the same walk, recorded through the
+    /// string-keyed APIs with every gauge rewritten. Kept (behind
+    /// `PH_DIVERGENCE_FULL=1`) as the reference the incremental path is
+    /// regression-tested against — both must produce identical divergence
+    /// summaries and metric reports.
+    fn sample_full(&mut self, world: &mut World, truth: Revision) {
+        for &(id, frontier) in &self.views {
+            let Some(rv) = frontier(world, id) else {
+                continue;
+            };
+            let lag = truth.0.saturating_sub(rv.0);
+            let name = world.name_handle(id);
+            self.divergence.record(name.as_str(), lag);
+            let metrics = world.metrics_mut();
+            metrics.observe(name.as_str(), "view_lag.revisions", lag);
+            metrics.gauge_set(name.as_str(), "view_lag.last", lag as i64);
         }
     }
 }
 
 /// Derives the strategy-facing [`Targets`] for a cluster:
 /// * `caches` — the apiservers (index-stable: `caches[i]` = apiserver i+1);
-/// * `components` — kubelets (in node order), then scheduler, volume
-///   controller, replica-set controller, operator (those configured);
+/// * `components` — every other view, in [`ClusterHandle::views`] order:
+///   kubelets (in node order), then scheduler, volume controller,
+///   replica-set controller, operator, node-lifecycle controller (those
+///   configured);
 /// * `notify_kinds` — both view-update message layers: the store→apiserver
 ///   feed (`WatchNotify`) and the apiserver→component feed (`ApiWatchEvent`).
 pub fn targets_for(cluster: &ClusterHandle, horizon: Duration) -> Targets {
-    let mut components = cluster.kubelets.clone();
-    components.extend(cluster.scheduler);
-    components.extend(cluster.volume_controller);
-    components.extend(cluster.rs_controller);
-    components.extend(cluster.operator);
-    components.extend(cluster.node_lifecycle);
     Targets {
         // Shared handle to the cluster's member list — a refcount bump per
         // trial, not a copy (hunts build a fresh `Targets` every trial).
         store_nodes: cluster.store.nodes.clone(),
         caches: cluster.apiservers.as_slice().into(),
-        components: components.into(),
+        components: cluster
+            .views()
+            .skip(cluster.apiservers.len())
+            .map(|(id, _)| id)
+            .collect(),
         notify_kinds: ["WatchNotify".to_string(), "ApiWatchEvent".to_string()].into(),
         horizon,
     }
@@ -482,5 +425,60 @@ mod tests {
         // 2 kubelets + scheduler + rs controller.
         assert_eq!(runner.targets.components.len(), 4);
         assert_eq!(runner.targets.store_nodes.len(), 3);
+    }
+
+    #[test]
+    fn view_walk_order_is_the_dense_sample_index() {
+        use ph_cluster::controllers::VcMode;
+        use ph_cluster::operator::OperatorFlags;
+        // Every optional component configured, and one kubelet crashed: a
+        // crashed view keeps its index (and its frozen frontier keeps being
+        // sampled — the lag of a dead view is still lag).
+        let cfg = ClusterConfig {
+            scheduler: Some(false),
+            volume_controller: Some(VcMode::MarkOnly),
+            rs_controller: Some(false),
+            operator: Some(OperatorFlags::fixed()),
+            node_lifecycle: Some(false),
+            ..ClusterConfig::default()
+        };
+        let mut runner = Runner::new("views", 5, &cfg, Duration::secs(1), Duration::secs(2));
+        let crashed = runner.cluster.kubelets[0];
+        runner.world.crash(crashed);
+        runner.drive(&mut NoFault, Duration::millis(1200), Duration::millis(20));
+
+        let names: Vec<&str> = (runner.cluster.views())
+            .map(|(id, _)| runner.world.name_of(id))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "apiserver-1",
+                "apiserver-2",
+                "kubelet-node-1",
+                "kubelet-node-2",
+                "scheduler",
+                "volume-controller",
+                "rs-controller",
+                "cassandra-operator",
+                "node-lifecycle",
+            ]
+        );
+        assert_eq!(runner.probe.meta.len(), names.len());
+        for (meta, name) in runner.probe.meta.iter().zip(names) {
+            let (_, slot) = meta.unwrap_or_else(|| panic!("{name} was never sampled"));
+            assert_eq!(slot, runner.probe.divergence.slot(name), "{name}");
+        }
+        let dead = runner
+            .probe
+            .divergence
+            .view("kubelet-node-1")
+            .expect("sampled");
+        let live = runner
+            .probe
+            .divergence
+            .view("kubelet-node-2")
+            .expect("sampled");
+        assert_eq!(dead.samples, live.samples);
     }
 }

@@ -19,11 +19,11 @@
 //! * **fixed** scheduler: periodic quorum relists + rebinding off ghost
 //!   nodes — converges once the queue drains.
 //!
-//! The canonical link capacity is ample, so [`run`] under `NoFault` is
-//! clean; [`guided`] throttles the feed mid-run (the traffic-surge
-//! perturbation axis), and [`run_emergent`] pins the *static* capacity
-//! below the churn's offered load — the zero-perturbation emergence the
-//! top-level regression test checks.
+//! The canonical link capacity is ample, so [`SCENARIO`] under `NoFault`
+//! is clean; its guided injector throttles the feed mid-run (the
+//! traffic-surge perturbation axis), and [`at_capacity`] pins the *static*
+//! capacity below the churn's offered load — the zero-perturbation
+//! emergence the top-level regression test checks.
 //!
 //! Schedule: `1.0s` seed nodes + `web` rs (replicas 0) → `1.2–2.3s`
 //! churn `node-1` every 8 ms → `2.05s` delete `node-2` (+ crash its
@@ -31,19 +31,13 @@
 
 use ph_cluster::objects::{Body, Object, PodPhase};
 use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
-use ph_core::perturb::{NoFault, Strategy, TrafficSurge};
+use ph_core::autoguide::PriorShape;
+use ph_core::perturb::{Strategy, TrafficSurge};
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
-
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "congestion";
-
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass =
-    ph_lint::summary::PatternClass::CongestionStaleness;
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
 /// Canonical modeled capacity of the apiserver→scheduler feed (bytes per
 /// second): ample for the churn workload, so congestion needs a surge.
@@ -53,11 +47,47 @@ pub const CAPACITY_SCARCE: u64 = 2_000;
 /// Drop-tail queue depth of the feed link, in messages.
 pub const FEED_QUEUE: usize = 4;
 
+/// The canonical scenario: the feed at [`CAPACITY_AMPLE`].
+pub static SCENARIO: Scenario = at_capacity::<CAPACITY_AMPLE>();
+
+/// The scenario with the feed's *static* capacity at `CAPACITY` bytes per
+/// second: the sweep axis of the E8 lag-vs-offered-load experiment
+/// (`cargo bench -p ph-bench --bench e8_congestion`) and, at
+/// [`CAPACITY_SCARCE`] under `NoFault`, the zero-perturbation emergence
+/// regression — staleness must appear past capacity and must not appear
+/// under it, with no strategy in play at all.
+///
+/// The scheduler binds pods on a view fed through the single apiserver;
+/// its congestible, never-resynced views are the staleness vector the
+/// static pass looks at.
+pub const fn at_capacity<const CAPACITY: u64>() -> Scenario {
+    Scenario {
+        name: "congestion",
+        pattern: PatternClass::CongestionStaleness,
+        blame: BlameSpec {
+            scenario: "congestion",
+            component: "scheduler",
+            action_labels: &["scheduler.bind"],
+            caches: &["apiserver-1"],
+        },
+        horizon: Duration::secs(7),
+        stack: Stack::Cluster {
+            config: cluster_config,
+            focal: "scheduler",
+            seed: seed::<CAPACITY>,
+            workload,
+            oracles: |cluster| vec![oracles::all_pods_running(cluster.clone())],
+        },
+        guided,
+        realize,
+    }
+}
+
 /// The tuned perturbation: a traffic surge squeezing the scheduler's feed
 /// to [`CAPACITY_SCARCE`] across the churn window — the concrete form of
 /// the model checker's `traffic-surge` letter. It reconfigures link
 /// capacity only; every lost or late message is the queue's own doing.
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     // Component 2 is the scheduler (targets list kubelets first): the
     // surge competes with its feed alone, so the controllers that *drive*
     // the workload keep seeing the world on time.
@@ -73,53 +103,14 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     )
 }
 
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace.
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    run_shaped(seed, strategy, variant, CAPACITY_AMPLE)
-}
-
-/// A zero-perturbation trial with the feed's *static* capacity set below
-/// (`above_capacity`) or comfortably above the churn's offered load — the
-/// emergence regression: staleness must appear past capacity and must not
-/// appear under it, with no strategy in play at all.
-pub fn run_emergent(
-    seed: u64,
-    variant: Variant,
-    above_capacity: bool,
-) -> (RunReport, ph_sim::Trace) {
-    let capacity = if above_capacity {
-        CAPACITY_SCARCE
-    } else {
-        CAPACITY_AMPLE
-    };
-    run_at_capacity(seed, variant, capacity)
-}
-
-/// A zero-perturbation trial at an arbitrary static feed capacity — the
-/// sweep axis of the E8 lag-vs-offered-load experiment
-/// (`cargo bench -p ph-bench --bench e8_congestion`).
-pub fn run_at_capacity(seed: u64, variant: Variant, capacity: u64) -> (RunReport, ph_sim::Trace) {
-    let mut nf = NoFault;
-    run_shaped(seed, &mut nf, variant, capacity)
-}
-
-/// What the blame slicer needs to know: the scheduler binds pods on a
-/// view fed through the single apiserver.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "scheduler",
-        action_labels: &["scheduler.bind"],
-        caches: &["apiserver-1"],
+/// The traffic-surge letter lands literally as [`guided`]. The delay-cache
+/// letter concretizes to the same squeeze (this scenario has no direct
+/// hold injector: congestion *is* how the view ages), so the two letters
+/// collapse to one class.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::TrafficSurge { .. } | PriorShape::DelayCache { .. } => vec![guided(0)],
+        _ => Vec::new(),
     }
 }
 
@@ -136,15 +127,6 @@ fn cluster_config(variant: Variant) -> ClusterConfig {
         rs_controller: Some(false),
         ..ClusterConfig::default()
     }
-}
-
-/// Static access summaries of the focal component (the scheduler, whose
-/// congestible, never-resynced views are the staleness vector).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "scheduler")
-        .collect()
 }
 
 /// The churn object: a long-running pod on `node-1`, rewritten every few
@@ -170,15 +152,7 @@ fn chaff() -> Object {
     obj
 }
 
-fn run_shaped(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-    capacity: u64,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(7));
-
+fn seed<const CAPACITY: u64>(runner: &mut Runner) {
     // The modeled network: the scheduler's watch feed has finite capacity
     // and a drop-tail queue. This is topology, not perturbation — it is in
     // place for every variant and every strategy, NoFault included.
@@ -192,7 +166,7 @@ fn run_shaped(
         api,
         sched,
         ph_sim::LinkConfig {
-            bandwidth: capacity,
+            bandwidth: CAPACITY,
             queue: FEED_QUEUE,
             ..base
         },
@@ -209,9 +183,10 @@ fn run_shaped(
     runner.seed(&Object::node("node-2"));
     runner.seed(&chaff());
     runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 0 }));
+}
 
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::millis(1200), Duration::millis(10));
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::millis(1200), QUANTUM);
 
     // Churn phase: rewrite node-1 every 8 ms. At ample capacity this is
     // noise; past capacity it fills the feed queue, tail-drops the watch
@@ -224,40 +199,28 @@ fn run_shaped(
     while t < Duration::millis(2304) {
         runner.seed(&churn);
         if !deleted && t >= Duration::millis(2048) {
-            let k2 = runner.cluster.kubelets[1];
-            runner.world.crash(k2);
-            let dl = runner.admin_deadline();
-            runner
-                .cluster
-                .delete_key(&mut runner.world, "nodes/node-2", dl);
+            runner.world.crash(runner.cluster.kubelets[1]);
+            runner.delete("nodes/node-2");
             deleted = true;
         }
         t = Duration(t.0 + step.0);
         runner.drive(strategy, t, step);
     }
 
-    runner.drive(strategy, Duration::millis(2600), Duration::millis(10));
+    runner.drive(strategy, Duration::millis(2600), QUANTUM);
     // Scale up: the scheduler must place 3 new pods.
     runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 3 }));
-
-    runner.drive(strategy, Duration::millis(6500), Duration::millis(10));
-    let cluster = runner.cluster.clone();
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> =
-        vec![oracles::all_pods_running(cluster)];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.drive(strategy, Duration::millis(6500), QUANTUM);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ph_core::perturb::NoFault;
 
     #[test]
     fn surge_starves_the_buggy_scheduler_into_a_ghost_bind() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected pods wedged on the ghost node");
         assert!(
             report
@@ -271,15 +234,13 @@ mod tests {
 
     #[test]
     fn fixed_scheduler_recovers_from_the_same_surge() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

@@ -20,9 +20,10 @@
 //! leadership is undisturbed), giving the follower a steady ~90 ms lag —
 //! longer than the 50 ms transition interval.
 
-use ph_core::harness::RunReport;
-use ph_core::oracle::check_all;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::{StalenessInjector, Strategy, Targets};
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::{AccessSummary, PatternClass};
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, SimTime, TimerId, World, WorldConfig};
 use ph_store::msgs::Expect;
 use ph_store::node::StoreNodeConfig;
@@ -31,29 +32,32 @@ use ph_store::{
     Value,
 };
 
-use crate::common::Variant;
-use crate::oracles;
-
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "hbase-3136";
+use crate::{oracles, Scenario, Stack, StoreWorld, Variant, T0};
 
 const TAG_TICK: u64 = 1;
 const TAG_NEXT: u64 = 2;
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass = ph_lint::summary::PatternClass::Staleness;
-
-/// What the blame slicer needs to know: the region manager aborts a region
+/// HBASE-3136 as a value. The region manager aborts a region
 /// (`hbase.aborted`) after a CAS built on a stale follower read; its view
 /// caches are the store nodes themselves (replication is the update feed).
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
+pub static SCENARIO: Scenario = Scenario {
+    name: "hbase-3136",
+    pattern: PatternClass::Staleness,
+    blame: BlameSpec {
+        scenario: "hbase-3136",
         component: "region-manager",
         action_labels: &["hbase.aborted"],
         caches: &["store-0", "store-1", "store-2"],
-    }
-}
+    },
+    horizon: Duration::secs(5),
+    stack: Stack::Store {
+        summaries,
+        setup,
+        oracles: || vec![oracles::no_aborted_transitions()],
+    },
+    guided,
+    realize,
+};
 
 /// Static access summary of the region manager.
 ///
@@ -65,8 +69,8 @@ pub fn blame_spec() -> ph_core::provenance::BlameSpec {
 /// treats a failed CAS as a permanently broken assignment and abandons the
 /// region, so the destructive abandon decision consumes the possibly-stale
 /// read unfenced — which is exactly HBASE-3136's failure mode.
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath, ReadKind, ViewDecl};
+fn summaries(variant: Variant) -> Vec<AccessSummary> {
+    use ph_lint::summary::{ActionDecl, Gate, GatePath, ReadKind, ViewDecl};
     vec![AccessSummary {
         component: "region-manager".into(),
         upstream_switch: false,
@@ -243,7 +247,7 @@ impl Actor for RegionManager {
 
 /// The tuned §4.2.1 staleness injection: delay the Raft stream to the
 /// manager's follower by 90 ms (`caches[0]` in this scenario's targets).
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(StalenessInjector {
         cache: 0,
         delay: Duration::millis(90),
@@ -251,34 +255,32 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     })
 }
 
-/// Runs one trial under `strategy`.
+/// The region manager reads the lagging follower.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DelayCache { .. } => vec![guided(0)],
+        _ => Vec::new(),
+    }
+}
+
+/// A three-node store with an elected leader, and the region manager
+/// reading through the first follower.
 ///
 /// Targets: `caches[0]` = the follower the manager reads from;
 /// `notify_kinds` = the Raft replication stream (`RaftWire`) — at the store
 /// layer, replication *is* the view-update feed.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the blame
-/// slicer and the causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
+fn setup(seed: u64, variant: Variant) -> StoreWorld {
     let mut world = World::new(WorldConfig::default(), seed);
     let cluster = spawn_store_cluster(&mut world, 3, StoreNodeConfig::default());
-    let leader = cluster
-        .wait_for_leader(&mut world, SimTime(Duration::secs(1).as_nanos()))
-        .expect("leader");
-    world.run_until(SimTime(Duration::secs(1).as_nanos()));
-    let follower = *cluster
+    let t0 = SimTime(T0.as_nanos());
+    let leader = cluster.wait_for_leader(&mut world, t0).expect("leader");
+    world.run_until(t0);
+    let follower_idx = cluster
         .nodes
         .iter()
-        .find(|&&n| n != leader)
+        .position(|&n| n != leader)
         .expect("follower");
-    let follower_idx = cluster.nodes.iter().position(|&n| n == follower).unwrap();
+    let follower = cluster.nodes[follower_idx];
 
     let mut scc = StoreClientConfig::new(cluster.nodes.clone());
     scc.affinity = Some(follower_idx);
@@ -297,47 +299,13 @@ pub fn run_with_trace(
         caches: [follower].into(),
         components: [manager].into(),
         notify_kinds: ["RaftWire".to_string()].into(),
-        horizon: Duration::secs(5),
+        horizon: SCENARIO.horizon,
     };
-
-    strategy.setup(&mut world, &targets);
-    let end = SimTime(Duration::secs(5).as_nanos());
-    while world.now() < end {
-        let step = SimTime((world.now() + Duration::millis(10)).0.min(end.0));
-        world.run_until(step);
-        strategy.tick(&mut world, &targets);
+    StoreWorld {
+        world,
+        targets,
+        truth: leader,
     }
-    strategy.teardown(&mut world);
-    world.run_for(Duration::millis(500));
-
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> =
-        vec![oracles::no_aborted_transitions()];
-    let violations = check_all(&mut oracles, &world);
-    // Store-level scenario: no informer stack to sample, but the follower
-    // the manager reads from is itself a view of the leader's history.
-    let mut divergence = ph_core::divergence::DivergenceSummary::new();
-    if let (Some(l), Some(f)) = (
-        world.actor_ref::<ph_store::StoreNode>(leader),
-        world.actor_ref::<ph_store::StoreNode>(follower),
-    ) {
-        let lag = l.mvcc().revision().0.saturating_sub(f.mvcc().revision().0);
-        divergence.record(world.name_of(follower), lag);
-    }
-    let mut report = RunReport {
-        scenario: NAME.into(),
-        strategy: strategy.name(),
-        seed,
-        violations,
-        sim_time: world.now(),
-        trace_events: world.trace().len(),
-        trace_digest: world.trace().digest(),
-        metrics: world.metrics_report(),
-        divergence,
-        blame: None,
-    };
-    let trace = world.take_trace();
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
 }
 
 #[cfg(test)]
@@ -347,8 +315,7 @@ mod tests {
 
     #[test]
     fn follower_lag_breaks_buggy_cas_transitions() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected stale-CAS aborts");
         assert!(
             report
@@ -362,15 +329,13 @@ mod tests {
 
     #[test]
     fn sync_before_cas_survives_the_same_lag() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

@@ -20,21 +20,47 @@
 
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
-use crate::strategies::{DropMatching, EventSelector, TargetRef};
+use crate::strategies::{DropMatching, EventSelector, HoldMatching, TargetRef};
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "k8s-56261";
+/// Kubernetes-56261 as a value. The scheduler acts (binds pods) on a node
+/// view fed through the apiservers; its never-resynced node view is the
+/// staleness vector the static pass looks at.
+pub static SCENARIO: Scenario = Scenario {
+    name: "k8s-56261",
+    pattern: PatternClass::Staleness,
+    blame: BlameSpec {
+        scenario: "k8s-56261",
+        component: "scheduler",
+        action_labels: &["scheduler.bind"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::secs(6),
+    stack: Stack::Cluster {
+        config: cluster_config,
+        focal: "scheduler",
+        seed: |runner| {
+            runner.seed(&Object::node("node-1"));
+            runner.seed(&Object::node("node-2"));
+            runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 0 }));
+        },
+        workload,
+        oracles: |cluster| vec![oracles::all_pods_running(cluster.clone())],
+    },
+    guided,
+    realize,
+};
 
 /// The tuned §7 observability-gap injection: drop the `nodes/node-2`
 /// deletion notification to the scheduler (components: kubelet-1, kubelet-2,
 /// scheduler, rs-controller → index 2).
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(DropMatching {
         dst: TargetRef::Component(2),
         selector: EventSelector::deletes_of("nodes/node-2"),
@@ -43,27 +69,28 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     })
 }
 
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass = ph_lint::summary::PatternClass::Staleness;
-
-/// What the blame slicer needs to know: the scheduler acts (binds pods)
-/// on a node view fed through the apiservers.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "scheduler",
-        action_labels: &["scheduler.bind"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// The scheduler's stale `nodes` view is concretely a swallowed
+/// node-deletion notification; the reorder letter is the same race held
+/// shorter.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DelayCache { resource } | PriorShape::DropNotification { resource }
+            if resource == "nodes" =>
+        {
+            vec![guided(0)]
+        }
+        PriorShape::ReorderUpdateConsume { resource } if resource == "nodes" => {
+            vec![Box::new(HoldMatching::new(
+                TargetRef::Component(2),
+                EventSelector::deletes_of("nodes/node-2"),
+                Duration::millis(1500),
+                Some(Duration::millis(1200)),
+            ))]
+        }
+        _ => Vec::new(),
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes).
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
         store_nodes: 3,
@@ -75,51 +102,15 @@ fn cluster_config(variant: Variant) -> ClusterConfig {
     }
 }
 
-/// Static access summaries of the focal component (the scheduler, whose
-/// never-resynced node view is the 56261 staleness vector).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "scheduler")
-        .collect()
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the
-/// causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(6));
-    runner.seed(&Object::node("node-1"));
-    runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 0 }));
-
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::secs(2), Duration::millis(10));
-
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::secs(2), QUANTUM);
     // node-2 dies: its kubelet crashes and the node object is removed.
-    let k2 = runner.cluster.kubelets[1];
-    runner.world.crash(k2);
-    let dl = runner.admin_deadline();
-    runner
-        .cluster
-        .delete_key(&mut runner.world, "nodes/node-2", dl);
-
-    runner.drive(strategy, Duration::millis(2500), Duration::millis(10));
+    runner.world.crash(runner.cluster.kubelets[1]);
+    runner.delete("nodes/node-2");
+    runner.drive(strategy, Duration::millis(2500), QUANTUM);
     // Scale up: the scheduler must place 3 new pods.
     runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 3 }));
-
-    runner.drive(strategy, Duration::secs(6), Duration::millis(10));
-    let cluster = runner.cluster.clone();
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> =
-        vec![oracles::all_pods_running(cluster)];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.drive(strategy, SCENARIO.horizon, QUANTUM);
 }
 
 #[cfg(test)]
@@ -129,8 +120,7 @@ mod tests {
 
     #[test]
     fn dropped_deletion_wedges_the_buggy_scheduler() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected pods wedged on the ghost node");
         assert!(
             report
@@ -144,15 +134,13 @@ mod tests {
 
     #[test]
     fn fixed_scheduler_recovers_from_the_same_drop() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

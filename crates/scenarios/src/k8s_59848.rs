@@ -27,18 +27,45 @@
 
 use ph_cluster::objects::Object;
 use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
-use ph_core::perturb::{Strategy, TimeTravelInjector};
+use ph_core::autoguide::PriorShape;
+use ph_core::perturb::{StalenessInjector, Strategy, TimeTravelInjector};
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "k8s-59848";
+/// Kubernetes-59848 as a value. The restarted kubelet-node-1 is the acting
+/// component, its destructive action is starting a pod, and its view flows
+/// through the two apiservers; the static pass looks at the kubelets (their
+/// relist-after-restart is the time-travel vector).
+pub static SCENARIO: Scenario = Scenario {
+    name: "k8s-59848",
+    pattern: PatternClass::TimeTravel,
+    blame: BlameSpec {
+        scenario: "k8s-59848",
+        component: "kubelet-node-1",
+        action_labels: &["kubelet.pod_start"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::secs(4),
+    stack: Stack::Cluster {
+        config: cluster_config,
+        focal: "kubelet-",
+        seed: |runner| {
+            runner.seed(&Object::node("node-1"));
+            runner.seed(&Object::node("node-2"));
+            runner.seed(&Object::pod("p1", Some("node-1".into()), None));
+        },
+        workload,
+        oracles: |_| vec![oracles::unique_pod_execution()],
+    },
+    guided,
+    realize,
+};
 
 /// The tuned §7 time-travel injection for this scenario's schedule.
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(TimeTravelInjector::new(
         1, // stale upstream: apiserver-2
         0, // victim: kubelet-node-1
@@ -49,23 +76,27 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     ))
 }
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass = ph_lint::summary::PatternClass::TimeTravel;
-
-/// What the blame slicer needs to know: the restarted kubelet-node-1 is the
-/// acting component, its destructive action is starting a pod, and its view
-/// flows through the two apiservers.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "kubelet-node-1",
-        action_labels: &["kubelet.pod_start"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// The kubelet restarts onto the lagging apiserver-2 and acts on the
+/// pre-rollout world: both the delay-cache and the switch letters
+/// concretize against cache 1 / kubelet-node-1 — the delay letter both as
+/// the pure staleness hold and as the stale landing zone the restart needs,
+/// so the switch letter's realization is a canonical duplicate of the
+/// delay letter's second one.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DelayCache { .. } => vec![
+            Box::new(StalenessInjector {
+                cache: 1,
+                delay: Duration::millis(900),
+                after: Duration::millis(1500),
+            }),
+            guided(0),
+        ],
+        PriorShape::UpstreamSwitch | PriorShape::CrashRestartReplay => vec![guided(0)],
+        _ => Vec::new(),
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes).
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
         store_nodes: 3,
@@ -77,50 +108,14 @@ fn cluster_config(variant: Variant) -> ClusterConfig {
     }
 }
 
-/// Static access summaries of the focal components (the kubelets — the
-/// actors whose relist-after-restart is the 59848 time-travel vector).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component.starts_with("kubelet-"))
-        .collect()
-}
-
-/// Runs one trial under `strategy`. `variant` selects the buggy or fixed
-/// kubelet.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (used by the
-/// `rolling_upgrade` example to narrate the execution).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(4));
-    runner.seed(&Object::node("node-1"));
-    runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::pod("p1", Some("node-1".into()), None));
-
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::millis(1700), Duration::millis(10));
-
-    // Rolling upgrade: migrate p1 from node-1 to node-2 (delete, then
-    // re-create after the old instance has been stopped).
-    let dl = runner.admin_deadline();
-    runner.cluster.delete_key(&mut runner.world, "pods/p1", dl);
-    runner.drive(strategy, Duration::millis(1900), Duration::millis(10));
+/// Rolling upgrade: migrate p1 from node-1 to node-2 (delete, then
+/// re-create after the old instance has been stopped).
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::millis(1700), QUANTUM);
+    runner.delete("pods/p1");
+    runner.drive(strategy, Duration::millis(1900), QUANTUM);
     runner.seed(&Object::pod("p1", Some("node-2".into()), None));
-
-    runner.drive(strategy, Duration::secs(4), Duration::millis(10));
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> = vec![oracles::unique_pod_execution()];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.drive(strategy, SCENARIO.horizon, QUANTUM);
 }
 
 #[cfg(test)]
@@ -130,8 +125,7 @@ mod tests {
 
     #[test]
     fn guided_injection_reproduces_the_bug() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(
             report.failed(),
             "expected duplicate-pod violation; got none ({} events)",
@@ -147,28 +141,23 @@ mod tests {
 
     #[test]
     fn fixed_kubelet_survives_the_same_injection() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn reproduction_is_deterministic() {
-        let d1 = {
-            let mut s = guided(7);
-            run(7, s.as_mut(), Variant::Buggy).trace_digest
+        let digest = || {
+            SCENARIO
+                .run(7, guided(7).as_mut(), Variant::Buggy)
+                .trace_digest
         };
-        let d2 = {
-            let mut s = guided(7);
-            run(7, s.as_mut(), Variant::Buggy).trace_digest
-        };
-        assert_eq!(d1, d2);
+        assert_eq!(digest(), digest());
     }
 }

@@ -30,20 +30,47 @@
 
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
 use crate::strategies::PartitionComponent;
+use crate::{oracles, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "node-fencing";
+/// Node fencing as a value. The node-lifecycle controller force-evicts
+/// (`nlc.force_evict`) a node it cannot distinguish from a
+/// merely-unobservable one behind the partition; its lease-silence eviction
+/// is the unobservable-liveness gap the static pass looks at.
+pub static SCENARIO: Scenario = Scenario {
+    name: "node-fencing",
+    pattern: PatternClass::ObservabilityGap,
+    blame: BlameSpec {
+        scenario: "node-fencing",
+        component: "node-lifecycle",
+        action_labels: &["nlc.force_evict"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::secs(7),
+    stack: Stack::Cluster {
+        config: cluster_config,
+        focal: "node-lifecycle",
+        seed: |runner| {
+            runner.seed(&Object::node("node-1"));
+            runner.seed(&Object::node("node-2"));
+            runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 2 }));
+        },
+        workload: |runner, strategy| runner.drive(strategy, SCENARIO.horizon, QUANTUM),
+        oracles: |_| vec![oracles::unique_pod_execution()],
+    },
+    guided,
+    realize,
+};
 
 /// The guided injection: partition kubelet-node-2 (component 1) from the
 /// apiservers between 2.5 s and 5.5 s.
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(PartitionComponent::new(
         1,
         Duration::millis(2500),
@@ -51,25 +78,17 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     ))
 }
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass =
-    ph_lint::summary::PatternClass::ObservabilityGap;
-
-/// What the blame slicer needs to know: the node-lifecycle controller
-/// force-evicts (`nlc.force_evict`) a node it cannot distinguish from a
-/// merely-unobservable one behind the partition.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "node-lifecycle",
-        action_labels: &["nlc.force_evict"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// Silent lease expiry: partitioning the kubelet drops its renewals —
+/// exactly the false-silence the drop-notification letter models.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DropNotification { resource } if resource == "leases" => vec![guided(0)],
+        _ => Vec::new(),
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes). The buggy
-/// variant enables force eviction; the fixed one only marks nodes.
+/// The buggy variant enables force eviction; the fixed one only marks
+/// nodes.
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
         store_nodes: 3,
@@ -82,44 +101,6 @@ fn cluster_config(variant: Variant) -> ClusterConfig {
     }
 }
 
-/// Static access summaries of the focal component (the node-lifecycle
-/// controller, whose lease-silence eviction is the unobservable-liveness
-/// gap).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "node-lifecycle")
-        .collect()
-}
-
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the blame
-/// slicer and the causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(7));
-    runner.seed(&Object::node("node-1"));
-    runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::new("web", Body::ReplicaSet { replicas: 2 }));
-
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::secs(7), Duration::millis(10));
-
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> = vec![oracles::unique_pod_execution()];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,8 +108,7 @@ mod tests {
 
     #[test]
     fn partition_plus_force_eviction_duplicates_pods() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(
             report.failed(),
             "expected duplicate execution after force eviction"
@@ -145,15 +125,13 @@ mod tests {
 
     #[test]
     fn conservative_controller_stays_safe_under_the_same_partition() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

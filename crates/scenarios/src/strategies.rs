@@ -9,11 +9,51 @@
 use ph_cluster::api::ApiWatchEvent;
 use ph_cluster::objects::Object;
 use ph_core::canon::PlannedOp;
-use ph_core::perturb::{Strategy, Targets};
+use ph_core::perturb::{
+    CoFiPartitions, CrashTunerCrashes, NoFault, RandomCrashes, Strategy, Targets, TrafficSurge,
+};
 use ph_lint::modelcheck::Letter;
 use ph_sim::{ActorId, Duration, Envelope, SimTime, TraceEventKind, Verdict, World};
 use ph_store::kv::KvEvent;
 use ph_store::msgs::WatchNotify;
+
+/// The strategies every scenario can be run under, in matrix-column order:
+/// the scenario's own tuned injector, then the generic baselines.
+pub const STRATEGIES: &[&str] = &[
+    "guided",
+    "random-crash",
+    "crashtuner",
+    "cofi",
+    "traffic-surge",
+    "no-fault",
+];
+
+/// Builds the generic baseline called `name` — any of [`STRATEGIES`] but
+/// `guided`, which is per scenario ([`crate::Scenario::strategy`]).
+pub fn baseline(name: &str, seed: u64) -> Option<Box<dyn Strategy>> {
+    Some(match name {
+        "random-crash" => Box::new(RandomCrashes {
+            seed,
+            count: 3,
+            down: Duration::millis(300),
+        }),
+        "crashtuner" => Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300))),
+        "cofi" => Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500))),
+        // The generic load axis: squeeze the primary cache's whole fan-out
+        // to a scarce trickle mid-run. The congestion scenario's tuned form
+        // (its `guided`) focuses this on one component; the generic axis is
+        // for probing every other scenario under load.
+        "traffic-surge" => Box::new(TrafficSurge::new(
+            0,
+            2_000,
+            4,
+            Duration::millis(1100),
+            Some(Duration::millis(3600)),
+        )),
+        "no-fault" => Box::new(NoFault),
+        _ => return None,
+    })
+}
 
 /// Returns the object keys named by a view-update envelope, at either layer
 /// (store→apiserver `WatchNotify` or apiserver→component `ApiWatchEvent`),

@@ -23,21 +23,54 @@
 use ph_cluster::controllers::VcMode;
 use ph_cluster::objects::Object;
 use ph_cluster::topology::ClusterConfig;
-use ph_core::harness::RunReport;
+use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
+use ph_core::provenance::BlameSpec;
+use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::common::{Runner, Variant};
-use crate::oracles;
-use crate::strategies::{DropMatching, EventSelector, TargetRef};
+use crate::strategies::{DropMatching, EventSelector, HoldMatching, TargetRef};
+use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
-/// Scenario name used in reports and matrices.
-pub const NAME: &str = "volume-ctrl-17";
+/// Bug \[17\] as a value. The volume controller must release the PVC
+/// (`vc.release_pvc`); in the buggy run it never does — an omission sink —
+/// because the termination mark was dropped from its apiserver feed. Its
+/// mark-only release path is the gap the static pass looks at.
+pub static SCENARIO: Scenario = Scenario {
+    name: "volume-ctrl-17",
+    pattern: PatternClass::ObservabilityGap,
+    blame: BlameSpec {
+        scenario: "volume-ctrl-17",
+        component: "volume-controller",
+        action_labels: &["vc.release_pvc"],
+        caches: &["apiserver-1", "apiserver-2"],
+    },
+    horizon: Duration::secs(5),
+    stack: Stack::Cluster {
+        config: cluster_config,
+        focal: "volume-controller",
+        seed: |runner| {
+            runner.seed(&Object::node("node-1"));
+            runner.seed(&Object::node("node-2"));
+            runner.seed(&Object::pvc("v1", "p1"));
+            runner.seed(&Object::pod("p1", Some("node-1".into()), Some("v1".into())));
+        },
+        workload,
+        oracles: |cluster| {
+            vec![
+                oracles::no_orphan_pvcs(cluster.clone()),
+                oracles::no_wrongful_pvc_delete(cluster.clone()),
+            ]
+        },
+    },
+    guided,
+    realize,
+};
 
 /// The tuned §7 observability-gap injection: drop pod `p1`'s
 /// termination-mark notification to the volume controller (components:
 /// kubelet-1, kubelet-2, volume-controller → index 2).
-pub fn guided(_seed: u64) -> Box<dyn Strategy> {
+fn guided(_seed: u64) -> Box<dyn Strategy> {
     Box::new(DropMatching {
         dst: TargetRef::Component(2),
         selector: EventSelector::termination_mark_of("pods/p1"),
@@ -46,24 +79,23 @@ pub fn guided(_seed: u64) -> Box<dyn Strategy> {
     })
 }
 
-/// The §4.2 pattern class this scenario's buggy variant exercises.
-pub const PATTERN: ph_lint::summary::PatternClass =
-    ph_lint::summary::PatternClass::ObservabilityGap;
-
-/// What the blame slicer needs to know: the volume controller must release
-/// the PVC (`vc.release_pvc`); in the buggy run it never does — an omission
-/// sink — because the termination mark was dropped from its apiserver feed.
-pub fn blame_spec() -> ph_core::provenance::BlameSpec {
-    ph_core::provenance::BlameSpec {
-        scenario: NAME,
-        component: "volume-controller",
-        action_labels: &["vc.release_pvc"],
-        caches: &["apiserver-1", "apiserver-2"],
+/// The volume controller misses the pod's termination mark — dropped, or
+/// held past the pod's finalization.
+fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    match shape {
+        PriorShape::DropNotification { resource } if resource == "pods" => vec![guided(0)],
+        PriorShape::DelayCache { resource } if resource == "pods" => {
+            vec![Box::new(HoldMatching::new(
+                TargetRef::Component(2),
+                EventSelector::termination_mark_of("pods/p1"),
+                Duration::millis(1500),
+                Some(Duration::millis(1800)),
+            ))]
+        }
+        _ => Vec::new(),
     }
 }
 
-/// The cluster this scenario spawns (shared by [`run`] and the static
-/// hazard pass, so the analysis sees exactly what executes).
 fn cluster_config(variant: Variant) -> ClusterConfig {
     let mode = if variant.is_buggy() {
         VcMode::MarkOnly
@@ -79,53 +111,14 @@ fn cluster_config(variant: Variant) -> ClusterConfig {
     }
 }
 
-/// Static access summaries of the focal component (the volume controller,
-/// whose mark-only release path is the observability-gap vector).
-pub fn access_summaries(variant: Variant) -> Vec<ph_lint::summary::AccessSummary> {
-    ph_cluster::topology::access_summaries(&cluster_config(variant))
-        .into_iter()
-        .filter(|s| s.component == "volume-controller")
-        .collect()
-}
-
-/// Runs one trial under `strategy`.
-pub fn run(seed: u64, strategy: &mut dyn Strategy, variant: Variant) -> RunReport {
-    run_with_trace(seed, strategy, variant).0
-}
-
-/// Like [`run`], but also returns the full trace (consumed by the
-/// causality-guided auto-explorer).
-pub fn run_with_trace(
-    seed: u64,
-    strategy: &mut dyn Strategy,
-    variant: Variant,
-) -> (RunReport, ph_sim::Trace) {
-    let cfg = cluster_config(variant);
-    let mut runner = Runner::new(NAME, seed, &cfg, Duration::secs(1), Duration::secs(5));
-    runner.seed(&Object::node("node-1"));
-    runner.seed(&Object::node("node-2"));
-    runner.seed(&Object::pvc("v1", "p1"));
-    runner.seed(&Object::pod("p1", Some("node-1".into()), Some("v1".into())));
-
-    strategy.setup(&mut runner.world, &runner.targets);
-    runner.drive(strategy, Duration::secs(2), Duration::millis(10));
-
-    // Graceful deletion: e1 = the termination mark; the kubelet stops the
-    // containers, waits the grace period, then finalizes (e2 = deletion).
+/// Graceful deletion: e1 = the termination mark; the kubelet stops the
+/// containers, waits the grace period, then finalizes (e2 = deletion).
+fn workload(runner: &mut Runner, strategy: &mut dyn Strategy) {
+    runner.drive(strategy, Duration::secs(2), QUANTUM);
     let mut marked = Object::pod("p1", Some("node-1".into()), Some("v1".into()));
     marked.meta.deletion_timestamp = Some(runner.world.now().nanos());
     runner.seed(&marked);
-
-    runner.drive(strategy, Duration::secs(5), Duration::millis(10));
-    let cluster = runner.cluster.clone();
-    let mut oracles: Vec<Box<dyn ph_core::oracle::Oracle>> = vec![
-        oracles::no_orphan_pvcs(cluster.clone()),
-        oracles::no_wrongful_pvc_delete(cluster),
-    ];
-    let (mut report, trace) =
-        runner.finish_with_trace(strategy, Duration::millis(500), &mut oracles);
-    report.attach_blame(&trace, &blame_spec());
-    (report, trace)
+    runner.drive(strategy, SCENARIO.horizon, QUANTUM);
 }
 
 #[cfg(test)]
@@ -135,8 +128,7 @@ mod tests {
 
     #[test]
     fn unobservable_mark_leaks_the_pvc() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Buggy);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Buggy);
         assert!(report.failed(), "expected the PVC to leak");
         assert!(
             report.violations.iter().any(|v| v.details.contains("v1")),
@@ -147,15 +139,13 @@ mod tests {
 
     #[test]
     fn fresh_orphan_sweep_survives_the_same_drop() {
-        let mut strategy = guided(1);
-        let report = run(1, strategy.as_mut(), Variant::Fixed);
+        let report = SCENARIO.run(1, guided(1).as_mut(), Variant::Fixed);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn no_fault_run_is_clean_even_when_buggy() {
-        let mut strategy = NoFault;
-        let report = run(1, &mut strategy, Variant::Buggy);
+        let report = SCENARIO.run(1, &mut NoFault, Variant::Buggy);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 }

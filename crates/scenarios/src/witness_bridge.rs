@@ -19,19 +19,12 @@
 
 use ph_core::autoguide::{witness_priors, PriorShape};
 use ph_core::parallel::derive_trial_seed;
-use ph_core::perturb::{
-    CoFiPartitions, CrashTunerCrashes, RandomCrashes, StalenessInjector, Strategy,
-    TimeTravelInjector,
-};
+use ph_core::perturb::Strategy;
 use ph_lint::modelcheck::model_check_all;
-use ph_sim::Duration;
 
 use crate::common::Variant;
-use crate::strategies::{
-    Compose, CrashOnAnnotation, DropMatching, EventSelector, HoldMatching, PartitionComponent,
-    TargetRef,
-};
-use crate::{scenario_statics, StaticEntry};
+use crate::strategies::baseline;
+use crate::StaticEntry;
 
 /// The prior shapes the scenario's witnesses compile to, in witness order
 /// (shortest schedule first). Empty when the model checker proves every
@@ -43,7 +36,8 @@ pub fn scenario_prior_shapes(entry: &StaticEntry) -> Vec<PriorShape> {
     witness_priors(&witnesses)
 }
 
-/// Realizes one abstract shape as concrete injectors for `scenario`.
+/// Realizes one abstract shape as the concrete injectors of `entry`'s
+/// scenario ([`crate::Scenario::realize`]).
 ///
 /// The anchors (which cache, which key, which phase window) come from the
 /// scenario's workload schedule — the same knowledge its tuned `guided`
@@ -51,173 +45,9 @@ pub fn scenario_prior_shapes(entry: &StaticEntry) -> Vec<PriorShape> {
 /// what the witness contributes. Shapes with no sensible realization in a
 /// scenario (e.g. an upstream switch where every component is pinned)
 /// yield nothing.
-fn realize(scenario: &str, shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match (scenario, shape) {
-        // kubelet restarts onto the lagging apiserver-2 and acts on the
-        // pre-rollout world: both the delay-cache and the switch letters
-        // concretize against cache 1 / kubelet-node-1 — the delay letter
-        // both as the pure staleness hold and as the stale landing zone
-        // the restart needs, so the switch letter's realization is a
-        // canonical duplicate of the delay letter's second one.
-        ("k8s-59848", PriorShape::DelayCache { .. }) => vec![
-            Box::new(StalenessInjector {
-                cache: 1,
-                delay: Duration::millis(900),
-                after: Duration::millis(1500),
-            }),
-            Box::new(k8s_59848_time_travel()),
-        ],
-        ("k8s-59848", PriorShape::UpstreamSwitch | PriorShape::CrashRestartReplay) => {
-            vec![Box::new(k8s_59848_time_travel())]
-        }
-
-        // The scheduler's stale `nodes` view is concretely a swallowed
-        // node-deletion notification; the reorder letter is the same race
-        // held shorter.
-        (
-            "k8s-56261",
-            PriorShape::DelayCache { resource } | PriorShape::DropNotification { resource },
-        ) if resource == "nodes" => {
-            vec![Box::new(DropMatching {
-                dst: TargetRef::Component(2),
-                selector: EventSelector::deletes_of("nodes/node-2"),
-                from: Duration::millis(1500),
-                max: 4,
-            })]
-        }
-        ("k8s-56261", PriorShape::ReorderUpdateConsume { resource }) if resource == "nodes" => {
-            vec![Box::new(HoldMatching::new(
-                TargetRef::Component(2),
-                EventSelector::deletes_of("nodes/node-2"),
-                Duration::millis(1500),
-                Some(Duration::millis(1200)),
-            ))]
-        }
-
-        // The volume controller misses the pod's termination mark.
-        ("volume-ctrl-17", PriorShape::DropNotification { resource }) if resource == "pods" => {
-            vec![Box::new(DropMatching {
-                dst: TargetRef::Component(2),
-                selector: EventSelector::termination_mark_of("pods/p1"),
-                from: Duration::millis(1500),
-                max: 4,
-            })]
-        }
-        ("volume-ctrl-17", PriorShape::DelayCache { resource }) if resource == "pods" => {
-            vec![Box::new(HoldMatching::new(
-                TargetRef::Component(2),
-                EventSelector::termination_mark_of("pods/p1"),
-                Duration::millis(1500),
-                Some(Duration::millis(1800)),
-            ))]
-        }
-
-        // The operator's decommission acknowledgement is lost across its
-        // crash-restart: the drop-notification letter lands as a crash in
-        // the decision window (the restart wipes the in-flight event).
-        ("cass-op-398", PriorShape::DropNotification { .. } | PriorShape::CrashRestartReplay) => {
-            vec![Box::new(CrashOnAnnotation::new(
-                "operator.decommission",
-                None,
-                Duration::millis(100),
-                Duration::millis(400),
-                1,
-            ))]
-        }
-
-        // The operator lands on the lagging apiserver-2 mid-scale-down.
-        (
-            "cass-op-400",
-            PriorShape::DelayCache { .. }
-            | PriorShape::UpstreamSwitch
-            | PriorShape::CrashRestartReplay,
-        ) => vec![Box::new(TimeTravelInjector::new(
-            1,
-            3,
-            Duration::millis(3050),
-            Duration::millis(3300),
-            Duration::millis(3600),
-            Some(Duration::millis(5000)),
-        ))],
-
-        // Hold the pod-created update away from the operator's cache while
-        // a restart makes it act on the held (stale) view. The switch and
-        // crash letters concretize to the very same hold+crash pair (the
-        // restart IS the switch onto the held view), so they dedup.
-        ("cass-op-402", PriorShape::DelayCache { resource }) if resource == "pods" => {
-            vec![cass_402_hold_and_crash()]
-        }
-        ("cass-op-402", PriorShape::UpstreamSwitch | PriorShape::CrashRestartReplay) => {
-            vec![cass_402_hold_and_crash()]
-        }
-
-        // The region manager reads the lagging follower.
-        ("hbase-3136", PriorShape::DelayCache { .. }) => vec![Box::new(StalenessInjector {
-            cache: 0,
-            delay: Duration::millis(90),
-            after: Duration::millis(1500),
-        })],
-
-        // Silent lease expiry: partitioning the kubelet drops its renewals
-        // — exactly the false-silence the drop-notification letter models.
-        ("node-fencing", PriorShape::DropNotification { resource }) if resource == "leases" => {
-            vec![Box::new(PartitionComponent::new(
-                1,
-                Duration::millis(2500),
-                Duration::millis(5500),
-            ))]
-        }
-
-        // The traffic-surge letter lands literally: squeeze the
-        // scheduler's watch feed below the churn workload's offered load
-        // across the surge window. The strategy only reconfigures link
-        // capacity — every late or lost message is the queue's own doing.
-        // The delay-cache letter concretizes to the same squeeze (this
-        // scenario has no direct hold injector: congestion *is* how the
-        // view ages), so the two letters collapse to one class.
-        (
-            "congestion",
-            PriorShape::TrafficSurge { .. } | PriorShape::DelayCache { resource: _ },
-        ) => vec![crate::congestion::guided(0)],
-
-        _ => Vec::new(),
-    }
-}
-
-/// The kubelet's stale-landing realization, shared by the delay-cache and
-/// upstream-switch/crash letters.
-fn k8s_59848_time_travel() -> TimeTravelInjector {
-    TimeTravelInjector::new(
-        1,
-        0,
-        Duration::millis(1500),
-        Duration::millis(2200),
-        Duration::millis(2400),
-        Some(Duration::millis(3500)),
-    )
-}
-
-/// The operator's hold+crash realization, shared by the delay-cache and
-/// upstream-switch/crash letters.
-fn cass_402_hold_and_crash() -> Box<dyn Strategy> {
-    Box::new(Compose::new(
-        "witness[delay-cache(pods) ; crash-restart]",
-        vec![
-            Box::new(HoldMatching::new(
-                TargetRef::Cache(1),
-                EventSelector::key("pods/dc1-2"),
-                Duration::millis(2400),
-                None,
-            )),
-            Box::new(CrashOnAnnotation::new(
-                "operator.create_pod",
-                None,
-                Duration::millis(300),
-                Duration::millis(300),
-                1,
-            )),
-        ],
-    ))
+fn realize(entry: &StaticEntry, shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
+    let scenario = crate::lookup(entry.name).expect("a registered scenario");
+    (scenario.realize)(shape)
 }
 
 /// Canonical-dedup census of one witness plan: how many distinct
@@ -244,7 +74,7 @@ pub fn witness_plan(entry: &StaticEntry) -> (Vec<Box<dyn Strategy>>, WitnessPlan
     let mut classes = std::collections::BTreeSet::new();
     let mut stats = WitnessPlanStats::default();
     for shape in scenario_prior_shapes(entry) {
-        for s in realize(entry.name, &shape) {
+        for s in realize(entry, &shape) {
             let keep = match s.planned_schedule() {
                 Some(ops) => classes.insert(ph_core::plan_class(&ops)),
                 None => !out.iter().any(|have| have.name() == s.name()),
@@ -272,22 +102,15 @@ pub fn witness_strategies(entry: &StaticEntry) -> Vec<Box<dyn Strategy>> {
 pub fn witness_realizations(entry: &StaticEntry) -> Vec<Box<dyn Strategy>> {
     scenario_prior_shapes(entry)
         .iter()
-        .flat_map(|shape| realize(entry.name, shape))
+        .flat_map(|shape| realize(entry, shape))
         .collect()
 }
 
 /// The unguided baseline: the generic strategy cycle every hunt falls
 /// back to, with per-trial seeds.
 pub fn unguided_strategy(trial: usize, seed: u64) -> Box<dyn Strategy> {
-    match trial % 3 {
-        0 => Box::new(RandomCrashes {
-            seed,
-            count: 3,
-            down: Duration::millis(300),
-        }),
-        1 => Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300))),
-        _ => Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500))),
-    }
+    let cycle = ["random-crash", "crashtuner", "cofi"];
+    baseline(cycle[trial % cycle.len()], seed).expect("a baseline strategy")
 }
 
 /// One measured hunt: runs buggy-variant trials until the first
@@ -331,15 +154,10 @@ pub fn first_detection_unguided(entry: &StaticEntry, budget: usize, base_seed: u
     })
 }
 
-/// Looks up a scenario's static entry by name (`-`/`_` tolerant).
-pub fn entry_for(name: &str) -> Option<StaticEntry> {
-    let dashed = name.replace('_', "-");
-    scenario_statics().into_iter().find(|e| e.name == dashed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario_statics;
 
     #[test]
     fn every_buggy_scenario_compiles_to_at_least_one_strategy() {
@@ -385,9 +203,10 @@ mod tests {
             ("cass-op-402", 1),
             ("congestion", 1),
         ];
+        let entries = scenario_statics();
         for (name, deduped) in expected {
-            let entry = entry_for(name).unwrap();
-            let (kept, stats) = witness_plan(&entry);
+            let entry = entries.iter().find(|e| e.name == name).unwrap();
+            let (kept, stats) = witness_plan(entry);
             assert_eq!(
                 stats.deduped_trials, deduped,
                 "{name}: expected {deduped} deduped realizations"

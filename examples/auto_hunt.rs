@@ -12,24 +12,25 @@
 //! are causally related to a component's action are likely to trigger
 //! bugs."
 
-use ph_cluster::controllers::VcMode;
-use ph_cluster::topology::{spawn_cluster, ClusterConfig};
 use ph_core::autoguide::explore;
-use ph_core::perturb::{Strategy, Targets};
-use ph_scenarios::common::targets_for;
-use ph_scenarios::{k8s_56261, volume_17, Variant};
-use ph_sim::{Duration, Trace, World, WorldConfig};
+use ph_core::perturb::Strategy;
+use ph_scenarios::{k8s_56261, volume_17, Scenario, Variant};
 
-fn hunt(
-    name: &str,
-    run: impl Fn(&mut dyn Strategy) -> (Vec<String>, Trace),
-    targets_of: impl Fn(&Trace) -> Targets,
-    decisions: &[&str],
-    depth: usize,
-    budget: usize,
-) {
+/// Hunts `scenario` from its own value: the decisions are its blame
+/// spec's action labels, the targets its own topology's.
+fn hunt(name: &str, scenario: &Scenario, depth: usize, budget: usize) {
+    let decisions = scenario.blame.action_labels;
     println!("=== hunting {name} (decisions: {decisions:?}) ===");
-    let (findings, total, census) = explore(run, targets_of, decisions, depth, budget);
+    let run = |strategy: &mut dyn Strategy| {
+        let (report, trace) = scenario.run_traced(1, strategy, Variant::Buggy);
+        let violations = report
+            .violations
+            .iter()
+            .map(|v| v.details.clone())
+            .collect();
+        (violations, trace)
+    };
+    let (findings, total, census) = explore(run, |_| scenario.targets(1), decisions, depth, budget);
     println!(
         "  {} candidates derived from the reference trace ({} distinct classes, \
          {} deduplicated), {} tried:",
@@ -58,55 +59,13 @@ fn hunt(
 fn main() {
     hunt(
         "the volume controller (bug [17] shape)",
-        |strategy| {
-            let (report, trace) = volume_17::run_with_trace(1, strategy, Variant::Buggy);
-            (
-                report
-                    .violations
-                    .iter()
-                    .map(|v| v.details.clone())
-                    .collect(),
-                trace,
-            )
-        },
-        |_| {
-            let cfg = ClusterConfig {
-                volume_controller: Some(VcMode::MarkOnly),
-                ..ClusterConfig::default()
-            };
-            let mut world = World::new(WorldConfig::default(), 1);
-            let cluster = spawn_cluster(&mut world, &cfg);
-            targets_for(&cluster, Duration::secs(5))
-        },
-        &["vc.release_pvc"],
+        &volume_17::SCENARIO,
         4,
         12,
     );
-
     hunt(
         "the scheduler (Kubernetes-56261 shape)",
-        |strategy| {
-            let (report, trace) = k8s_56261::run_with_trace(1, strategy, Variant::Buggy);
-            (
-                report
-                    .violations
-                    .iter()
-                    .map(|v| v.details.clone())
-                    .collect(),
-                trace,
-            )
-        },
-        |_| {
-            let cfg = ClusterConfig {
-                scheduler: Some(false),
-                rs_controller: Some(false),
-                ..ClusterConfig::default()
-            };
-            let mut world = World::new(WorldConfig::default(), 1);
-            let cluster = spawn_cluster(&mut world, &cfg);
-            targets_for(&cluster, Duration::secs(6))
-        },
-        &["scheduler.bind"],
+        &k8s_56261::SCENARIO,
         12,
         40,
     );

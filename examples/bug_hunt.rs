@@ -9,16 +9,8 @@
 //! random crashes, CrashTuner-style crash-after-view-update, CoFI-style
 //! partitions) rarely do within the same budget.
 
-use ph_core::harness::{DetectionMatrix, Explorer, RunReport};
-use ph_core::perturb::{CoFiPartitions, CrashTunerCrashes, NoFault, RandomCrashes, Strategy};
-use ph_scenarios::{
-    cass_398, cass_400, cass_402, hbase_3136, k8s_56261, k8s_59848, node_fencing, volume_17,
-    Variant,
-};
-use ph_sim::Duration;
-
-type ScenarioRun = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type Guided = fn(u64) -> Box<dyn Strategy>;
+use ph_core::harness::{DetectionMatrix, Explorer};
+use ph_scenarios::{Variant, SCENARIOS, STRATEGIES};
 
 fn main() {
     let max_trials: u32 = std::env::args()
@@ -26,52 +18,10 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(10);
 
-    let scenarios: Vec<(&str, ScenarioRun, Guided)> = vec![
-        (
-            k8s_59848::NAME,
-            k8s_59848::run as ScenarioRun,
-            k8s_59848::guided as Guided,
-        ),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
-        (cass_400::NAME, cass_400::run, cass_400::guided),
-        (cass_402::NAME, cass_402::run, cass_402::guided),
-        (hbase_3136::NAME, hbase_3136::run, hbase_3136::guided),
-        (node_fencing::NAME, node_fencing::run, node_fencing::guided),
-    ];
-
-    type Factory = Box<dyn Fn(u64) -> Box<dyn Strategy>>;
-    let baselines: Vec<(&str, Factory)> = vec![
-        (
-            "guided",
-            Box::new(|_| unreachable!("replaced per scenario")),
-        ),
-        (
-            "random-crash",
-            Box::new(|seed| {
-                Box::new(RandomCrashes {
-                    seed,
-                    count: 3,
-                    down: Duration::millis(300),
-                })
-            }),
-        ),
-        (
-            "crashtuner",
-            Box::new(|seed| Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300)))),
-        ),
-        (
-            "cofi",
-            Box::new(|seed| Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500)))),
-        ),
-        ("no-fault", Box::new(|_| Box::new(NoFault))),
-    ];
-
     println!(
         "hunting {} bugs with {} strategies, {} trials budget each…\n",
-        scenarios.len(),
-        baselines.len(),
+        SCENARIOS.len(),
+        STRATEGIES.len(),
         max_trials
     );
     let explorer = Explorer {
@@ -80,32 +30,25 @@ fn main() {
     };
 
     let mut matrix = DetectionMatrix::new();
-    for (name, run, guided) in &scenarios {
-        for (sname, factory) in &baselines {
-            let mut outcome = if *sname == "guided" {
-                let mut o =
-                    explorer.explore(name, &|seed, s| run(seed, s, Variant::Buggy), &|seed| {
-                        guided(seed)
-                    });
-                // Uniform column label; the per-scenario pattern is printed
-                // in the per-row detail above.
-                o.strategy = format!("guided [{}]", o.strategy);
-                o
-            } else {
-                explorer.explore(name, &|seed, s| run(seed, s, Variant::Buggy), &|seed| {
-                    factory(seed)
-                })
-            };
-            let detail = outcome.strategy.clone();
-            if outcome.strategy.starts_with("guided [") {
+    for scenario in SCENARIOS {
+        for strategy in STRATEGIES {
+            let mut outcome = explorer.explore(
+                scenario.name,
+                &|seed, s| scenario.run(seed, s, Variant::Buggy),
+                &|seed| scenario.strategy(strategy, seed),
+            );
+            // The row detail keeps the per-scenario injector's own name; the
+            // matrix column is the uniform label.
+            let mut detail = outcome.strategy.clone();
+            if *strategy == "guided" {
+                detail = format!("guided [{detail}]");
                 outcome.strategy = "guided".into();
             }
-            let _ = detail;
             let tag = match outcome.first_violation {
                 Some(n) => format!("detected on trial {n}"),
                 None => "not detected".into(),
             };
-            println!("  {:<14} × {:<22} {}", name, detail, tag);
+            println!("  {:<14} × {:<22} {}", scenario.name, detail, tag);
             matrix.add(outcome);
         }
     }
@@ -121,6 +64,6 @@ fn main() {
     println!(
         "guided strategies detected {guided_hits}/{} bugs; see EXPERIMENTS.md \
          for the recorded full-budget matrix",
-        scenarios.len()
+        SCENARIOS.len()
     );
 }

@@ -9,15 +9,16 @@
 //! the trace, and then shows that the fixed kubelet survives the identical
 //! injection.
 
-use ph_scenarios::{k8s_59848, Variant};
+use ph_scenarios::k8s_59848::SCENARIO;
+use ph_scenarios::Variant;
 use ph_sim::TraceEventKind;
 
 fn main() {
     println!("=== Kubernetes-59848: 'the most severe possible known vulnerability");
     println!("    in Kubernetes safety guarantees' — reproduced in simulation ===\n");
 
-    let mut strategy = k8s_59848::guided(1);
-    let report = k8s_59848::run(1, strategy.as_mut(), Variant::Buggy);
+    let mut strategy = (SCENARIO.guided)(1);
+    let report = SCENARIO.run(1, strategy.as_mut(), Variant::Buggy);
 
     println!("scenario : {}", report.scenario);
     println!("strategy : {}", report.strategy);
@@ -36,8 +37,8 @@ fn main() {
     // Re-run to narrate the timeline (reports don't carry the full trace;
     // determinism means the rerun is byte-identical).
     println!("\n--- timeline (from the deterministic re-run) ---");
-    let mut strategy = k8s_59848::guided(1);
-    let report2 = k8s_59848::run_with_trace(1, strategy.as_mut(), Variant::Buggy);
+    let mut strategy = (SCENARIO.guided)(1);
+    let report2 = SCENARIO.run_traced(1, strategy.as_mut(), Variant::Buggy);
     assert_eq!(report2.0.trace_digest, report.trace_digest);
     for e in report2.1.iter() {
         if let TraceEventKind::Annotation { label, data, .. } = &e.kind {
@@ -48,8 +49,8 @@ fn main() {
     }
 
     println!("\n--- the fix: quorum-read lists ---");
-    let mut strategy = k8s_59848::guided(1);
-    let fixed = k8s_59848::run(1, strategy.as_mut(), Variant::Fixed);
+    let mut strategy = (SCENARIO.guided)(1);
+    let fixed = SCENARIO.run(1, strategy.as_mut(), Variant::Fixed);
     if fixed.violations.is_empty() {
         println!("fixed kubelet survives the identical injection: no violations");
     } else {

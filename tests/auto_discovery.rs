@@ -4,10 +4,8 @@
 //! annotations — no hand-tuned selectors, no scenario knowledge.
 
 use ph_core::autoguide::{candidates, explore, Candidate, CandidateStrategy};
-use ph_core::perturb::{NoFault, Strategy, Targets};
-use ph_scenarios::common::targets_for;
+use ph_core::perturb::{NoFault, Strategy};
 use ph_scenarios::{k8s_56261, volume_17, Variant};
-use ph_sim::Duration;
 
 #[test]
 fn auto_explorer_discovers_the_volume_controller_bug() {
@@ -16,7 +14,7 @@ fn auto_explorer_discovers_the_volume_controller_bug() {
     // updates. It does NOT know which object, which component, or which
     // notification matters.
     let run = |strategy: &mut dyn Strategy| {
-        let (report, trace) = volume_17::run_with_trace(1, strategy, Variant::Buggy);
+        let (report, trace) = volume_17::SCENARIO.run_traced(1, strategy, Variant::Buggy);
         let violations = report
             .violations
             .iter()
@@ -24,18 +22,7 @@ fn auto_explorer_discovers_the_volume_controller_bug() {
             .collect();
         (violations, trace)
     };
-    let targets_of = |_: &ph_sim::Trace| -> Targets {
-        // Rebuild topology knowledge exactly as the runner derives it.
-        // Actor ids are deterministic for a fixed topology, so a throwaway
-        // build yields the same map the run sees.
-        let cfg = ph_cluster::topology::ClusterConfig {
-            volume_controller: Some(ph_cluster::controllers::VcMode::MarkOnly),
-            ..ph_cluster::topology::ClusterConfig::default()
-        };
-        let mut world = ph_sim::World::new(ph_sim::WorldConfig::default(), 1);
-        let cluster = ph_cluster::topology::spawn_cluster(&mut world, &cfg);
-        targets_for(&cluster, Duration::secs(5))
-    };
+    let targets_of = |_: &ph_sim::Trace| volume_17::SCENARIO.targets(1);
 
     let (findings, total, _census) = explore(
         run,
@@ -63,7 +50,7 @@ fn auto_explorer_discovers_the_volume_controller_bug() {
 #[test]
 fn auto_explorer_discovers_the_scheduler_bug() {
     let run = |strategy: &mut dyn Strategy| {
-        let (report, trace) = k8s_56261::run_with_trace(1, strategy, Variant::Buggy);
+        let (report, trace) = k8s_56261::SCENARIO.run_traced(1, strategy, Variant::Buggy);
         let violations = report
             .violations
             .iter()
@@ -71,16 +58,7 @@ fn auto_explorer_discovers_the_scheduler_bug() {
             .collect();
         (violations, trace)
     };
-    let targets_of = |_: &ph_sim::Trace| -> Targets {
-        let cfg = ph_cluster::topology::ClusterConfig {
-            scheduler: Some(false),
-            rs_controller: Some(false),
-            ..ph_cluster::topology::ClusterConfig::default()
-        };
-        let mut world = ph_sim::World::new(ph_sim::WorldConfig::default(), 1);
-        let cluster = ph_cluster::topology::spawn_cluster(&mut world, &cfg);
-        targets_for(&cluster, Duration::secs(6))
-    };
+    let targets_of = |_: &ph_sim::Trace| k8s_56261::SCENARIO.targets(1);
 
     let (findings, _total, _census) = explore(
         run,
@@ -112,18 +90,9 @@ fn auto_explorer_discovers_the_scheduler_bug() {
 fn candidates_are_replayable_across_runs() {
     // The positional encoding only works if the reference prefix replays
     // identically: same candidate, same run, same digest.
-    let mut nofault = NoFault;
-    let (_, reference) = {
-        let (r, t) = volume_17::run_with_trace(1, &mut nofault, Variant::Buggy);
-        (r, t)
-    };
-    let cfg = ph_cluster::topology::ClusterConfig {
-        volume_controller: Some(ph_cluster::controllers::VcMode::MarkOnly),
-        ..ph_cluster::topology::ClusterConfig::default()
-    };
-    let mut world = ph_sim::World::new(ph_sim::WorldConfig::default(), 1);
-    let cluster = ph_cluster::topology::spawn_cluster(&mut world, &cfg);
-    let targets = targets_for(&cluster, Duration::secs(5));
+    let scenario = &volume_17::SCENARIO;
+    let (_, reference) = scenario.run_traced(1, &mut NoFault, Variant::Buggy);
+    let targets = scenario.targets(1);
     let cands = candidates(&reference, &targets, &["vc.release_pvc"], 2, 300);
     let Some(c) = cands
         .iter()
@@ -131,13 +100,9 @@ fn candidates_are_replayable_across_runs() {
     else {
         panic!("no drop candidates: {cands:?}");
     };
-    let d1 = {
+    let digest = || {
         let mut s = CandidateStrategy::new(c.clone());
-        volume_17::run(1, &mut s, Variant::Buggy).trace_digest
+        scenario.run(1, &mut s, Variant::Buggy).trace_digest
     };
-    let d2 = {
-        let mut s = CandidateStrategy::new(c.clone());
-        volume_17::run(1, &mut s, Variant::Buggy).trace_digest
-    };
-    assert_eq!(d1, d2);
+    assert_eq!(digest(), digest());
 }

@@ -11,38 +11,17 @@
 //! the divergence summary.
 
 use ph_core::harness::RunReport;
-use ph_core::perturb::Strategy;
-use ph_scenarios::{
-    cass_398, cass_400, cass_402, hbase_3136, k8s_56261, k8s_59848, mega_cluster, node_fencing,
-    volume_17, Variant,
-};
+use ph_scenarios::{mega_cluster, Scenario, Variant, SCENARIOS};
 use ph_sim::Duration;
 
-type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type GuidedFn = fn(u64) -> Box<dyn Strategy>;
-
-/// Every registered scenario, with its guided-strategy factory.
-fn scenarios() -> Vec<(&'static str, RunFn, GuidedFn)> {
-    vec![
-        (k8s_59848::NAME, k8s_59848::run, k8s_59848::guided),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
-        (cass_400::NAME, cass_400::run, cass_400::guided),
-        (cass_402::NAME, cass_402::run, cass_402::guided),
-        (hbase_3136::NAME, hbase_3136::run, hbase_3136::guided),
-        (node_fencing::NAME, node_fencing::run, node_fencing::guided),
-    ]
-}
-
-fn run_once(run: RunFn, guided: GuidedFn, seed: u64, variant: Variant) -> RunReport {
-    let mut strategy = guided(seed);
-    run(seed, strategy.as_mut(), variant)
+fn run_once(scenario: &Scenario, seed: u64, variant: Variant) -> RunReport {
+    let mut strategy = (scenario.guided)(seed);
+    scenario.run(seed, strategy.as_mut(), variant)
 }
 
 /// Runs on a brand-new thread, guaranteeing an untouched buffer pool.
-fn run_fresh(run: RunFn, guided: GuidedFn, seed: u64, variant: Variant) -> RunReport {
-    std::thread::spawn(move || run_once(run, guided, seed, variant))
+fn run_fresh(scenario: &'static Scenario, seed: u64, variant: Variant) -> RunReport {
+    std::thread::spawn(move || run_once(scenario, seed, variant))
         .join()
         .expect("fresh-pool run panicked")
 }
@@ -85,12 +64,13 @@ fn assert_reports_identical(name: &str, variant: Variant, fresh: &RunReport, poo
 #[test]
 fn pooled_and_fresh_runs_are_identical_for_every_scenario() {
     const SEED: u64 = 0xB0F;
-    for (name, run, guided) in scenarios() {
-        let fresh = run_fresh(run, guided, SEED, Variant::Buggy);
+    for scenario in SCENARIOS {
+        let name = scenario.name;
+        let fresh = run_fresh(scenario, SEED, Variant::Buggy);
         // Warm this thread's pool — every iteration after the first also
         // inherits buffers recycled from previous scenarios' worlds.
-        let warm = run_once(run, guided, SEED, Variant::Buggy);
-        let pooled = run_once(run, guided, SEED, Variant::Buggy);
+        let warm = run_once(scenario, SEED, Variant::Buggy);
+        let pooled = run_once(scenario, SEED, Variant::Buggy);
         assert_reports_identical(name, Variant::Buggy, &fresh, &warm);
         assert_reports_identical(name, Variant::Buggy, &fresh, &pooled);
     }
@@ -101,10 +81,11 @@ fn pooled_and_fresh_runs_are_identical_for_every_scenario() {
 #[test]
 fn pooled_and_fresh_runs_are_identical_for_fixed_variants() {
     const SEED: u64 = 0x5EED;
-    for (name, run, guided) in scenarios() {
-        let fresh = run_fresh(run, guided, SEED, Variant::Fixed);
-        let _warm = run_once(run, guided, SEED, Variant::Fixed);
-        let pooled = run_once(run, guided, SEED, Variant::Fixed);
+    for scenario in SCENARIOS {
+        let name = scenario.name;
+        let fresh = run_fresh(scenario, SEED, Variant::Fixed);
+        let _warm = run_once(scenario, SEED, Variant::Fixed);
+        let pooled = run_once(scenario, SEED, Variant::Fixed);
         assert_reports_identical(name, Variant::Fixed, &fresh, &pooled);
     }
 }
@@ -122,11 +103,12 @@ fn a_digest_only_world_between_retaining_trials_is_invisible() {
         watchers: 2,
         churn: Duration::millis(600),
     };
-    let (name, run, guided) = scenarios().swap_remove(0);
-    let fresh = run_fresh(run, guided, SEED, Variant::Buggy);
-    let before = run_once(run, guided, SEED, Variant::Buggy);
+    let scenario = SCENARIOS[0];
+    let name = scenario.name;
+    let fresh = run_fresh(scenario, SEED, Variant::Buggy);
+    let before = run_once(scenario, SEED, Variant::Buggy);
     let between = mega_cluster::run(SEED, &scale);
-    let after = run_once(run, guided, SEED, Variant::Buggy);
+    let after = run_once(scenario, SEED, Variant::Buggy);
     assert_reports_identical(name, Variant::Buggy, &fresh, &before);
     assert_reports_identical(name, Variant::Buggy, &fresh, &after);
     // And the digest-only run itself is pool-transparent.

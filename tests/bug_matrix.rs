@@ -7,32 +7,9 @@
 //! reproduced two known bugs in Kubernetes … and detected three new bugs
 //! in a Kubernetes controller for Cassandra".
 
-use ph_core::harness::{DetectionMatrix, Explorer, RunReport};
-use ph_core::perturb::{NoFault, Strategy};
-use ph_scenarios::{
-    cass_398, cass_400, cass_402, hbase_3136, k8s_56261, k8s_59848, node_fencing, volume_17,
-    Variant,
-};
-
-type ScenarioRun = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type Guided = fn(u64) -> Box<dyn Strategy>;
-
-fn all_scenarios() -> Vec<(&'static str, ScenarioRun, Guided)> {
-    vec![
-        (
-            k8s_59848::NAME,
-            k8s_59848::run as ScenarioRun,
-            k8s_59848::guided as Guided,
-        ),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
-        (cass_400::NAME, cass_400::run, cass_400::guided),
-        (cass_402::NAME, cass_402::run, cass_402::guided),
-        (hbase_3136::NAME, hbase_3136::run, hbase_3136::guided),
-        (node_fencing::NAME, node_fencing::run, node_fencing::guided),
-    ]
-}
+use ph_core::harness::{DetectionMatrix, Explorer};
+use ph_core::perturb::{NoFault, Strategy, Targets};
+use ph_scenarios::{k8s_59848, Variant, SCENARIOS, STRATEGIES};
 
 #[test]
 fn guided_injection_detects_every_bug_first_trial() {
@@ -41,11 +18,12 @@ fn guided_injection_detects_every_bug_first_trial() {
         base_seed: 100,
     };
     let mut matrix = DetectionMatrix::new();
-    for (name, run, guided) in all_scenarios() {
+    for scenario in SCENARIOS {
+        let name = scenario.name;
         let outcome = explorer.explore(
             name,
-            &|seed, strategy| run(seed, strategy, Variant::Buggy),
-            &|seed| guided(seed),
+            &|seed, strategy| scenario.run(seed, strategy, Variant::Buggy),
+            &|seed| (scenario.guided)(seed),
         );
         assert!(
             outcome.detected(),
@@ -59,18 +37,19 @@ fn guided_injection_detects_every_bug_first_trial() {
         matrix.add(outcome);
     }
     let table = matrix.render();
-    assert_eq!(table.matches("✓ 1").count(), 8, "{table}");
+    assert_eq!(table.matches("✓ 1").count(), SCENARIOS.len(), "{table}");
 }
 
 #[test]
 fn fixed_variants_survive_every_guided_injection() {
-    for (name, run, guided) in all_scenarios() {
+    for scenario in SCENARIOS {
         for seed in [100, 101] {
-            let mut strategy = guided(seed);
-            let report = run(seed, strategy.as_mut(), Variant::Fixed);
+            let mut strategy = (scenario.guided)(seed);
+            let report = scenario.run(seed, strategy.as_mut(), Variant::Fixed);
             assert!(
                 report.violations.is_empty(),
-                "{name} fixed variant violated under guided injection (seed {seed}): {:?}",
+                "{} fixed variant violated under guided injection (seed {seed}): {:?}",
+                scenario.name,
                 report.violations
             );
         }
@@ -79,12 +58,12 @@ fn fixed_variants_survive_every_guided_injection() {
 
 #[test]
 fn no_fault_control_is_clean_on_buggy_variants() {
-    for (name, run, _) in all_scenarios() {
-        let mut strategy = NoFault;
-        let report = run(100, &mut strategy, Variant::Buggy);
+    for scenario in SCENARIOS {
+        let report = scenario.run(100, &mut NoFault, Variant::Buggy);
         assert!(
             report.violations.is_empty(),
-            "{name} violated without any fault injection: {:?}",
+            "{} violated without any fault injection: {:?}",
+            scenario.name,
             report.violations
         );
     }
@@ -92,15 +71,73 @@ fn no_fault_control_is_clean_on_buggy_variants() {
 
 #[test]
 fn reports_carry_reproduction_evidence() {
-    let mut strategy = k8s_59848::guided(100);
-    let report = k8s_59848::run(100, strategy.as_mut(), Variant::Buggy);
+    let scenario = &k8s_59848::SCENARIO;
+    let mut strategy = (scenario.guided)(100);
+    let report = scenario.run(100, strategy.as_mut(), Variant::Buggy);
     assert!(report.failed());
-    assert_eq!(report.scenario, k8s_59848::NAME);
+    assert_eq!(report.scenario, scenario.name);
     assert_eq!(report.seed, 100);
     assert!(report.trace_events > 100, "trace should be substantial");
     assert!(report.sim_time.0 > 0);
     // The same seed reproduces the identical run.
-    let mut strategy = k8s_59848::guided(100);
-    let again = k8s_59848::run(100, strategy.as_mut(), Variant::Buggy);
+    let mut strategy = (scenario.guided)(100);
+    let again = scenario.run(100, strategy.as_mut(), Variant::Buggy);
     assert_eq!(report.trace_digest, again.trace_digest);
+}
+
+#[test]
+fn registry_names_are_unique_and_lookup_tolerates_either_spelling() {
+    for (i, scenario) in SCENARIOS.iter().enumerate() {
+        assert!(
+            SCENARIOS[..i].iter().all(|s| s.name != scenario.name),
+            "{} registered twice",
+            scenario.name
+        );
+        assert_eq!(scenario.blame.scenario, scenario.name);
+        let underscored = scenario.name.replace('-', "_");
+        for spelling in [scenario.name, underscored.as_str()] {
+            let found = ph_scenarios::lookup(spelling).map(|s| s.name);
+            assert_eq!(found, Some(scenario.name), "{spelling}");
+        }
+        for strategy in STRATEGIES {
+            // Every listed name builds (an unlisted one would panic here).
+            scenario.strategy(strategy, 1);
+        }
+    }
+    assert!(
+        ph_scenarios::lookup("volume_17").is_none(),
+        "lookup is not a prefix match"
+    );
+}
+
+/// Records the targets a trial hands its strategy.
+struct Spy(Option<Targets>);
+
+impl Strategy for Spy {
+    fn name(&self) -> String {
+        "spy".into()
+    }
+
+    fn setup(&mut self, _world: &mut ph_sim::World, targets: &Targets) {
+        self.0 = Some(targets.clone());
+    }
+}
+
+/// The targets a causal hunt derives from a scenario's value are the
+/// targets its run actually builds.
+#[test]
+fn derived_hunt_targets_equal_the_targets_a_run_builds() {
+    for scenario in SCENARIOS {
+        for seed in [1, 7] {
+            let mut spy = Spy(None);
+            scenario.run(seed, &mut spy, Variant::Buggy);
+            let seen = spy.0.expect("the driver sets the strategy up");
+            assert_eq!(
+                format!("{:?}", scenario.targets(seed)),
+                format!("{seen:?}"),
+                "{} (seed {seed})",
+                scenario.name
+            );
+        }
+    }
 }

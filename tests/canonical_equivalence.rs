@@ -259,3 +259,38 @@ fn phtool_rejects_bad_command_lines_with_exit_2() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.starts_with("error: writing"), "{stderr}");
 }
+
+/// `phtool list` prints exactly the registry, and every scenario it prints
+/// takes a causal hunt: labels and targets come from the scenario's own
+/// value, so there is no wiring table for a scenario to be missing from.
+#[test]
+fn phtool_lists_the_registry_and_hunts_every_scenario() {
+    let bin = env!("CARGO_BIN_EXE_phtool");
+    let list = std::process::Command::new(bin)
+        .arg("list")
+        .output()
+        .expect("spawning phtool");
+    let text = String::from_utf8(list.stdout).unwrap();
+    let listed: Vec<&str> = text
+        .lines()
+        .skip_while(|l| *l != "scenarios:")
+        .skip(1)
+        .map_while(|l| l.strip_prefix("  "))
+        .collect();
+    let mut registered: Vec<&str> = ph_scenarios::SCENARIOS.iter().map(|s| s.name).collect();
+    registered.sort_unstable();
+    assert_eq!(listed, registered);
+
+    for name in registered {
+        let out = std::process::Command::new(bin)
+            .args(["hunt", "--scenario", name, "--budget", "3", "--depth", "2"])
+            .output()
+            .expect("spawning phtool");
+        let code = out.status.code();
+        assert!(
+            code == Some(0) || code == Some(3),
+            "hunt {name} exited {code:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}

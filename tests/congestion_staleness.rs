@@ -15,6 +15,7 @@
 //!   predicts from the scenario's static access summaries. One story,
 //!   three observers: static witness, dynamic oracle, provenance chain.
 
+use ph_core::perturb::NoFault;
 use ph_core::provenance::explain;
 use ph_lint::modelcheck::model_check_all;
 use ph_lint::summary::PatternClass;
@@ -22,7 +23,7 @@ use ph_scenarios::{congestion, Variant};
 
 #[test]
 fn below_capacity_the_network_only_adds_latency() {
-    let (report, trace) = congestion::run_emergent(1, Variant::Buggy, false);
+    let (report, trace) = congestion::SCENARIO.run_traced(1, &mut NoFault, Variant::Buggy);
     assert!(
         report.violations.is_empty(),
         "ample capacity must stay clean: {:?}",
@@ -45,7 +46,8 @@ fn below_capacity_the_network_only_adds_latency() {
 
 #[test]
 fn past_capacity_staleness_emerges_and_is_classified_as_congestion() {
-    let (report, trace) = congestion::run_emergent(1, Variant::Buggy, true);
+    let scenario = congestion::at_capacity::<{ congestion::CAPACITY_SCARCE }>();
+    let (report, trace) = scenario.run_traced(1, &mut NoFault, Variant::Buggy);
 
     // Dynamic: the oracle sees pods wedged on the ghost node, with zero
     // perturbations injected.
@@ -68,7 +70,7 @@ fn past_capacity_staleness_emerges_and_is_classified_as_congestion() {
 
     // Provenance: the blame chain reaches the same class, from queue
     // artifacts alone (nothing was injected, so nothing counts as such).
-    let chain = explain(&trace, &congestion::blame_spec(), &report.violations);
+    let chain = explain(&trace, &scenario.blame, &report.violations);
     assert_eq!(
         chain.class,
         PatternClass::CongestionStaleness,
@@ -86,12 +88,11 @@ fn past_capacity_staleness_emerges_and_is_classified_as_congestion() {
 
     // Static: the model checker predicts the same class from the
     // scenario's access summaries — no run needed.
-    let witnessed: Vec<PatternClass> =
-        model_check_all(&congestion::access_summaries(Variant::Buggy))
-            .iter()
-            .flat_map(|r| r.witnesses())
-            .map(|w| w.class)
-            .collect();
+    let witnessed: Vec<PatternClass> = model_check_all(&scenario.summaries(Variant::Buggy))
+        .iter()
+        .flat_map(|r| r.witnesses())
+        .map(|w| w.class)
+        .collect();
     assert!(
         witnessed.contains(&chain.class),
         "static witnesses {witnessed:?} must include the dynamic class {}",

@@ -9,23 +9,22 @@
 
 use ph_core::harness::RunReport;
 use ph_core::perturb::Strategy;
-use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Variant};
+use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Scenario, Variant, SCENARIOS};
 
-type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
 type GuidedFn = fn(u64) -> Box<dyn Strategy>;
 
-fn run_once(run: RunFn, guided: GuidedFn, seed: u64) -> RunReport {
-    let mut strategy = guided(seed);
-    run(seed, strategy.as_mut(), Variant::Buggy)
+fn run_once(scenario: &Scenario, seed: u64) -> RunReport {
+    let mut strategy = (scenario.guided)(seed);
+    scenario.run(seed, strategy.as_mut(), Variant::Buggy)
 }
 
 #[test]
 fn same_seed_same_trace_and_metrics_for_every_scenario() {
     const SEED: u64 = 7;
-    for e in scenario_statics() {
+    for e in SCENARIOS {
         let name = e.name;
-        let a = run_once(e.run, e.guided, SEED);
-        let b = run_once(e.run, e.guided, SEED);
+        let a = run_once(e, SEED);
+        let b = run_once(e, SEED);
         assert_eq!(
             a.trace_digest, b.trace_digest,
             "{name}: trace digests diverge across same-seed runs"
@@ -55,8 +54,8 @@ fn different_seeds_change_the_trace() {
     // Sanity check that the digest actually discriminates: perturbation
     // strategies are seeded, so two seeds should not produce identical
     // runs for a fault-injected scenario.
-    let a = run_once(k8s_59848::run, k8s_59848::guided, 1);
-    let b = run_once(k8s_59848::run, k8s_59848::guided, 2);
+    let a = run_once(&k8s_59848::SCENARIO, 1);
+    let b = run_once(&k8s_59848::SCENARIO, 2);
     assert_ne!(
         (a.trace_digest, a.trace_events),
         (b.trace_digest, b.trace_events),
@@ -190,9 +189,8 @@ fn autoguide_candidates_are_identical_at_any_thread_count() {
     // it, and the per-candidate re-runs merge by candidate index — so the
     // full findings list (candidates, order, verdicts) must be identical
     // at any thread count.
-    use ph_core::perturb::Targets;
     let run = |strategy: &mut dyn Strategy| {
-        let (report, trace) = volume_17::run_with_trace(1, strategy, Variant::Buggy);
+        let (report, trace) = volume_17::SCENARIO.run_traced(1, strategy, Variant::Buggy);
         let violations = report
             .violations
             .iter()
@@ -200,15 +198,7 @@ fn autoguide_candidates_are_identical_at_any_thread_count() {
             .collect::<Vec<String>>();
         (violations, trace)
     };
-    let targets_of = |_: &ph_sim::Trace| -> Targets {
-        let cfg = ph_cluster::topology::ClusterConfig {
-            volume_controller: Some(ph_cluster::controllers::VcMode::MarkOnly),
-            ..ph_cluster::topology::ClusterConfig::default()
-        };
-        let mut world = ph_sim::World::new(ph_sim::WorldConfig::default(), 1);
-        let cluster = ph_cluster::topology::spawn_cluster(&mut world, &cfg);
-        ph_scenarios::common::targets_for(&cluster, ph_sim::Duration::secs(5))
-    };
+    let targets_of = |_: &ph_sim::Trace| volume_17::SCENARIO.targets(1);
     let runs: Vec<(Vec<String>, Vec<bool>, usize)> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
@@ -278,7 +268,7 @@ fn blame_chains_are_identical_across_same_seed_runs_and_thread_counts() {
 fn telemetry_reports_are_populated() {
     // The instrumentation layer must actually produce data: lag samples
     // for every view and watch-delivery counts at the apiservers.
-    let r = run_once(k8s_59848::run, k8s_59848::guided, 1);
+    let r = run_once(&k8s_59848::SCENARIO, 1);
     assert!(!r.metrics.is_empty(), "metrics report is empty");
     assert!(!r.divergence.is_empty(), "no divergence samples");
     assert!(

@@ -19,6 +19,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use ph_core::perturb::NoFault;
 use ph_scenarios::{congestion, Variant};
 use ph_sim::{trace_to_chrome, DropReason, TraceEventKind};
 
@@ -45,7 +46,8 @@ fn check(name: &str, got: &str) {
 
 #[test]
 fn congestion_queue_exports_are_pinned() {
-    let (report, trace) = congestion::run_emergent(1, Variant::Buggy, true);
+    let scenario = congestion::at_capacity::<{ congestion::CAPACITY_SCARCE }>();
+    let (report, trace) = scenario.run_traced(1, &mut NoFault, Variant::Buggy);
 
     use TraceEventKind as K;
     let slice = trace.filtered(|e| {

@@ -8,63 +8,10 @@
 //! repo's in-tree property-testing idiom), so the exact case set is
 //! pinned forever and runs with zero third-party dependencies.
 
-use ph_core::harness::{DetectionMatrix, Explorer, RunReport, TrialOutcome};
-use ph_core::perturb::{
-    CoFiPartitions, CrashTunerCrashes, NoFault, RandomCrashes, Strategy, TrafficSurge,
-};
-use ph_scenarios::{
-    cass_398, cass_400, cass_402, congestion, hbase_3136, k8s_56261, k8s_59848, node_fencing,
-    volume_17, Variant,
-};
-use ph_sim::{Duration, SimRng};
-
-type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
-type GuidedFn = fn(u64) -> Box<dyn Strategy>;
-
-fn scenarios() -> Vec<(&'static str, RunFn, GuidedFn)> {
-    vec![
-        (k8s_59848::NAME, k8s_59848::run, k8s_59848::guided),
-        (k8s_56261::NAME, k8s_56261::run, k8s_56261::guided),
-        (volume_17::NAME, volume_17::run, volume_17::guided),
-        (cass_398::NAME, cass_398::run, cass_398::guided),
-        (cass_400::NAME, cass_400::run, cass_400::guided),
-        (cass_402::NAME, cass_402::run, cass_402::guided),
-        (hbase_3136::NAME, hbase_3136::run, hbase_3136::guided),
-        (node_fencing::NAME, node_fencing::run, node_fencing::guided),
-        (congestion::NAME, congestion::run, congestion::guided),
-    ]
-}
-
-const STRATEGIES: &[&str] = &[
-    "guided",
-    "random-crash",
-    "crashtuner",
-    "cofi",
-    "traffic-surge",
-    "no-fault",
-];
-
-fn make_strategy(name: &str, guided: GuidedFn, seed: u64) -> Box<dyn Strategy> {
-    match name {
-        "guided" => guided(seed),
-        "random-crash" => Box::new(RandomCrashes {
-            seed,
-            count: 3,
-            down: Duration::millis(300),
-        }),
-        "crashtuner" => Box::new(CrashTunerCrashes::new(seed, 0.02, 3, Duration::millis(300))),
-        "cofi" => Box::new(CoFiPartitions::new(seed, 0.02, 3, Duration::millis(500))),
-        "traffic-surge" => Box::new(TrafficSurge::new(
-            0,
-            2_000,
-            4,
-            Duration::millis(1100),
-            Some(Duration::millis(3600)),
-        )),
-        "no-fault" => Box::new(NoFault),
-        other => panic!("unknown strategy {other:?}"),
-    }
-}
+use ph_core::harness::{DetectionMatrix, Explorer, TrialOutcome};
+use ph_core::perturb::{NoFault, Strategy};
+use ph_scenarios::{cass_398, k8s_59848, Variant, SCENARIOS, STRATEGIES};
+use ph_sim::SimRng;
 
 /// Field-by-field equality, with the example report compared as the exact
 /// JSON bytes `phtool run --json` would emit.
@@ -91,18 +38,18 @@ fn assert_outcomes_identical(name: &str, threads: usize, seq: &TrialOutcome, par
 /// The headline property: random tuples, byte-identical outcomes.
 #[test]
 fn random_tuples_parallel_equals_sequential() {
-    let scenarios = scenarios();
     let mut rng = SimRng::from_seed(0x9A7A_11E1);
     for case in 0..10 {
-        let (name, run, guided) = *rng.pick(&scenarios).expect("non-empty");
+        let scenario = *rng.pick(SCENARIOS).expect("non-empty");
+        let name = scenario.name;
         let strategy_name = *rng.pick(STRATEGIES).expect("non-empty");
         let explorer = Explorer {
             max_trials: rng.range(1, 4) as u32,
             base_seed: rng.next_u64(),
         };
         let threads = rng.range(2, 5) as usize;
-        let scenario_fn = |seed: u64, s: &mut dyn Strategy| run(seed, s, Variant::Buggy);
-        let factory = |seed: u64| make_strategy(strategy_name, guided, seed);
+        let scenario_fn = |seed: u64, s: &mut dyn Strategy| scenario.run(seed, s, Variant::Buggy);
+        let factory = |seed: u64| scenario.strategy(strategy_name, seed);
         let seq = explorer.explore(name, &scenario_fn, &factory);
         let par = explorer.explore_parallel(threads, name, &scenario_fn, &factory);
         assert_outcomes_identical(
@@ -125,9 +72,10 @@ fn detection_matrix_renders_identically() {
     };
     let mut seq_matrix = DetectionMatrix::new();
     let mut par_matrix = DetectionMatrix::new();
-    for (name, run, guided) in scenarios() {
-        let scenario_fn = |seed: u64, s: &mut dyn Strategy| run(seed, s, Variant::Buggy);
-        let factory = |seed: u64| guided(seed);
+    for scenario in SCENARIOS {
+        let name = scenario.name;
+        let scenario_fn = |seed: u64, s: &mut dyn Strategy| scenario.run(seed, s, Variant::Buggy);
+        let factory = |seed: u64| (scenario.guided)(seed);
         seq_matrix.add(explorer.explore(name, &scenario_fn, &factory));
         par_matrix.add(explorer.explore_parallel(3, name, &scenario_fn, &factory));
     }
@@ -145,13 +93,14 @@ fn effort_table_is_stable_across_thread_counts() {
         max_trials: 4,
         base_seed: 4242,
     };
-    let scenario_fn = |seed: u64, s: &mut dyn Strategy| cass_398::run(seed, s, Variant::Buggy);
+    let scenario = &cass_398::SCENARIO;
+    let scenario_fn = |seed: u64, s: &mut dyn Strategy| scenario.run(seed, s, Variant::Buggy);
     let factory = |_seed: u64| Box::new(NoFault) as Box<dyn Strategy>;
     let tables: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
             let mut m = DetectionMatrix::new();
-            m.add(explorer.explore_parallel(threads, cass_398::NAME, &scenario_fn, &factory));
+            m.add(explorer.explore_parallel(threads, scenario.name, &scenario_fn, &factory));
             m.render_effort()
         })
         .collect();
@@ -159,7 +108,7 @@ fn effort_table_is_stable_across_thread_counts() {
     assert_eq!(tables[1], tables[2], "2 vs 4 threads");
     // And the parallel tables match the sequential one.
     let mut m = DetectionMatrix::new();
-    m.add(explorer.explore(cass_398::NAME, &scenario_fn, &factory));
+    m.add(explorer.explore(scenario.name, &scenario_fn, &factory));
     assert_eq!(m.render_effort(), tables[0], "sequential vs pooled");
 }
 
@@ -175,9 +124,9 @@ fn early_cancel_reports_lowest_failing_trial() {
     for threads in [2, 4, 6] {
         let out = explorer.explore_parallel(
             threads,
-            k8s_59848::NAME,
-            &|seed, s| k8s_59848::run(seed, s, Variant::Buggy),
-            &|seed| k8s_59848::guided(seed),
+            k8s_59848::SCENARIO.name,
+            &|seed, s| k8s_59848::SCENARIO.run(seed, s, Variant::Buggy),
+            &|seed| (k8s_59848::SCENARIO.guided)(seed),
         );
         assert_eq!(out.first_violation, Some(1), "{threads} threads");
         assert_eq!(out.trials_run, 1, "{threads} threads");
