@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn smaller_epochs_buffer_less() {
-        // Coordination-cost shape behind the E2 bench: with the same feed,
+        // Coordination-cost shape behind experiment E2: with the same feed,
         // a finer partition holds fewer events back at peak.
         let feed: Vec<Change> = (1..=64).map(ch).collect();
         let mut peaks = Vec::new();

@@ -50,6 +50,10 @@
 //!                                     witnesses / epoch-safety per
 //!                                     destructive action) + IR↔source
 //!                                     conformance
+//! phtool repro <id> | --all           reproduce one of the paper's figures
+//!                                     or tables (or all of them) as text;
+//!                                     `tests/golden/repro/<id>.txt` pins
+//!                                     each, EXPERIMENTS.md quotes them
 //! ```
 //!
 //! Everything is deterministic: `--seed` fully determines a run, including
@@ -71,19 +75,12 @@
 use std::collections::BTreeMap;
 
 use ph_core::autoguide;
-use ph_core::harness::{DetectionMatrix, Explorer};
+use ph_core::harness::Explorer;
 use ph_core::perturb::Strategy;
-use ph_core::provenance::explain;
 use ph_core::telemetry::HuntReport;
-use ph_scenarios::{Scenario, Variant, SCENARIOS, STRATEGIES};
+use ph_scenarios::experiments::{self, EXPERIMENTS};
+use ph_scenarios::{by_name, Scenario, Variant, SCENARIOS, STRATEGIES};
 use ph_sim::Trace;
-
-/// Every scenario in name order — the order every listing and table prints.
-fn by_name() -> Vec<&'static Scenario> {
-    let mut all = SCENARIOS.to_vec();
-    all.sort_by_key(|s| s.name);
-    all
-}
 
 /// The scenario called `name` (`-`/`_` tolerant).
 fn lookup(name: &str) -> Result<&'static Scenario, String> {
@@ -162,20 +159,31 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
     ),
     ("lint", &["json", "root"], cmd_lint),
     ("check", &["json", "root"], cmd_check),
+    ("repro", &["all"], cmd_repro),
 ];
+
+/// Subcommands that take one bare operand besides their flags.
+const OPERAND_COMMANDS: &[&str] = &["repro"];
 
 /// Minimal `--key value` flag parser (plus valueless boolean flags).
 struct Args {
     flags: BTreeMap<String, String>,
+    /// The bare argument of an [`OPERAND_COMMANDS`] command.
+    operand: Option<String>,
 }
 
 impl Args {
     /// Parses `argv` against the flags `cmd` accepts.
     fn parse(cmd: &str, allowed: &[&str], argv: &[String]) -> Result<Args, String> {
         let mut flags = BTreeMap::new();
+        let mut operand = None;
         let mut it = argv.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
+                if OPERAND_COMMANDS.contains(&cmd) && operand.is_none() {
+                    operand = Some(a.clone());
+                    continue;
+                }
                 return Err(format!("unexpected argument {a:?}"));
             };
             if !allowed.contains(&key) {
@@ -198,7 +206,7 @@ impl Args {
             };
             flags.insert(key.to_string(), value.clone());
         }
-        Ok(Args { flags })
+        Ok(Args { flags, operand })
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -213,6 +221,14 @@ impl Args {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{key} wants a number")),
+        }
+    }
+
+    /// A count that must be at least 1 (`--trials`, `--budget`, …).
+    fn get_positive(&self, key: &str, default: u64) -> Result<u64, String> {
+        match self.get_u64(key, default)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
         }
     }
 
@@ -238,11 +254,7 @@ impl Args {
     /// Worker-pool size: `--threads N`, defaulting to the machine's
     /// available parallelism.
     fn threads(&self) -> Result<usize, String> {
-        let n = self.get_u64("threads", ph_core::default_threads() as u64)?;
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        Ok(n as usize)
+        Ok(self.get_positive("threads", ph_core::default_threads() as u64)? as usize)
     }
 }
 
@@ -258,7 +270,8 @@ fn usage() -> &'static str {
      phtool matrix [--trials N] [--seed N] [--threads N] [--prom <file>]\n  phtool hunt \
      --scenario <name> [--budget N] [--depth N] [--seed N] [--threads N] [--witnesses]\n  \
      phtool scale [--nodes N] [--pods N] [--shards N] [--seed N] [--json]\n  \
-     phtool lint [--json] [--root DIR]\n  phtool check [--json] [--root DIR]\n\
+     phtool lint [--json] [--root DIR]\n  phtool check [--json] [--root DIR]\n  \
+     phtool repro <id> | --all\n\
      exit codes: 0 clean, 1 error, 2 usage, 3 violation detected"
 }
 
@@ -375,59 +388,16 @@ fn cmd_explain(args: &Args) -> Result<i32, Failure> {
             .ok_or("--scenario <name> or --all is required")?;
         vec![lookup(name)?]
     };
-
-    // One run per scenario through the deterministic pool: output bytes are
-    // identical at any --threads value.
-    let chains = ph_core::run_indexed(threads, selected.len(), |i| {
-        let scenario = selected[i];
-        let mut strategy = scenario.strategy(strategy_name, seed);
-        let (report, trace) = scenario.run_traced(seed, strategy.as_mut(), variant);
-        let chain = explain(&trace, &scenario.blame, &report.violations);
-        (report.failed(), chain)
-    });
-
-    let mut disagreements = 0usize;
-    for (scenario, (failed, chain)) in selected.iter().zip(&chains) {
-        let expected = scenario.pattern;
-        if args.has("json") {
-            println!("{}", chain.to_json());
-        } else {
-            print!("{}", chain.render());
-        }
-        if !*failed {
-            if variant == Variant::Buggy {
-                disagreements += 1;
-                if !args.has("json") {
-                    println!(
-                        "  DISAGREEMENT: statically predicted {expected} but the run produced \
-                         no violation to explain"
-                    );
-                }
-            }
-            continue;
-        }
-        if chain.class != expected {
-            disagreements += 1;
-            if !args.has("json") {
-                println!(
-                    "  DISAGREEMENT: dynamic class {} vs static witness class {expected}",
-                    chain.class
-                );
-            }
-        } else if !args.has("json") {
-            println!("  static cross-check: agrees ({expected})");
-        }
-        if !args.has("json") {
-            println!();
-        }
-    }
-    if disagreements > 0 {
-        if !args.has("json") {
-            println!("{disagreements} dynamic/static disagreement(s)");
-        }
-        return Ok(EXIT_VIOLATION);
-    }
-    Ok(0)
+    let (text, disagreements) = experiments::explain_chains(
+        &selected,
+        strategy_name,
+        variant,
+        seed,
+        threads,
+        args.has("json"),
+    );
+    print!("{text}");
+    Ok(if disagreements > 0 { EXIT_VIOLATION } else { 0 })
 }
 
 /// The observability dashboard: run every scenario (or one) once and
@@ -441,127 +411,18 @@ fn cmd_report(args: &Args) -> Result<i32, Failure> {
         Some(name) => vec![lookup(name)?],
         None => by_name(),
     };
-
-    // One job per scenario through the pool; results come back in
-    // scenario order, so the dashboard is identical at any thread count.
-    let reports = ph_core::run_indexed(threads, selected.len(), |i| {
-        let mut strategy = selected[i].strategy(strategy_name, seed);
-        selected[i].run(seed, strategy.as_mut(), variant)
-    });
-
-    println!("phtool report  (strategy {strategy_name}, variant {variant}, seed {seed})");
-    println!();
-    let wide = selected
-        .iter()
-        .map(|s| s.name.len())
-        .max()
-        .unwrap_or(8)
-        .max("scenario".len());
-    println!(
-        "{:<wide$}  {:>8}  {:>8}  {:>9}  {:>7}  {:>8}  {:>6}  {:>12}  {:>8}  {:>8}  {:>17}",
-        "scenario",
-        "verdict",
-        "events",
-        "sim-time",
-        "max-lag",
-        "mean-lag",
-        "gap%",
-        "p95-stale-ms",
-        "objects",
-        "peak-win",
-        "blame"
-    );
-    for r in &reports {
-        let gap = r
-            .divergence
-            .iter()
-            .map(|(_, v)| v.gap_fraction())
-            .fold(0.0f64, f64::max);
-        // Worst observed cache-read staleness (p95) across components.
-        let p95_stale_ns = r
-            .metrics
-            .iter()
-            .filter(|(_, name, _)| *name == "apiserver.read_staleness_ns")
-            .filter_map(|(c, n, _)| r.metrics.histogram(c, n))
-            .map(|h| h.quantile(0.95))
-            .max()
-            .unwrap_or(0);
-        // Scale telemetry (live objects / window high-water marks) only
-        // exists for runs with `api_scale_telemetry` on (e.g. `phtool
-        // scale`); the legacy scenarios keep their exports untouched.
-        let scale_gauge = |name: &str| {
-            r.metrics
-                .gauge_max(name)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".into())
-        };
-        println!(
-            "{:<wide$}  {:>8}  {:>8}  {:>8.2}s  {:>7}  {:>8.2}  {:>5.1}%  {:>12.1}  {:>8}  {:>8}  {:>17}",
-            r.scenario,
-            if r.failed() { "VIOLATED" } else { "clean" },
-            r.trace_events,
-            r.sim_time.0 as f64 / 1e9,
-            r.divergence.max_lag(),
-            r.divergence.mean_lag(),
-            gap * 100.0,
-            p95_stale_ns as f64 / 1e6,
-            scale_gauge("apiserver.objects"),
-            scale_gauge("apiserver.window_peak"),
-            match &r.blame {
-                Some(b) => b.class.as_str(),
-                None => "-",
-            },
-        );
-    }
-    for r in &reports {
-        if r.divergence.is_empty() {
-            continue;
-        }
-        println!("\n-- {} divergence --", r.scenario);
-        print!("{}", r.divergence.render());
-    }
-    let table = ph_scenarios::static_crosscheck();
-    println!("\n-- static witnesses (model checker, buggy variants) --");
-    for row in table
-        .rows
-        .iter()
-        .filter(|r| selected.iter().any(|s| s.name == r.scenario))
-    {
-        for w in &row.buggy_witnesses {
-            println!("{}  {}", row.scenario, w);
-        }
-    }
-    if reports.iter().any(|r| r.failed()) {
-        return Ok(EXIT_VIOLATION);
-    }
-    Ok(0)
+    let (text, violated) = experiments::report(&selected, strategy_name, variant, seed, threads);
+    print!("{text}");
+    Ok(if violated { EXIT_VIOLATION } else { 0 })
 }
 
 fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
-    let trials = args.get_u64("trials", 5)? as u32;
-    let base_seed = args.get_u64("seed", 1000)?;
-    let threads = args.threads()?;
     let explorer = Explorer {
-        max_trials: trials,
-        base_seed,
+        max_trials: args.get_positive("trials", 5)? as u32,
+        base_seed: args.get_u64("seed", 1000)?,
     };
-    let mut matrix = DetectionMatrix::new();
-    let mut hunt_report = HuntReport::new();
-    for scenario in by_name() {
-        for strategy_name in STRATEGIES {
-            let mut outcome = explorer.explore_parallel(
-                threads,
-                scenario.name,
-                &|seed, s| scenario.run(seed, s, Variant::Buggy),
-                &|seed| scenario.strategy(strategy_name, seed),
-            );
-            if *strategy_name == "guided" {
-                outcome.strategy = "guided".into();
-            }
-            hunt_report.push(ph_core::telemetry::StrategyStats::from_outcome(&outcome));
-            matrix.add(outcome);
-        }
-    }
+    let matrix = experiments::detection_matrix(&by_name(), STRATEGIES, explorer, args.threads()?);
+    let hunt_report = HuntReport::from_outcomes(matrix.cells());
     println!("{}", matrix.render());
     println!("-- hunt telemetry (per scenario × strategy cell) --");
     print!("{}", hunt_report.render());
@@ -576,53 +437,18 @@ fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
     Ok(0)
 }
 
-/// Witness-guided hunt: try the model checker's compiled witness priors
-/// first, then fall back to the unguided strategy cycle. Works for every
-/// scenario (no causal trace needed — the priors come from the IR).
-fn cmd_hunt_witnesses(args: &Args, scenario: &str) -> Result<i32, Failure> {
-    use ph_scenarios::witness_bridge;
-    let name = lookup(scenario)?.name;
-    let entry = ph_scenarios::scenario_statics()
-        .into_iter()
-        .find(|e| e.name == name)
-        .expect("every scenario has a static entry");
-    let budget = args.get_u64("budget", 30)? as usize;
-    let base_seed = args.get_u64("seed", 1)?;
-
-    let (priors, stats) = witness_bridge::witness_plan(&entry);
-    println!(
-        "witness-guided hunt for {} ({} prior(s) compiled from model-check witnesses)",
-        entry.name,
-        priors.len()
-    );
-    for (i, p) in priors.iter().enumerate() {
-        println!("  prior {}: {}", i + 1, p.name());
-    }
-    println!(
-        "canonical schedule dedup: distinct_classes={} deduped_trials={}",
-        stats.distinct_classes, stats.deduped_trials
-    );
-    match witness_bridge::first_detection_guided(&entry, budget, base_seed) {
-        Some(t) => {
-            println!("first detection at trial {t} of {budget} (priors lead the schedule)");
-            Ok(EXIT_VIOLATION)
-        }
-        None => {
-            println!("no detection within {budget} trials");
-            Ok(0)
-        }
-    }
-}
-
 fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
     let scenario = args.get("scenario").ok_or("--scenario is required")?;
-    if args.has("witnesses") {
-        return cmd_hunt_witnesses(args, scenario);
-    }
     let entry = lookup(scenario)?;
-    let labels = entry.blame.action_labels;
     let seed = args.get_u64("seed", 1)?;
-    let budget = args.get_u64("budget", 20)? as usize;
+    if args.has("witnesses") {
+        let budget = args.get_positive("budget", 30)? as usize;
+        let (text, found) = experiments::witness_hunt(entry, budget, seed);
+        print!("{text}");
+        return Ok(if found.is_some() { EXIT_VIOLATION } else { 0 });
+    }
+    let labels = entry.blame.action_labels;
+    let budget = args.get_positive("budget", 20)? as usize;
     let depth = args.get_u64("depth", 8)? as usize;
     let threads = args.threads()?;
 
@@ -715,19 +541,13 @@ fn workspace_root(args: &Args) -> Result<std::path::PathBuf, Failure> {
 /// `phtool scale` — run one mega-cluster scale point (the E10 workload):
 /// a synthetic demand curve churns 10k–100k pods through the sharded slab
 /// watch cache while watch consumers follow along. Output is fully
-/// deterministic (no wall-clock numbers — throughput lives in
-/// `cargo bench -p ph-bench --bench e10_scale`), so two invocations with
+/// deterministic (no wall-clock numbers — wall time and memory are
+/// `phbench`'s `scale-1k`/`scale-5k` workloads), so two invocations with
 /// the same flags are byte-identical, shard count included.
 fn cmd_scale(args: &Args) -> Result<i32, Failure> {
-    let nodes = args.get_u64("nodes", 100)? as usize;
-    let shards = args.get_u64("shards", 1)? as usize;
+    let nodes = args.get_positive("nodes", 100)? as usize;
+    let shards = args.get_positive("shards", 1)? as usize;
     let seed = args.get_u64("seed", 1)?;
-    if nodes == 0 {
-        return Err("--nodes must be at least 1".into());
-    }
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
     let mut params = ph_scenarios::mega_cluster::ScaleParams::for_nodes(nodes, shards);
     if let Some(pods) = args.get("pods") {
         params.pods = pods
@@ -1019,6 +839,31 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
         println!("\nverdict: clean");
         Ok(0)
     }
+}
+
+/// `phtool repro` — print one of the paper's experiments, or all of them
+/// in EXPERIMENTS.md order. `repro <id>` prints exactly what
+/// `tests/golden/repro/<id>.txt` pins.
+fn cmd_repro(args: &Args) -> Result<i32, Failure> {
+    let ids = || {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        ids.join(" ")
+    };
+    match (&args.operand, args.has("all")) {
+        (Some(id), false) => {
+            let experiment = experiments::find(id)
+                .ok_or_else(|| format!("unknown experiment {id:?} (try: {})", ids()))?;
+            print!("{}", (experiment.run)());
+        }
+        (None, true) => {
+            for e in EXPERIMENTS {
+                println!("### {} ({}) — {}\n", e.id, e.paper_ref, e.title);
+                println!("{}", (e.run)());
+            }
+        }
+        _ => return Err(format!("give one experiment id or --all (ids: {})", ids()).into()),
+    }
+    Ok(0)
 }
 
 fn main() {

@@ -73,10 +73,14 @@ struct LagProbe {
     /// Interned metric-name syms for the two per-view lag series.
     hist_sym: Sym,
     gauge_sym: Sym,
-    /// `PH_DIVERGENCE_FULL=1` routes sampling through the string-keyed
-    /// full diff (the reference `divergence_equivalence.rs` pins the
-    /// incremental path to).
-    full: bool,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Routes this thread's runners through the string-keyed full diff
+    /// ([`LagProbe::sample_full`]), the reference the incremental sampler
+    /// is tested against.
+    static FULL_DIFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The drive loop every trial shares: runs `world` up to absolute time
@@ -185,7 +189,6 @@ impl Runner {
             sampler: LagSampler::default(),
             hist_sym: metrics.sym("view_lag.revisions"),
             gauge_sym: metrics.sym("view_lag.last"),
-            full: std::env::var_os("PH_DIVERGENCE_FULL").is_some_and(|v| v != "0"),
         };
         Runner {
             world,
@@ -235,14 +238,14 @@ impl Runner {
     /// per view), so they surface in trace/metric exports too. Skipped while the store
     /// has no leader (the truth frontier is unknowable then).
     ///
-    /// The default path is incremental: per view it folds the lag into a
+    /// Sampling is incremental: per view it folds the lag into a
     /// pre-resolved [`ViewSlot`] and sym pair (O(1), no string hashing),
     /// observes the histogram, and rewrites the gauge only when the lag
     /// actually moved since the last quantum (gauges are last-value, so
     /// skipping unchanged writes is report-invisible). Cost per quantum is
     /// therefore O(views) with a constant far below the string-keyed full
-    /// diff, which `PH_DIVERGENCE_FULL=1` still selects as the reference
-    /// of the equivalence regression test.
+    /// diff, which survives as the test-only reference this path is
+    /// pinned to.
     pub fn sample_divergence(&mut self) {
         self.probe.sample(&mut self.world);
     }
@@ -309,7 +312,8 @@ impl LagProbe {
         else {
             return;
         };
-        if self.full {
+        #[cfg(test)]
+        if FULL_DIFF.get() {
             self.sample_full(world, truth);
             return;
         }
@@ -351,10 +355,10 @@ impl LagProbe {
     }
 
     /// The full-diff sampling path: the same walk, recorded through the
-    /// string-keyed APIs with every gauge rewritten. Kept (behind
-    /// `PH_DIVERGENCE_FULL=1`) as the reference the incremental path is
-    /// regression-tested against — both must produce identical divergence
-    /// summaries and metric reports.
+    /// string-keyed APIs with every gauge rewritten. Kept as the reference
+    /// the incremental path is regression-tested against — both must
+    /// produce identical divergence summaries and metric reports.
+    #[cfg(test)]
     fn sample_full(&mut self, world: &mut World, truth: Revision) {
         for &(id, frontier) in &self.views {
             let Some(rv) = frontier(world, id) else {
@@ -480,5 +484,56 @@ mod tests {
             .view("kubelet-node-2")
             .expect("sampled");
         assert_eq!(dead.samples, live.samples);
+    }
+
+    /// The incremental sampler and the full-diff reference must be
+    /// *report-identical* — not just statistically close — on every
+    /// scenario and variant: identical divergence summaries and identical
+    /// full report JSON, metrics included.
+    #[test]
+    fn incremental_sampling_matches_the_full_diff_everywhere() {
+        for scenario in crate::SCENARIOS {
+            for variant in [Variant::Buggy, Variant::Fixed] {
+                let run = |full: bool| {
+                    FULL_DIFF.set(full);
+                    let report = scenario.run(7, (scenario.guided)(7).as_mut(), variant);
+                    FULL_DIFF.set(false);
+                    report
+                };
+                let (fast, full) = (run(false), run(true));
+                let name = scenario.name;
+
+                // The headline statistics, named explicitly so a failure
+                // reads directly...
+                assert_eq!(
+                    fast.divergence.max_lag(),
+                    full.divergence.max_lag(),
+                    "{name} {variant}: max lag diverged"
+                );
+                assert_eq!(
+                    fast.divergence.mean_lag().to_bits(),
+                    full.divergence.mean_lag().to_bits(),
+                    "{name} {variant}: mean lag diverged"
+                );
+                let gaps = |r: &RunReport| -> Vec<(String, u64)> {
+                    r.divergence
+                        .iter()
+                        .map(|(n, v)| (n.to_string(), v.gap_fraction().to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    gaps(&fast),
+                    gaps(&full),
+                    "{name} {variant}: per-view gap fractions diverged"
+                );
+                // ...and the sledgehammer: the whole report, byte for byte
+                // (covers the histogram/gauge metrics both paths write).
+                assert_eq!(
+                    fast.to_json(),
+                    full.to_json(),
+                    "{name} {variant}: full report diverged"
+                );
+            }
+        }
     }
 }

@@ -52,7 +52,7 @@ pub static SCENARIO: Scenario = at_capacity::<CAPACITY_AMPLE>();
 
 /// The scenario with the feed's *static* capacity at `CAPACITY` bytes per
 /// second: the sweep axis of the E8 lag-vs-offered-load experiment
-/// (`cargo bench -p ph-bench --bench e8_congestion`) and, at
+/// (`phtool repro E8`) and, at
 /// [`CAPACITY_SCARCE`] under `NoFault`, the zero-perturbation emergence
 /// regression — staleness must appear past capacity and must not appear
 /// under it, with no strategy in play at all.

@@ -12,8 +12,8 @@
 //! CAS version is stale, the CAS fails, and the transition aborts. The
 //! **fixed** manager forces a sync (linearizable read) before every CAS —
 //! HBASE-3136's fix — which eliminates the aborts but pays a quorum
-//! round-trip per transition: the HBASE-3137 regression measured by the
-//! `e1_hbase_tradeoff` bench.
+//! round-trip per transition: the HBASE-3137 regression measured by
+//! experiment E1 (`phtool repro E1`).
 //!
 //! The guided staleness injection delays the Raft replication stream to the
 //! manager's follower by 90 ms (just under the election timeout, so

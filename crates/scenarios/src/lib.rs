@@ -20,14 +20,16 @@
 //! [`common`] holds the shared runner; [`strategies`] holds the
 //! payload-aware injectors scenarios tune (they extend the generic
 //! `ph-core` strategies with cluster-level knowledge); [`oracles`] holds
-//! the ground-truth safety/liveness checks.
+//! the ground-truth safety/liveness checks; [`experiments`] holds the
+//! paper's figures and tables as checked, deterministic text
+//! (`phtool repro`).
 //!
 //! A scenario is a value ([`Scenario`]): name, §4.2 class, blame spec,
 //! the stack it runs on, its seeding and timed workload script, its
 //! oracles, the tuned §7 injector and its witness realizations. One driver
 //! ([`Scenario::run_traced`]) runs all of them, and [`SCENARIOS`] is the
-//! one registry every tool, test and bench loops over — adding a scenario
-//! is one module plus one line of the `scenarios!` list below.
+//! one registry every tool, test and experiment loops over — adding a
+//! scenario is one module plus one line of the `scenarios!` list below.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +39,7 @@ pub mod cass_400;
 pub mod cass_402;
 pub mod common;
 pub mod congestion;
+pub mod experiments;
 pub mod hbase_3136;
 pub mod k8s_56261;
 pub mod k8s_59848;
@@ -304,6 +307,14 @@ scenarios! {
     hbase_3136,
     node_fencing,
     congestion,
+}
+
+/// Every scenario in name order — the order every listing and all-scenario
+/// table prints.
+pub fn by_name() -> Vec<&'static Scenario> {
+    let mut all = SCENARIOS.to_vec();
+    all.sort_by_key(|s| s.name);
+    all
 }
 
 /// Looks a scenario up by name, tolerant of `_`/`-` spelling

@@ -32,7 +32,7 @@ use ph_store::{Completion, StoreClient, StoreClientConfig};
 
 use crate::common::Runner;
 
-/// Scenario name used in reports and the E10 bench.
+/// Scenario name used in reports.
 pub const NAME: &str = "mega-cluster";
 
 /// One point of the scale family.
@@ -292,7 +292,7 @@ pub fn run(seed: u64, p: &ScaleParams) -> RunReport {
 }
 
 /// Like [`run`], but also hands back the shard-layout-dependent
-/// [`ScaleProbe`] the E10 bench reports per-object memory from.
+/// [`ScaleProbe`] `phtool scale` reports per-object memory from.
 pub fn run_probed(seed: u64, p: &ScaleParams) -> (RunReport, ScaleProbe) {
     run_with(seed, p, RETENTION)
 }

@@ -97,7 +97,7 @@ pub fn witness_strategies(entry: &StaticEntry) -> Vec<Box<dyn Strategy>> {
 
 /// Every witness realization with **no** canonical dedup — the trial list
 /// a hunt would burn without [`witness_plan`]'s class fingerprinting.
-/// Exists for the E9 bench and the equivalence tests; hunts should use
+/// Exists for experiment E9 and the equivalence tests; hunts should use
 /// [`witness_plan`].
 pub fn witness_realizations(entry: &StaticEntry) -> Vec<Box<dyn Strategy>> {
     scenario_prior_shapes(entry)

@@ -241,6 +241,15 @@ fn phtool_rejects_bad_command_lines_with_exit_2() {
         (&["scale", "--nodes"], "--nodes needs a value"),
         (&["scale", "--nodes", "many"], "--nodes wants a number"),
         (&["scale", "--nodes", "0"], "--nodes must be at least 1"),
+        (&["matrix", "--trials", "0"], "--trials must be at least 1"),
+        (
+            &["hunt", "--scenario", "k8s-56261", "--budget", "0"],
+            "--budget must be at least 1",
+        ),
+        (&["repro", "Z9"], "unknown experiment \"Z9\" (try: F1 F2"),
+        (&["repro"], "give one experiment id or --all"),
+        (&["repro", "F1", "--all"], "give one experiment id or --all"),
+        (&["repro", "F1", "F2"], "unexpected argument"),
         (&["scale", "100"], "unexpected argument"),
         (&["run", "--scenario", "no-such"], "unknown scenario"),
         (&["run"], "--scenario is required"),

@@ -11,8 +11,6 @@ use ph_core::harness::RunReport;
 use ph_core::perturb::Strategy;
 use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Scenario, Variant, SCENARIOS};
 
-type GuidedFn = fn(u64) -> Box<dyn Strategy>;
-
 fn run_once(scenario: &Scenario, seed: u64) -> RunReport {
     let mut strategy = (scenario.guided)(seed);
     scenario.run(seed, strategy.as_mut(), Variant::Buggy)
@@ -75,79 +73,27 @@ fn debug_fnv_digest(trace: &ph_sim::Trace) -> u64 {
 }
 
 /// The re-encoding of the digest changed every digest's value and must
-/// have changed nothing else: over a corpus of runs, the old definition
-/// and `Trace::digest()` must call exactly the same pairs of runs equal.
+/// have changed nothing else: the old definition and `Trace::digest()`
+/// must call exactly the same pairs of runs equal. A smoke of three guided
+/// runs per scenario — buggy at one seed, its replay (the deliberately
+/// equal pair), fixed at another seed; the migration itself was proven on
+/// a 468-run corpus when it was made, and the word layout is unit-tested
+/// beside the encoder.
 #[test]
 fn binary_digest_partitions_runs_exactly_like_the_debug_rendering_digest() {
-    use ph_core::perturb::{NoFault, RandomCrashes, TrafficSurge};
-    use ph_scenarios::strategies::{
-        Compose, EventSelector, HoldMatching, PartitionComponent, TargetRef,
-    };
-    use ph_sim::Duration;
-
-    const SEEDS: [u64; 3] = [3, 7, 1000];
-    // 0–3 are the matrix's generic axes; 4 and 5 are the two orders of the
-    // commuting hold/partition pair `canonical_equivalence.rs` composes —
-    // one canonical class, so one behaviour, so one digest.
-    let strategy = |which: usize, guided: GuidedFn, seed: u64| -> Box<dyn Strategy> {
-        let hold = || {
-            Box::new(HoldMatching::new(
-                TargetRef::Cache(0),
-                EventSelector::key("zzz-untouched-key"),
-                Duration::millis(100),
-                None,
-            )) as Box<dyn Strategy>
-        };
-        let cut = || {
-            Box::new(PartitionComponent::new(
-                0,
-                Duration::millis(200),
-                Duration::millis(450),
-            )) as Box<dyn Strategy>
-        };
-        match which {
-            0 => guided(seed),
-            1 => Box::new(NoFault),
-            2 => Box::new(RandomCrashes {
-                seed,
-                count: 3,
-                down: Duration::millis(300),
-            }),
-            3 => Box::new(TrafficSurge::new(
-                0,
-                2_000,
-                4,
-                Duration::millis(1100),
-                Some(Duration::millis(3600)),
-            )),
-            4 => Box::new(Compose::new("pair", vec![hold(), cut()])),
-            _ => Box::new(Compose::new("pair", vec![cut(), hold()])),
-        }
-    };
-
     let entries = scenario_statics();
     let mut jobs = Vec::new();
     for scenario in 0..entries.len() {
-        for variant in [Variant::Buggy, Variant::Fixed] {
-            for seed in SEEDS {
-                for which in 0..4 {
-                    // Each run twice: the replay is the equal pair.
-                    jobs.extend([(scenario, variant, which, seed); 2]);
-                }
-            }
-            jobs.push((scenario, variant, 4, SEEDS[0]));
-            jobs.push((scenario, variant, 5, SEEDS[0]));
-        }
+        jobs.extend([(scenario, Variant::Buggy, 3); 2]);
+        jobs.push((scenario, Variant::Fixed, 7));
     }
-    assert!(jobs.len() >= 400, "corpus shrank to {}", jobs.len());
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
     // (old digest, new digest) per run; traces are not `Send`, so both are
     // taken where the run happened.
     let digests: Vec<(u64, u64)> = ph_core::run_indexed(threads, jobs.len(), |i| {
-        let (scenario, variant, which, seed) = jobs[i];
+        let (scenario, variant, seed) = jobs[i];
         let e = &entries[scenario];
-        let mut s = strategy(which, e.guided, seed);
-        let (report, trace) = (e.run_traced)(seed, s.as_mut(), variant);
+        let (report, trace) = (e.run_traced)(seed, (e.guided)(seed).as_mut(), variant);
         assert_eq!(report.trace_digest, trace.digest());
         (debug_fnv_digest(&trace), trace.digest())
     });
@@ -175,10 +121,10 @@ fn binary_digest_partitions_runs_exactly_like_the_debug_rendering_digest() {
         }
     }
     for (e, (equal, unequal)) in entries.iter().zip(seen) {
-        // 24 replayed configurations and 2 commuting pairs each…
-        assert!(equal >= 26, "{}: only {equal} equal pairs", e.name);
-        // …while seeds, variants and strategies still tell runs apart.
-        assert!(unequal >= 100, "{}: only {unequal} unequal pairs", e.name);
+        // The replay…
+        assert!(equal >= 1, "{}: no equal pair", e.name);
+        // …while seed and variant still tell runs apart.
+        assert!(unequal >= 2, "{}: only {unequal} unequal pairs", e.name);
     }
 }
 

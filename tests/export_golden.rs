@@ -1,5 +1,7 @@
 //! Golden exports: the congestion run's queue physics, pinned byte for
-//! byte in both downstream formats.
+//! byte in both downstream formats, and every paper experiment's table
+//! (`phtool repro`), pinned under `tests/golden/repro/` and compared with
+//! what EXPERIMENTS.md quotes.
 //!
 //! The emergent congestion run (static scarce capacity, zero
 //! perturbations) is fully deterministic, so its exports are too. Two
@@ -20,6 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use ph_core::perturb::NoFault;
+use ph_scenarios::experiments::{find, EXPERIMENTS};
 use ph_scenarios::{congestion, Variant};
 use ph_sim::{trace_to_chrome, DropReason, TraceEventKind};
 
@@ -32,7 +35,7 @@ fn golden_dir() -> PathBuf {
 fn check(name: &str, got: &str) {
     let path = golden_dir().join(name);
     if std::env::var_os("PH_EXPORT_BLESS").is_some() {
-        fs::create_dir_all(golden_dir()).unwrap();
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, got).unwrap();
     } else {
         let want = fs::read_to_string(&path)
@@ -92,4 +95,84 @@ fn congestion_queue_exports_are_pinned() {
         "text exposition must agree with the programmatic counter"
     );
     check("congestion_metrics.prom", &prom);
+}
+
+/// Every experiment's table, pinned: a change that moves a paper number
+/// has to re-bless its golden, so a reviewer sees it.
+#[test]
+fn repro_outputs_are_pinned() {
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
+    let outputs = ph_core::run_indexed(threads, EXPERIMENTS.len(), |i| (EXPERIMENTS[i].run)());
+    for (experiment, got) in EXPERIMENTS.iter().zip(&outputs) {
+        check(&format!("repro/{}.txt", experiment.id), got);
+    }
+}
+
+fn experiments_md() -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    fs::read_to_string(path).expect("reading EXPERIMENTS.md")
+}
+
+/// EXPERIMENTS.md quotes tables only between a `<!-- repro:ID -->` line and
+/// a `<!-- /repro -->` line, as a fenced block holding the golden verbatim — or,
+/// when the block's last line is `…`, a whole-line prefix of it.
+#[test]
+fn experiments_md_quotes_the_goldens() {
+    let doc = experiments_md();
+    let mut quoted = Vec::new();
+    for section in doc.split("\n<!-- repro:").skip(1) {
+        let (id, rest) = section.split_once(" -->\n").expect("marker ends in -->");
+        let (block, _) = rest
+            .split_once("<!-- /repro -->")
+            .unwrap_or_else(|| panic!("repro:{id} is never closed"));
+        let body = block
+            .strip_prefix("```text\n")
+            .and_then(|b| b.strip_suffix("```\n"))
+            .unwrap_or_else(|| panic!("repro:{id} must hold one ```text fenced block"));
+        let golden = fs::read_to_string(golden_dir().join(format!("repro/{id}.txt")))
+            .unwrap_or_else(|e| panic!("reading the {id} golden: {e}"));
+        match body.strip_suffix("…\n") {
+            Some(head) => assert!(
+                head.ends_with('\n') && golden.starts_with(head),
+                "repro:{id} is not a prefix of tests/golden/repro/{id}.txt"
+            ),
+            None => assert_eq!(
+                body, golden,
+                "repro:{id} differs from tests/golden/repro/{id}.txt"
+            ),
+        }
+        quoted.push(id);
+    }
+    let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    assert_eq!(quoted, all, "every experiment is quoted once, in order");
+}
+
+/// Every experiment id the "paper claim → status" table cites is a
+/// registered one (so its shape assertions ran in `repro_outputs_are_pinned`).
+#[test]
+fn claim_status_table_cites_registered_experiments() {
+    let doc = experiments_md();
+    let (_, table) = doc
+        .split_once("## Summary: paper claim → status")
+        .expect("the claim → status section");
+    let mut cited = 0;
+    for row in table.lines().filter(|l| l.starts_with('|')) {
+        // An id is a capital letter and digits, optionally a figure's
+        // sub-panel letter: F1, T2, E10, F3b.
+        for word in row.split(|c: char| !c.is_ascii_alphanumeric()) {
+            let mut chars = word.chars();
+            let is_id = matches!(chars.next(), Some('A' | 'E' | 'F' | 'T'))
+                && matches!(chars.next(), Some(c) if c.is_ascii_digit());
+            if !is_id {
+                continue;
+            }
+            let id = word.trim_end_matches(|c: char| c.is_ascii_lowercase());
+            assert!(find(id).is_some(), "status table cites {word}: {row}");
+            cited += 1;
+        }
+    }
+    assert!(
+        cited >= 10,
+        "only {cited} experiment ids found in the table"
+    );
 }
