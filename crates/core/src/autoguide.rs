@@ -26,85 +26,26 @@
 use std::collections::BTreeSet;
 
 use ph_lint::modelcheck::{Letter, Witness};
-use ph_sim::{ActorId, Duration, Envelope, SimTime, Trace, TraceEventKind, Verdict, World};
+use ph_sim::{ActorId, Duration, Trace, TraceEventKind, Verdict};
 
+use crate::canon::{dedup_by_class, ClassCensus};
 use crate::causality::CausalGraph;
-use crate::perturb::{Strategy, Targets};
+use crate::perturb::{Op, Rule, Schedule, Strategy, TargetRef, Targets};
 
-/// The abstract *shape* of perturbation a model-checker witness letter
-/// calls for, stripped of scenario specifics. The witness→strategy bridge
-/// (in ph-scenarios) maps each shape onto concrete, scenario-anchored
-/// [`Strategy`] instances; everything here is scenario-independent so the
-/// compilation is reusable and testable without a cluster.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PriorShape {
-    /// Hold or delay a cache's view of `resource` past a write.
-    DelayCache {
-        /// The stale-able resource, e.g. `pods`.
-        resource: String,
-    },
-    /// Reorder a view update against the consuming decision — a shorter
-    /// hold placed right at a decision boundary.
-    ReorderUpdateConsume {
-        /// The raced resource.
-        resource: String,
-    },
-    /// Drop or black out notifications carrying `resource` updates.
-    DropNotification {
-        /// The silenced resource.
-        resource: String,
-    },
-    /// Land the component on a different (lagging) upstream.
-    UpstreamSwitch,
-    /// Crash the component so it restarts against a stale upstream and
-    /// replays its view from there.
-    CrashRestartReplay,
-    /// Saturate the links feeding `resource`'s view with offered load so
-    /// queueing delay and tail drops age it — no fault injection at all.
-    TrafficSurge {
-        /// The congestible resource.
-        resource: String,
-    },
-}
-
-impl PriorShape {
-    /// Compiles one abstract letter to its shape.
-    pub fn from_letter(letter: &Letter) -> PriorShape {
-        match letter {
-            Letter::DelayCache(r) => PriorShape::DelayCache {
-                resource: r.clone(),
-            },
-            Letter::ReorderUpdateConsume(r) => PriorShape::ReorderUpdateConsume {
-                resource: r.clone(),
-            },
-            Letter::DropNotification(r) => PriorShape::DropNotification {
-                resource: r.clone(),
-            },
-            Letter::UpstreamSwitch => PriorShape::UpstreamSwitch,
-            Letter::CrashRestartReplay => PriorShape::CrashRestartReplay,
-            Letter::TrafficSurge(r) => PriorShape::TrafficSurge {
-                resource: r.clone(),
-            },
-        }
-    }
-}
-
-/// Compiles minimal witnesses into an ordered, deduplicated list of prior
-/// shapes: witnesses are already minimal and canonically ordered, so the
-/// first shapes are the ones the model checker considers shortest paths to
-/// a hazard — guided search tries them first.
-pub fn witness_priors(witnesses: &[&Witness]) -> Vec<PriorShape> {
+/// Compiles minimal witnesses into an ordered, deduplicated list of the
+/// letters they call for: witnesses are already minimal and canonically
+/// ordered, so the first letters are the ones the model checker considers
+/// shortest paths to a hazard — guided search tries them first. The
+/// witness→strategy bridge (in ph-scenarios) maps each letter onto concrete,
+/// scenario-anchored [`Schedule`]s.
+pub fn witness_priors(witnesses: &[&Witness]) -> Vec<Letter> {
     let mut seen = BTreeSet::new();
-    let mut out = Vec::new();
-    for w in witnesses {
-        for letter in &w.schedule {
-            let shape = PriorShape::from_letter(letter);
-            if seen.insert(shape.clone()) {
-                out.push(shape);
-            }
-        }
-    }
-    out
+    witnesses
+        .iter()
+        .flat_map(|w| &w.schedule)
+        .filter(|letter| seen.insert(*letter))
+        .cloned()
+        .collect()
 }
 
 /// A concrete, replayable perturbation derived from a reference trace.
@@ -138,26 +79,30 @@ pub enum Candidate {
 }
 
 impl Candidate {
-    /// The candidate's planned schedule for canonical-class
-    /// fingerprinting ([`crate::canon::plan_class`]): one op whose anchor
-    /// carries every behavioral parameter, so equal classes mean
-    /// behaviorally identical candidates.
-    pub fn planned_ops(&self) -> Vec<crate::canon::PlannedOp> {
-        match self {
-            Candidate::DropNth { dst, n, burst } => vec![crate::canon::PlannedOp::new(
-                Letter::DropNotification(format!("component:{dst}")),
-                format!("#{n}+{burst}"),
-            )],
+    /// The candidate as an executable [`Schedule`], named `auto[…]`. A drop
+    /// counts ordinals from the start of the run, as the reference trace
+    /// numbered them; a crash happens in the tick that sees the decision.
+    pub fn schedule(&self) -> Schedule {
+        let op = match *self {
+            Candidate::DropNth { dst, n, burst } => Op::Intercept(Rule {
+                nth: Some((n, burst)),
+                ..Rule::new(TargetRef::Actor(dst), Verdict::Drop)
+            }),
             Candidate::CrashAfterDecision {
                 actor,
-                label,
+                ref label,
                 n,
                 down_ms,
-            } => vec![crate::canon::PlannedOp::new(
-                Letter::CrashRestartReplay,
-                format!("component:{actor}@{label}#{n}+{down_ms}ms"),
-            )],
-        }
+            } => Op::CrashOn {
+                label: label.clone(),
+                actor: Some(actor),
+                nth: n,
+                max: 1,
+                delay: None,
+                down: Duration::millis(down_ms),
+            },
+        };
+        Schedule::new(format!("auto[{self}]"), vec![op])
     }
 }
 
@@ -272,110 +217,6 @@ pub fn candidates(
     out
 }
 
-/// Executes one [`Candidate`] as a perturbation strategy.
-#[derive(Debug, Clone)]
-pub struct CandidateStrategy {
-    /// The candidate being exercised.
-    pub candidate: Candidate,
-    cursor: usize,
-    fired: bool,
-}
-
-impl CandidateStrategy {
-    /// Wraps a candidate.
-    pub fn new(candidate: Candidate) -> CandidateStrategy {
-        CandidateStrategy {
-            candidate,
-            cursor: 0,
-            fired: false,
-        }
-    }
-}
-
-impl Strategy for CandidateStrategy {
-    fn name(&self) -> String {
-        format!("auto[{}]", self.candidate)
-    }
-
-    fn planned_schedule(&self) -> Option<Vec<crate::canon::PlannedOp>> {
-        Some(self.candidate.planned_ops())
-    }
-
-    fn setup(&mut self, world: &mut World, targets: &Targets) {
-        if let Candidate::DropNth { dst, n, burst } = self.candidate {
-            let kinds = targets.notify_kinds.clone();
-            // Ordinals are counted from the start of the run (that is how
-            // the reference trace numbered them), but the interceptor only
-            // sees sends from now on — pre-load the counter with matching
-            // sends that already happened (workload seeding precedes
-            // strategy setup).
-            let mut count = world
-                .trace()
-                .iter()
-                .filter(|e| {
-                    matches!(&e.kind, TraceEventKind::MessageSent { dst: d, kind, .. }
-                        if *d == dst && kinds.iter().any(|k| k == kind))
-                })
-                .count() as u64;
-            world.set_interceptor(move |env: &Envelope, _now: SimTime| {
-                if env.dst == dst && kinds.iter().any(|k| k == env.kind_short()) {
-                    let mine = count;
-                    count += 1;
-                    if mine >= n && mine - n < burst {
-                        return Verdict::Drop;
-                    }
-                }
-                Verdict::Pass
-            });
-        }
-    }
-
-    fn tick(&mut self, world: &mut World, _targets: &Targets) {
-        let Candidate::CrashAfterDecision {
-            actor,
-            ref label,
-            n,
-            down_ms,
-        } = self.candidate
-        else {
-            return;
-        };
-        if self.fired {
-            return;
-        }
-        let mut occurrence = 0u64;
-        let mut hit = false;
-        {
-            let events = world.trace().events();
-            // Count occurrences from the start (cheap enough at scenario
-            // scale, and immune to cursor drift across restarts).
-            let _ = self.cursor;
-            for e in events {
-                if let TraceEventKind::Annotation {
-                    actor: a, label: l, ..
-                } = &e.kind
-                {
-                    if *a == actor && l == label {
-                        if occurrence == n {
-                            hit = true;
-                            break;
-                        }
-                        occurrence += 1;
-                    }
-                }
-            }
-        }
-        if hit {
-            self.fired = true;
-            let now = world.now();
-            if !world.is_crashed(actor) {
-                world.crash(actor);
-            }
-            world.schedule_restart(actor, now + Duration::millis(down_ms));
-        }
-    }
-}
-
 /// The result of exploring one candidate.
 #[derive(Debug, Clone)]
 pub struct AutoFinding {
@@ -404,38 +245,6 @@ impl AutoFinding {
     }
 }
 
-/// Canonical-class census of one autoguide run's candidate batch: how
-/// many distinct [`crate::canon::plan_class`] fingerprints the derived
-/// candidates span, and how many candidates were skipped as duplicates of
-/// an already-kept class before spending any run budget on them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClassCensus {
-    /// Distinct canonical schedule classes among the derived candidates.
-    pub distinct_classes: u32,
-    /// Candidates skipped as canonical duplicates of an earlier class.
-    pub deduped_trials: u32,
-}
-
-/// Keeps one representative candidate per canonical schedule class, in
-/// first-seen order, and counts what was collapsed.
-fn dedup_by_class(all: Vec<Candidate>) -> (Vec<Candidate>, ClassCensus) {
-    let mut census = ClassCensus::default();
-    let mut seen = BTreeSet::new();
-    let kept = all
-        .into_iter()
-        .filter(|c| {
-            if seen.insert(crate::canon::plan_class(&c.planned_ops())) {
-                census.distinct_classes += 1;
-                true
-            } else {
-                census.deduped_trials += 1;
-                false
-            }
-        })
-        .collect();
-    (kept, census)
-}
-
 /// Runs the full §7 loop: reference run → candidates → canonical-class
 /// dedup → one run per surviving candidate (up to `budget`), collecting
 /// what each found.
@@ -454,15 +263,14 @@ pub fn explore<R>(
 where
     R: Fn(&mut dyn Strategy) -> (Vec<String>, Trace),
 {
-    let mut nofault = crate::perturb::NoFault;
-    let (_, reference) = run(&mut nofault);
+    let (_, reference) = run(&mut crate::perturb::NoFault);
     let targets = targets_of(&reference);
     let all = candidates(&reference, &targets, decision_labels, depth, 300);
     let total = all.len();
-    let (unique, census) = dedup_by_class(all);
+    let (unique, census) = dedup_by_class(all, |c| c.schedule().planned_schedule());
     let mut findings = Vec::new();
     for candidate in unique.into_iter().take(budget) {
-        let mut strategy = CandidateStrategy::new(candidate.clone());
+        let mut strategy = candidate.schedule();
         let (violations, trace) = run(&mut strategy);
         findings.push(AutoFinding::from_run(candidate, violations, &trace));
     }
@@ -486,16 +294,15 @@ pub fn explore_parallel<R>(
 where
     R: Fn(&mut dyn Strategy) -> (Vec<String>, Trace) + Sync,
 {
-    let mut nofault = crate::perturb::NoFault;
-    let (_, reference) = run(&mut nofault);
+    let (_, reference) = run(&mut crate::perturb::NoFault);
     let targets = targets_of(&reference);
     let all = candidates(&reference, &targets, decision_labels, depth, 300);
     let total = all.len();
-    let (unique, census) = dedup_by_class(all);
+    let (unique, census) = dedup_by_class(all, |c| c.schedule().planned_schedule());
     let tried: Vec<Candidate> = unique.into_iter().take(budget).collect();
     let findings = crate::parallel::run_indexed(threads, tried.len(), |i| {
         let candidate = tried[i].clone();
-        let mut strategy = CandidateStrategy::new(candidate.clone());
+        let mut strategy = candidate.schedule();
         let (violations, trace) = run(&mut strategy);
         AutoFinding::from_run(candidate, violations, &trace)
     });
@@ -505,7 +312,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ph_sim::{Actor, AnyMsg, Ctx, TimerId, WorldConfig};
+    use ph_sim::{Actor, AnyMsg, Ctx, TimerId, World, WorldConfig};
 
     /// Feeder sends View(i) every 10ms; Decider annotates "acted" upon
     /// receiving View(3).
@@ -578,13 +385,9 @@ mod tests {
         assert_eq!(
             priors,
             vec![
-                PriorShape::DelayCache {
-                    resource: "pods".into()
-                },
-                PriorShape::UpstreamSwitch,
-                PriorShape::DropNotification {
-                    resource: "leases".into()
-                },
+                Letter::DelayCache("pods".into()),
+                Letter::UpstreamSwitch,
+                Letter::DropNotification("leases".into()),
             ]
         );
     }
@@ -630,7 +433,7 @@ mod tests {
 
         // Re-run with the candidate applied: the decision must vanish.
         let (mut w2, targets2, _) = build();
-        let mut strategy = CandidateStrategy::new(drop);
+        let mut strategy = drop.schedule();
         strategy.setup(&mut w2, &targets2);
         w2.run_for(Duration::millis(100));
         assert_eq!(w2.trace().annotations("acted").count(), 0);
@@ -639,12 +442,13 @@ mod tests {
     #[test]
     fn crash_candidate_fires_once_after_the_decision() {
         let (mut w, targets, d) = build();
-        let mut strategy = CandidateStrategy::new(Candidate::CrashAfterDecision {
+        let mut strategy = Candidate::CrashAfterDecision {
             actor: d,
             label: "acted".into(),
             n: 0,
             down_ms: 20,
-        });
+        }
+        .schedule();
         strategy.setup(&mut w, &targets);
         for _ in 0..20 {
             w.run_for(Duration::millis(10));
@@ -710,15 +514,15 @@ mod tests {
             n: 0,
             down_ms: 300,
         };
-        let class = |c: &Candidate| crate::canon::plan_class(&c.planned_ops());
+        let class =
+            |c: &Candidate| crate::canon::plan_class(&c.schedule().planned_schedule().unwrap());
         assert_eq!(class(&drop_a), class(&drop_a.clone()));
         assert_ne!(class(&drop_a), class(&drop_b), "burst is behavioral");
         assert_ne!(class(&drop_a), class(&crash));
-        assert_eq!(
-            CandidateStrategy::new(crash.clone()).planned_schedule(),
-            Some(crash.planned_ops())
-        );
-        let (kept, census) = dedup_by_class(vec![drop_a.clone(), drop_b, drop_a.clone(), crash]);
+        let (kept, census) =
+            dedup_by_class(vec![drop_a.clone(), drop_b, drop_a.clone(), crash], |c| {
+                c.schedule().planned_schedule()
+            });
         assert_eq!(kept.len(), 3);
         assert_eq!(census.distinct_classes, 3);
         assert_eq!(census.deduped_trials, 1);

@@ -16,8 +16,8 @@
 //! The explorer and the witness bridge fingerprint each trial's
 //! [`PlannedOp`] schedule via [`plan_class`] and skip duplicates of an
 //! already-run canonical form, spending the freed budget on novel
-//! classes. Anchors carry every behavioral parameter (target cache,
-//! injection times, payload selectors), so equal fingerprints mean
+//! classes. A planned op's anchor is derived from the whole op
+//! ([`crate::perturb::Op::planned`]), so equal fingerprints mean
 //! *behaviorally identical* strategies — the dedup is provably
 //! verdict-preserving, which the canonical-equivalence property tests pin
 //! end to end.
@@ -138,6 +138,37 @@ pub fn plan_matrix(ops: &[PlannedOp]) -> IndependenceMatrix {
 /// does.
 pub fn plan_class(ops: &[PlannedOp]) -> u64 {
     fingerprint(&canonicalize_ops(ops, &plan_matrix(ops)))
+}
+
+/// What a canonical dedup collapsed: how many distinct [`plan_class`]
+/// fingerprints a batch of planned trials spans, and how many of them were
+/// skipped as duplicates of an already-kept class — run budget not spent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClassCensus {
+    /// Distinct canonical schedule classes among the kept items.
+    pub distinct_classes: u32,
+    /// Items skipped as canonical duplicates of an earlier class.
+    pub deduped_trials: u32,
+}
+
+/// Keeps one representative per canonical schedule class, in first-seen
+/// order, and counts what was collapsed. An item with no plan (`None`) is
+/// its own class: it is never deduplicated.
+pub fn dedup_by_class<T>(
+    items: Vec<T>,
+    plan: impl Fn(&T) -> Option<Vec<PlannedOp>>,
+) -> (Vec<T>, ClassCensus) {
+    let derived = items.len();
+    let mut seen = std::collections::BTreeSet::new();
+    let kept: Vec<T> = items
+        .into_iter()
+        .filter(|item| plan(item).map_or(true, |ops| seen.insert(plan_class(&ops))))
+        .collect();
+    let census = ClassCensus {
+        distinct_classes: kept.len() as u32,
+        deduped_trials: (derived - kept.len()) as u32,
+    };
+    (kept, census)
 }
 
 #[cfg(test)]

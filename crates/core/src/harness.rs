@@ -9,6 +9,7 @@
 //! paper's §7 claims ("our tool has reproduced two known bugs … and
 //! detected three new bugs") plus the §5/§6.1 guided-vs-random comparison.
 
+use ph_lint::findings::esc;
 use ph_sim::{MetricsReport, SimTime, Trace};
 
 use crate::divergence::DivergenceSummary;
@@ -60,21 +61,6 @@ impl RunReport {
     /// Renders the full report as deterministic JSON (key order fixed, no
     /// wall-clock anywhere) — the `phtool run --json` payload.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let violations: Vec<String> = self
             .violations
             .iter()

@@ -23,13 +23,13 @@
 //! * [`autoguide`] — the §7 automation loop: derive replayable
 //!   perturbation candidates from a reference trace's causality and run
 //!   them, no hand-tuning required;
-//! * [`perturb`] — the §7 testing tool's perturbation strategies:
-//!   staleness injection (delay cache updates), time-travel injection
-//!   (crash, restart against a stale upstream, replay held events),
-//!   observability-gap injection (drop notifications), plus the baseline
-//!   fault injectors the paper compares against in §5/§6.1 (uniform random
-//!   crashes, CrashTuner-style crash-after-view-update, CoFI-style
-//!   partitions);
+//! * [`perturb`] — the §7 testing tool: a planned perturbation is a
+//!   [`Schedule`] of plain-data [`Op`]s run by one interpreter — staleness
+//!   (delay or hold cache updates), time travel (crash, restart against a
+//!   stale upstream, replay held events), observability gaps (drop
+//!   notifications, partitions) — plus the baseline fault injectors the
+//!   paper compares against in §5/§6.1 (uniform random crashes,
+//!   CrashTuner-style crash-after-view-update, CoFI-style partitions);
 //! * [`oracle`] — test oracles over simulation traces and world state,
 //!   with violation reports carrying the evidence;
 //! * [`harness`] — the explorer: run a scenario under a strategy across
@@ -88,10 +88,8 @@ pub mod perturb;
 pub mod provenance;
 pub mod telemetry;
 
-pub use autoguide::{
-    candidates, explore, explore_parallel, AutoFinding, Candidate, CandidateStrategy, ClassCensus,
-};
-pub use canon::{canonicalize, canonicalize_ops, plan_class, PlannedOp};
+pub use autoguide::{candidates, explore, explore_parallel, AutoFinding, Candidate};
+pub use canon::{canonicalize, canonicalize_ops, plan_class, ClassCensus, PlannedOp};
 pub use causality::CausalGraph;
 pub use divergence::{DivergenceSummary, LagSampler, ViewLag, ViewSlot};
 pub use epoch::{EpochBuffer, EpochPartition};
@@ -101,8 +99,8 @@ pub use observe::{observability_report, ObservabilityReport};
 pub use oracle::{FnOracle, Oracle, UniqueExecutionOracle, Violation};
 pub use parallel::{default_threads, derive_trial_seed, run_indexed};
 pub use perturb::{
-    CoFiPartitions, CrashTunerCrashes, NoFault, NotificationDropper, RandomCrashes,
-    StalenessInjector, Strategy, Targets, TimeTravelInjector,
+    CoFiPartitions, CrashTunerCrashes, NoFault, Op, RandomCrashes, Rule, Schedule, Strategy,
+    TargetRef, Targets,
 };
 pub use provenance::{explain, BlameChain, BlameLink, BlameSpec, BlameSummary};
 pub use telemetry::{print_prometheus, HuntReport, StrategyStats};

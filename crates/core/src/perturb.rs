@@ -1,37 +1,37 @@
 //! Perturbation strategies — the §7 testing tool.
 //!
-//! Each [`Strategy`] regulates how a component's view `(H′, S′)` advances
-//! relative to `(H, S)` by manipulating the messages and processes of a
-//! running [`ph_sim::World`]:
+//! The paper's tool has three moves, each regulating how a component's view
+//! `(H′, S′)` advances relative to `(H, S)`: delay `H′` against `H`, crash a
+//! component and re-synchronize it against a stale `H′`, drop notifications.
+//! Here a planned perturbation is **data** — a [`Schedule`] of [`Op`]s
+//! (intercept rule, timed crash, annotation-triggered crash, partition
+//! window; DESIGN.md §3.4 tabulates op → letter → scenarios) — and one
+//! interpreter, `impl Strategy for Schedule`, executes it. A schedule's
+//! canonical-dedup plan ([`Strategy::planned_schedule`]) is computed from
+//! the ops themselves ([`Op::planned`]), never written beside them.
+//! [`Schedule::staleness`] and [`Schedule::time_travel`] build the
+//! kind-matching injectors; `ph-scenarios` adds payload-aware ones through
+//! [`Matcher`].
 //!
-//! * [`StalenessInjector`] — delays view-update notifications to a target
-//!   cache ("creates staleness in H′ by delaying updates to H′ against H");
-//! * [`TimeTravelInjector`] — freezes one upstream's feed, crashes the
-//!   victim and restarts it so it re-synchronizes against the now-stale
-//!   upstream ("injects node crashes and forces the restarted component to
-//!   synchronize with a stale H′ and receive replayed events");
-//! * [`NotificationDropper`] — silently drops selected notifications,
-//!   creating interior gaps in H′ ("we force the component to miss
-//!   important events in its view H′ by dropping event notifications");
+//! Not schedules: [`TrafficSurge`] (reconfigures links instead of injecting
+//! faults), the control [`NoFault`], and the baselines the paper positions
+//! itself against (§5, §6.1), whose RNG draws are interleaved with the run —
+//! [`RandomCrashes`], [`CrashTunerCrashes`] (crash a node right after it
+//! updates its view) and [`CoFiPartitions`] (partition a component from its
+//! upstream around view updates).
 //!
-//! plus the baselines the paper positions itself against (§5, §6.1):
-//!
-//! * [`RandomCrashes`] — uniformly random crash/restart injection;
-//! * [`CrashTunerCrashes`] — the CrashTuner heuristic: crash a node right
-//!   after it updates its view of the cluster state;
-//! * [`CoFiPartitions`] — the CoFI heuristic: partition a component from
-//!   its upstream around view updates;
-//! * [`NoFault`] — the control.
-//!
-//! Scenarios hand strategies a [`Targets`] map describing which actors hold
-//! caches, which are crash-eligible components, and which message kinds
-//! carry view updates. Strategies refer to targets by index so they can be
-//! constructed before the world exists (the harness builds them per trial).
+//! Scenarios hand strategies a [`Targets`] map: which actors hold caches,
+//! which are crash-eligible components, which message kinds carry view
+//! updates. Ops name targets by index ([`TargetRef`]) so they can be built
+//! before the world exists (the harness builds them per trial).
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::canon::PlannedOp;
 use ph_lint::modelcheck::Letter;
 use ph_sim::{
-    ActorId, Duration, Envelope, Partition, SimRng, SimTime, TraceEventKind, Verdict, World,
+    ActorId, Duration, Envelope, MsgId, Partition, SimRng, SimTime, TraceEventKind, Verdict, World,
 };
 
 /// The scenario-provided map of interesting actors and message kinds.
@@ -53,14 +53,6 @@ pub struct Targets {
     pub horizon: Duration,
 }
 
-impl Targets {
-    /// `true` if the envelope carries a view update.
-    pub fn is_notify(&self, env: &Envelope) -> bool {
-        let k = env.kind_short();
-        self.notify_kinds.iter().any(|n| n == k)
-    }
-}
-
 /// A perturbation strategy's lifecycle.
 ///
 /// The embedding contract (scenarios uphold it):
@@ -74,12 +66,11 @@ pub trait Strategy {
 
     /// The injections this strategy will perform, as abstract alphabet
     /// letters with behavioral anchors — the input to canonical-schedule
-    /// deduplication ([`crate::canon`]). The contract: every parameter
-    /// that can change the strategy's effect on a run must appear in a
-    /// letter or an anchor, so two strategies with equal planned
-    /// schedules are behaviorally identical. Strategies whose injections
-    /// depend on the trace or on a per-trial RNG (the random baselines)
-    /// return `None` and are never deduplicated.
+    /// deduplication ([`crate::canon`]). Two strategies with equal planned
+    /// schedules must be behaviorally identical; a [`Schedule`] guarantees
+    /// it by deriving the plan from its ops. Strategies whose injections
+    /// depend on a per-trial RNG (the random baselines) return `None` and
+    /// are never deduplicated.
     fn planned_schedule(&self) -> Option<Vec<PlannedOp>> {
         None
     }
@@ -119,198 +110,395 @@ impl Strategy for NoFault {
 }
 
 // ---------------------------------------------------------------------
-// Guided strategies (the paper's tool)
+// Planned perturbations (the paper's tool): a schedule of ops
 // ---------------------------------------------------------------------
 
-/// Delays view-update notifications to one cache, creating staleness
-/// (§4.2.1, Figure 3a).
+/// How an op names an actor before the world exists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetRef {
+    /// Index into [`Targets::caches`] (the apiservers).
+    Cache(usize),
+    /// Index into [`Targets::components`].
+    Component(usize),
+    /// A concrete actor id (when the caller resolved it already).
+    Actor(ActorId),
+}
+
+impl TargetRef {
+    /// The view this target stands for in a [`Letter`] (as [`TrafficSurge`]
+    /// spells it too, so a hold and a surge on one cache are one view).
+    fn token(self) -> String {
+        match self {
+            TargetRef::Cache(i) => format!("cache:{i}"),
+            TargetRef::Component(i) => format!("component:{i}"),
+            TargetRef::Actor(a) => format!("actor:{a}"),
+        }
+    }
+
+    /// Resolves against the target map; panics on an out-of-range index.
+    pub fn resolve(self, targets: &Targets) -> ActorId {
+        match self {
+            TargetRef::Cache(i) => targets.caches[i],
+            TargetRef::Component(i) => targets.components[i],
+            TargetRef::Actor(a) => a,
+        }
+    }
+}
+
+/// A payload predicate a higher layer plugs into a [`Rule`] — how
+/// `ph-scenarios` matches on cluster objects without this crate knowing
+/// them. Its `Debug` rendering is part of the op's anchor ([`Op::planned`]),
+/// so derive it: every field that changes what matches must show.
+pub trait Matcher: std::fmt::Debug {
+    /// `true` if the rule applies to this message.
+    fn matches(&self, env: &Envelope) -> bool;
+}
+
+/// One intercept rule: destination × matcher × time/ordinal window →
+/// verdict. The installed interceptor evaluates a schedule's rules in op
+/// order; the first that applies rules on the message and later ones never
+/// see it.
 ///
-/// Delays preserve per-link FIFO ordering (the notification stream models
-/// a TCP connection), so every later message on the same link queues
-/// behind a delayed one. Use bounded delays for lag; for an indefinite
-/// freeze use [`TimeTravelInjector`]'s hold phase (or a `Hold`-verdict
-/// interceptor), which parks messages outside the link entirely and
-/// replays them on release.
+/// `Delay` preserves per-link FIFO ordering (the notification stream models
+/// a TCP connection), so every later message on the same link queues behind
+/// a delayed one. Use bounded delays for lag; for an indefinite freeze use
+/// `Hold`, which parks messages outside the link and replays them on release.
 #[derive(Debug, Clone)]
-pub struct StalenessInjector {
-    /// Index into [`Targets::caches`] of the victim.
-    pub cache: usize,
-    /// Extra delay applied to each matching notification.
-    pub delay: Duration,
-    /// Start injecting at this sim time (0 = from the beginning).
-    pub after: Duration,
+pub struct Rule {
+    /// Destination actor.
+    pub dst: TargetRef,
+    /// Which of its incoming messages: `None` = every view update (a kind in
+    /// [`Targets::notify_kinds`]), `Some` = whatever the matcher says.
+    pub matcher: Option<Rc<dyn Matcher>>,
+    /// What happens to them: `Delay(d)`, `Drop` or `Hold`.
+    pub verdict: Verdict,
+    /// Applies to sends at or after this absolute sim time.
+    pub from: Duration,
+    /// `(skip, count)`: of the sends matching all of the above, let `skip`
+    /// through, rule on the next `count`, pass the rest; `None` rules on
+    /// every match. View updates are numbered from the start of the run;
+    /// the trace records no payloads, so a matcher's count from `setup`.
+    pub nth: Option<(u64, u64)>,
+    /// The rule ends, and whatever it held is released, at the first tick
+    /// at or past this absolute time (`None` = at teardown).
+    pub until: Option<Duration>,
 }
 
-impl Strategy for StalenessInjector {
-    fn name(&self) -> String {
-        format!("staleness(+{})", self.delay)
-    }
-
-    fn planned_schedule(&self) -> Option<Vec<PlannedOp>> {
-        Some(vec![PlannedOp::new(
-            Letter::DelayCache(format!("cache:{}", self.cache)),
-            format!("+{}@{}", self.delay, self.after),
-        )])
-    }
-
-    fn setup(&mut self, world: &mut World, targets: &Targets) {
-        let victim = targets.caches[self.cache];
-        let kinds = targets.notify_kinds.clone();
-        let delay = self.delay;
-        let after = SimTime(self.after.as_nanos());
-        world.set_interceptor(move |env: &Envelope, now: SimTime| {
-            if now >= after && env.dst == victim && kinds.iter().any(|k| k == env.kind_short()) {
-                Verdict::Delay(delay)
-            } else {
-                Verdict::Pass
-            }
-        });
-    }
-}
-
-/// Drops a window of view-update notifications to one cache, creating an
-/// interior gap in its `H′` (§4.2.3, Figure 3c).
-#[derive(Debug, Clone)]
-pub struct NotificationDropper {
-    /// Index into [`Targets::caches`] of the victim.
-    pub cache: usize,
-    /// Matching notifications to let through before dropping starts.
-    pub skip: u64,
-    /// How many matching notifications to drop (then pass everything).
-    pub count: u64,
-}
-
-impl Strategy for NotificationDropper {
-    fn name(&self) -> String {
-        format!("obs-gap(skip {}, drop {})", self.skip, self.count)
-    }
-
-    fn planned_schedule(&self) -> Option<Vec<PlannedOp>> {
-        Some(vec![PlannedOp::new(
-            Letter::DropNotification(format!("cache:{}", self.cache)),
-            format!("skip{}+drop{}", self.skip, self.count),
-        )])
-    }
-
-    fn setup(&mut self, world: &mut World, targets: &Targets) {
-        let victim = targets.caches[self.cache];
-        let kinds = targets.notify_kinds.clone();
-        let (skip, count) = (self.skip, self.count);
-        let mut seen = 0u64;
-        world.set_interceptor(move |env: &Envelope, _now: SimTime| {
-            if env.dst == victim && kinds.iter().any(|k| k == env.kind_short()) {
-                seen += 1;
-                if seen > skip && seen <= skip + count {
-                    return Verdict::Drop;
-                }
-            }
-            Verdict::Pass
-        });
-    }
-}
-
-/// Creates the §4.2.2 time-travel pattern: one upstream's view feed is
-/// frozen (held) so it goes stale; the victim component is crashed and
-/// restarted, re-synchronizing — by scenario construction — against the
-/// stale upstream and thereby re-observing its own past.
-#[derive(Debug, Clone)]
-pub struct TimeTravelInjector {
-    /// Index into [`Targets::caches`] of the upstream to freeze.
-    pub stale_upstream: usize,
-    /// Index into [`Targets::components`] of the component to crash.
-    pub victim: usize,
-    /// When to start holding the upstream's feed.
-    pub hold_at: Duration,
-    /// When to crash the victim.
-    pub crash_at: Duration,
-    /// When to restart it.
-    pub restart_at: Duration,
-    /// When (if ever) to release the held feed, letting the stale upstream
-    /// catch up after the damage is done.
-    pub release_at: Option<Duration>,
-    released: bool,
-}
-
-impl TimeTravelInjector {
-    /// Convenience constructor with `released` initialized.
+impl Rule {
+    /// A rule on every view update to `dst` for the whole run; narrow it
+    /// with struct-update syntax (`Rule { from, ..Rule::new(..) }`).
     #[must_use]
-    pub fn new(
+    pub fn new(dst: TargetRef, verdict: Verdict) -> Rule {
+        Rule {
+            dst,
+            matcher: None,
+            verdict,
+            from: Duration::ZERO,
+            nth: None,
+            until: None,
+        }
+    }
+
+    fn matches(&self, env: &Envelope, notify_kinds: &[String]) -> bool {
+        match &self.matcher {
+            None => notify_kinds.iter().any(|k| k == env.kind_short()),
+            Some(m) => m.matches(env),
+        }
+    }
+}
+
+/// One planned injection. Plain data: what it does is entirely in its
+/// fields, which is what lets [`Op::planned`] derive its canonical class.
+#[derive(Debug, Clone)]
+pub enum Op {
+    /// Delay, drop or hold selected messages.
+    Intercept(Rule),
+    /// Crash `victim` at `at`, restart it at `restart_at` (absolute times).
+    Crash {
+        /// The actor to crash.
+        victim: TargetRef,
+        /// When to crash it.
+        at: Duration,
+        /// When to restart it.
+        restart_at: Duration,
+    },
+    /// Crash an actor when it records a trace annotation — a sharper
+    /// CrashTuner: the trigger is the component's own advertised decision
+    /// rather than any view update. The victim is the annotating actor.
+    CrashOn {
+        /// Annotation label to trigger on.
+        label: String,
+        /// Restrict to annotations from this actor (`None` = any).
+        actor: Option<ActorId>,
+        /// Matching annotations to let pass first (0-based occurrence).
+        nth: u64,
+        /// Trigger at most this many times.
+        max: u32,
+        /// `Some(d)`: schedule the crash `d` after the tick that sees the
+        /// annotation. `None`: crash in that very tick.
+        delay: Option<Duration>,
+        /// Restart this long after the crash.
+        down: Duration,
+    },
+    /// Partition `victim` from all the caches (apiservers) for a window of
+    /// absolute sim time — the plainest network fault, which still becomes
+    /// a safety hazard when controllers trust their partial views.
+    Partition {
+        /// The actor to cut off.
+        victim: TargetRef,
+        /// Partition start.
+        from: Duration,
+        /// Heal time.
+        until: Duration,
+    },
+}
+
+impl Op {
+    /// The op as canonical-dedup input: the letter follows from the variant
+    /// and the anchor is the op's whole `Debug` rendering, so a field cannot
+    /// be added to an op without entering its class.
+    pub fn planned(&self) -> PlannedOp {
+        let letter = match self {
+            Op::Intercept(rule) if rule.verdict == Verdict::Drop => {
+                Letter::DropNotification(rule.dst.token())
+            }
+            Op::Intercept(rule) => Letter::DelayCache(rule.dst.token()),
+            Op::Crash { .. } | Op::CrashOn { .. } => Letter::CrashRestartReplay,
+            Op::Partition { victim, .. } => Letter::DropNotification(victim.token()),
+        };
+        PlannedOp::new(letter, format!("{self:?}"))
+    }
+}
+
+/// What one op has done so far. The installed interceptor (which counts
+/// and holds) and [`Schedule::tick`] (which ends rules) share it.
+#[derive(Debug, Default)]
+struct Progress {
+    /// Matching sends (rule) or annotations (trigger) seen.
+    seen: u64,
+    /// Trace events this trigger has scanned.
+    cursor: usize,
+    /// Messages this rule holds, in hold order.
+    held: Vec<MsgId>,
+    /// A tick has seen this rule's `until` pass.
+    over: bool,
+    /// The partition, while it is up.
+    cut: Option<Partition>,
+}
+
+fn at(d: Duration) -> SimTime {
+    SimTime(d.as_nanos())
+}
+
+/// A planned perturbation: a display label and the ops to perform.
+#[derive(Debug)]
+pub struct Schedule {
+    /// Human-readable name (appears in reports and EXPERIMENTS.md tables).
+    pub label: String,
+    /// The injections, in evaluation order.
+    pub ops: Vec<Op>,
+    /// One entry per op, rebuilt by `setup`.
+    progress: Rc<RefCell<Vec<Progress>>>,
+}
+
+impl Schedule {
+    /// A schedule of `ops` under a display `label`.
+    #[must_use]
+    pub fn new(label: impl Into<String>, ops: Vec<Op>) -> Schedule {
+        Schedule {
+            label: label.into(),
+            ops,
+            progress: Rc::default(),
+        }
+    }
+
+    /// Delays every view update to one cache by `delay` from `after` on,
+    /// creating staleness (§4.2.1, Figure 3a).
+    #[must_use]
+    pub fn staleness(cache: usize, delay: Duration, after: Duration) -> Schedule {
+        let rule = Rule {
+            from: after,
+            ..Rule::new(TargetRef::Cache(cache), Verdict::Delay(delay))
+        };
+        Schedule::new(format!("staleness(+{delay})"), vec![Op::Intercept(rule)])
+    }
+
+    /// The §4.2.2 time-travel pattern: the feed of cache `stale_upstream` is
+    /// frozen (held) from `hold_at` so it goes stale; component `victim` is
+    /// crashed and restarted, re-synchronizing — by scenario construction —
+    /// against the stale upstream and thereby re-observing its own past.
+    /// `release_at` lets the upstream catch up after the damage is done.
+    #[must_use]
+    pub fn time_travel(
         stale_upstream: usize,
         victim: usize,
         hold_at: Duration,
         crash_at: Duration,
         restart_at: Duration,
         release_at: Option<Duration>,
-    ) -> TimeTravelInjector {
-        TimeTravelInjector {
-            stale_upstream,
-            victim,
-            hold_at,
-            crash_at,
+    ) -> Schedule {
+        let hold = Rule {
+            from: hold_at,
+            until: release_at,
+            ..Rule::new(TargetRef::Cache(stale_upstream), Verdict::Hold)
+        };
+        let crash = Op::Crash {
+            victim: TargetRef::Component(victim),
+            at: crash_at,
             restart_at,
-            release_at,
-            released: false,
-        }
+        };
+        Schedule::new("time-travel", vec![Op::Intercept(hold), crash])
     }
 }
 
-impl Strategy for TimeTravelInjector {
+impl Strategy for Schedule {
     fn name(&self) -> String {
-        "time-travel".into()
+        self.label.clone()
     }
 
     fn planned_schedule(&self) -> Option<Vec<PlannedOp>> {
-        let release = match self.release_at {
-            Some(r) => format!("+release@{r}"),
-            None => String::new(),
-        };
-        Some(vec![
-            PlannedOp::new(
-                Letter::DelayCache(format!("cache:{}", self.stale_upstream)),
-                format!("hold@{}", self.hold_at),
-            ),
-            PlannedOp::new(
-                Letter::CrashRestartReplay,
-                format!(
-                    "component:{}@{}..{}{release}",
-                    self.victim, self.crash_at, self.restart_at
-                ),
-            ),
-        ])
+        Some(self.ops.iter().map(Op::planned).collect())
     }
 
+    /// Schedules the timed crashes and installs one interceptor for all the
+    /// rules — none at all for a schedule without rules.
     fn setup(&mut self, world: &mut World, targets: &Targets) {
-        let upstream = targets.caches[self.stale_upstream];
-        let kinds = targets.notify_kinds.clone();
-        let hold_at = SimTime(self.hold_at.as_nanos());
-        world.set_interceptor(move |env: &Envelope, now: SimTime| {
-            if now >= hold_at && env.dst == upstream && kinds.iter().any(|k| k == env.kind_short())
-            {
-                Verdict::Hold
-            } else {
-                Verdict::Pass
+        let mut progress: Vec<Progress> = self.ops.iter().map(|_| Progress::default()).collect();
+        let mut rules = Vec::new();
+        for (i, op) in self.ops.iter().enumerate() {
+            match op {
+                Op::Intercept(rule) => {
+                    let dst = rule.dst.resolve(targets);
+                    // The interceptor only sees sends from now on: pre-load
+                    // the ordinal with the matching sends already traced
+                    // (workload seeding precedes strategy setup).
+                    if rule.nth.is_some() && rule.matcher.is_none() {
+                        let sent = |e: &&ph_sim::TraceEvent| {
+                            matches!(&e.kind, TraceEventKind::MessageSent { dst: d, kind, .. }
+                                if *d == dst && e.at >= at(rule.from)
+                                    && targets.notify_kinds.iter().any(|k| k == kind))
+                        };
+                        progress[i].seen = world.trace().iter().filter(sent).count() as u64;
+                    }
+                    rules.push((i, dst, rule.clone()));
+                }
+                Op::Crash {
+                    victim,
+                    at: crash_at,
+                    restart_at,
+                } => {
+                    let victim = victim.resolve(targets);
+                    world.schedule_crash(victim, at(*crash_at));
+                    world.schedule_restart(victim, at(*restart_at));
+                }
+                Op::CrashOn { .. } | Op::Partition { .. } => {}
             }
+        }
+        self.progress = Rc::new(RefCell::new(progress));
+        if rules.is_empty() {
+            return;
+        }
+        let progress = Rc::clone(&self.progress);
+        let notify_kinds = targets.notify_kinds.clone();
+        world.set_interceptor(move |env: &Envelope, now: SimTime| {
+            let mut progress = progress.borrow_mut();
+            for (i, dst, rule) in &rules {
+                let p = &mut progress[*i];
+                if env.dst != *dst
+                    || p.over
+                    || now < at(rule.from)
+                    || !rule.matches(env, &notify_kinds)
+                {
+                    continue;
+                }
+                let ordinal = p.seen;
+                p.seen += 1;
+                if rule
+                    .nth
+                    .is_some_and(|(skip, count)| ordinal < skip || ordinal - skip >= count)
+                {
+                    continue;
+                }
+                if rule.verdict == Verdict::Hold {
+                    p.held.push(env.id);
+                }
+                return rule.verdict;
+            }
+            Verdict::Pass
         });
-        let victim = targets.components[self.victim];
-        world.schedule_crash(victim, SimTime(self.crash_at.as_nanos()));
-        world.schedule_restart(victim, SimTime(self.restart_at.as_nanos()));
     }
 
-    fn tick(&mut self, world: &mut World, _targets: &Targets) {
-        if let Some(rel) = self.release_at {
-            if !self.released && world.now() >= SimTime(rel.as_nanos()) {
-                world.clear_interceptor();
-                world.release_all_held();
-                self.released = true;
+    /// Lets each op act on the time and on the annotations traced since the
+    /// last tick, in op order.
+    fn tick(&mut self, world: &mut World, targets: &Targets) {
+        let now = world.now();
+        for (op, p) in self.ops.iter().zip(self.progress.borrow_mut().iter_mut()) {
+            match op {
+                Op::Intercept(rule) => {
+                    if !p.over && rule.until.is_some_and(|until| now >= at(until)) {
+                        p.over = true;
+                        for id in p.held.drain(..) {
+                            world.release_held(id);
+                        }
+                    }
+                }
+                Op::Crash { .. } => {}
+                Op::CrashOn {
+                    label: want,
+                    actor: only,
+                    nth,
+                    max,
+                    delay,
+                    down,
+                } => {
+                    let events = world.trace().events();
+                    let mut victims = Vec::new();
+                    for e in &events[p.cursor..] {
+                        match &e.kind {
+                            TraceEventKind::Annotation { actor, label, .. }
+                                if label.as_str() == want && only.map_or(true, |a| a == *actor) =>
+                            {
+                                if (*nth..nth.saturating_add(u64::from(*max))).contains(&p.seen) {
+                                    victims.push(*actor);
+                                }
+                                p.seen += 1;
+                            }
+                            _ => {}
+                        }
+                    }
+                    p.cursor = events.len();
+                    for victim in victims {
+                        let crash_at = now + delay.unwrap_or(Duration::ZERO);
+                        match delay {
+                            Some(_) => world.schedule_crash(victim, crash_at),
+                            None => world.crash(victim),
+                        }
+                        world.schedule_restart(victim, crash_at + *down);
+                    }
+                }
+                Op::Partition {
+                    victim,
+                    from,
+                    until,
+                } => match p.cut.take() {
+                    Some(cut) if now >= at(*until) => world.heal(cut),
+                    None if now >= at(*from) && now < at(*until) => {
+                        p.cut = Some(world.partition(&[victim.resolve(targets)], &targets.caches));
+                    }
+                    cut => p.cut = cut,
+                },
             }
         }
     }
 
+    /// Clears the interceptor, releases what is held, heals what is cut.
     fn teardown(&mut self, world: &mut World) {
         world.clear_interceptor();
-        if !self.released {
-            world.release_all_held();
-            self.released = true;
+        world.release_all_held();
+        for p in self.progress.borrow_mut().iter_mut() {
+            if let Some(cut) = p.cut.take() {
+                world.heal(cut);
+            }
         }
     }
 }
@@ -673,6 +861,7 @@ mod tests {
     }
     #[derive(Debug)]
     struct ViewUpdate(u64);
+    /// Records every update it sees, annotating each as `cache.update`.
     struct Cache {
         seen: Vec<u64>,
     }
@@ -689,9 +878,10 @@ mod tests {
     }
     impl Actor for Cache {
         fn on_start(&mut self, _ctx: &mut Ctx) {}
-        fn on_message(&mut self, _f: ActorId, m: AnyMsg, _c: &mut Ctx) {
+        fn on_message(&mut self, _f: ActorId, m: AnyMsg, ctx: &mut Ctx) {
             if let Some(ViewUpdate(n)) = m.downcast_ref::<ViewUpdate>() {
                 self.seen.push(*n);
+                ctx.annotate("cache.update", n.to_string());
             }
         }
         fn on_restart(&mut self, ctx: &mut Ctx) {
@@ -714,37 +904,35 @@ mod tests {
         (w, targets, cache)
     }
 
+    fn seen(w: &World, cache: ActorId) -> Vec<u64> {
+        w.actor_ref::<Cache>(cache).unwrap().seen.clone()
+    }
+
     #[test]
     fn staleness_injector_delays_updates() {
         let (mut w, t, cache) = feed_world(1);
-        let mut s = StalenessInjector {
-            cache: 0,
-            delay: Duration::millis(100),
-            after: Duration::ZERO,
-        };
+        let mut s = Schedule::staleness(0, Duration::millis(100), Duration::ZERO);
         s.setup(&mut w, &t);
         w.run_for(Duration::millis(105));
         // Without delay ~10 updates would have arrived; with +100ms, ~1.
-        let seen = w.actor_ref::<Cache>(cache).unwrap().seen.len();
-        assert!(seen <= 2, "saw {seen} updates despite delay");
+        let n = seen(&w, cache).len();
+        assert!(n <= 2, "saw {n} updates despite delay");
         s.teardown(&mut w);
         w.run_for(Duration::millis(200));
-        let seen = w.actor_ref::<Cache>(cache).unwrap().seen.len();
-        assert!(seen >= 15, "updates must flow after teardown, saw {seen}");
+        let n = seen(&w, cache).len();
+        assert!(n >= 15, "updates must flow after teardown, saw {n}");
     }
 
     #[test]
     fn dropper_creates_an_interior_gap() {
         let (mut w, t, cache) = feed_world(2);
-        let mut s = NotificationDropper {
-            cache: 0,
-            skip: 3,
-            count: 2,
-        };
+        let mut rule = Rule::new(TargetRef::Cache(0), Verdict::Drop);
+        rule.nth = Some((3, 2));
+        let mut s = Schedule::new("gap", vec![Op::Intercept(rule)]);
         s.setup(&mut w, &t);
         w.run_for(Duration::millis(120));
         s.teardown(&mut w);
-        let seen = &w.actor_ref::<Cache>(cache).unwrap().seen;
+        let seen = seen(&w, cache);
         // Tags 0,1,2 pass; 3,4 dropped; 5.. pass.
         assert!(seen.contains(&0) && seen.contains(&2));
         assert!(!seen.contains(&3) && !seen.contains(&4), "seen {seen:?}");
@@ -754,7 +942,7 @@ mod tests {
     #[test]
     fn time_travel_holds_then_replays() {
         let (mut w, t, cache) = feed_world(3);
-        let mut s = TimeTravelInjector::new(
+        let mut s = Schedule::time_travel(
             0,
             0,
             Duration::millis(30), // hold feed from 30ms
@@ -768,10 +956,82 @@ mod tests {
             s.tick(&mut w, &t);
         }
         s.teardown(&mut w);
-        let seen = &w.actor_ref::<Cache>(cache).unwrap().seen;
+        let seen = seen(&w, cache);
         // Restarted at 80ms (volatile state cleared), held updates (tags
         // 2..) replayed after 120ms: the cache re-observes its past.
         assert!(seen.contains(&2), "replayed past event missing: {seen:?}");
+        assert_eq!(w.incarnation(cache), 1);
+    }
+
+    #[test]
+    fn every_rule_of_a_schedule_applies_and_the_first_match_wins() {
+        let (mut w, mut t, a) = feed_world(8);
+        let b = w.spawn("cache-b", Cache { seen: vec![] });
+        w.spawn("feeder-b", Feeder { peer: b });
+        t.caches = [a, b].into();
+        // Hold a's feed, drop b's; a second rule on a would drop, but the
+        // hold ahead of it rules first.
+        let notify = |cache, verdict| Op::Intercept(Rule::new(TargetRef::Cache(cache), verdict));
+        let mut s = Schedule::new(
+            "hold a, drop b",
+            vec![
+                notify(0, Verdict::Hold),
+                notify(1, Verdict::Drop),
+                notify(0, Verdict::Drop),
+            ],
+        );
+        s.setup(&mut w, &t);
+        w.run_for(Duration::millis(100));
+        assert_eq!(seen(&w, a), [] as [u64; 0], "a's feed is held");
+        assert_eq!(seen(&w, b), [] as [u64; 0], "b's feed is dropped");
+        assert!(w.held_ids().count() >= 8, "held, not dropped");
+        s.teardown(&mut w);
+        w.run_for(Duration::millis(100));
+        assert!(seen(&w, a).contains(&0), "a's backlog is replayed");
+        assert!(!seen(&w, b).contains(&0), "b's is gone for good");
+    }
+
+    #[test]
+    fn trigger_fires_once_on_the_chosen_occurrence() {
+        let (mut w, t, cache) = feed_world(9);
+        // A schedule without rules installs no interceptor: this one stays.
+        let sends = Rc::new(std::cell::Cell::new(0));
+        let counted = Rc::clone(&sends);
+        w.set_interceptor(move |_: &Envelope, _: SimTime| {
+            counted.set(counted.get() + 1);
+            Verdict::Pass
+        });
+        let mut s = Schedule::new(
+            "crash on third update",
+            vec![Op::CrashOn {
+                label: "cache.update".into(),
+                actor: Some(cache),
+                nth: 2,
+                max: 1,
+                delay: None,
+                down: Duration::millis(20),
+            }],
+        );
+        s.setup(&mut w, &t);
+        for _ in 0..30 {
+            w.run_for(Duration::millis(10));
+            s.tick(&mut w, &t);
+        }
+        assert!(sends.get() >= 20, "only {} sends counted", sends.get());
+        s.teardown(&mut w);
+        // Updates kept coming after the restart — dozens of matching
+        // annotations — yet exactly one crash, right after the third.
+        let mut updates = 0;
+        let mut updates_before_crash = Vec::new();
+        for e in w.trace().iter() {
+            match &e.kind {
+                TraceEventKind::Annotation { .. } => updates += 1,
+                TraceEventKind::Crashed { .. } => updates_before_crash.push(updates),
+                _ => {}
+            }
+        }
+        assert_eq!(updates_before_crash, [3]);
+        assert!(updates >= 20, "only {updates} updates");
         assert_eq!(w.incarnation(cache), 1);
     }
 

@@ -28,6 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use ph_lint::findings::esc;
 use ph_lint::summary::PatternClass;
 use ph_sim::{ActorId, DropReason, SimTime, Trace, TraceEventKind};
 
@@ -144,7 +145,7 @@ impl BlameChain {
         let mut out = String::with_capacity(256 + self.links.len() * 96);
         let _ = write!(
             out,
-            "{{\"scenario\":{},\"class\":{},\"rationale\":{},\"sink\":",
+            "{{\"scenario\":\"{}\",\"class\":\"{}\",\"rationale\":\"{}\",\"sink\":",
             esc(&self.scenario),
             esc(self.class.as_str()),
             esc(&self.rationale)
@@ -173,7 +174,7 @@ impl BlameChain {
             }
             let _ = write!(
                 out,
-                "{{\"seq\":{},\"at_ns\":{},\"role\":{},\"detail\":{}}}",
+                "{{\"seq\":{},\"at_ns\":{},\"role\":\"{}\",\"detail\":\"{}\"}}",
                 l.seq,
                 l.at.0,
                 esc(l.role),
@@ -185,7 +186,7 @@ impl BlameChain {
             Some(v) => {
                 let _ = write!(
                     out,
-                    "{{\"oracle\":{},\"at_ns\":{},\"details\":{}}}",
+                    "{{\"oracle\":\"{}\",\"at_ns\":{},\"details\":\"{}\"}}",
                     esc(&v.oracle),
                     v.at.0,
                     esc(&v.details)
@@ -241,25 +242,6 @@ impl BlameChain {
         }
         out
     }
-}
-
-/// JSON string escape (local, to keep `ph-sim`'s internal helper private).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A suppressed view update (one message) and the trace events that tell

@@ -8,7 +8,7 @@
 //! whose view jumps straight from "pod alive" to "pod gone" — never deletes
 //! the PVC. An observability gap created by a restart.
 //!
-//! Guided injection: [`CrashOnAnnotation`] on the operator's own
+//! Guided injection: [`crash_on_annotation`] on the operator's own
 //! `operator.decommission` decision — crash it 100 ms after the mark (the
 //! pod is still draining), restart it 400 ms later (the pod is gone).
 //!
@@ -18,13 +18,13 @@
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::operator::OperatorFlags;
 use ph_cluster::topology::ClusterConfig;
-use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::strategies::CrashOnAnnotation;
+use crate::strategies::crash_on_annotation;
 use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
 /// cassandra-operator-398 as a value. The operator must delete the
@@ -75,9 +75,8 @@ fn flags(variant: Variant) -> OperatorFlags {
 /// The tuned §7 injection: crash the operator right after its decommission
 /// decision; restart it after the pod has been finalized.
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(CrashOnAnnotation::new(
+    Box::new(crash_on_annotation(
         "operator.decommission",
-        None,
         Duration::millis(100),
         Duration::millis(400),
         1,
@@ -87,9 +86,9 @@ fn guided(_seed: u64) -> Box<dyn Strategy> {
 /// The operator's decommission acknowledgement is lost across its
 /// crash-restart: the drop-notification letter lands as a crash in the
 /// decision window (the restart wipes the in-flight event).
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DropNotification { .. } | PriorShape::CrashRestartReplay => vec![guided(0)],
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DropNotification(_) | Letter::CrashRestartReplay => vec![guided(0)],
         _ => Vec::new(),
     }
 }

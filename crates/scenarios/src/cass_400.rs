@@ -26,9 +26,9 @@
 //! release backlog `5.0s` → `8.0s` end.
 
 use ph_cluster::operator::OperatorFlags;
-use ph_core::autoguide::PriorShape;
-use ph_core::perturb::{Strategy, TimeTravelInjector};
+use ph_core::perturb::{Schedule, Strategy};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
@@ -82,7 +82,7 @@ fn flags(variant: Variant) -> OperatorFlags {
 /// scheduler, operator → the operator is component 3; apiserver-2 is
 /// cache 1.
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(TimeTravelInjector::new(
+    Box::new(Schedule::time_travel(
         1,
         3,
         Duration::millis(3050),
@@ -94,11 +94,11 @@ fn guided(_seed: u64) -> Box<dyn Strategy> {
 
 /// The operator lands on the lagging apiserver-2 mid-scale-down: the
 /// delay-cache, switch and crash letters all concretize to that landing.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DelayCache { .. }
-        | PriorShape::UpstreamSwitch
-        | PriorShape::CrashRestartReplay => vec![guided(0)],
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DelayCache(_) | Letter::UpstreamSwitch | Letter::CrashRestartReplay => {
+            vec![guided(0)]
+        }
         _ => Vec::new(),
     }
 }

@@ -8,8 +8,8 @@
 //! node. Data loss from a stale read.
 //!
 //! Guided injection: a composition of the selective staleness injector
-//! ([`HoldMatching`] on `pods/dc1-2` toward apiserver-2) and the
-//! trace-triggered restart ([`CrashOnAnnotation`] on the operator's
+//! ([`hold_matching`] on `pods/dc1-2` toward apiserver-2) and the
+//! trace-triggered restart ([`crash_on_annotation`] on the operator's
 //! `operator.create_pod` decision).
 //!
 //! * **buggy** (`fresh_confirm_orphan = false`): deletes `dc1-pvc-2` while
@@ -23,14 +23,14 @@
 //! restart 300 ms later on api-2 → release backlog at teardown → `6.5s` end.
 
 use ph_cluster::operator::OperatorFlags;
-use ph_core::autoguide::PriorShape;
-use ph_core::perturb::Strategy;
+use ph_core::perturb::{Schedule, Strategy, TargetRef};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
 use crate::cass_398::{datacenter, operator_cluster, seed_datacenter};
-use crate::strategies::{Compose, CrashOnAnnotation, EventSelector, HoldMatching, TargetRef};
+use crate::strategies::{crash_on_annotation, hold_matching, EventSelector};
 use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
 /// cassandra-operator-402 as a value. The operator's orphan sweep deletes a
@@ -78,34 +78,29 @@ fn guided(_seed: u64) -> Box<dyn Strategy> {
 /// The hold+crash pair under the name `label`. The operator is component 3;
 /// apiserver-2 is cache 1.
 fn hold_and_crash(label: &str) -> Box<dyn Strategy> {
-    Box::new(Compose::new(
-        label,
-        vec![
-            Box::new(HoldMatching::new(
-                TargetRef::Cache(1),
-                EventSelector::key("pods/dc1-2"),
-                Duration::millis(2400),
-                None,
-            )),
-            Box::new(CrashOnAnnotation::new(
-                "operator.create_pod",
-                None,
-                Duration::millis(300),
-                Duration::millis(300),
-                1,
-            )),
-        ],
-    ))
+    let hold = hold_matching(
+        TargetRef::Cache(1),
+        EventSelector::key("pods/dc1-2"),
+        Duration::millis(2400),
+        None,
+    );
+    let crash = crash_on_annotation(
+        "operator.create_pod",
+        Duration::millis(300),
+        Duration::millis(300),
+        1,
+    );
+    Box::new(Schedule::new(label, [hold.ops, crash.ops].concat()))
 }
 
 /// Hold the pod-created update away from the operator's cache while a
 /// restart makes it act on the held (stale) view. The switch and crash
 /// letters concretize to the very same hold+crash pair (the restart IS the
 /// switch onto the held view), so they dedup.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    let lands = match shape {
-        PriorShape::DelayCache { resource } => resource == "pods",
-        PriorShape::UpstreamSwitch | PriorShape::CrashRestartReplay => true,
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    let lands = match letter {
+        Letter::DelayCache(resource) => resource == "pods",
+        Letter::UpstreamSwitch | Letter::CrashRestartReplay => true,
         _ => false,
     };
     if lands {

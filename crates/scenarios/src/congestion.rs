@@ -31,9 +31,9 @@
 
 use ph_cluster::objects::{Body, Object, PodPhase};
 use ph_cluster::topology::ClusterConfig;
-use ph_core::autoguide::PriorShape;
 use ph_core::perturb::{Strategy, TrafficSurge};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
@@ -107,9 +107,9 @@ fn guided(_seed: u64) -> Box<dyn Strategy> {
 /// letter concretizes to the same squeeze (this scenario has no direct
 /// hold injector: congestion *is* how the view ages), so the two letters
 /// collapse to one class.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::TrafficSurge { .. } | PriorShape::DelayCache { .. } => vec![guided(0)],
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::TrafficSurge(_) | Letter::DelayCache(_) => vec![guided(0)],
         _ => Vec::new(),
     }
 }

@@ -12,7 +12,7 @@ use ph_cluster::topology::{spawn_cluster, ClusterConfig, ClusterHandle};
 use ph_core::epoch::{EpochBuffer, EpochError, EpochPartition};
 use ph_core::history::{Change, ChangeOp, FrontierLog, History};
 use ph_core::observe::observability_report;
-use ph_core::perturb::{StalenessInjector, Strategy, Targets, TimeTravelInjector};
+use ph_core::perturb::{Schedule, Strategy, Targets};
 use ph_sim::{
     Actor, ActorId, AnyMsg, Ctx, Duration, SimRng, SimTime, TimerId, TraceEventKind, World,
     WorldConfig,
@@ -228,11 +228,7 @@ fn truth_rev(world: &World, cluster: &ClusterHandle) -> Revision {
 fn staleness_lag(seed: u64, delay: Duration) -> (f64, u64) {
     let (mut world, cluster) = cluster_world(seed);
     let targets = targets_for(&cluster, Duration::secs(4));
-    let mut injector = StalenessInjector {
-        cache: 1,
-        delay,
-        after: Duration::ZERO,
-    };
+    let mut injector = Schedule::staleness(1, delay, Duration::ZERO);
     injector.setup(&mut world, &targets);
     let dl = SimTime(world.now().0 + Duration::secs(20).as_nanos());
     let mut lags = Vec::new();
@@ -268,7 +264,7 @@ fn time_travel_depth(seed: u64, stale_upstream: bool) -> u64 {
         dl,
     );
 
-    let mut injector = TimeTravelInjector::new(
+    let mut injector = Schedule::time_travel(
         1,
         0,
         if stale_upstream {
@@ -408,11 +404,7 @@ fn run_manager(seed: u64, fixed: bool, lag: Duration) -> (u64, usize) {
         notify_kinds: ["RaftWire".to_string()].into(),
         horizon: Duration::secs(5),
     };
-    let mut strategy = StalenessInjector {
-        cache: 0,
-        delay: lag,
-        after: Duration::millis(1500),
-    };
+    let mut strategy = Schedule::staleness(0, lag, Duration::millis(1500));
     strategy.setup(&mut world, &targets);
     world.run_until(SimTime(Duration::secs(5).as_nanos()));
     strategy.teardown(&mut world);

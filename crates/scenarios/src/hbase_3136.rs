@@ -20,9 +20,9 @@
 //! leadership is undisturbed), giving the follower a steady ~90 ms lag —
 //! longer than the 50 ms transition interval.
 
-use ph_core::autoguide::PriorShape;
-use ph_core::perturb::{StalenessInjector, Strategy, Targets};
+use ph_core::perturb::{Schedule, Strategy, Targets};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::{AccessSummary, PatternClass};
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, SimTime, TimerId, World, WorldConfig};
 use ph_store::msgs::Expect;
@@ -248,17 +248,17 @@ impl Actor for RegionManager {
 /// The tuned §4.2.1 staleness injection: delay the Raft stream to the
 /// manager's follower by 90 ms (`caches[0]` in this scenario's targets).
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(StalenessInjector {
-        cache: 0,
-        delay: Duration::millis(90),
-        after: Duration::millis(1500),
-    })
+    Box::new(Schedule::staleness(
+        0,
+        Duration::millis(90),
+        Duration::millis(1500),
+    ))
 }
 
 /// The region manager reads the lagging follower.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DelayCache { .. } => vec![guided(0)],
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DelayCache(_) => vec![guided(0)],
         _ => Vec::new(),
     }
 }

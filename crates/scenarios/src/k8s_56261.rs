@@ -20,13 +20,13 @@
 
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::ClusterConfig;
-use ph_core::autoguide::PriorShape;
-use ph_core::perturb::Strategy;
+use ph_core::perturb::{Strategy, TargetRef};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::strategies::{DropMatching, EventSelector, HoldMatching, TargetRef};
+use crate::strategies::{drop_matching, hold_matching, EventSelector};
 use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
 /// Kubernetes-56261 as a value. The scheduler acts (binds pods) on a node
@@ -61,26 +61,26 @@ pub static SCENARIO: Scenario = Scenario {
 /// deletion notification to the scheduler (components: kubelet-1, kubelet-2,
 /// scheduler, rs-controller → index 2).
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(DropMatching {
-        dst: TargetRef::Component(2),
-        selector: EventSelector::deletes_of("nodes/node-2"),
-        from: Duration::millis(1500),
-        max: 4,
-    })
+    Box::new(drop_matching(
+        TargetRef::Component(2),
+        EventSelector::deletes_of("nodes/node-2"),
+        Duration::millis(1500),
+        4,
+    ))
 }
 
 /// The scheduler's stale `nodes` view is concretely a swallowed
 /// node-deletion notification; the reorder letter is the same race held
 /// shorter.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DelayCache { resource } | PriorShape::DropNotification { resource }
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DelayCache(resource) | Letter::DropNotification(resource)
             if resource == "nodes" =>
         {
             vec![guided(0)]
         }
-        PriorShape::ReorderUpdateConsume { resource } if resource == "nodes" => {
-            vec![Box::new(HoldMatching::new(
+        Letter::ReorderUpdateConsume(resource) if resource == "nodes" => {
+            vec![Box::new(hold_matching(
                 TargetRef::Component(2),
                 EventSelector::deletes_of("nodes/node-2"),
                 Duration::millis(1500),

@@ -15,7 +15,7 @@
 //!    `p1` again: **two nodes run the same pod**.
 //!
 //! The guided strategy is the generic `ph-core`
-//! [`TimeTravelInjector`]: freeze one upstream, crash the victim, restart
+//! [`Schedule::time_travel`]: freeze one upstream, crash the victim, restart
 //! it against the frozen upstream, then release the backlog. The **fixed**
 //! kubelet (quorum-read lists — the upstream remedy) stays safe under the
 //! identical injection.
@@ -27,9 +27,9 @@
 
 use ph_cluster::objects::Object;
 use ph_cluster::topology::ClusterConfig;
-use ph_core::autoguide::PriorShape;
-use ph_core::perturb::{StalenessInjector, Strategy, TimeTravelInjector};
+use ph_core::perturb::{Schedule, Strategy};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
@@ -66,7 +66,7 @@ pub static SCENARIO: Scenario = Scenario {
 
 /// The tuned §7 time-travel injection for this scenario's schedule.
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(TimeTravelInjector::new(
+    Box::new(Schedule::time_travel(
         1, // stale upstream: apiserver-2
         0, // victim: kubelet-node-1
         Duration::millis(1500),
@@ -82,17 +82,17 @@ fn guided(_seed: u64) -> Box<dyn Strategy> {
 /// the pure staleness hold and as the stale landing zone the restart needs,
 /// so the switch letter's realization is a canonical duplicate of the
 /// delay letter's second one.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DelayCache { .. } => vec![
-            Box::new(StalenessInjector {
-                cache: 1,
-                delay: Duration::millis(900),
-                after: Duration::millis(1500),
-            }),
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DelayCache(_) => vec![
+            Box::new(Schedule::staleness(
+                1,
+                Duration::millis(900),
+                Duration::millis(1500),
+            )),
             guided(0),
         ],
-        PriorShape::UpstreamSwitch | PriorShape::CrashRestartReplay => vec![guided(0)],
+        Letter::UpstreamSwitch | Letter::CrashRestartReplay => vec![guided(0)],
         _ => Vec::new(),
     }
 }

@@ -18,8 +18,8 @@
 //! | [`congestion`] | watch-feed saturation (no single ticket) | load-emergent staleness |
 //!
 //! [`common`] holds the shared runner; [`strategies`] holds the
-//! payload-aware injectors scenarios tune (they extend the generic
-//! `ph-core` strategies with cluster-level knowledge); [`oracles`] holds
+//! payload-aware schedule builders scenarios tune (they extend the generic
+//! `ph-core` ops with cluster-level knowledge); [`oracles`] holds
 //! the ground-truth safety/liveness checks; [`experiments`] holds the
 //! paper's figures and tables as checked, deterministic text
 //! (`phtool repro`).
@@ -54,13 +54,13 @@ pub use common::{Runner, Variant};
 pub use strategies::STRATEGIES;
 
 use ph_cluster::topology::{ClusterConfig, ClusterHandle};
-use ph_core::autoguide::PriorShape;
 use ph_core::crosscheck::{CrossCheckRow, CrossCheckTable};
 use ph_core::divergence::DivergenceSummary;
 use ph_core::harness::RunReport;
 use ph_core::oracle::Oracle;
 use ph_core::perturb::{Strategy, Targets};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::{AccessSummary, PatternClass};
 use ph_sim::{ActorId, Duration, Trace, World, WorldConfig};
 use ph_store::StoreNode;
@@ -89,10 +89,10 @@ pub struct Scenario {
     pub stack: Stack,
     /// The tuned §7 injector for this scenario's schedule.
     pub guided: fn(u64) -> Box<dyn Strategy>,
-    /// Realizes one abstract model-checker letter as injectors anchored to
+    /// Realizes one abstract model-checker letter as schedules anchored to
     /// this scenario's keys, component indices and phase times (nothing for
-    /// a shape with no sensible realization here); see [`witness_bridge`].
-    pub realize: fn(&PriorShape) -> Vec<Box<dyn Strategy>>,
+    /// a letter with no sensible realization here); see [`witness_bridge`].
+    pub realize: fn(&Letter) -> Vec<Box<dyn Strategy>>,
 }
 
 /// Where a scenario runs.

@@ -30,13 +30,13 @@
 
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::ClusterConfig;
-use ph_core::autoguide::PriorShape;
 use ph_core::perturb::Strategy;
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::strategies::PartitionComponent;
+use crate::strategies::partition_component;
 use crate::{oracles, Scenario, Stack, Variant, QUANTUM};
 
 /// Node fencing as a value. The node-lifecycle controller force-evicts
@@ -71,7 +71,7 @@ pub static SCENARIO: Scenario = Scenario {
 /// The guided injection: partition kubelet-node-2 (component 1) from the
 /// apiservers between 2.5 s and 5.5 s.
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(PartitionComponent::new(
+    Box::new(partition_component(
         1,
         Duration::millis(2500),
         Duration::millis(5500),
@@ -80,9 +80,9 @@ fn guided(_seed: u64) -> Box<dyn Strategy> {
 
 /// Silent lease expiry: partitioning the kubelet drops its renewals —
 /// exactly the false-silence the drop-notification letter models.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DropNotification { resource } if resource == "leases" => vec![guided(0)],
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DropNotification(resource) if resource == "leases" => vec![guided(0)],
         _ => Vec::new(),
     }
 }

@@ -23,13 +23,13 @@
 use ph_cluster::controllers::VcMode;
 use ph_cluster::objects::Object;
 use ph_cluster::topology::ClusterConfig;
-use ph_core::autoguide::PriorShape;
-use ph_core::perturb::Strategy;
+use ph_core::perturb::{Strategy, TargetRef};
 use ph_core::provenance::BlameSpec;
+use ph_lint::modelcheck::Letter;
 use ph_lint::summary::PatternClass;
 use ph_sim::Duration;
 
-use crate::strategies::{DropMatching, EventSelector, HoldMatching, TargetRef};
+use crate::strategies::{drop_matching, hold_matching, EventSelector};
 use crate::{oracles, Runner, Scenario, Stack, Variant, QUANTUM};
 
 /// Bug \[17\] as a value. The volume controller must release the PVC
@@ -71,21 +71,21 @@ pub static SCENARIO: Scenario = Scenario {
 /// termination-mark notification to the volume controller (components:
 /// kubelet-1, kubelet-2, volume-controller → index 2).
 fn guided(_seed: u64) -> Box<dyn Strategy> {
-    Box::new(DropMatching {
-        dst: TargetRef::Component(2),
-        selector: EventSelector::termination_mark_of("pods/p1"),
-        from: Duration::millis(1500),
-        max: 4,
-    })
+    Box::new(drop_matching(
+        TargetRef::Component(2),
+        EventSelector::termination_mark_of("pods/p1"),
+        Duration::millis(1500),
+        4,
+    ))
 }
 
 /// The volume controller misses the pod's termination mark — dropped, or
 /// held past the pod's finalization.
-fn realize(shape: &PriorShape) -> Vec<Box<dyn Strategy>> {
-    match shape {
-        PriorShape::DropNotification { resource } if resource == "pods" => vec![guided(0)],
-        PriorShape::DelayCache { resource } if resource == "pods" => {
-            vec![Box::new(HoldMatching::new(
+fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
+    match letter {
+        Letter::DropNotification(resource) if resource == "pods" => vec![guided(0)],
+        Letter::DelayCache(resource) if resource == "pods" => {
+            vec![Box::new(hold_matching(
                 TargetRef::Component(2),
                 EventSelector::termination_mark_of("pods/p1"),
                 Duration::millis(1500),

@@ -13,7 +13,7 @@
 use ph_cluster::apiserver::ApiServer;
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::{spawn_cluster, ClusterConfig};
-use ph_core::perturb::{StalenessInjector, Strategy, Targets};
+use ph_core::perturb::{Schedule, Strategy, Targets};
 use ph_sim::{Duration, SimTime, World, WorldConfig};
 use ph_store::{Revision, StoreNode};
 
@@ -83,11 +83,7 @@ fn main() {
     };
     // (Delays preserve per-link FIFO order, like the TCP streams they
     // model: everything behind a delayed notification queues behind it.)
-    let mut injector = StalenessInjector {
-        cache: 1,
-        delay: Duration::secs(2),
-        after: Duration::ZERO,
-    };
+    let mut injector = Schedule::staleness(1, Duration::secs(2), Duration::ZERO);
     injector.setup(&mut world, &targets);
     cluster.create_object(
         &mut world,

@@ -3,7 +3,7 @@
 //! but a fault-free reference trace and the components' decision
 //! annotations — no hand-tuned selectors, no scenario knowledge.
 
-use ph_core::autoguide::{candidates, explore, Candidate, CandidateStrategy};
+use ph_core::autoguide::{candidates, explore, Candidate};
 use ph_core::perturb::{NoFault, Strategy};
 use ph_scenarios::{k8s_56261, volume_17, Variant};
 
@@ -101,7 +101,7 @@ fn candidates_are_replayable_across_runs() {
         panic!("no drop candidates: {cands:?}");
     };
     let digest = || {
-        let mut s = CandidateStrategy::new(c.clone());
+        let mut s = c.schedule();
         scenario.run(1, &mut s, Variant::Buggy).trace_digest
     };
     assert_eq!(digest(), digest());

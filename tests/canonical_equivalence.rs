@@ -127,39 +127,36 @@ fn plan_class_is_invariant_under_commuting_permutations() {
 
 #[test]
 fn commuting_injection_orders_produce_byte_identical_reports() {
-    use ph_core::perturb::Strategy;
-    use ph_scenarios::strategies::{
-        Compose, EventSelector, HoldMatching, PartitionComponent, TargetRef,
-    };
+    use ph_core::perturb::{Schedule, Strategy, TargetRef};
+    use ph_scenarios::strategies::{hold_matching, partition_component, EventSelector};
 
     // A hold on cache 0 and a partition of component 0: disjoint views,
     // so the two compositions are one canonical class — and must be one
     // behavior, byte for byte, on every scenario and variant.
-    let hold = || {
-        Box::new(HoldMatching::new(
+    let pair = |hold_first: bool| {
+        let hold = hold_matching(
             TargetRef::Cache(0),
             EventSelector::key("zzz-untouched-key"),
             Duration::millis(100),
             None,
-        )) as Box<dyn Strategy>
-    };
-    let cut = || {
-        Box::new(PartitionComponent::new(
-            0,
-            Duration::millis(200),
-            Duration::millis(450),
-        )) as Box<dyn Strategy>
+        );
+        let cut = partition_component(0, Duration::millis(200), Duration::millis(450));
+        let ops = if hold_first {
+            [hold.ops, cut.ops]
+        } else {
+            [cut.ops, hold.ops]
+        };
+        Schedule::new("pair", ops.concat())
     };
     let mut rng = 0xCAFEu64;
     for entry in scenario_statics() {
         for variant in [Variant::Buggy, Variant::Fixed] {
             for _ in 0..2 {
                 let seed = splitmix(&mut rng);
-                let mut ab = Compose::new("pair", vec![hold(), cut()]);
-                let mut ba = Compose::new("pair", vec![cut(), hold()]);
+                let (mut ab, mut ba) = (pair(true), pair(false));
                 assert_eq!(
-                    ab.planned_schedule().map(|ops| plan_class(&ops)),
-                    ba.planned_schedule().map(|ops| plan_class(&ops)),
+                    plan_class(&ab.planned_schedule().unwrap()),
+                    plan_class(&ba.planned_schedule().unwrap()),
                     "{}: the pair must be one canonical class",
                     entry.name
                 );

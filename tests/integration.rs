@@ -6,7 +6,7 @@ use ph_cluster::objects::{Body, Object, PodPhase};
 use ph_cluster::topology::{spawn_cluster, ClusterConfig};
 use ph_core::causality::CausalGraph;
 use ph_core::history::FrontierLog;
-use ph_core::perturb::{RandomCrashes, Strategy, Targets, TimeTravelInjector};
+use ph_core::perturb::{RandomCrashes, Schedule, Strategy, Targets};
 use ph_scenarios::common::targets_for;
 use ph_sim::{ActorId, Duration, SimTime, TraceEventKind, World, WorldConfig};
 
@@ -89,7 +89,7 @@ fn time_travel_injection_makes_a_component_reobserve_its_past() {
 
     // Freeze apiserver-2, crash kubelet-1, restart it against the stale
     // upstream.
-    let mut injector = TimeTravelInjector::new(
+    let mut injector = Schedule::time_travel(
         1,
         0,
         Duration::millis(1800),

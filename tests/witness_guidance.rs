@@ -10,7 +10,7 @@
 
 use ph_scenarios::scenario_statics;
 use ph_scenarios::witness_bridge::{
-    first_detection_guided, first_detection_unguided, witness_strategies,
+    first_detection_guided, first_detection_unguided, witness_plan,
 };
 
 /// Trial budget per hunt. An unguided hunt that never detects within the
@@ -21,7 +21,7 @@ const SEED: u64 = 1;
 #[test]
 fn guided_hunt_detects_every_scenario_within_the_prior_window() {
     for e in scenario_statics() {
-        let priors = witness_strategies(&e).len();
+        let priors = witness_plan(&e).0.len();
         let got = first_detection_guided(&e, BUDGET, SEED);
         assert!(
             matches!(got, Some(t) if (t as usize) <= priors),
