@@ -559,11 +559,19 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
     }
     let (report, probe) = ph_scenarios::mega_cluster::run_probed(seed, &params);
     let exit = if report.failed() { EXIT_VIOLATION } else { 0 };
+    // The store's replication cost: a deterministic counter (CI gates on
+    // steps per commit), out-of-band like the cache probe.
+    let raft = format!(
+        "{} steps over {} commits ({:.1} per commit)",
+        probe.raft_steps,
+        probe.raft_commits,
+        probe.raft_steps as f64 / probe.raft_commits.max(1) as f64
+    );
     if args.has("json") {
         // The memory probe is shard-layout-dependent, so it goes to stderr:
         // stdout stays byte-identical across shard counts (CI diffs it).
         eprintln!(
-            "cache probe: {} bytes over {} objects (shard-layout-dependent)",
+            "cache probe: {} bytes over {} objects (shard-layout-dependent); raft: {raft}",
             probe.cache_bytes, probe.cache_objects
         );
         println!("{}", report.to_json());
@@ -611,6 +619,7 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
         report.metrics.counter_total("demand.pod_deletes"),
         report.metrics.counter_total("watcher.events"),
     );
+    println!("raft     : {raft}");
     Ok(exit)
 }
 

@@ -28,7 +28,7 @@ use ph_core::harness::RunReport;
 use ph_core::perturb::NoFault;
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, Retention, TimerId};
 use ph_store::msgs::Expect;
-use ph_store::{Completion, StoreClient, StoreClientConfig};
+use ph_store::{Completion, StoreClient, StoreClientConfig, StoreNode};
 
 use crate::common::Runner;
 
@@ -261,8 +261,9 @@ impl Actor for PodWatcher {
     }
 }
 
-/// The deterministic memory probe a scale run hands back *beside* its
-/// report: the watch cache's allocation-footprint proxy at churn end.
+/// The deterministic probe a scale run hands back *beside* its report: the
+/// watch cache's allocation-footprint proxy and the store's replication
+/// cost, both at churn end.
 ///
 /// Deliberately out-of-band: the proxy counts backing-array capacities,
 /// which depend on the shard layout (eight small slabs reserve differently
@@ -275,6 +276,13 @@ pub struct ScaleProbe {
     pub cache_bytes: usize,
     /// Live cache objects at the same instant.
     pub cache_objects: usize,
+    /// [`RaftCore::replication_steps`](ph_store::raft::RaftCore::replication_steps)
+    /// summed over the store nodes: the entry-proportional work of the
+    /// replication path. A cost counter, not content, so it stays out of
+    /// the report and no golden moves when the path gets cheaper.
+    pub raft_steps: u64,
+    /// Log entries the store committed (the highest commit index).
+    pub raft_commits: u64,
 }
 
 /// What a scale run keeps of its trace: nothing. The run injects no fault,
@@ -327,17 +335,21 @@ fn run_with(seed: u64, p: &ScaleParams, retention: Retention) -> (RunReport, Sca
 
     // Peak-RSS proxy, captured at full churn (before the settle phase
     // lets the population drain).
-    let probe = runner
-        .world
-        .actor_ref::<ApiServer>(api)
-        .map(|s| ScaleProbe {
-            cache_bytes: s.cache_approx_bytes(),
-            cache_objects: s.cache_len(),
-        })
-        .unwrap_or(ScaleProbe {
-            cache_bytes: 0,
-            cache_objects: 0,
-        });
+    let apiserver = runner.world.actor_ref::<ApiServer>(api);
+    let rafts: Vec<_> = runner
+        .cluster
+        .store
+        .nodes
+        .iter()
+        .filter_map(|&id| runner.world.actor_ref::<StoreNode>(id))
+        .map(StoreNode::raft)
+        .collect();
+    let probe = ScaleProbe {
+        cache_bytes: apiserver.map_or(0, ApiServer::cache_approx_bytes),
+        cache_objects: apiserver.map_or(0, ApiServer::cache_len),
+        raft_steps: rafts.iter().map(|r| r.replication_steps()).sum(),
+        raft_commits: rafts.iter().map(|r| r.commit()).max().unwrap_or(0),
+    };
     let report = runner.finish(&mut nf, Duration::millis(200), &mut []);
     (report, probe)
 }
@@ -374,6 +386,15 @@ mod tests {
             objects.is_some_and(|o| o > 0),
             "scale telemetry missing: {objects:?}"
         );
+    }
+
+    #[test]
+    fn replication_cost_per_commit_is_bounded() {
+        let (_, probe) = run_probed(7, &small());
+        assert!(probe.raft_commits > 100, "{probe:?}");
+        // ≈ 9 on three nodes whatever the in-flight window; the linear
+        // scan this replaced costs hundreds at this point, thousands at 5k.
+        assert!(probe.raft_steps <= 24 * probe.raft_commits, "{probe:?}");
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl StoreNode {
         for effect in effects {
             match effect {
                 Effect::Send(to, msg) => ctx.send(self.peers[to], RaftWire(msg)),
-                Effect::Apply { index: _, entry } => self.apply_committed(entry.cmd, ctx),
+                Effect::Apply { index: _, entry } => self.apply_committed(&entry.cmd, ctx),
                 Effect::ResetElectionTimer => self.arm_election(ctx),
                 Effect::BecameLeader => {
                     ctx.annotate("store.leader", format!("term={}", self.core.term()));
@@ -193,7 +193,7 @@ impl StoreNode {
         }
     }
 
-    fn apply_committed(&mut self, cmd: Command, ctx: &mut Ctx) {
+    fn apply_committed(&mut self, cmd: &Command, ctx: &mut Ctx) {
         let (result, events) = self.mvcc.apply(&cmd.op);
         // Leader-side lease timing.
         if self.core.is_leader() {
@@ -253,7 +253,7 @@ impl StoreNode {
         self.handle_effects(effects, ctx);
     }
 
-    fn on_client_request(&mut self, from: ActorId, r: ClientRequest, ctx: &mut Ctx) {
+    fn on_client_request(&mut self, from: ActorId, r: &ClientRequest, ctx: &mut Ctx) {
         // Serializable reads answer straight from local applied state —
         // possibly stale, by design.
         if let Op::Read { prefix } = &r.op {
@@ -289,7 +289,7 @@ impl StoreNode {
         let mut effects = Vec::new();
         match self.core.propose(
             Command {
-                op: r.op,
+                op: r.op.clone(),
                 origin: Some(origin),
             },
             &mut effects,
@@ -308,7 +308,7 @@ impl StoreNode {
         }
     }
 
-    fn on_watch_create(&mut self, from: ActorId, w: WatchCreate, ctx: &mut Ctx) {
+    fn on_watch_create(&mut self, from: ActorId, w: &WatchCreate, ctx: &mut Ctx) {
         // Revision 0 is a genuine resume point (the dawn of history); if
         // that history has been compacted away the watch is refused rather
         // than silently skipped forward.
@@ -380,17 +380,16 @@ impl Actor for StoreNode {
                 return; // not a cluster member; ignore
             };
             let mut effects = Vec::new();
-            self.core
-                .on_message(from_idx, raft_msg.clone(), &mut effects);
+            self.core.on_message(from_idx, raft_msg, &mut effects);
             self.handle_effects(effects, ctx);
             return;
         }
         if let Some(req) = msg.downcast_ref::<ClientRequest>() {
-            self.on_client_request(from, req.clone(), ctx);
+            self.on_client_request(from, req, ctx);
             return;
         }
         if let Some(w) = msg.downcast_ref::<WatchCreate>() {
-            self.on_watch_create(from, w.clone(), ctx);
+            self.on_watch_create(from, w, ctx);
             return;
         }
         if let Some(c) = msg.downcast_ref::<WatchCancelReq>() {

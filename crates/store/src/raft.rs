@@ -6,11 +6,21 @@
 //! store (§4.1: "a small cluster of nodes, typically one to nine").
 //! Snapshots and membership change are deliberately out of scope.
 //!
+//! Every per-message step of replication costs O(entries new to the
+//! receiver), never O(in-flight window): an `AppendEntries` carries a
+//! [`LogView`] — a frozen window of the leader's log, O(1) to build, clone
+//! and drop — and a follower skips the part of it it already holds with one
+//! term comparison (Log Matching). [`RaftCore::replication_steps`] counts
+//! the entry-proportional work so tests and CI can hold that property
+//! without a stopwatch.
+//!
 //! The core is *pure*: it never touches clocks, networks or randomness.
 //! Inputs are messages and timeout notifications; outputs are [`Effect`]s
 //! the caller executes. This makes safety properties directly unit-testable
 //! and lets [`crate::node::StoreNode`] own all timing via `ph-sim`.
 
+use std::cell::RefCell;
+use std::fmt;
 use std::rc::Rc;
 
 use ph_sim::ActorId;
@@ -62,6 +72,115 @@ pub struct LogEntry {
     pub cmd: Command,
 }
 
+/// The entry buffer a log and the views cut from it share.
+type Buf = Rc<RefCell<Vec<Rc<LogEntry>>>>;
+
+/// One node's log: `buf[i]` has index `i + 1`.
+///
+/// Append-only while any [`LogView`] shares the buffer: a push lands above
+/// every outstanding view's end, and a truncation under a shared buffer
+/// moves the kept prefix to a fresh one instead of mutating what a view
+/// may still read.
+#[derive(Debug, Default)]
+struct Log {
+    buf: Buf,
+}
+
+impl Log {
+    fn len(&self) -> LogIndex {
+        self.buf.borrow().len() as LogIndex
+    }
+
+    fn get(&self, index: LogIndex) -> Option<Rc<LogEntry>> {
+        let i = index.checked_sub(1)?;
+        self.buf.borrow().get(i as usize).cloned()
+    }
+
+    /// Term of the entry at `index`; 0 before the log and past its end.
+    fn term_at(&self, index: LogIndex) -> Term {
+        let Some(i) = index.checked_sub(1) else {
+            return 0;
+        };
+        self.buf.borrow().get(i as usize).map_or(0, |e| e.term)
+    }
+
+    fn push(&mut self, entry: Rc<LogEntry>) {
+        self.buf.borrow_mut().push(entry);
+    }
+
+    /// Drops every entry above index `len`; returns how many entry handles
+    /// it had to copy (0 unless it cut under a view that shares the buffer).
+    fn truncate(&mut self, len: LogIndex) -> u64 {
+        if len >= self.len() {
+            return 0;
+        }
+        if Rc::strong_count(&self.buf) == 1 {
+            self.buf.borrow_mut().truncate(len as usize);
+            return 0;
+        }
+        let kept = self.buf.borrow()[..len as usize].to_vec();
+        self.buf = Rc::new(RefCell::new(kept));
+        len
+    }
+
+    /// Everything above `prev_index` as of now.
+    fn view_after(&self, prev_index: LogIndex) -> LogView {
+        LogView {
+            buf: Rc::clone(&self.buf),
+            start: prev_index as usize,
+            end: self.buf.borrow().len(),
+        }
+    }
+}
+
+/// A frozen window of the sender's log: the entries that were above
+/// `prev_index` when the message was built, whatever the sender appends or
+/// truncates afterwards (see [`Log`]). Owns no entries — it is the sender's
+/// buffer plus two offsets — so building, cloning and dropping one is O(1).
+#[derive(Clone)]
+pub struct LogView {
+    buf: Buf,
+    start: usize,
+    end: usize,
+}
+
+impl LogView {
+    /// Number of entries in the view.
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// `true` for a pure heartbeat.
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The `i`-th entry of the view (0-based).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> Rc<LogEntry> {
+        assert!(i < self.len(), "view index {i} out of range");
+        Rc::clone(&self.buf.borrow()[self.start + i])
+    }
+
+    fn term(&self, i: usize) -> Term {
+        assert!(i < self.len(), "view index {i} out of range");
+        self.buf.borrow()[self.start + i].term
+    }
+}
+
+/// Prints the view's own range, not the buffer behind it.
+impl fmt::Debug for LogView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LogView")
+            .field("after", &self.start)
+            .field("len", &self.len())
+            .finish()
+    }
+}
+
 /// Raft protocol messages between cluster nodes.
 #[derive(Debug, Clone)]
 pub enum RaftMsg {
@@ -89,11 +208,13 @@ pub enum RaftMsg {
         prev_index: LogIndex,
         /// Term of that entry.
         prev_term: Term,
-        /// New entries (empty for pure heartbeats). Shared (`Rc`) with the
-        /// leader's log so re-sends to lagging followers — which are O(window)
-        /// per append under batched load — bump a refcount instead of deep
-        /// copying keys and values.
-        entries: Vec<Rc<LogEntry>>,
+        /// Every entry the leader held above `prev_index` at send time (empty
+        /// for pure heartbeats): the whole not-yet-acked window, re-sent on
+        /// each propose and commit advance, but as a view of the leader's
+        /// own buffer, so the message costs the same whatever the window's
+        /// depth. Safe because that buffer is append-only while shared and
+        /// copied on truncation.
+        entries: LogView,
         /// Leader's commit index.
         commit: LogIndex,
     },
@@ -117,8 +238,8 @@ pub enum Effect {
     Apply {
         /// The entry's log index.
         index: LogIndex,
-        /// The entry.
-        entry: LogEntry,
+        /// The entry, shared with the log.
+        entry: Rc<LogEntry>,
     },
     /// Re-arm the (randomized) election timer.
     ResetElectionTimer,
@@ -147,7 +268,7 @@ pub struct NotLeader {
 }
 
 /// The Raft state machine for one node.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RaftCore {
     id: NodeIdx,
     n: usize,
@@ -155,7 +276,7 @@ pub struct RaftCore {
     // Persistent state (survives restart).
     term: Term,
     voted_for: Option<NodeIdx>,
-    log: Vec<Rc<LogEntry>>, // log[i] has index i+1
+    log: Log,
 
     // Volatile state.
     role: Role,
@@ -165,6 +286,9 @@ pub struct RaftCore {
     votes: Vec<bool>,
     next_index: Vec<LogIndex>,
     match_index: Vec<LogIndex>,
+
+    /// Out-of-band cost counter; see [`RaftCore::replication_steps`].
+    steps: u64,
 }
 
 impl RaftCore {
@@ -182,7 +306,7 @@ impl RaftCore {
             n,
             term: 0,
             voted_for: None,
-            log: Vec::new(),
+            log: Log::default(),
             role: Role::Follower,
             commit: 0,
             applied: 0,
@@ -190,6 +314,7 @@ impl RaftCore {
             votes: vec![false; n],
             next_index: vec![1; n],
             match_index: vec![0; n],
+            steps: 0,
         }
     }
 
@@ -225,16 +350,20 @@ impl RaftCore {
 
     /// Number of log entries.
     pub fn log_len(&self) -> LogIndex {
-        self.log.len() as LogIndex
+        self.log.len()
     }
 
     /// The entry at `index`, if present.
-    pub fn entry(&self, index: LogIndex) -> Option<&LogEntry> {
-        if index == 0 {
-            None
-        } else {
-            self.log.get(index as usize - 1).map(Rc::as_ref)
-        }
+    pub fn entry(&self, index: LogIndex) -> Option<Rc<LogEntry>> {
+        self.log.get(index)
+    }
+
+    /// Deterministic cost of the replication path so far: one step per
+    /// entry handle compared, pushed or copied in `on_append` and one per
+    /// `advance_commit` loop iteration. Independent of how deep the
+    /// in-flight window is — about nine per commit on three nodes.
+    pub fn replication_steps(&self) -> u64 {
+        self.steps
     }
 
     /// Best guess at the current leader.
@@ -260,19 +389,15 @@ impl RaftCore {
     }
 
     fn last_log_index(&self) -> LogIndex {
-        self.log.len() as LogIndex
+        self.log.len()
     }
 
     fn last_log_term(&self) -> Term {
-        self.log.last().map_or(0, |e| e.term)
+        self.log.term_at(self.log.len())
     }
 
     fn term_at(&self, index: LogIndex) -> Term {
-        if index == 0 {
-            0
-        } else {
-            self.log.get(index as usize - 1).map_or(0, |e| e.term)
-        }
+        self.log.term_at(index)
     }
 
     fn majority(&self) -> usize {
@@ -386,7 +511,7 @@ impl RaftCore {
         let next = self.next_index[to];
         let prev_index = next - 1;
         let prev_term = self.term_at(prev_index);
-        let entries: Vec<Rc<LogEntry>> = self.log[prev_index as usize..].to_vec();
+        let entries = self.log.view_after(prev_index);
         effects.push(Effect::Send(
             to,
             RaftMsg::AppendEntries {
@@ -400,8 +525,8 @@ impl RaftCore {
     }
 
     /// Feeds one protocol message into the core.
-    pub fn on_message(&mut self, from: NodeIdx, msg: RaftMsg, effects: &mut Vec<Effect>) {
-        match msg {
+    pub fn on_message(&mut self, from: NodeIdx, msg: &RaftMsg, effects: &mut Vec<Effect>) {
+        match *msg {
             RaftMsg::RequestVote {
                 term,
                 last_log_index,
@@ -412,7 +537,7 @@ impl RaftCore {
                 term,
                 prev_index,
                 prev_term,
-                entries,
+                ref entries,
                 commit,
             } => self.on_append(from, term, prev_index, prev_term, entries, commit, effects),
             RaftMsg::AppendResp {
@@ -480,7 +605,7 @@ impl RaftCore {
         term: Term,
         prev_index: LogIndex,
         prev_term: Term,
-        entries: Vec<Rc<LogEntry>>,
+        entries: &LogView,
         commit: LogIndex,
         effects: &mut Vec<Effect>,
     ) {
@@ -512,16 +637,28 @@ impl RaftCore {
             ));
             return;
         }
-        // Append, truncating conflicts.
+        // Skip what this log already holds: equal terms at the last index
+        // the view and the log share mean identical entries up to it (Log
+        // Matching), so one comparison stands for the whole overlap.
+        let match_index = prev_index + entries.len() as LogIndex;
+        let shared = match_index.min(self.last_log_index());
         let mut idx = prev_index;
-        for entry in entries {
+        if shared > prev_index {
+            self.steps += 1;
+            if self.term_at(shared) == entries.term((shared - prev_index) as usize - 1) {
+                idx = shared;
+            }
+        }
+        // Append the rest, truncating conflicts.
+        while idx < match_index {
             idx += 1;
+            self.steps += 1;
+            let entry = entries.get((idx - prev_index) as usize - 1);
             if self.term_at(idx) != entry.term {
-                self.log.truncate(idx as usize - 1);
+                self.steps += 1 + self.log.truncate(idx - 1);
                 self.log.push(entry);
             }
         }
-        let match_index = idx;
         let new_commit = commit.min(match_index);
         if new_commit > self.commit {
             self.commit = new_commit;
@@ -564,21 +701,35 @@ impl RaftCore {
         }
     }
 
+    /// The highest index a majority holds: the majority-th largest
+    /// `match_index`.
+    fn quorum_index(&self) -> LogIndex {
+        let held_by_majority =
+            |m: LogIndex| self.match_index.iter().filter(|&&o| o >= m).count() >= self.majority();
+        self.match_index
+            .iter()
+            .copied()
+            .filter(|&m| held_by_majority(m))
+            .max()
+            .unwrap_or(0)
+    }
+
     fn advance_commit(&mut self, effects: &mut Vec<Effect>) {
-        let mut candidate = self.last_log_index();
+        // Nothing above the quorum index is replicated by a majority and
+        // everything at or below it is, so the walk starts there and only
+        // the term is left to check.
+        let mut candidate = self.quorum_index().min(self.last_log_index());
         while candidate > self.commit {
+            self.steps += 1;
             // Only entries from the current term commit by counting (§5.4.2).
             if self.term_at(candidate) == self.term {
-                let replicated = self.match_index.iter().filter(|&&m| m >= candidate).count();
-                if replicated >= self.majority() {
-                    self.commit = candidate;
-                    self.emit_applies(effects);
-                    // Propagate the new commit index immediately (as etcd
-                    // does) so follower-applied state trails commits by a
-                    // round-trip, not a heartbeat interval.
-                    self.broadcast_append(effects);
-                    return;
-                }
+                self.commit = candidate;
+                self.emit_applies(effects);
+                // Propagate the new commit index immediately (as etcd
+                // does) so follower-applied state trails commits by a
+                // round-trip, not a heartbeat interval.
+                self.broadcast_append(effects);
+                return;
             }
             candidate -= 1;
         }
@@ -587,7 +738,7 @@ impl RaftCore {
     fn emit_applies(&mut self, effects: &mut Vec<Effect>) {
         while self.applied < self.commit {
             self.applied += 1;
-            let entry = LogEntry::clone(&self.log[self.applied as usize - 1]);
+            let entry = self.log.get(self.applied).expect("committed entries exist");
             effects.push(Effect::Apply {
                 index: self.applied,
                 entry,
@@ -605,7 +756,7 @@ mod tests {
     struct Net {
         cores: Vec<RaftCore>,
         inflight: VecDeque<(NodeIdx, NodeIdx, RaftMsg)>, // (from, to, msg)
-        applied: Vec<Vec<(LogIndex, LogEntry)>>,
+        applied: Vec<Vec<(LogIndex, Rc<LogEntry>)>>,
         blocked: Vec<bool>,
     }
 
@@ -658,7 +809,7 @@ mod tests {
                     continue;
                 }
                 let mut eff = Vec::new();
-                self.cores[to].on_message(from, msg, &mut eff);
+                self.cores[to].on_message(from, &msg, &mut eff);
                 self.absorb(to, eff);
             }
         }
@@ -783,8 +934,8 @@ mod tests {
         // Logs agree entry-by-entry.
         for idx in 1..=net.cores[1].commit() {
             assert_eq!(
-                net.cores[0].entry(idx).map(|e| &e.cmd),
-                net.cores[1].entry(idx).map(|e| &e.cmd),
+                net.cores[0].entry(idx).map(|e| e.cmd.clone()),
+                net.cores[1].entry(idx).map(|e| e.cmd.clone()),
                 "divergence at {idx}"
             );
         }
@@ -878,7 +1029,7 @@ mod tests {
         // Two candidates ask for term 1; only the first gets the vote.
         core.on_message(
             1,
-            RaftMsg::RequestVote {
+            &RaftMsg::RequestVote {
                 term: 1,
                 last_log_index: 0,
                 last_log_term: 0,
@@ -887,7 +1038,7 @@ mod tests {
         );
         core.on_message(
             2,
-            RaftMsg::RequestVote {
+            &RaftMsg::RequestVote {
                 term: 1,
                 last_log_index: 0,
                 last_log_term: 0,
@@ -908,5 +1059,387 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn invalid_node_id_panics() {
         RaftCore::new(3, 3);
+    }
+
+    #[test]
+    fn replication_cost_does_not_grow_with_the_window() {
+        let mut net = Net::new(3);
+        net.timeout(0);
+        net.settle();
+        // 500 proposals with nothing delivered: every AppendEntries carries
+        // the whole unacked window, up to 500 entries deep.
+        for i in 0..500 {
+            net.propose(0, put_op(&format!("k{i}"))).expect("leader");
+        }
+        net.settle();
+        for c in &net.cores {
+            assert_eq!(c.commit(), 501);
+        }
+        let steps: u64 = net.cores.iter().map(RaftCore::replication_steps).sum();
+        // 9 per proposal here; the linear scan is ≈ 500² per follower.
+        assert!(steps <= 32 * 500, "{steps} steps for 500 proposals");
+    }
+
+    fn view_entries(view: &LogView) -> Vec<Rc<LogEntry>> {
+        (0..view.len()).map(|i| view.get(i)).collect()
+    }
+
+    fn entries_of(msg: &RaftMsg) -> Vec<Rc<LogEntry>> {
+        match msg {
+            RaftMsg::AppendEntries { entries, .. } => view_entries(entries),
+            other => panic!("not an AppendEntries: {other:?}"),
+        }
+    }
+
+    fn keys(log: &[Rc<LogEntry>]) -> Vec<String> {
+        log.iter()
+            .map(|e| match &e.cmd.op {
+                Op::Put { key, .. } => key.as_str().to_string(),
+                _ => "nop".to_string(),
+            })
+            .collect()
+    }
+
+    /// The one hazard of sharing the log buffer with messages: the sender
+    /// truncates while its messages are still in flight.
+    #[test]
+    fn in_flight_appends_outlive_the_senders_truncation() {
+        let (a, b, c, d) = (0, 1, 2, 3);
+        let mut net = Net::new(5);
+        net.timeout(a);
+        net.settle();
+        for k in ["x1", "x2", "x3"] {
+            net.propose(a, put_op(k)).expect("leader");
+        }
+        // A's twelve AppendEntries stay in flight.
+        let held = Vec::from(std::mem::take(&mut net.inflight));
+        let sent: Vec<_> = held.iter().map(|(_, _, m)| entries_of(m)).collect();
+        assert_eq!(keys(sent.last().expect("sent")), ["x1", "x2", "x3"]);
+
+        // B wins term 2 without C and overwrites A's uncommitted suffix.
+        net.blocked[c] = true;
+        net.timeout(b);
+        net.settle();
+        assert_eq!(net.leader(), Some(b));
+        net.propose(b, put_op("y")).expect("leader");
+        net.settle();
+        net.blocked[c] = false;
+        let log_of = |core: &RaftCore| -> Vec<_> {
+            (1..=core.log_len()).filter_map(|i| core.entry(i)).collect()
+        };
+        let b_log = log_of(&net.cores[b]);
+        assert_eq!(keys(&b_log), ["nop", "nop", "y"]);
+        assert_eq!(log_of(&net.cores[a]), b_log, "A's log must be B's");
+
+        // The old messages still carry what A held when it sent them.
+        for ((_, _, msg), before) in held.iter().zip(&sent) {
+            assert_eq!(&entries_of(msg), before);
+        }
+        // C never heard of term 2: it accepts them, twice over (a duplicate
+        // changes nothing), and holds exactly A's entries as sent.
+        for _ in 0..2 {
+            for (from, to, msg) in &held {
+                if *to == c {
+                    let mut eff = Vec::new();
+                    net.cores[c].on_message(*from, msg, &mut eff);
+                    assert!(matches!(
+                        eff.last(),
+                        Some(Effect::Send(_, RaftMsg::AppendResp { success: true, .. }))
+                    ));
+                }
+            }
+            assert_eq!(keys(&log_of(&net.cores[c])), ["nop", "x1", "x2", "x3"]);
+        }
+        // D voted in term 2: stale, rejected, log untouched.
+        for (from, to, msg) in &held {
+            if *to == d {
+                let mut eff = Vec::new();
+                net.cores[d].on_message(*from, msg, &mut eff);
+                assert!(matches!(
+                    eff.last(),
+                    Some(Effect::Send(_, RaftMsg::AppendResp { success: false, .. }))
+                ));
+            }
+        }
+        assert_eq!(log_of(&net.cores[d]), b_log);
+        // B's next heartbeat brings C round.
+        net.heartbeat(b);
+        net.settle();
+        assert_eq!(log_of(&net.cores[c]), b_log);
+    }
+
+    // -----------------------------------------------------------------
+    // Reference equivalence: the linear scans the fast paths replaced,
+    // kept to compare against.
+    // -----------------------------------------------------------------
+
+    impl RaftCore {
+        #[allow(clippy::too_many_arguments)]
+        fn on_append_reference(
+            &mut self,
+            from: NodeIdx,
+            term: Term,
+            prev_index: LogIndex,
+            prev_term: Term,
+            entries: Vec<Rc<LogEntry>>,
+            commit: LogIndex,
+            effects: &mut Vec<Effect>,
+        ) {
+            let reject = |term| {
+                Effect::Send(
+                    from,
+                    RaftMsg::AppendResp {
+                        term,
+                        success: false,
+                        match_index: 0,
+                    },
+                )
+            };
+            if term < self.term {
+                effects.push(reject(self.term));
+                return;
+            }
+            self.become_follower(term, effects);
+            self.leader_hint = Some(from);
+            effects.push(Effect::ResetElectionTimer);
+            if prev_index > self.last_log_index() || self.term_at(prev_index) != prev_term {
+                effects.push(reject(self.term));
+                return;
+            }
+            let mut idx = prev_index;
+            for entry in entries {
+                idx += 1;
+                if self.term_at(idx) != entry.term {
+                    self.log.truncate(idx - 1);
+                    self.log.push(entry);
+                }
+            }
+            let match_index = idx;
+            let new_commit = commit.min(match_index);
+            if new_commit > self.commit {
+                self.commit = new_commit;
+                self.emit_applies(effects);
+            }
+            effects.push(Effect::Send(
+                from,
+                RaftMsg::AppendResp {
+                    term: self.term,
+                    success: true,
+                    match_index,
+                },
+            ));
+        }
+
+        fn advance_commit_reference(&mut self, effects: &mut Vec<Effect>) {
+            let mut candidate = self.last_log_index();
+            while candidate > self.commit {
+                if self.term_at(candidate) == self.term {
+                    let replicated = self.match_index.iter().filter(|&&m| m >= candidate).count();
+                    if replicated >= self.majority() {
+                        self.commit = candidate;
+                        self.emit_applies(effects);
+                        self.broadcast_append(effects);
+                        return;
+                    }
+                }
+                candidate -= 1;
+            }
+        }
+
+        /// Everything the two paths must agree on, effects included.
+        fn observable(&self, effects: &[Effect]) -> String {
+            let log: Vec<_> = (1..=self.log_len()).map(|i| self.entry(i)).collect();
+            format!(
+                "{log:?} {:?} term={} commit={} applied={} hint={:?} {effects:?}",
+                self.role, self.term, self.commit, self.applied, self.leader_hint
+            )
+        }
+    }
+
+    /// `len` entries with non-decreasing terms drawn from `lo..=hi`.
+    fn gen_entries(
+        rng: &mut ph_sim::SimRng,
+        tag: &str,
+        len: u64,
+        lo: Term,
+        hi: Term,
+    ) -> Vec<Rc<LogEntry>> {
+        let mut term = lo;
+        (0..len)
+            .map(|i| {
+                term = rng.range(term, hi + 1);
+                Rc::new(LogEntry {
+                    term,
+                    cmd: Command::internal(put_op(&format!("{tag}{i}"))),
+                })
+            })
+            .collect()
+    }
+
+    fn terms(log: &[Rc<LogEntry>]) -> Vec<Term> {
+        log.iter().map(|e| e.term).collect()
+    }
+
+    fn core_with(
+        n: usize,
+        role: Role,
+        term: Term,
+        log: &[Rc<LogEntry>],
+        commit: LogIndex,
+    ) -> RaftCore {
+        let mut c = RaftCore::new(0, n);
+        c.role = role;
+        c.term = term;
+        for e in log {
+            c.log.push(Rc::clone(e));
+        }
+        c.commit = commit;
+        c.applied = commit;
+        c
+    }
+
+    #[test]
+    fn on_append_matches_the_linear_scan() {
+        let mut rng = ph_sim::SimRng::from_seed(0x0A99_E2D5);
+        let (mut rejected, mut skipped, mut truncated, mut grown) = (0, 0, 0, 0);
+        for case in 0..4_000 {
+            // The follower: up to 12 entries over terms 1–3.
+            let flen = rng.below(13);
+            let flog = gen_entries(&mut rng, "f", flen, 1, 3);
+            let fterm = flog.last().map_or(1, |e| e.term) + rng.below(2);
+            // The leader shares the follower's first `d` entries and then
+            // holds `m` of its own. Cut inside the follower's log they are
+            // a conflict: a term the follower holds nowhere, as Log
+            // Matching guarantees of a real divergence.
+            let d = rng.below(flen + 1);
+            let m = rng.below(7);
+            let own_lo = if d < flen {
+                4
+            } else {
+                flog.last().map_or(1, |e| e.term)
+            };
+            let mut leader = Log::default();
+            for e in flog[..d as usize]
+                .iter()
+                .cloned()
+                .chain(gen_entries(&mut rng, "l", m, own_lo, 4))
+            {
+                leader.push(e);
+            }
+            let prev_index = rng.below(leader.len() + 1);
+            let prev_term = leader.term_at(prev_index) + u64::from(rng.chance(0.1));
+            let view = leader.view_after(prev_index);
+            let term = if rng.chance(0.15) {
+                fterm - 1 // stale
+            } else {
+                fterm + rng.below(2)
+            };
+            let commit = rng.below(leader.len() + 3);
+            let role = *rng
+                .pick(&[Role::Follower, Role::Candidate, Role::Leader])
+                .expect("non-empty");
+            let fcommit = rng.below(d + 1);
+
+            let mut fast = core_with(3, role, fterm, &flog, fcommit);
+            let mut slow = core_with(3, role, fterm, &flog, fcommit);
+            // Sometimes a view of the follower's own log is outstanding (it
+            // led once): a truncation must not reach what that view reads.
+            let held = rng.chance(0.3).then(|| fast.log.view_after(0));
+
+            let (mut fast_eff, mut slow_eff) = (Vec::new(), Vec::new());
+            fast.on_append(1, term, prev_index, prev_term, &view, commit, &mut fast_eff);
+            let entries = view_entries(&view);
+            slow.on_append_reference(
+                1,
+                term,
+                prev_index,
+                prev_term,
+                entries,
+                commit,
+                &mut slow_eff,
+            );
+            assert_eq!(
+                fast.observable(&fast_eff),
+                slow.observable(&slow_eff),
+                "case {case}: follower terms {:?} <- {view:?} of a log sharing {d}",
+                terms(&flog)
+            );
+            if let Some(held) = held {
+                assert_eq!(
+                    view_entries(&held),
+                    flog,
+                    "case {case}: a held view changed"
+                );
+            }
+
+            let accepted = matches!(
+                fast_eff.last(),
+                Some(Effect::Send(_, RaftMsg::AppendResp { success: true, .. }))
+            );
+            let conflict = d < flen && m > 0 && prev_index <= d;
+            // Only cutting a real conflict out from under a view may copy.
+            if !conflict {
+                let steps = fast.replication_steps();
+                assert!(steps <= 1 + 2 * view.len() as u64, "case {case}: {steps}");
+            }
+            rejected += u32::from(!accepted);
+            truncated += u32::from(accepted && conflict);
+            grown += u32::from(accepted && !conflict && fast.log_len() > flen);
+            skipped += u32::from(accepted && fast.log_len() == flen && !view.is_empty());
+        }
+        // The generator reaches every branch, none of them rarely.
+        for (what, hits) in [
+            ("rejected", rejected),
+            ("skipped a held overlap", skipped),
+            ("truncated a conflict", truncated),
+            ("appended a new tail", grown),
+        ] {
+            assert!(hits >= 200, "{what}: only {hits} of 4000 cases");
+        }
+    }
+
+    #[test]
+    fn advance_commit_matches_the_walk_from_the_log_end() {
+        let mut rng = ph_sim::SimRng::from_seed(0x00C0_3317);
+        let (mut advanced, mut held_back) = (0, 0);
+        for case in 0..4_000 {
+            let n = *rng.pick(&[1, 3, 5]).expect("non-empty");
+            let len = rng.range(1, 13);
+            let log = gen_entries(&mut rng, "e", len, 1, 3);
+            let term = log[len as usize - 1].term + rng.below(2);
+            let commit = rng.below(len + 1);
+            let match_index: Vec<LogIndex> = (0..n).map(|_| rng.below(len + 3)).collect();
+            let next_index: Vec<LogIndex> = (0..n).map(|_| rng.range(1, len + 2)).collect();
+
+            let build = || {
+                let mut c = core_with(n, Role::Leader, term, &log, commit);
+                c.match_index.clone_from(&match_index);
+                c.next_index.clone_from(&next_index);
+                c
+            };
+            let (mut fast, mut slow) = (build(), build());
+            let (mut fast_eff, mut slow_eff) = (Vec::new(), Vec::new());
+            fast.advance_commit(&mut fast_eff);
+            slow.advance_commit_reference(&mut slow_eff);
+            assert_eq!(
+                fast.observable(&fast_eff),
+                slow.observable(&slow_eff),
+                "case {case}: match {match_index:?}, commit {commit}, term {term}, log terms {:?}",
+                terms(&log)
+            );
+
+            // §5.4.2: counting replicas commits current-term entries only.
+            if fast.commit() > commit {
+                assert_eq!(fast.term_at(fast.commit()), term, "case {case}");
+                advanced += 1;
+            } else if fast.quorum_index().min(len) > commit {
+                held_back += 1;
+            }
+        }
+        assert!(advanced >= 200, "only {advanced} cases advanced the commit");
+        assert!(
+            held_back >= 200,
+            "only {held_back} cases held a majority-replicated earlier-term entry back"
+        );
     }
 }

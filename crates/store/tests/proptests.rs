@@ -316,24 +316,32 @@ enum Action {
     Propose(usize, u8),
     DeliverOne,
     DropOne,
+    /// Deliver the k-th in-flight message (modulo the queue): `ph-sim`
+    /// links jitter, so messages overtake each other.
+    DeliverAny(usize),
+    /// Deliver a copy of the k-th in-flight message and keep the original.
+    Duplicate(usize),
 }
 
 fn gen_action(rng: &mut SimRng) -> Action {
-    match rng.below(7) {
+    match rng.below(10) {
         0 => Action::Timeout(rng.below(3) as usize),
         1 => Action::Heartbeat(rng.below(3) as usize),
         2 => Action::Propose(rng.below(3) as usize, rng.below(256) as u8),
-        6 => Action::DropOne,
+        3 => Action::DropOne,
+        4 | 5 => Action::DeliverAny(rng.below(16) as usize),
+        6 => Action::Duplicate(rng.below(16) as usize),
         _ => Action::DeliverOne, // bias toward delivery
     }
 }
 
 /// The core Raft safety property: no two nodes ever apply different
 /// commands at the same log index, under arbitrary interleaving,
-/// duplication-free delivery and message loss.
+/// reordering, duplication and message loss.
 #[test]
 fn raft_applied_logs_never_conflict() {
     let mut rng = SimRng::from_seed(0x4A47);
+    let mut total_applied = 0;
     for _ in 0..256 {
         let actions: Vec<Action> = {
             let n = rng.below(120) as usize;
@@ -352,7 +360,7 @@ fn raft_applied_logs_never_conflict() {
             for e in effects {
                 match e {
                     Effect::Send(to, msg) => inflight.push_back((at, to, msg)),
-                    Effect::Apply { index, entry } => applied[at].push((index, entry.cmd)),
+                    Effect::Apply { index, entry } => applied[at].push((index, entry.cmd.clone())),
                     _ => {}
                 }
             }
@@ -381,14 +389,20 @@ fn raft_applied_logs_never_conflict() {
                     );
                     absorb(i, effects, &mut inflight, &mut applied);
                 }
-                Action::DeliverOne => {
-                    if let Some((from, to, msg)) = inflight.pop_front() {
-                        cores[to].on_message(from, msg, &mut effects);
-                        absorb(to, effects, &mut inflight, &mut applied);
-                    }
-                }
                 Action::DropOne => {
                     inflight.pop_front();
+                }
+                Action::DeliverOne | Action::DeliverAny(_) | Action::Duplicate(_) => {
+                    let picked = match action {
+                        _ if inflight.is_empty() => None,
+                        Action::DeliverAny(k) => inflight.remove(k % inflight.len()),
+                        Action::Duplicate(k) => inflight.get(k % inflight.len()).cloned(),
+                        _ => inflight.pop_front(),
+                    };
+                    if let Some((from, to, msg)) = picked {
+                        cores[to].on_message(from, &msg, &mut effects);
+                        absorb(to, effects, &mut inflight, &mut applied);
+                    }
                 }
             }
         }
@@ -413,6 +427,11 @@ fn raft_applied_logs_never_conflict() {
             sorted.dedup();
             assert_eq!(idxs.len(), sorted.len(), "duplicate applies");
             assert!(idxs.windows(2).all(|w| w[0] < w[1]), "out-of-order applies");
+            total_applied += idxs.len();
         }
     }
+    assert!(
+        total_applied >= 300,
+        "schedules too hostile to commit: {total_applied} applies"
+    );
 }
