@@ -251,39 +251,14 @@ impl AutoFinding {
 ///
 /// `run` executes the scenario under a strategy and returns
 /// `(violations, trace)`; the first call uses [`crate::perturb::NoFault`]
-/// to obtain the reference trace. The returned `usize` is the total
-/// number of candidates derived before dedup and budgeting.
-pub fn explore<R>(
-    run: R,
-    targets_of: impl Fn(&Trace) -> Targets,
-    decision_labels: &[&str],
-    depth: usize,
-    budget: usize,
-) -> (Vec<AutoFinding>, usize, ClassCensus)
-where
-    R: Fn(&mut dyn Strategy) -> (Vec<String>, Trace),
-{
-    let (_, reference) = run(&mut crate::perturb::NoFault);
-    let targets = targets_of(&reference);
-    let all = candidates(&reference, &targets, decision_labels, depth, 300);
-    let total = all.len();
-    let (unique, census) = dedup_by_class(all, |c| c.schedule().planned_schedule());
-    let mut findings = Vec::new();
-    for candidate in unique.into_iter().take(budget) {
-        let mut strategy = candidate.schedule();
-        let (violations, trace) = run(&mut strategy);
-        findings.push(AutoFinding::from_run(candidate, violations, &trace));
-    }
-    (findings, total, census)
-}
-
-/// Parallel twin of [`explore`]: the reference run stays sequential (it is
-/// one run), candidate enumeration is a pure function of the reference
-/// trace, and the per-candidate re-runs fan out across the
+/// to obtain the reference trace. The reference run is one run on the
+/// calling thread; candidate enumeration is a pure function of its trace,
+/// and the per-candidate re-runs fan out over `threads` workers of the
 /// [`crate::parallel`] pool. Findings come back **in candidate order**
-/// (merged by index, not completion), so the result is identical to the
-/// sequential loop's at any thread count.
-pub fn explore_parallel<R>(
+/// (merged by index, not completion), so the result is identical at any
+/// thread count. The returned `usize` is the total number of candidates
+/// derived before dedup and budgeting.
+pub fn explore<R>(
     run: R,
     targets_of: impl Fn(&Trace) -> Targets,
     decision_labels: &[&str],
@@ -482,7 +457,7 @@ mod tests {
             drop(w);
             targets
         };
-        let (findings, total, census) = explore(run, targets_of, &["acted"], 2, 10);
+        let (findings, total, census) = explore(run, targets_of, &["acted"], 2, 10, 1);
         assert!(total >= 3);
         // Anchors carry every parameter, so exact-deduped candidates all
         // land in distinct classes; the census must agree.

@@ -101,11 +101,12 @@ impl RunReport {
     }
 }
 
-/// A scenario under exploration: builds and runs one trial.
-pub type ScenarioFn<'a> = dyn Fn(u64, &mut dyn Strategy) -> RunReport + 'a;
+/// A scenario under exploration: builds and runs one trial. `Sync`
+/// because pool workers call it (plain `fn` pointers qualify).
+pub type ScenarioFn<'a> = dyn Fn(u64, &mut dyn Strategy) -> RunReport + Sync + 'a;
 
-/// Builds a fresh strategy for a trial seed.
-pub type StrategyFactory<'a> = dyn Fn(u64) -> Box<dyn Strategy> + 'a;
+/// Builds a fresh strategy for a trial seed; `Sync` like [`ScenarioFn`].
+pub type StrategyFactory<'a> = dyn Fn(u64) -> Box<dyn Strategy> + Sync + 'a;
 
 /// Result of exploring one (scenario, strategy) cell.
 #[derive(Debug, Clone)]
@@ -134,9 +135,8 @@ pub struct TrialOutcome {
     pub total_events: u64,
     /// Total simulated nanoseconds across all trials (effort proxy).
     pub total_sim_ns: u64,
-    /// Per-trial simulated nanoseconds, in trial order — the raw samples
-    /// behind the hunt-telemetry latency histograms
-    /// ([`crate::telemetry::HuntReport`]).
+    /// Per-trial simulated nanoseconds of the executed trials, in trial
+    /// order — the raw samples behind [`TrialOutcome::trial_latency`].
     pub trial_sim_ns: Vec<u64>,
 }
 
@@ -168,89 +168,21 @@ impl Default for Explorer {
 
 impl Explorer {
     /// The seed of trial `t` (0-based): positional splitmix64 derivation,
-    /// shared with [`Explorer::explore_parallel`] so both paths agree on
-    /// every trial's seed regardless of execution order.
+    /// so every worker agrees on every trial's seed regardless of
+    /// execution order.
     pub fn trial_seed(&self, t: u32) -> u64 {
         crate::parallel::derive_trial_seed(self.base_seed, t)
     }
 
-    /// Runs up to `max_trials` trials, stopping at the first violation.
-    ///
-    /// Trials whose (canonical schedule class, seed) pair already ran are
-    /// skipped: with identical planned injections *and* an identical root
-    /// seed the run is bit-for-bit the same simulation, so its verdict is
-    /// already known — the dedup is verdict-preserving by construction.
-    /// The seed stays in the key because scenario workloads are
-    /// seed-sensitive (jitter derives from the trial seed): equal plans
-    /// under different seeds are genuinely different runs and both
-    /// execute. Strategies without a planned schedule (the random
-    /// baselines) are never deduplicated.
+    /// [`Explorer::explore_parallel`] on one worker, which runs inline on
+    /// the calling thread.
     pub fn explore(
         &self,
         scenario_name: &str,
         scenario: &ScenarioFn<'_>,
         factory: &StrategyFactory<'_>,
     ) -> TrialOutcome {
-        let mut strategy_name = String::new();
-        let mut total_events = 0u64;
-        let mut total_sim_ns = 0u64;
-        let mut trial_sim_ns = Vec::new();
-        let mut classes: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut ran: std::collections::BTreeSet<(u64, u64)> = std::collections::BTreeSet::new();
-        let mut distinct_classes = 0u32;
-        let mut deduped_trials = 0u32;
-        let mut executed = 0u32;
-        for t in 0..self.max_trials {
-            let seed = self.trial_seed(t);
-            let mut strategy = factory(seed);
-            if t == 0 {
-                strategy_name = strategy.name();
-            }
-            match strategy.planned_schedule() {
-                Some(ops) => {
-                    let class = crate::canon::plan_class(&ops);
-                    if classes.insert(class) {
-                        distinct_classes += 1;
-                    }
-                    if !ran.insert((class, seed)) {
-                        deduped_trials += 1;
-                        continue;
-                    }
-                }
-                None => distinct_classes += 1,
-            }
-            executed += 1;
-            let report = scenario(seed, strategy.as_mut());
-            total_events += report.trace_events as u64;
-            total_sim_ns += report.sim_time.0;
-            trial_sim_ns.push(report.sim_time.0);
-            if report.failed() {
-                return TrialOutcome {
-                    scenario: scenario_name.to_string(),
-                    strategy: strategy_name,
-                    trials_run: executed,
-                    distinct_classes,
-                    deduped_trials,
-                    first_violation: Some(t + 1),
-                    example: Some(report),
-                    total_events,
-                    total_sim_ns,
-                    trial_sim_ns,
-                };
-            }
-        }
-        TrialOutcome {
-            scenario: scenario_name.to_string(),
-            strategy: strategy_name,
-            trials_run: executed,
-            distinct_classes,
-            deduped_trials,
-            first_violation: None,
-            example: None,
-            total_events,
-            total_sim_ns,
-            trial_sim_ns,
-        }
+        self.explore_parallel(1, scenario_name, scenario, factory)
     }
 }
 
@@ -322,43 +254,6 @@ impl DetectionMatrix {
                 out.push_str(&format!("  {cell:>w$}"));
             }
             out.push('\n');
-        }
-        out
-    }
-
-    /// Renders the exploration *effort* behind each cell: trials run, trace
-    /// events generated, and simulated time burned. Companion to
-    /// [`DetectionMatrix::render`] — that table says *whether* a strategy
-    /// finds a bug; this one says what it cost.
-    pub fn render_effort(&self) -> String {
-        let first_col = self
-            .cells
-            .iter()
-            .map(|c| c.scenario.len() + c.strategy.len() + 3)
-            .max()
-            .unwrap_or(8)
-            .max("cell".len());
-        let mut out = format!(
-            "{:<first_col$}  {:>7}  {:>12}  {:>12}  {:>10}  {:>17}\n",
-            "cell", "trials", "events", "sim-time", "detected", "blame"
-        );
-        for c in &self.cells {
-            let label = format!("{} / {}", c.scenario, c.strategy);
-            let sim = format!("{:.3}s", c.total_sim_ns as f64 / 1e9);
-            let det = match c.first_violation {
-                Some(n) => format!("trial {n}"),
-                None => "no".to_string(),
-            };
-            let blame = c
-                .example
-                .as_ref()
-                .and_then(|r| r.blame.as_ref())
-                .map(|b| b.class.as_str())
-                .unwrap_or("-");
-            out.push_str(&format!(
-                "{label:<first_col$}  {:>7}  {:>12}  {sim:>12}  {det:>10}  {blame:>17}\n",
-                c.trials_run, c.total_events,
-            ));
         }
         out
     }

@@ -35,19 +35,20 @@
 //! * [`harness`] — the explorer: run a scenario under a strategy across
 //!   seeds, count trials-to-first-violation, and build the detection
 //!   matrices reported in EXPERIMENTS.md;
-//! * [`parallel`] — the deterministic work-stealing trial scheduler:
-//!   positional splitmix64 seed derivation, order-stable merge by trial
-//!   index, and cooperative early-cancel, so `explore_parallel(n)` is
-//!   byte-identical to the sequential explorer at any thread count;
+//! * [`parallel`] — the deterministic trial pool: one cursor handing out
+//!   trial indices in ascending order (inline on the calling thread with
+//!   one worker), positional splitmix64 seed derivation, order-stable
+//!   merge by trial index, and cooperative early-cancel, so
+//!   `explore_parallel(n)` is byte-identical at any thread count;
 //! * [`provenance`] — the backward trace slicer: from a violating
 //!   destructive action, walk the happens-before graph back to the injected
 //!   perturbation and classify the resulting **blame chain** with the §4.2
 //!   taxonomy (staleness / time-travel / observability-gap), cross-checkable
 //!   against the static witness class from `ph-lint`;
-//! * [`telemetry`] — hunt observability: per-(scenario, strategy) trial
-//!   counters, per-trial latency histograms, events per simulated second,
-//!   time-to-detection, and injection effectiveness, exportable in
-//!   Prometheus text-exposition format.
+//! * [`telemetry`] — hunt observability over a [`DetectionMatrix`]'s
+//!   cells: per-trial latency histograms, events per simulated second,
+//!   time-to-detection and injection effectiveness as [`TrialOutcome`]
+//!   methods, rendered as a table or in Prometheus text-exposition format.
 //!
 //! The crate depends only on [`ph_sim`] (the substrate) and `ph_lint` (the
 //! shared §4.2 [`ph_lint::summary::PatternClass`] taxonomy): the model and
@@ -88,7 +89,7 @@ pub mod perturb;
 pub mod provenance;
 pub mod telemetry;
 
-pub use autoguide::{candidates, explore, explore_parallel, AutoFinding, Candidate};
+pub use autoguide::{candidates, explore, AutoFinding, Candidate};
 pub use canon::{canonicalize, canonicalize_ops, plan_class, ClassCensus, PlannedOp};
 pub use causality::CausalGraph;
 pub use divergence::{DivergenceSummary, LagSampler, ViewLag, ViewSlot};
@@ -103,4 +104,3 @@ pub use perturb::{
     TargetRef, Targets,
 };
 pub use provenance::{explain, BlameChain, BlameLink, BlameSpec, BlameSummary};
-pub use telemetry::{print_prometheus, HuntReport, StrategyStats};

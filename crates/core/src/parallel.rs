@@ -15,43 +15,33 @@
 //!   splitmix64 decorrelates them for free.)
 //! * **Results merge by trial index, never by completion order.** Workers
 //!   deposit each report into a per-trial slot; the aggregation walks the
-//!   slots `0, 1, 2, …` exactly like the sequential loop walks its
-//!   iterations, so `total_events`/`total_sim_ns` are summed in trial
-//!   order and `first_violation` is the *lowest* failing index — not the
-//!   first to finish.
+//!   slots `0, 1, 2, …`, so `total_events`/`total_sim_ns` are summed in
+//!   trial order and `first_violation` is the *lowest* failing index — not
+//!   the first to finish.
 //! * **Early-cancel is cooperative and one-sided.** Once some trial `f`
 //!   fails, trials with index `> f` become unnecessary and are skipped;
 //!   trials `≤ f` are never skipped (the cancel cutoff only decreases, and
 //!   never below the final first failure), so every slot the merge reads
 //!   is guaranteed to be populated.
 //!
-//! The scheduler itself is a work-stealing pool over `std::thread` scoped
-//! threads: each worker owns a chunk of the trial range and steals from
-//! the tail of a sibling's chunk when its own runs dry. Stealing order
-//! affects only *which worker* runs a trial — never the trial's seed, nor
-//! where its result lands.
+//! The scheduler is one shared cursor over the trial range: workers claim
+//! indices in ascending order, so the trials a cancelled explore started
+//! are always a prefix `0..k` of the range. With one worker the jobs run
+//! inline on the calling thread (no thread is spawned), which keeps that
+//! thread's trial buffer pool warm across calls. Which worker runs a trial
+//! never changes the trial's seed, nor where its result lands.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
-use crate::harness::{Explorer, RunReport, TrialOutcome};
-use crate::perturb::Strategy;
-
-/// A scenario runnable from worker threads (the `Sync` twin of
-/// [`crate::harness::ScenarioFn`]; plain `fn` pointers qualify).
-pub type SyncScenarioFn<'a> = dyn Fn(u64, &mut dyn Strategy) -> RunReport + Sync + 'a;
-
-/// A strategy factory callable from worker threads (the `Sync` twin of
-/// [`crate::harness::StrategyFactory`]).
-pub type SyncStrategyFactory<'a> = dyn Fn(u64) -> Box<dyn Strategy> + Sync + 'a;
+use crate::harness::{Explorer, RunReport, ScenarioFn, StrategyFactory, TrialOutcome};
 
 /// Derives the seed of trial `trial_idx` from the explorer's root seed:
 /// splitmix64 evaluated at index `trial_idx`.
 ///
 /// The derivation is *positional* — a pure function of `(root_seed,
-/// trial_idx)` — so sequential and parallel explorers, and workers racing
-/// in any order, all agree on every trial's seed.
+/// trial_idx)` — so workers racing in any order all agree on every
+/// trial's seed.
 pub fn derive_trial_seed(root_seed: u64, trial_idx: u32) -> u64 {
     // splitmix64 with its state advanced trial_idx + 1 steps from
     // root_seed, collapsed into one multiply (the increment is a constant
@@ -69,51 +59,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Per-worker job queues with stealing.
-///
-/// Worker `w` pops from the front of its own queue (cache-friendly,
-/// ascending indices) and, when empty, steals from the *back* of the
-/// first non-empty sibling queue — the classic deque discipline, with a
-/// mutex per queue instead of a lock-free deque (job bodies are whole
-/// simulations; queue contention is noise).
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<u32>>>,
-}
-
-impl StealQueues {
-    /// Splits `0..jobs` into `workers` contiguous chunks.
-    fn new(jobs: u32, workers: usize) -> StealQueues {
-        let mut queues: Vec<VecDeque<u32>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let per = (jobs as usize).div_ceil(workers.max(1));
-        for j in 0..jobs {
-            queues[(j as usize / per.max(1)).min(workers - 1)].push_back(j);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Next job for worker `w`: own front, else steal a sibling's back.
-    /// `None` means every queue is empty and the worker can retire.
-    fn next(&self, w: usize) -> Option<u32> {
-        if let Some(j) = self.queues[w].lock().expect("queue poisoned").pop_front() {
-            return Some(j);
-        }
-        let n = self.queues.len();
-        for i in 1..n {
-            let victim = (w + i) % n;
-            if let Some(j) = self.queues[victim]
-                .lock()
-                .expect("queue poisoned")
-                .pop_back()
-            {
-                return Some(j);
-            }
-        }
-        None
-    }
 }
 
 /// Runs `job(0), job(1), …, job(jobs - 1)` across `threads` workers and
@@ -140,10 +85,12 @@ where
 }
 
 /// The shared pool core: runs `job` for indices `0..jobs`, depositing
-/// each result in its index's slot. If `cancel` is given, indices greater
-/// than its current value are skipped (their slots stay `None`); the
-/// value only ever decreases (via `fetch_min` inside `job`), so indices
-/// at or below its final value are never skipped.
+/// each result in its index's slot. Workers claim indices from one cursor
+/// in ascending order. If `cancel` is given, no index greater than its
+/// current value is claimed (the slots from there on stay `None`); the
+/// value only ever decreases (via `fetch_min` inside `job`), so the claimed
+/// indices are a prefix `0..k` that covers every index at or below its
+/// final value. One worker runs the jobs inline on the calling thread.
 fn run_pool<T, F>(
     threads: usize,
     jobs: u32,
@@ -155,65 +102,68 @@ where
     F: Fn(u32) -> T + Sync,
 {
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    if jobs == 0 {
-        return slots;
-    }
-    let workers = threads.clamp(1, jobs as usize);
-    let queues = StealQueues::new(jobs, workers);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let job = &job;
-            s.spawn(move || {
-                while let Some(i) = queues.next(w) {
-                    if let Some(c) = cancel {
-                        if i > c.load(Ordering::Acquire) {
-                            continue; // a lower trial already failed
-                        }
-                    }
-                    let out = job(i);
-                    *slots[i as usize].lock().expect("slot poisoned") = Some(out);
-                }
-            });
+    let cursor = AtomicU32::new(0);
+    let work = || {
+        // Claiming and the cancel check are one atomic step on the cursor,
+        // so an index is claimed only if it runs. The cursor publishes no
+        // data (results travel through the slots and the scope's join).
+        while let Ok(i) = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |i| {
+            let open = cancel.map_or(true, |c| i <= c.load(Ordering::Acquire));
+            (i < jobs && open).then_some(i + 1)
+        }) {
+            let out = job(i);
+            *slots[i as usize].lock().expect("slot poisoned") = Some(out);
         }
-    });
+    };
+    match threads.clamp(1, jobs.max(1) as usize) {
+        1 => work(),
+        workers => std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(work);
+            }
+        }),
+    }
     slots
 }
 
 /// What a worker records per trial: the built strategy's name (trial 0's
-/// names the whole cell, as in the sequential path) plus the report.
+/// names the whole cell) plus the report.
 struct TrialRecord {
     strategy_name: String,
     report: RunReport,
 }
 
 impl Explorer {
-    /// Parallel twin of [`Explorer::explore`]: fans the trial range across
-    /// `threads` workers and produces a [`TrialOutcome`] **identical** to
-    /// the sequential one — same `first_violation` (the lowest failing
-    /// trial index, found cooperatively), same `example` report, same
-    /// `total_events`/`total_sim_ns` (summed in trial order over exactly
-    /// the trials the sequential loop would have run).
+    /// Runs up to `max_trials` trials on `threads` workers, stopping at the
+    /// first violation. The [`TrialOutcome`] is the same at any thread
+    /// count: `first_violation` is the lowest failing trial index (found
+    /// cooperatively), and `total_events`/`total_sim_ns` are summed in
+    /// trial order over exactly the trials up to it.
     ///
-    /// `threads == 1` still routes through the pool (one worker), so the
-    /// equivalence tests exercise the parallel code path end to end.
+    /// Trials whose (canonical schedule class, seed) pair already ran are
+    /// skipped: with identical planned injections *and* an identical root
+    /// seed the run is bit-for-bit the same simulation, so its verdict is
+    /// already known — the dedup is verdict-preserving by construction.
+    /// The seed stays in the key because scenario workloads are
+    /// seed-sensitive (jitter derives from the trial seed): equal plans
+    /// under different seeds are genuinely different runs and both
+    /// execute. Strategies without a planned schedule (the random
+    /// baselines) are never deduplicated.
     pub fn explore_parallel(
         &self,
         threads: usize,
         scenario_name: &str,
-        scenario: &SyncScenarioFn<'_>,
-        factory: &SyncStrategyFactory<'_>,
+        scenario: &ScenarioFn<'_>,
+        factory: &StrategyFactory<'_>,
     ) -> TrialOutcome {
         let n = self.max_trials;
 
         // Canonical-schedule dedup decisions are precomputed positionally
-        // — a sequential walk over planned schedules (cheap: no
-        // simulation runs) — so every worker agrees with the sequential
-        // explorer on which trials are duplicates, regardless of
-        // completion order. `*_prefix[t]` hold the counter values after
-        // considering trials `0..=t`, mirroring the sequential loop's
-        // counters at its early-return points.
+        // — a walk over planned schedules in trial order (cheap: no
+        // simulation runs) — so every worker agrees on which trials are
+        // duplicates, regardless of completion order. `*_prefix[t]` hold
+        // the counter values after considering trials `0..=t`, so the
+        // outcome reports them as of the first failure.
         let mut classes: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         let mut ran: std::collections::BTreeSet<(u64, u64)> = std::collections::BTreeSet::new();
         let mut skip = vec![false; n as usize];
@@ -261,7 +211,7 @@ impl Explorer {
             })
         });
 
-        // Merge in trial order, mirroring the sequential loop exactly.
+        // Merge in trial order, up to and including the first failure.
         let mut records: Vec<Option<Option<TrialRecord>>> = slots
             .into_iter()
             .map(|s| s.into_inner().expect("slot poisoned"))
@@ -296,14 +246,12 @@ impl Explorer {
                 example = Some(rec.report);
             }
         }
-        let considered = first_fail.map_or(n, |f| f + 1);
-        let (distinct_classes, deduped_trials) = if considered == 0 {
-            (0, 0)
-        } else {
-            (
-                distinct_prefix[considered as usize - 1],
-                deduped_prefix[considered as usize - 1],
-            )
+        let (distinct_classes, deduped_trials) = match upto.checked_sub(1) {
+            Some(last) => (
+                distinct_prefix[last as usize],
+                deduped_prefix[last as usize],
+            ),
+            None => (0, 0),
         };
         TrialOutcome {
             scenario: scenario_name.to_string(),
@@ -325,6 +273,7 @@ mod tests {
     use super::*;
     use crate::divergence::DivergenceSummary;
     use crate::oracle::Violation;
+    use crate::perturb::Strategy;
     use ph_sim::{MetricsReport, SimTime};
 
     /// A deterministic fake scenario: fails iff `seed % modulus == 0`;
@@ -503,16 +452,34 @@ mod tests {
     }
 
     #[test]
-    fn steal_queues_drain_every_job_exactly_once() {
-        let q = StealQueues::new(37, 4);
-        let mut seen = Vec::new();
-        // Drain from a single "worker" so its own queue empties and it
-        // steals the rest.
-        while let Some(j) = q.next(2) {
-            seen.push(j);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..37).collect::<Vec<_>>());
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = run_indexed(1, 5, |_| std::thread::current().id());
+        assert_eq!(ran_on, vec![caller; 5]);
+    }
+
+    #[test]
+    fn a_cancelled_explore_starts_a_prefix_of_the_trials() {
+        let ex = Explorer {
+            max_trials: 64,
+            base_seed: 11,
+        };
+        let fails = fake(1);
+        let started = Mutex::new(Vec::new());
+        let scenario = |seed: u64, s: &mut dyn Strategy| {
+            started.lock().expect("no job panicked").push(seed);
+            fails(seed, s)
+        };
+        let out = ex.explore_parallel(8, "fake", &scenario, &factory);
+        assert_eq!(out.first_violation, Some(1));
+        // The started seeds are exactly those of trials 0..k.
+        let mut started = started.into_inner().expect("no job panicked");
+        let mut prefix: Vec<u64> = (0..started.len() as u32)
+            .map(|t| ex.trial_seed(t))
+            .collect();
+        started.sort_unstable();
+        prefix.sort_unstable();
+        assert_eq!(started, prefix);
     }
 
     #[test]

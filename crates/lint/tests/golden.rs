@@ -101,7 +101,7 @@ fn stray_print_golden() {
 
 #[test]
 fn prometheus_writer_suppression_golden() {
-    // The telemetry layer's one sanctioned stdout use: the Prometheus
+    // A metrics exporter's sanctioned stdout use: a Prometheus
     // text-exposition writer. Its reasoned allow must suppress exactly the
     // exposition println and nothing else.
     let fs = check("prometheus_writer", "crates/core/src/fixture.rs");

@@ -12,7 +12,6 @@
 //!                                     Prometheus text exposition
 //!        [--metrics]                  print the metrics + divergence tables
 //!        [--json]                     print the full report as JSON
-//!        [--threads N]                worker pool size
 //! phtool explain --scenario <name> | --all
 //!        [--strategy <name>] [--variant buggy|fixed] [--seed N]
 //!        [--json] [--threads N]      blame chain: the minimal causal
@@ -77,7 +76,6 @@ use std::collections::BTreeMap;
 use ph_core::autoguide;
 use ph_core::harness::Explorer;
 use ph_core::perturb::Strategy;
-use ph_core::telemetry::HuntReport;
 use ph_scenarios::experiments::{self, EXPERIMENTS};
 use ph_scenarios::{by_name, Scenario, Variant, SCENARIOS, STRATEGIES};
 use ph_sim::Trace;
@@ -122,8 +120,7 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
     (
         "run",
         &[
-            "scenario", "strategy", "variant", "seed", "trace", "format", "prom", "metrics",
-            "json", "threads",
+            "scenario", "strategy", "variant", "seed", "trace", "format", "prom", "metrics", "json",
         ],
         cmd_run,
     ),
@@ -261,7 +258,7 @@ impl Args {
 fn usage() -> &'static str {
     "usage:\n  phtool list\n  phtool run --scenario <name> [--strategy <name>] \
      [--variant buggy|fixed] [--seed N] [--trace out.json] \
-     [--format json|jsonl|chrome] [--prom <file>] [--metrics] [--json] [--threads N]\n  \
+     [--format json|jsonl|chrome] [--prom <file>] [--metrics] [--json]\n  \
      phtool explain \
      --scenario <name> | --all [--strategy <name>] [--variant buggy|fixed] [--seed N] \
      [--json] [--threads N]\n  phtool report \
@@ -307,7 +304,6 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
     let strategy_name = args.strategy()?;
     let new_strategy = || scenario.strategy(strategy_name, seed);
     let format = args.get("format").unwrap_or("json");
-    let threads = args.threads()?;
 
     let report = if let Some(path) = args.get("trace") {
         let (report, trace) = scenario.run_traced(seed, new_strategy().as_mut(), variant);
@@ -316,14 +312,7 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
         println!("trace written to {path} ({} events, {format})", trace.len());
         report
     } else {
-        // Route the run through the deterministic pool so --threads
-        // exercises the parallel path; a single trial's report is
-        // byte-identical at any pool size.
-        ph_core::run_indexed(threads, 1, |_| {
-            scenario.run(seed, new_strategy().as_mut(), variant)
-        })
-        .pop()
-        .expect("one job, one report")
+        scenario.run(seed, new_strategy().as_mut(), variant)
     };
 
     if let Some(path) = args.get("prom") {
@@ -422,12 +411,11 @@ fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
         base_seed: args.get_u64("seed", 1000)?,
     };
     let matrix = experiments::detection_matrix(&by_name(), STRATEGIES, explorer, args.threads()?);
-    let hunt_report = HuntReport::from_outcomes(matrix.cells());
     println!("{}", matrix.render());
     println!("-- hunt telemetry (per scenario × strategy cell) --");
-    print!("{}", hunt_report.render());
+    print!("{}", matrix.render_telemetry());
     if let Some(path) = args.get("prom") {
-        std::fs::write(path, hunt_report.to_prometheus())
+        std::fs::write(path, matrix.to_prometheus())
             .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
         println!("prometheus exposition written to {path}");
     }
@@ -465,7 +453,7 @@ fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
     };
     println!("hunting {scenario} (decisions {labels:?}, depth {depth}, budget {budget})…");
     let (findings, total, census) =
-        autoguide::explore_parallel(run, |_| entry.targets(seed), labels, depth, budget, threads);
+        autoguide::explore(run, |_| entry.targets(seed), labels, depth, budget, threads);
     println!(
         "{total} candidates derived; {} distinct classes, {} deduplicated; {} tried",
         census.distinct_classes,

@@ -30,7 +30,15 @@ fn hunt(name: &str, scenario: &Scenario, depth: usize, budget: usize) {
             .collect();
         (violations, trace)
     };
-    let (findings, total, census) = explore(run, |_| scenario.targets(1), decisions, depth, budget);
+    let threads = ph_core::default_threads();
+    let (findings, total, census) = explore(
+        run,
+        |_| scenario.targets(1),
+        decisions,
+        depth,
+        budget,
+        threads,
+    );
     println!(
         "  {} candidates derived from the reference trace ({} distinct classes, \
          {} deduplicated), {} tried:",

@@ -30,6 +30,7 @@ fn auto_explorer_discovers_the_volume_controller_bug() {
         &["vc.release_pvc"], // the decision whose causes get perturbed
         4,                   // nearest causes per decision
         12,                  // candidate budget
+        1,                   // worker
     );
     assert!(total >= 2, "expected several candidates, got {total}");
     let hits: Vec<_> = findings.iter().filter(|f| f.violated).collect();
@@ -66,6 +67,7 @@ fn auto_explorer_discovers_the_scheduler_bug() {
         &["scheduler.bind"],
         12, // deep enough to reach the node-deletion notification
         40,
+        1,
     );
     let hits: Vec<_> = findings.iter().filter(|f| f.violated).collect();
     assert!(

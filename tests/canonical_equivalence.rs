@@ -234,6 +234,7 @@ fn phtool_rejects_bad_command_lines_with_exit_2() {
         (&["frob"][..], "unknown command \"frob\""),
         (&["scale", "--bogusflag", "x"], "has no flag --bogusflag"),
         (&["lint", "--threads", "4"], "has no flag --threads"),
+        (&["run", "--threads", "4"], "has no flag --threads"),
         (&["list", "--json"], "has no flag --json"),
         (&["scale", "--nodes"], "--nodes needs a value"),
         (&["scale", "--nodes", "many"], "--nodes wants a number"),

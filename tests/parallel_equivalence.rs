@@ -1,10 +1,10 @@
-//! Parallel ≡ sequential: the headline property of the parallel engine.
+//! Any thread count ≡ one: the headline property of the trial pool.
 //!
 //! For random `(scenario, strategy, seed, thread count, budget)` tuples,
 //! `Explorer::explore_parallel(n)` must produce a [`TrialOutcome`], a
 //! [`DetectionMatrix`] rendering, and an example [`RunReport`] JSON
-//! **byte-identical** to the sequential `Explorer::explore` — at any
-//! thread count. Cases are drawn from a fixed-seed [`SimRng`] (the
+//! **byte-identical** to `Explorer::explore` — one worker, inline on the
+//! calling thread. Cases are drawn from a fixed-seed [`SimRng`] (the
 //! repo's in-tree property-testing idiom), so the exact case set is
 //! pinned forever and runs with zero third-party dependencies.
 
@@ -61,9 +61,10 @@ fn random_tuples_parallel_equals_sequential() {
     }
 }
 
-/// Full-matrix equivalence: both paths assemble a [`DetectionMatrix`] over
-/// every scenario, and the rendered tables (detection and effort) are
-/// byte-identical — the `phtool matrix` payload at any thread count.
+/// Full-matrix equivalence: one worker and three each assemble a
+/// [`DetectionMatrix`] over every scenario, and the rendered detection and
+/// telemetry tables and the Prometheus exposition are byte-identical — the
+/// `phtool matrix` payload at any thread count.
 #[test]
 fn detection_matrix_renders_identically() {
     let explorer = Explorer {
@@ -80,13 +81,18 @@ fn detection_matrix_renders_identically() {
         par_matrix.add(explorer.explore_parallel(3, name, &scenario_fn, &factory));
     }
     assert_eq!(seq_matrix.render(), par_matrix.render());
-    assert_eq!(seq_matrix.render_effort(), par_matrix.render_effort());
+    assert_eq!(seq_matrix.render_telemetry(), par_matrix.render_telemetry());
+    assert_eq!(seq_matrix.to_prometheus(), par_matrix.to_prometheus());
+    // The examples carry the blame summaries neither table prints.
+    for (seq, par) in seq_matrix.cells().iter().zip(par_matrix.cells()) {
+        assert_outcomes_identical(&seq.scenario, 3, seq, par);
+    }
 }
 
 /// The aggregation guard: `total_events` / `total_sim_ns` sums must be
-/// taken in trial order in both paths. Runs one no-detection cell (every
-/// trial executes, so the sums cover the whole budget) at three thread
-/// counts and diffs the rendered effort tables byte for byte.
+/// taken in trial order at every thread count. Runs one no-detection cell
+/// (every trial executes, so the sums cover the whole budget) at three
+/// thread counts and diffs the rendered telemetry byte for byte.
 #[test]
 fn effort_table_is_stable_across_thread_counts() {
     let explorer = Explorer {
@@ -96,20 +102,24 @@ fn effort_table_is_stable_across_thread_counts() {
     let scenario = &cass_398::SCENARIO;
     let scenario_fn = |seed: u64, s: &mut dyn Strategy| scenario.run(seed, s, Variant::Buggy);
     let factory = |_seed: u64| Box::new(NoFault) as Box<dyn Strategy>;
-    let tables: Vec<String> = [1usize, 2, 4]
+    let tables: Vec<(String, String)> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
             let mut m = DetectionMatrix::new();
             m.add(explorer.explore_parallel(threads, scenario.name, &scenario_fn, &factory));
-            m.render_effort()
+            (m.render_telemetry(), m.to_prometheus())
         })
         .collect();
     assert_eq!(tables[0], tables[1], "1 vs 2 threads");
     assert_eq!(tables[1], tables[2], "2 vs 4 threads");
-    // And the parallel tables match the sequential one.
+    // And the pooled tables match `explore`'s.
     let mut m = DetectionMatrix::new();
     m.add(explorer.explore(scenario.name, &scenario_fn, &factory));
-    assert_eq!(m.render_effort(), tables[0], "sequential vs pooled");
+    assert_eq!(
+        (m.render_telemetry(), m.to_prometheus()),
+        tables[0],
+        "explore vs pooled"
+    );
 }
 
 /// Early-cancel must report the *lowest* failing trial, not the first to
