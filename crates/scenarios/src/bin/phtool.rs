@@ -555,11 +555,16 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
         probe.raft_commits,
         probe.raft_steps as f64 / probe.raft_commits.max(1) as f64
     );
+    // What compaction leaves of the store's history (CI bounds it).
+    let history = format!(
+        "{} revisions retained (largest replica), compacted through {}",
+        probe.store_history, probe.store_compacted
+    );
     if args.has("json") {
         // The memory probe is shard-layout-dependent, so it goes to stderr:
         // stdout stays byte-identical across shard counts (CI diffs it).
         eprintln!(
-            "cache probe: {} bytes over {} objects (shard-layout-dependent); raft: {raft}",
+            "cache probe: {} bytes over {} objects (shard-layout-dependent); raft: {raft}; history: {history}",
             probe.cache_bytes, probe.cache_objects
         );
         println!("{}", report.to_json());
@@ -608,6 +613,7 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
         report.metrics.counter_total("watcher.events"),
     );
     println!("raft     : {raft}");
+    println!("history  : {history}");
     Ok(exit)
 }
 

@@ -16,6 +16,13 @@
 //! invisible — `run` at `shards = 8` is byte-identical to `shards = 1`
 //! (the scenario-level property test pins this).
 //!
+//! The store compacts its history as a Kubernetes etcd does, on a timer,
+//! keeping the apiserver's watch window of trailing revisions (see
+//! `cluster_config`). Without it every replica kept every revision it had
+//! applied, and that history was most of a 5k-node run's memory; with it
+//! the history is bounded by the window plus one interval of commits
+//! whatever the run length ([`ScaleProbe::store_history`]).
+//!
 //! Scale points (the E10 sweep): nodes ∈ {100, 1k, 5k} with
 //! `pods = clamp(20 × nodes, 10k, 100k)`. `phtool scale` runs one point.
 
@@ -28,7 +35,8 @@ use ph_core::harness::RunReport;
 use ph_core::perturb::NoFault;
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, Retention, TimerId};
 use ph_store::msgs::Expect;
-use ph_store::{Completion, StoreClient, StoreClientConfig, StoreNode};
+use ph_store::node::AutoCompact;
+use ph_store::{Completion, Revision, StoreClient, StoreClientConfig, StoreNode, StoreNodeConfig};
 
 use crate::common::Runner;
 
@@ -64,19 +72,38 @@ impl ScaleParams {
     }
 }
 
+/// How often the store leader proposes compacting its history down to the
+/// trailing window (see [`cluster_config`]).
+const COMPACT_INTERVAL: Duration = Duration::millis(100);
+
 /// The cluster under the scale load: 3 store nodes, one apiserver (the
 /// watch cache being measured), no kubelets and no controllers — every
 /// event in the run is either demand churn or view maintenance, so the
 /// throughput numbers measure the data path, not scenario logic.
+///
+/// The store compacts like a Kubernetes etcd: every [`COMPACT_INTERVAL`]
+/// the leader proposes dropping all but the trailing `window` revisions.
+/// `window` is also the apiserver's watch window, so the store keeps at
+/// least as much history as the apiserver serves its own consumers from:
+/// a resuming apiserver is refused only where its watchers would already
+/// have been sent to relist.
 fn cluster_config(p: &ScaleParams) -> ClusterConfig {
+    // The window must ride out a curve swing without evicting past the
+    // consumers' resume points, or relist storms dominate the run.
+    let window = (p.pods / 2).max(1024);
     ClusterConfig {
         store_nodes: 3,
         apiservers: 1,
         nodes: vec![],
+        store: StoreNodeConfig {
+            autocompact: Some(AutoCompact {
+                keep: window as u64,
+                interval: COMPACT_INTERVAL,
+            }),
+            ..StoreNodeConfig::default()
+        },
         api_shards: p.shards,
-        // The window must ride out a curve swing without evicting past the
-        // consumers' resume points, or relist storms dominate the run.
-        api_window: (p.pods / 2).max(1024),
+        api_window: window,
         api_scale_telemetry: true,
         ..ClusterConfig::default()
     }
@@ -262,8 +289,8 @@ impl Actor for PodWatcher {
 }
 
 /// The deterministic probe a scale run hands back *beside* its report: the
-/// watch cache's allocation-footprint proxy and the store's replication
-/// cost, both at churn end.
+/// watch cache's allocation-footprint proxy, the store's replication cost
+/// and what compaction left of its history, all at churn end.
 ///
 /// Deliberately out-of-band: the proxy counts backing-array capacities,
 /// which depend on the shard layout (eight small slabs reserve differently
@@ -283,6 +310,12 @@ pub struct ScaleProbe {
     pub raft_steps: u64,
     /// Log entries the store committed (the highest commit index).
     pub raft_commits: u64,
+    /// [`MvccStore::retained_events`](ph_store::MvccStore::retained_events)
+    /// of the store node holding the most: the history compaction bounds.
+    pub store_history: usize,
+    /// The lowest compaction floor over the store nodes (every replica has
+    /// dropped the history at or below it).
+    pub store_compacted: Revision,
 }
 
 /// What a scale run keeps of its trace: nothing. The run injects no fault,
@@ -314,6 +347,16 @@ pub fn run_retaining_trace(seed: u64, p: &ScaleParams) -> RunReport {
 }
 
 fn run_with(seed: u64, p: &ScaleParams, retention: Retention) -> (RunReport, ScaleProbe) {
+    let (runner, probe) = churn(seed, p, retention);
+    (runner.finish(&mut NoFault, SETTLE, &mut []), probe)
+}
+
+/// Simulated time after churn ends in which the population drains.
+const SETTLE: Duration = Duration::millis(200);
+
+/// Spawns one scale point and drives it through warm-up and churn, probing
+/// it at churn end; the caller settles it and takes the report.
+fn churn(seed: u64, p: &ScaleParams, retention: Retention) -> (Runner, ScaleProbe) {
     assert!(p.pods > 0, "the demand curve needs at least one pod slot");
     let cfg = cluster_config(p);
     let horizon = Duration(p.churn.0 + Duration::secs(2).0);
@@ -329,34 +372,42 @@ fn run_with(seed: u64, p: &ScaleParams, retention: Retention) -> (RunReport, Sca
         .world
         .spawn("demand-gen", DemandGen::new(store_cfg, p));
 
-    let mut nf = NoFault;
     let end = Duration(Duration::secs(1).0 + p.churn.0);
-    runner.drive(&mut nf, end, Duration::millis(50));
+    runner.drive(&mut NoFault, end, Duration::millis(50));
 
     // Peak-RSS proxy, captured at full churn (before the settle phase
     // lets the population drain).
     let apiserver = runner.world.actor_ref::<ApiServer>(api);
-    let rafts: Vec<_> = runner
+    let stores: Vec<&StoreNode> = runner
         .cluster
         .store
         .nodes
         .iter()
         .filter_map(|&id| runner.world.actor_ref::<StoreNode>(id))
-        .map(StoreNode::raft)
         .collect();
     let probe = ScaleProbe {
         cache_bytes: apiserver.map_or(0, ApiServer::cache_approx_bytes),
         cache_objects: apiserver.map_or(0, ApiServer::cache_len),
-        raft_steps: rafts.iter().map(|r| r.replication_steps()).sum(),
-        raft_commits: rafts.iter().map(|r| r.commit()).max().unwrap_or(0),
+        raft_steps: stores.iter().map(|s| s.raft().replication_steps()).sum(),
+        raft_commits: stores.iter().map(|s| s.raft().commit()).max().unwrap_or(0),
+        store_history: stores
+            .iter()
+            .map(|s| s.mvcc().retained_events())
+            .max()
+            .unwrap_or(0),
+        store_compacted: stores
+            .iter()
+            .map(|s| s.mvcc().compacted())
+            .min()
+            .unwrap_or_default(),
     };
-    let report = runner.finish(&mut nf, Duration::millis(200), &mut []);
-    (report, probe)
+    (runner, probe)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ph_sim::TraceEventKind;
 
     fn small() -> ScaleParams {
         ScaleParams {
@@ -395,6 +446,36 @@ mod tests {
         // ≈ 9 on three nodes whatever the in-flight window; the linear
         // scan this replaced costs hundreds at this point, thousands at 5k.
         assert!(probe.raft_steps <= 24 * probe.raft_commits, "{probe:?}");
+    }
+
+    #[test]
+    fn compaction_bounds_the_store_history() {
+        // 2 000 pod slots put the window, and so `keep`, at its 1 024
+        // floor; two seconds of churn commit several times that.
+        let p = ScaleParams {
+            pods: 2_000,
+            watchers: 1,
+            churn: Duration::secs(2),
+            ..small()
+        };
+        let keep = cluster_config(&p).store.autocompact.expect("on").keep;
+        let (runner, probe) = churn(7, &p, Retention::All);
+        let (report, trace) = runner.finish_with_trace(&mut NoFault, SETTLE, &mut []);
+        assert!(!report.failed());
+        assert!(probe.raft_commits > 4 * keep, "{probe:?}");
+        assert!(probe.store_compacted > Revision::ZERO, "{probe:?}");
+        let per_interval = probe.raft_commits * COMPACT_INTERVAL.0 / p.churn.0;
+        assert!(
+            probe.store_history as u64 <= keep + per_interval,
+            "{probe:?}: more than {keep} + {per_interval} revisions retained"
+        );
+        // A store that refused the apiserver's resume point would have made
+        // it re-list and announce itself ready a second time.
+        let ready = trace.count(|e| {
+            matches!(&e.kind, TraceEventKind::Annotation { label, .. }
+                if label.as_str() == "apiserver.ready")
+        });
+        assert_eq!(ready, 1, "the apiserver re-bootstrapped");
     }
 
     #[test]

@@ -5,17 +5,25 @@
 //! one per revision — is exactly the paper's history `H`; the materialized
 //! map of [`KeyValue`]s at a revision is the state `S`.
 
+use std::rc::Rc;
+
 use crate::bytes::Bytes;
 
 /// A key in the store. Keys are ordered byte strings; prefix scans model
 /// etcd range reads and Kubernetes collection lists.
+///
+/// A key is one shared allocation: cloning it bumps a refcount, so the log
+/// entry that carried a put, the live map's key and value, and the history
+/// event's `kv` and `prev` all point at the same bytes. It compares,
+/// orders, hashes and prints (`Key("pods/a")`) exactly as its string does.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(pub String);
+pub struct Key(Rc<str>);
 
 impl Key {
-    /// Builds a key from anything string-like.
-    pub fn new(s: impl Into<String>) -> Key {
-        Key(s.into())
+    /// Builds a key from anything string-like, copying the bytes once into
+    /// the shared allocation.
+    pub fn new(s: impl AsRef<str>) -> Key {
+        Key(Rc::from(s.as_ref()))
     }
 
     /// `true` if this key starts with `prefix`.
@@ -43,7 +51,7 @@ impl From<&str> for Key {
 
 impl From<String> for Key {
     fn from(s: String) -> Key {
-        Key(s)
+        Key::new(s)
     }
 }
 
@@ -167,6 +175,40 @@ mod tests {
         assert!(Key::new("pods/a").has_prefix("pods/"));
         assert!(!Key::new("nodes/a").has_prefix("pods/"));
         assert_eq!(Key::from("x").as_str(), "x");
+    }
+
+    #[test]
+    fn key_clones_share_the_allocation() {
+        let a = Key::new(String::from("pods/a"));
+        let b = a.clone();
+        assert_eq!(a.as_str().as_ptr(), b.as_str().as_ptr());
+        // Equal contents from separate constructions are still equal keys.
+        assert_eq!(a, Key::from("pods/a"));
+        assert_ne!(a.as_str().as_ptr(), Key::from("pods/a").as_str().as_ptr());
+    }
+
+    #[test]
+    fn key_renders_orders_and_hashes_like_its_string() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        fn hash_of(v: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        }
+
+        assert_eq!(format!("{:?}", Key::new("pods/a")), r#"Key("pods/a")"#);
+        assert_eq!(format!("{:?}", Key::new("a\"b")), r#"Key("a\"b")"#);
+        let strs = ["", "a", "pods/", "pods/a", "pods/a0", "pods/b", "z", "é"];
+        for s in strs {
+            let k = Key::new(s);
+            assert_eq!(k.to_string(), s);
+            assert_eq!(hash_of(&k), hash_of(&String::from(s)));
+            for t in strs {
+                assert_eq!(k.cmp(&Key::new(t)), s.cmp(t), "{s:?} vs {t:?}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,18 @@ pub enum Expect {
     ModRev(Revision),
 }
 
+impl Expect {
+    /// `true` if a key whose current `mod_revision` is `actual` (`None`:
+    /// the key does not exist) satisfies this precondition.
+    pub fn admits(self, actual: Option<Revision>) -> bool {
+        match self {
+            Expect::Any => true,
+            Expect::NotExists => actual.is_none(),
+            Expect::ModRev(r) => actual == Some(r),
+        }
+    }
+}
+
 /// A state-machine command (or linearizable read) submitted to the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
@@ -297,6 +309,17 @@ mod tests {
         };
         assert!(c.to_string().contains("r2"));
         assert!(c.to_string().contains("r9"));
+    }
+
+    #[test]
+    fn expect_admits_by_current_mod_revision() {
+        let (r1, r2) = (Some(Revision(1)), Some(Revision(2)));
+        assert!(Expect::Any.admits(None) && Expect::Any.admits(r1));
+        assert!(Expect::NotExists.admits(None));
+        assert!(!Expect::NotExists.admits(r1));
+        assert!(Expect::ModRev(Revision(1)).admits(r1));
+        assert!(!Expect::ModRev(Revision(1)).admits(r2));
+        assert!(!Expect::ModRev(Revision(1)).admits(None));
     }
 
     #[test]

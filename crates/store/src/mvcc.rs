@@ -8,11 +8,34 @@
 //! old tail of `H`, creating the rolling window whose edge produces
 //! observability gaps (§4.2.3).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use crate::kv::{Key, KeyValue, KvEvent, LeaseId, Revision, Value};
 use crate::msgs::{Expect, Op, OpError, OpResult};
+
+/// `key`'s entry in the live map if `expect` admits its current state. A
+/// refused entry is dropped unused, which inserts nothing.
+fn cas_entry<'a>(
+    current: &'a mut BTreeMap<Key, KeyValue>,
+    key: &Key,
+    expect: Expect,
+) -> Result<Entry<'a, Key, KeyValue>, OpError> {
+    let entry = current.entry(key.clone());
+    let actual = match &entry {
+        Entry::Occupied(e) => Some(e.get().mod_revision),
+        Entry::Vacant(_) => None,
+    };
+    if expect.admits(actual) {
+        Ok(entry)
+    } else {
+        Err(OpError::CasFailed {
+            key: key.clone(),
+            actual,
+        })
+    }
+}
 
 /// Replicated lease state (existence and attached keys; expiry timing lives
 /// at the leader, which proposes revocations through the log).
@@ -152,32 +175,15 @@ impl MvccStore {
             }
             Op::LeaseRevoke { id } => self.apply_lease_revoke(*id),
             Op::Compact { at } => {
-                let at = (*at).min(self.revision);
-                let n = self.compact(at);
-                let _ = n;
+                self.compact(*at);
                 (Ok(OpResult::Compacted { at: self.compacted }), Vec::new())
             }
             Op::Nop => (Ok(OpResult::Nop), Vec::new()),
         }
     }
 
-    fn check_expect(&self, key: &Key, expect: Expect) -> Result<(), OpError> {
-        let actual = self.current.get(key).map(|kv| kv.mod_revision);
-        let ok = match expect {
-            Expect::Any => true,
-            Expect::NotExists => actual.is_none(),
-            Expect::ModRev(r) => actual == Some(r),
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(OpError::CasFailed {
-                key: key.clone(),
-                actual,
-            })
-        }
-    }
-
+    /// A put walks the live map once: the entry it finds answers the CAS
+    /// precondition, supplies `prev`, and takes the new value in place.
     fn apply_put(
         &mut self,
         key: &Key,
@@ -185,26 +191,42 @@ impl MvccStore {
         lease: Option<LeaseId>,
         expect: Expect,
     ) -> (Result<OpResult, OpError>, Vec<Rc<KvEvent>>) {
-        if let Err(e) = self.check_expect(key, expect) {
-            return (Err(e), Vec::new());
-        }
+        let entry = match cas_entry(&mut self.current, key, expect) {
+            Ok(entry) => entry,
+            Err(e) => return (Err(e), Vec::new()),
+        };
         if let Some(id) = lease {
             if !self.leases.contains_key(&id) {
                 return (Err(OpError::LeaseNotFound(id)), Vec::new());
             }
         }
         let rev = self.revision.next();
-        let prev = self.current.get(key).cloned();
-        // Maintain lease attachment sets across ownership changes.
-        if let Some(p) = &prev {
-            if let Some(old_lease) = p.lease {
-                if Some(old_lease) != lease {
+        let mut kv = KeyValue {
+            key: key.clone(),
+            value: value.clone(),
+            create_revision: rev,
+            mod_revision: rev,
+            version: 1,
+            lease,
+        };
+        let prev = match entry {
+            Entry::Occupied(mut e) => {
+                let p = e.get();
+                kv.create_revision = p.create_revision;
+                kv.version = p.version + 1;
+                // Maintain lease attachment sets across ownership changes.
+                if let Some(old_lease) = p.lease.filter(|&old| Some(old) != lease) {
                     if let Some(info) = self.leases.get_mut(&old_lease) {
                         info.keys.remove(key);
                     }
                 }
+                Some(std::mem::replace(e.get_mut(), kv.clone()))
             }
-        }
+            Entry::Vacant(e) => {
+                e.insert(kv.clone());
+                None
+            }
+        };
         if let Some(id) = lease {
             self.leases
                 .get_mut(&id)
@@ -212,15 +234,6 @@ impl MvccStore {
                 .keys
                 .insert(key.clone());
         }
-        let kv = KeyValue {
-            key: key.clone(),
-            value: value.clone(),
-            create_revision: prev.as_ref().map_or(rev, |p| p.create_revision),
-            mod_revision: rev,
-            version: prev.as_ref().map_or(1, |p| p.version + 1),
-            lease,
-        };
-        self.current.insert(key.clone(), kv.clone());
         self.revision = rev;
         // Construct the event once; the retained log and the notification
         // batch share the allocation.
@@ -234,10 +247,11 @@ impl MvccStore {
         key: &Key,
         expect: Expect,
     ) -> (Result<OpResult, OpError>, Vec<Rc<KvEvent>>) {
-        if let Err(e) = self.check_expect(key, expect) {
-            return (Err(e), Vec::new());
-        }
-        let Some(prev) = self.current.remove(key) else {
+        let entry = match cas_entry(&mut self.current, key, expect) {
+            Ok(entry) => entry,
+            Err(e) => return (Err(e), Vec::new()),
+        };
+        let Entry::Occupied(entry) = entry else {
             return (
                 Ok(OpResult::Delete {
                     revision: self.revision,
@@ -246,6 +260,7 @@ impl MvccStore {
                 Vec::new(),
             );
         };
+        let prev = entry.remove();
         if let Some(lease) = prev.lease {
             if let Some(info) = self.leases.get_mut(&lease) {
                 info.keys.remove(key);
@@ -613,5 +628,228 @@ mod tests {
         assert_eq!(out1, out2);
         assert_eq!(s1.revision(), s2.revision());
         assert_eq!(s1.range(""), s2.range(""));
+    }
+
+    // -----------------------------------------------------------------
+    // Reference equivalence: the apply path that walked the live map once
+    // for the CAS check, once for `prev` and once for the insert, kept to
+    // compare the one-walk path against.
+    // -----------------------------------------------------------------
+
+    type Applied = (Result<OpResult, OpError>, Vec<Rc<KvEvent>>);
+
+    impl MvccStore {
+        fn apply_reference(&mut self, op: &Op) -> Applied {
+            match op {
+                Op::Put {
+                    key,
+                    value,
+                    lease,
+                    expect,
+                } => self.apply_put_reference(key, value, *lease, *expect),
+                Op::Delete { key, expect } => self.apply_delete_reference(key, *expect),
+                Op::LeaseRevoke { id } => {
+                    let Some(info) = self.leases.remove(id) else {
+                        return (Err(OpError::LeaseNotFound(*id)), Vec::new());
+                    };
+                    let mut events = Vec::new();
+                    for key in &info.keys {
+                        events.append(&mut self.apply_delete_reference(key, Expect::Any).1);
+                    }
+                    let deleted = events.len();
+                    (Ok(OpResult::LeaseRevoked { id: *id, deleted }), events)
+                }
+                _ => self.apply(op),
+            }
+        }
+
+        fn check_expect_reference(&self, key: &Key, expect: Expect) -> Result<(), OpError> {
+            let actual = self.current.get(key).map(|kv| kv.mod_revision);
+            let ok = match expect {
+                Expect::Any => true,
+                Expect::NotExists => actual.is_none(),
+                Expect::ModRev(r) => actual == Some(r),
+            };
+            if ok {
+                Ok(())
+            } else {
+                Err(OpError::CasFailed {
+                    key: key.clone(),
+                    actual,
+                })
+            }
+        }
+
+        fn apply_put_reference(
+            &mut self,
+            key: &Key,
+            value: &Value,
+            lease: Option<LeaseId>,
+            expect: Expect,
+        ) -> Applied {
+            if let Err(e) = self.check_expect_reference(key, expect) {
+                return (Err(e), Vec::new());
+            }
+            if let Some(id) = lease {
+                if !self.leases.contains_key(&id) {
+                    return (Err(OpError::LeaseNotFound(id)), Vec::new());
+                }
+            }
+            let rev = self.revision.next();
+            let prev = self.current.get(key).cloned();
+            if let Some(p) = &prev {
+                if let Some(old_lease) = p.lease {
+                    if Some(old_lease) != lease {
+                        if let Some(info) = self.leases.get_mut(&old_lease) {
+                            info.keys.remove(key);
+                        }
+                    }
+                }
+            }
+            if let Some(id) = lease {
+                self.leases
+                    .get_mut(&id)
+                    .expect("checked above")
+                    .keys
+                    .insert(key.clone());
+            }
+            let kv = KeyValue {
+                key: key.clone(),
+                value: value.clone(),
+                create_revision: prev.as_ref().map_or(rev, |p| p.create_revision),
+                mod_revision: rev,
+                version: prev.as_ref().map_or(1, |p| p.version + 1),
+                lease,
+            };
+            self.current.insert(key.clone(), kv.clone());
+            self.revision = rev;
+            let ev = Rc::new(KvEvent::Put { kv, prev });
+            self.events.push_back(Rc::clone(&ev));
+            (Ok(OpResult::Put { revision: rev }), vec![ev])
+        }
+
+        fn apply_delete_reference(&mut self, key: &Key, expect: Expect) -> Applied {
+            if let Err(e) = self.check_expect_reference(key, expect) {
+                return (Err(e), Vec::new());
+            }
+            let Some(prev) = self.current.remove(key) else {
+                return (
+                    Ok(OpResult::Delete {
+                        revision: self.revision,
+                        existed: false,
+                    }),
+                    Vec::new(),
+                );
+            };
+            if let Some(lease) = prev.lease {
+                if let Some(info) = self.leases.get_mut(&lease) {
+                    info.keys.remove(key);
+                }
+            }
+            let rev = self.revision.next();
+            self.revision = rev;
+            let ev = Rc::new(KvEvent::Delete {
+                key: key.clone(),
+                revision: rev,
+                prev: Some(prev),
+            });
+            self.events.push_back(Rc::clone(&ev));
+            (
+                Ok(OpResult::Delete {
+                    revision: rev,
+                    existed: true,
+                }),
+                vec![ev],
+            )
+        }
+    }
+
+    /// One random op over four keys and three lease ids, CAS preconditions
+    /// drawn to hit and to miss against `s`'s current state.
+    fn gen_op(rng: &mut ph_sim::SimRng, s: &MvccStore) -> Op {
+        let key = Key::new(format!("k{}", rng.below(4)));
+        let lease = LeaseId(rng.range(1, 4));
+        let live = s.get(&key).map(|kv| kv.mod_revision);
+        let expect = match rng.below(4) {
+            0 => Expect::Any,
+            1 => Expect::NotExists,
+            // Right when the key is live; a miss otherwise.
+            2 => Expect::ModRev(live.unwrap_or(Revision(s.revision().0 + 1))),
+            _ => Expect::ModRev(Revision(rng.below(s.revision().0 + 2))),
+        };
+        match rng.below(16) {
+            0..=6 => Op::Put {
+                value: Value::from(format!("v{}", rng.below(3))),
+                lease: rng.chance(0.4).then_some(lease),
+                key,
+                expect,
+            },
+            7..=9 => Op::Delete { key, expect },
+            10 | 11 => Op::LeaseGrant {
+                id: lease,
+                ttl_ms: 100,
+            },
+            12 => Op::LeaseRevoke { id: lease },
+            13 => Op::Compact {
+                at: Revision(rng.below(s.revision().0 + 3)),
+            },
+            14 => Op::LeaseKeepAlive { id: lease },
+            _ => Op::Read { prefix: "k".into() },
+        }
+    }
+
+    #[test]
+    fn one_walk_apply_matches_the_three_walk_reference() {
+        let mut rng = ph_sim::SimRng::from_seed(0x00A9_91E5);
+        let (mut cas_failed, mut created, mut updated, mut delete_missing, mut detached) =
+            (0, 0, 0, 0, 0);
+        for case in 0..4_000 {
+            let (mut fast, mut slow) = (MvccStore::new(), MvccStore::new());
+            for step in 0..rng.range(1, 33) {
+                let op = gen_op(&mut rng, &slow);
+                let before = match &op {
+                    Op::Put { key, .. } | Op::Delete { key, .. } => slow.get(key).cloned(),
+                    _ => None,
+                };
+                let (res, evs) = fast.apply(&op);
+                let (ref_res, ref_evs) = slow.apply_reference(&op);
+                let at = format!("case {case} step {step}: {op:?}");
+                assert_eq!(res, ref_res, "{at}");
+                assert_eq!(format!("{evs:?}"), format!("{ref_evs:?}"), "{at}");
+                assert_eq!(fast.range(""), slow.range(""), "{at}");
+                assert_eq!(fast.revision(), slow.revision(), "{at}");
+                assert_eq!(fast.compacted(), slow.compacted(), "{at}");
+                assert_eq!(
+                    fast.events_since(fast.compacted()),
+                    slow.events_since(slow.compacted()),
+                    "{at}"
+                );
+                assert_eq!(fast.leases, slow.leases, "{at}");
+
+                cas_failed += u32::from(matches!(res, Err(OpError::CasFailed { .. })));
+                match (&op, &res) {
+                    (Op::Put { lease, .. }, Ok(_)) => {
+                        created += u32::from(before.is_none());
+                        updated += u32::from(before.is_some());
+                        let old = before.and_then(|kv| kv.lease);
+                        detached += u32::from(old.is_some() && old != *lease);
+                    }
+                    (Op::Delete { .. }, Ok(OpResult::Delete { existed, .. })) => {
+                        delete_missing += u32::from(!existed);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        // The generator reaches every branch, none of them rarely.
+        for (what, hits) in [
+            ("CAS failure", cas_failed),
+            ("create", created),
+            ("update", updated),
+            ("delete of a missing key", delete_missing),
+            ("overwrite detaching a lease", detached),
+        ] {
+            assert!(hits >= 200, "{what}: only {hits} cases");
+        }
     }
 }

@@ -25,6 +25,13 @@ use crate::watch::WatchRegistry;
 pub struct RaftWire(pub RaftMsg);
 
 /// Automatic history compaction policy (the §4.2.3 rolling window).
+///
+/// Every `interval` the leader proposes an [`Op::Compact`] through Raft,
+/// so each replica drops the same prefix at the same log position; the
+/// command consumes no revision. Between proposals a replica's history
+/// grows from `keep` by whatever commits in one interval. Off by default
+/// ([`StoreNodeConfig::default`]); the mega-cluster scale family turns it
+/// on with `keep` equal to its apiserver's watch window.
 #[derive(Debug, Clone, Copy)]
 pub struct AutoCompact {
     /// Keep at least this many trailing revisions.
