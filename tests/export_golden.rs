@@ -15,16 +15,24 @@
 //!   `ph_net_queue_depth` / `ph_net_queue_dropped_total` /
 //!   `ph_net_queue_wait_ns` families `phtool run --prom` writes.
 //!
+//! Four more pin every other writer a user reads: the `jsonl`, Chrome and
+//! `--format json` renderings of a slice holding every [`TraceEventKind`],
+//! one failing run's `phtool run --json` report, the hunt telemetry's
+//! Prometheus exposition, and `phtool check --json`.
+//!
 //! Regenerate after an intentional exporter or scenario change with
 //! `PH_EXPORT_BLESS=1 cargo test -p ph-scenarios --test export_golden`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use std::collections::BTreeSet;
+
 use ph_core::perturb::NoFault;
+use ph_core::{DetectionMatrix, TrialOutcome};
 use ph_scenarios::experiments::{find, EXPERIMENTS};
-use ph_scenarios::{congestion, Variant};
-use ph_sim::{trace_to_chrome, DropReason, TraceEventKind};
+use ph_scenarios::{congestion, lookup, Variant};
+use ph_sim::{trace_to_chrome, trace_to_jsonl, DropReason, Trace, TraceEventKind};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -95,6 +103,135 @@ fn congestion_queue_exports_are_pinned() {
         "text exposition must agree with the programmatic counter"
     );
     check("congestion_metrics.prom", &prom);
+}
+
+/// Position of an event kind in declaration order. Exhaustive on purpose:
+/// a new variant fails to compile here until the slice below covers it.
+fn kind_index(kind: &TraceEventKind) -> usize {
+    use TraceEventKind as K;
+    match kind {
+        K::Spawned { .. } => 0,
+        K::MessageSent { .. } => 1,
+        K::MessageDelivered { .. } => 2,
+        K::MessageDropped { .. } => 3,
+        K::MessageHeld { .. } => 4,
+        K::MessageDelayed { .. } => 5,
+        K::MessageQueued { .. } => 6,
+        K::MessageReleased { .. } => 7,
+        K::TimerSet { .. } => 8,
+        K::TimerFired { .. } => 9,
+        K::Crashed { .. } => 10,
+        K::Restarted { .. } => 11,
+        K::Annotation { .. } => 12,
+        K::SpanBegin { .. } => 13,
+        K::SpanEnd { .. } => 14,
+    }
+}
+const KINDS: usize = 15;
+
+/// The first `per_kind` events of each kind, plus the delivery of every
+/// kept send (so the Chrome export has flow pairs to draw).
+fn first_of_each_kind(trace: &Trace, per_kind: usize) -> Trace {
+    let mut seen = [0; KINDS];
+    let mut keep = BTreeSet::new();
+    let mut sent = BTreeSet::new();
+    for e in trace.iter() {
+        let k = kind_index(&e.kind);
+        if seen[k] < per_kind {
+            seen[k] += 1;
+            keep.insert(e.seq);
+            if let TraceEventKind::MessageSent { id, .. } = &e.kind {
+                sent.insert(*id);
+            }
+        }
+    }
+    trace.filtered(|e| {
+        keep.contains(&e.seq)
+            || matches!(&e.kind, TraceEventKind::MessageDelivered { id, .. } if sent.contains(id))
+    })
+}
+
+/// No one scenario emits every event kind (`held`/`released` come only
+/// from k8s-59848, `delayed` only from hbase-3136, `queued` only from
+/// congestion), so the slice is the first few of each kind from all three
+/// guided runs, each exported on its own.
+#[test]
+fn every_event_kind_exports_are_pinned() {
+    let (mut jsonl, mut chrome, mut json) = (String::new(), String::new(), String::new());
+    let mut covered = BTreeSet::new();
+    for name in ["k8s-59848", "hbase-3136", "congestion"] {
+        let scenario = lookup(name).expect("registered scenario");
+        let (_, trace) =
+            scenario.run_traced(1, scenario.strategy("guided", 1).as_mut(), Variant::Buggy);
+        let slice = first_of_each_kind(&trace, 3);
+        covered.extend(slice.iter().map(|e| kind_index(&e.kind)));
+        jsonl.push_str(&trace_to_jsonl(&slice));
+        chrome.push_str(&trace_to_chrome(&slice));
+        chrome.push('\n');
+        json.push_str(&slice.to_json());
+        json.push('\n');
+    }
+    assert_eq!(covered.len(), KINDS, "the slices miss an event kind");
+    check("all_kinds.jsonl", &jsonl);
+    check("all_kinds.chrome.json", &chrome);
+    check("all_kinds.trace.json", &json);
+}
+
+/// A failing run's report: violations, metrics, divergence and blame. The
+/// digest's value is not an interface (DESIGN.md §6.3), so it is masked.
+#[test]
+fn failing_run_report_json_is_pinned() {
+    let scenario = lookup("k8s-59848").expect("registered scenario");
+    let report = scenario.run(1, scenario.strategy("guided", 1).as_mut(), Variant::Buggy);
+    assert!(report.failed() && report.blame.is_some());
+    assert!(!report.divergence.is_empty() && !report.metrics.is_empty());
+    let digest = format!("\"trace_digest\":\"{:#018x}\"", report.trace_digest);
+    let json = report.to_json();
+    assert_eq!(json.matches(&digest).count(), 1);
+    check(
+        "k8s_59848_run_report.json",
+        &(json.replace(&digest, "\"trace_digest\":\"<masked>\"") + "\n"),
+    );
+}
+
+fn telemetry_cell(first_violation: Option<u32>) -> TrialOutcome {
+    TrialOutcome {
+        scenario: "s".into(),
+        strategy: "guided".into(),
+        trials_run: 3,
+        distinct_classes: 2,
+        deduped_trials: 1,
+        first_violation,
+        example: None,
+        total_events: 300,
+        total_sim_ns: 3_000_000_000,
+        trial_sim_ns: vec![1_000_000_000; 3],
+    }
+}
+
+/// The hunt telemetry exposition of one detected and one undetected cell.
+#[test]
+fn detection_matrix_prometheus_is_pinned() {
+    let mut matrix = DetectionMatrix::new();
+    matrix.add(telemetry_cell(Some(1)));
+    matrix.add(telemetry_cell(None));
+    check("detection_matrix.prom", &matrix.to_prometheus());
+}
+
+#[test]
+fn phtool_check_json_is_pinned() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_phtool"))
+        .args(["check", "--json"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("spawning phtool");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    check("phtool_check.json", &String::from_utf8(out.stdout).unwrap());
 }
 
 /// Every experiment's table, pinned: a change that moves a paper number
