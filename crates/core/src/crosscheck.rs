@@ -12,7 +12,7 @@
 //! expected class is among the flagged ones for the buggy variant — and
 //! the fixed variant flags nothing at all.
 
-use ph_lint::findings::esc;
+use ph_lint::json;
 use ph_lint::summary::{Hazard, PatternClass};
 
 /// One scenario's static (and optionally dynamic) verdicts.
@@ -149,60 +149,25 @@ impl CrossCheckTable {
 
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"rows\":[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| {
+            let mut rows = o.arr("rows");
+            for r in &self.rows {
+                rows.obj()
+                    .str("scenario", &r.scenario)
+                    .str("expected", r.expected.as_str())
+                    .strs(
+                        "static_buggy_classes",
+                        r.buggy_classes().iter().map(|c| c.as_str()),
+                    )
+                    .raws("buggy_hazards", r.buggy_hazards.iter().map(Hazard::to_json))
+                    .raws("fixed_hazards", r.fixed_hazards.iter().map(Hazard::to_json))
+                    .strs("missing_static", &r.missing_static)
+                    .strs("witnesses", &r.buggy_witnesses)
+                    .val("static_agrees", r.static_agrees());
             }
-            let classes = r
-                .buggy_classes()
-                .iter()
-                .map(|c| format!("\"{}\"", c.as_str()))
-                .collect::<Vec<_>>()
-                .join(",");
-            let hazards = r
-                .buggy_hazards
-                .iter()
-                .map(|h| h.to_json())
-                .collect::<Vec<_>>()
-                .join(",");
-            let fixed_hazards = r
-                .fixed_hazards
-                .iter()
-                .map(|h| h.to_json())
-                .collect::<Vec<_>>()
-                .join(",");
-            let missing = r
-                .missing_static
-                .iter()
-                .map(|m| format!("\"{}\"", esc(m)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let witnesses = r
-                .buggy_witnesses
-                .iter()
-                .map(|w| format!("\"{}\"", esc(w)))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"scenario\":\"{}\",\"expected\":\"{}\",\"static_buggy_classes\":[{}],\
-                 \"buggy_hazards\":[{}],\"fixed_hazards\":[{}],\"missing_static\":[{}],\
-                 \"witnesses\":[{}],\"static_agrees\":{}}}",
-                esc(&r.scenario),
-                r.expected.as_str(),
-                classes,
-                hazards,
-                fixed_hazards,
-                missing,
-                witnesses,
-                r.static_agrees()
-            ));
-        }
-        out.push_str(&format!(
-            "],\"all_static_agree\":{}}}",
-            self.all_static_agree()
-        ));
-        out
+            drop(rows);
+            o.val("all_static_agree", self.all_static_agree());
+        })
     }
 }
 

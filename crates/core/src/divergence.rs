@@ -36,6 +36,8 @@
 
 use std::collections::BTreeMap;
 
+use ph_lint::json;
+
 /// Sampled lag statistics for one view (an apiserver cache or a
 /// component's informer frontier).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -177,20 +179,15 @@ impl DivergenceSummary {
     /// Renders the summary as a deterministic JSON object keyed by
     /// component, in component order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.sorted().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| {
+            for (name, v) in self.sorted() {
+                o.obj(name)
+                    .val("samples", v.samples)
+                    .val("lagging", v.lagging)
+                    .val("sum", v.sum)
+                    .val("max", v.max);
             }
-            // Component names come from actor names: plain identifiers, no
-            // characters needing JSON escapes.
-            out.push_str(&format!(
-                "\"{name}\":{{\"samples\":{},\"lagging\":{},\"sum\":{},\"max\":{}}}",
-                v.samples, v.lagging, v.sum, v.max
-            ));
-        }
-        out.push('}');
-        out
+        })
     }
 
     /// Renders an aligned text table (deterministic: component order).

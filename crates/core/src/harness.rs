@@ -9,7 +9,7 @@
 //! paper's §7 claims ("our tool has reproduced two known bugs … and
 //! detected three new bugs") plus the §5/§6.1 guided-vs-random comparison.
 
-use ph_lint::findings::esc;
+use ph_lint::json;
 use ph_sim::{MetricsReport, SimTime, Trace};
 
 use crate::divergence::DivergenceSummary;
@@ -61,43 +61,29 @@ impl RunReport {
     /// Renders the full report as deterministic JSON (key order fixed, no
     /// wall-clock anywhere) — the `phtool run --json` payload.
     pub fn to_json(&self) -> String {
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"oracle\":\"{}\",\"at_ns\":{},\"details\":\"{}\"}}",
-                    esc(&v.oracle),
-                    v.at.0,
-                    esc(&v.details)
-                )
-            })
-            .collect();
-        let blame = match &self.blame {
-            Some(b) => format!(
-                "{{\"class\":\"{}\",\"links\":{},\"injected\":{},\"in_chain\":{}}}",
-                b.class.as_str(),
-                b.links,
-                b.injected,
-                b.in_chain
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"seed\":{},\"sim_time_ns\":{},\
-             \"trace_events\":{},\"trace_digest\":\"{:#018x}\",\"violations\":[{}],\
-             \"metrics\":{},\"divergence\":{},\"blame\":{}}}",
-            esc(&self.scenario),
-            esc(&self.strategy),
-            self.seed,
-            self.sim_time.0,
-            self.trace_events,
-            self.trace_digest,
-            violations.join(","),
-            self.metrics.to_json(),
-            self.divergence.to_json(),
-            blame,
-        )
+        json::object(|o| {
+            o.str("scenario", &self.scenario)
+                .str("strategy", &self.strategy)
+                .val("seed", self.seed)
+                .val("sim_time_ns", self.sim_time.0)
+                .val("trace_events", self.trace_events)
+                .str_fmt("trace_digest", format_args!("{:#018x}", self.trace_digest));
+            o.raws("violations", self.violations.iter().map(Violation::to_json))
+                .raw("metrics", &self.metrics.to_json())
+                .raw("divergence", &self.divergence.to_json());
+            match &self.blame {
+                Some(b) => {
+                    o.obj("blame")
+                        .str("class", b.class.as_str())
+                        .val("links", b.links)
+                        .val("injected", b.injected)
+                        .val("in_chain", b.in_chain);
+                }
+                None => {
+                    o.null("blame");
+                }
+            }
+        })
     }
 }
 

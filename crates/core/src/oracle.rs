@@ -12,6 +12,7 @@
 //! conventional labels; oracles read those annotations plus any direct
 //! world state the scenario exposes.
 
+use ph_lint::json;
 use ph_sim::{ActorId, SimTime, TraceEventKind, World};
 
 /// A detected safety violation, with the evidence to reproduce it.
@@ -23,6 +24,18 @@ pub struct Violation {
     pub at: SimTime,
     /// Human-readable account of what went wrong.
     pub details: String,
+}
+
+impl Violation {
+    /// Deterministic JSON object — the shape run reports and blame chains
+    /// both embed.
+    pub fn to_json(&self) -> String {
+        json::object(|o| {
+            o.str("oracle", &self.oracle)
+                .val("at_ns", self.at.0)
+                .str("details", &self.details);
+        })
+    }
 }
 
 impl std::fmt::Display for Violation {

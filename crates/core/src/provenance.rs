@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ph_lint::findings::esc;
+use ph_lint::json;
 use ph_lint::summary::PatternClass;
 use ph_sim::{ActorId, DropReason, SimTime, Trace, TraceEventKind};
 
@@ -141,61 +141,30 @@ impl BlameChain {
     /// Deterministic JSON rendering — byte-identical across same-seed runs
     /// and thread counts (only integers and escaped strings, no floats).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256 + self.links.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"scenario\":\"{}\",\"class\":\"{}\",\"rationale\":\"{}\",\"sink\":",
-            esc(&self.scenario),
-            esc(self.class.as_str()),
-            esc(&self.rationale)
-        );
-        match self.sink {
-            Some(s) => {
-                let _ = write!(out, "{s}");
+        json::object(|o| {
+            o.str("scenario", &self.scenario)
+                .str("class", self.class.as_str())
+                .str("rationale", &self.rationale)
+                .opt_val("sink", self.sink)
+                .val("injected", self.injected)
+                .val("in_chain", self.in_chain)
+                .opt_val("effectiveness_pct", self.effectiveness_pct())
+                .val("truncated", self.truncated);
+            let mut links = o.arr("links");
+            for l in &self.links {
+                links
+                    .obj()
+                    .val("seq", l.seq)
+                    .val("at_ns", l.at.0)
+                    .str("role", l.role)
+                    .str("detail", &l.detail);
             }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"injected\":{},\"in_chain\":{},\"effectiveness_pct\":",
-            self.injected, self.in_chain
-        );
-        match self.effectiveness_pct() {
-            Some(p) => {
-                let _ = write!(out, "{p}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"truncated\":{},\"links\":[", self.truncated);
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_ns\":{},\"role\":\"{}\",\"detail\":\"{}\"}}",
-                l.seq,
-                l.at.0,
-                esc(l.role),
-                esc(&l.detail)
-            );
-        }
-        out.push_str("],\"violation\":");
-        match &self.violation {
-            Some(v) => {
-                let _ = write!(
-                    out,
-                    "{{\"oracle\":\"{}\",\"at_ns\":{},\"details\":\"{}\"}}",
-                    esc(&v.oracle),
-                    v.at.0,
-                    esc(&v.details)
-                );
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
+            drop(links);
+            match &self.violation {
+                Some(v) => o.raw("violation", &v.to_json()),
+                None => o.null("violation"),
+            };
+        })
     }
 
     /// Fixed-width text rendering for `phtool explain`.

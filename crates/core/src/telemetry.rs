@@ -17,6 +17,7 @@
 
 use std::fmt::Write as _;
 
+use ph_sim::metrics::{prometheus_family, prometheus_sample};
 use ph_sim::{Histogram, DEFAULT_LATENCY_BOUNDS_NS};
 
 use crate::harness::{DetectionMatrix, TrialOutcome};
@@ -114,115 +115,78 @@ impl DetectionMatrix {
         let mut out = String::new();
         let labels =
             |r: &TrialOutcome| format!("scenario=\"{}\",strategy=\"{}\"", r.scenario, r.strategy);
-        out.push_str("# HELP ph_hunt_trials_total Trials executed per (scenario, strategy).\n");
-        out.push_str("# TYPE ph_hunt_trials_total counter\n");
-        for r in self.cells() {
-            let _ = writeln!(
-                out,
-                "ph_hunt_trials_total{{{}}} {}",
-                labels(r),
-                r.trials_run
-            );
-        }
-        out.push_str(
-            "# HELP ph_hunt_distinct_classes Distinct canonical schedule classes considered \
-             per cell.\n",
-        );
-        out.push_str("# TYPE ph_hunt_distinct_classes gauge\n");
-        for r in self.cells() {
-            let _ = writeln!(
-                out,
-                "ph_hunt_distinct_classes{{{}}} {}",
-                labels(r),
-                r.distinct_classes
-            );
-        }
-        out.push_str(
-            "# HELP ph_hunt_deduped_trials_total Trials skipped as canonical-schedule \
-             duplicates per cell.\n",
-        );
-        out.push_str("# TYPE ph_hunt_deduped_trials_total counter\n");
-        for r in self.cells() {
-            let _ = writeln!(
-                out,
-                "ph_hunt_deduped_trials_total{{{}}} {}",
-                labels(r),
-                r.deduped_trials
-            );
-        }
-        out.push_str("# HELP ph_hunt_events_total Trace events generated per cell.\n");
-        out.push_str("# TYPE ph_hunt_events_total counter\n");
-        for r in self.cells() {
-            let _ = writeln!(
-                out,
-                "ph_hunt_events_total{{{}}} {}",
-                labels(r),
-                r.total_events
-            );
-        }
-        out.push_str("# HELP ph_hunt_events_per_sim_second Trace events per simulated second.\n");
-        out.push_str("# TYPE ph_hunt_events_per_sim_second gauge\n");
-        for r in self.cells() {
-            let _ = writeln!(
-                out,
-                "ph_hunt_events_per_sim_second{{{}}} {}",
-                labels(r),
-                r.events_per_sim_sec()
-            );
-        }
-        out.push_str(
-            "# HELP ph_hunt_time_to_detection_ns Simulated ns burned until the first \
-             violating trial (absent if none).\n",
-        );
-        out.push_str("# TYPE ph_hunt_time_to_detection_ns gauge\n");
-        for r in self.cells() {
-            if let Some(ns) = r.time_to_detection_ns() {
-                let _ = writeln!(out, "ph_hunt_time_to_detection_ns{{{}}} {ns}", labels(r));
-            }
-        }
-        out.push_str(
-            "# HELP ph_hunt_injection_effectiveness_pct Percent of injected perturbations \
-             appearing in the violation's blame chain.\n",
-        );
-        out.push_str("# TYPE ph_hunt_injection_effectiveness_pct gauge\n");
-        for r in self.cells() {
-            if let Some(p) = r.effectiveness_pct() {
-                let _ = writeln!(
-                    out,
-                    "ph_hunt_injection_effectiveness_pct{{{}}} {p}",
-                    labels(r)
-                );
-            }
-        }
-        out.push_str("# HELP ph_hunt_trial_sim_ns Per-trial simulated run length.\n");
-        out.push_str("# TYPE ph_hunt_trial_sim_ns histogram\n");
-        for r in self.cells() {
-            let l = labels(r);
-            let latency = r.trial_latency();
-            let mut cumulative = 0u64;
-            for (i, &c) in latency.counts.iter().enumerate() {
-                cumulative += c;
-                match latency.bounds.get(i) {
-                    Some(&b) => {
-                        let _ = writeln!(
-                            out,
-                            "ph_hunt_trial_sim_ns_bucket{{{l},le=\"{b}\"}} {cumulative}"
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(
-                            out,
-                            "ph_hunt_trial_sim_ns_bucket{{{l},le=\"+Inf\"}} {cumulative}"
-                        );
-                    }
+        for (name, help, kind, value) in FAMILIES {
+            prometheus_family(&mut out, name, kind, Some(help));
+            for r in self.cells() {
+                if let Some(v) = value(r) {
+                    prometheus_sample(&mut out, name, &labels(r), v);
                 }
             }
-            let _ = writeln!(out, "ph_hunt_trial_sim_ns_sum{{{l}}} {}", latency.sum);
-            let _ = writeln!(out, "ph_hunt_trial_sim_ns_count{{{l}}} {}", latency.count);
+        }
+        let name = "ph_hunt_trial_sim_ns";
+        prometheus_family(
+            &mut out,
+            name,
+            "histogram",
+            Some("Per-trial simulated run length."),
+        );
+        for r in self.cells() {
+            r.trial_latency()
+                .write_prometheus(&mut out, name, &labels(r));
         }
         out
     }
 }
+
+/// A cell's sample in one family, or `None` for no sample.
+type CellValue = fn(&TrialOutcome) -> Option<u64>;
+
+/// The single-sample families of [`DetectionMatrix::to_prometheus`]: name,
+/// help, type, and a cell's value (a cell without one writes no sample).
+const FAMILIES: [(&str, &str, &str, CellValue); 7] = [
+    (
+        "ph_hunt_trials_total",
+        "Trials executed per (scenario, strategy).",
+        "counter",
+        |r| Some(r.trials_run.into()),
+    ),
+    (
+        "ph_hunt_distinct_classes",
+        "Distinct canonical schedule classes considered per cell.",
+        "gauge",
+        |r| Some(r.distinct_classes.into()),
+    ),
+    (
+        "ph_hunt_deduped_trials_total",
+        "Trials skipped as canonical-schedule duplicates per cell.",
+        "counter",
+        |r| Some(r.deduped_trials.into()),
+    ),
+    (
+        "ph_hunt_events_total",
+        "Trace events generated per cell.",
+        "counter",
+        |r| Some(r.total_events),
+    ),
+    (
+        "ph_hunt_events_per_sim_second",
+        "Trace events per simulated second.",
+        "gauge",
+        |r| Some(r.events_per_sim_sec()),
+    ),
+    (
+        "ph_hunt_time_to_detection_ns",
+        "Simulated ns burned until the first violating trial (absent if none).",
+        "gauge",
+        TrialOutcome::time_to_detection_ns,
+    ),
+    (
+        "ph_hunt_injection_effectiveness_pct",
+        "Percent of injected perturbations appearing in the violation's blame chain.",
+        "gauge",
+        TrialOutcome::effectiveness_pct,
+    ),
+];
 
 /// Simulated nanoseconds in the largest unit that keeps the value at or
 /// above 1, to two decimals with trailing zeros dropped: `7.5 s`,

@@ -1,5 +1,10 @@
 //! Lint findings and their deterministic text/JSON renderings.
 
+use crate::json;
+
+/// The JSON escaper, kept at the path callers outside the workspace import.
+pub use crate::json::esc;
+
 /// One lint finding, suppressed or not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -13,6 +18,19 @@ pub struct Finding {
     pub message: String,
     /// `Some(reason)` if a well-formed `ph-lint: allow` covers this line.
     pub suppressed: Option<String>,
+}
+
+impl Finding {
+    /// Deterministic JSON object; `suppressed` is the reason or `null`.
+    pub fn to_json(&self) -> String {
+        json::object(|o| {
+            o.str("rule", &self.rule)
+                .str("file", &self.file)
+                .val("line", self.line)
+                .str("message", &self.message)
+                .opt_str("suppressed", self.suppressed.as_deref());
+        })
+    }
 }
 
 /// The result of a workspace determinism scan.
@@ -69,47 +87,12 @@ impl LintReport {
         out
     }
 
-    /// Deterministic JSON rendering (no external serializer).
+    /// Deterministic JSON rendering.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"suppressed\":{}}}",
-                esc(&f.rule),
-                esc(&f.file),
-                f.line,
-                esc(&f.message),
-                match &f.suppressed {
-                    Some(r) => format!("\"{}\"", esc(r)),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"unsuppressed\":{},\"files_scanned\":{}}}",
-            self.unsuppressed_count(),
-            self.files_scanned
-        ));
-        out
+        json::object(|o| {
+            o.raws("findings", self.findings.iter().map(Finding::to_json))
+                .val("unsuppressed", self.unsuppressed_count())
+                .val("files_scanned", self.files_scanned);
+        })
     }
-}
-
-/// Escapes a string for embedding in JSON.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

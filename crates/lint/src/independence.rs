@@ -35,7 +35,7 @@
 //! this for stutter elimination; the canonicalizer uses it to explain why
 //! repeated letters never appear in a normal form's tail.
 
-use crate::findings::esc;
+use crate::json;
 use crate::modelcheck::{enabled_alphabet, Letter};
 use crate::summary::AccessSummary;
 
@@ -268,58 +268,27 @@ impl IndependenceMatrix {
     /// Deterministic JSON object: alphabet, absorbing set, and every pair
     /// with its classification (and a justification when dependent).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"component\":\"");
-        s.push_str(&esc(&self.component));
-        s.push_str("\",\"letters\":[");
-        for (i, l) in self.letters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        json::object(|o| {
+            let absorbing = self.letters.iter().zip(&self.absorbing);
+            o.str("component", &self.component)
+                .strs("letters", self.letters.iter().map(Letter::label))
+                .strs(
+                    "absorbing",
+                    absorbing.filter(|(_, &a)| a).map(|(l, _)| l.label()),
+                );
+            let (ind, total) = self.pair_counts();
+            o.val("independent_pairs", ind).val("total_pairs", total);
+            let mut pairs = o.arr("pairs");
+            for p in &self.pairs {
+                let mut pair = pairs.obj();
+                pair.str("a", &self.letters[p.a].label())
+                    .str("b", &self.letters[p.b].label())
+                    .str("status", p.status.as_str());
+                if let Some(why) = &p.why {
+                    pair.str("why", why);
+                }
             }
-            s.push('"');
-            s.push_str(&esc(&l.label()));
-            s.push('"');
-        }
-        s.push_str("],\"absorbing\":[");
-        let mut first = true;
-        for (l, &a) in self.letters.iter().zip(&self.absorbing) {
-            if !a {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push('"');
-            s.push_str(&esc(&l.label()));
-            s.push('"');
-        }
-        let (ind, total) = self.pair_counts();
-        s.push_str("],\"independent_pairs\":");
-        s.push_str(&ind.to_string());
-        s.push_str(",\"total_pairs\":");
-        s.push_str(&total.to_string());
-        s.push_str(",\"pairs\":[");
-        for (i, p) in self.pairs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"a\":\"");
-            s.push_str(&esc(&self.letters[p.a].label()));
-            s.push_str("\",\"b\":\"");
-            s.push_str(&esc(&self.letters[p.b].label()));
-            s.push_str("\",\"status\":\"");
-            s.push_str(p.status.as_str());
-            s.push('"');
-            if let Some(why) = &p.why {
-                s.push_str(",\"why\":\"");
-                s.push_str(&esc(why));
-                s.push('"');
-            }
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
+        })
     }
 
     /// Multi-line human rendering: a summary line, then one line per

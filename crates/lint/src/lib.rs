@@ -39,14 +39,20 @@
 //! pass is cross-checked against the dynamic explorer over all eight
 //! scenarios, and its witnesses seed the explorer's guided search.
 //!
+//! 4. **The JSON writer** ([`json`]): one escaper and one object/array
+//!    writer under every JSON report and export in the workspace — trace
+//!    exports, run reports, blame chains, lint and check verdicts.
+//!
 //! This crate has **no dependencies** (std only) and sits below every
-//! other workspace crate so they can export summaries in its IR.
+//! other workspace crate so they can export summaries in its IR and write
+//! JSON through its one writer.
 
 #![forbid(unsafe_code)]
 
 pub mod conformance;
 pub mod findings;
 pub mod independence;
+pub mod json;
 pub mod lexer;
 pub mod modelcheck;
 pub mod rules;

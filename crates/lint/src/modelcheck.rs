@@ -42,8 +42,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::findings::esc;
 use crate::independence::{pair_status, PairStatus};
+use crate::json;
 use crate::summary::{AccessSummary, Gate, GatePath, Hazard, PatternClass, ReadKind};
 
 /// Cap on the per-view staleness counter: views lagging by more than this
@@ -134,28 +134,14 @@ pub struct Witness {
 impl Witness {
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"component\":\"");
-        s.push_str(&esc(&self.component));
-        s.push_str("\",\"action\":\"");
-        s.push_str(&esc(&self.action));
-        s.push_str("\",\"class\":\"");
-        s.push_str(self.class.as_str());
-        s.push_str("\",\"path\":\"");
-        s.push_str(&esc(&self.path));
-        s.push_str("\",\"schedule\":[");
-        for (i, l) in self.schedule.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(&esc(&l.label()));
-            s.push('"');
-        }
-        s.push_str("],\"detail\":\"");
-        s.push_str(&esc(&self.detail));
-        s.push_str("\"}");
-        s
+        json::object(|o| {
+            o.str("component", &self.component)
+                .str("action", &self.action)
+                .str("class", self.class.as_str())
+                .str("path", &self.path)
+                .strs("schedule", self.schedule.iter().map(Letter::label))
+                .str("detail", &self.detail);
+        })
     }
 
     /// One-line rendering: `action [class] via letter1 ; letter2`.
@@ -279,43 +265,28 @@ impl ModelCheckReport {
 
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"component\":\"");
-        s.push_str(&esc(&self.component));
-        s.push_str("\",\"states_explored\":");
-        s.push_str(&self.states_explored.to_string());
-        s.push_str(",\"states_expanded\":");
-        s.push_str(&self.states_expanded.to_string());
-        s.push_str(",\"reduction\":\"");
-        s.push_str(self.expansion.as_str());
-        s.push_str("\",\"stale_bound\":");
-        s.push_str(&self.stale_bound.to_string());
-        s.push_str(",\"actions\":[");
-        for (i, a) in self.actions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"action\":\"");
-            s.push_str(&esc(&a.action));
-            s.push('"');
-            match &a.verdict {
-                ActionVerdict::EpochSafe => {
-                    s.push_str(",\"verdict\":\"epoch-safe\"}");
-                }
-                ActionVerdict::Hazardous(ws) => {
-                    s.push_str(",\"verdict\":\"hazardous\",\"witnesses\":[");
-                    for (j, w) in ws.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&w.to_json());
+        json::object(|o| {
+            o.str("component", &self.component)
+                .val("states_explored", self.states_explored)
+                .val("states_expanded", self.states_expanded)
+                .str("reduction", self.expansion.as_str())
+                .val("stale_bound", self.stale_bound);
+            let mut actions = o.arr("actions");
+            for a in &self.actions {
+                let mut action = actions.obj();
+                action.str("action", &a.action);
+                match &a.verdict {
+                    ActionVerdict::EpochSafe => {
+                        action.str("verdict", "epoch-safe");
                     }
-                    s.push_str("]}");
+                    ActionVerdict::Hazardous(ws) => {
+                        action
+                            .str("verdict", "hazardous")
+                            .raws("witnesses", ws.iter().map(Witness::to_json));
+                    }
                 }
             }
-        }
-        s.push_str("]}");
-        s
+        })
     }
 }
 

@@ -32,7 +32,7 @@
 //! they are exempt from the staleness rules but are exactly what the
 //! missed-trigger rule inspects.
 
-use crate::findings::esc;
+use crate::json;
 
 /// The §4.2 bug-pattern taxonomy (plus the load-emergent refinement).
 ///
@@ -211,13 +211,12 @@ pub struct Hazard {
 impl Hazard {
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"component\":\"{}\",\"action\":\"{}\",\"class\":\"{}\",\"detail\":\"{}\"}}",
-            esc(&self.component),
-            esc(&self.action),
-            self.class.as_str(),
-            esc(&self.detail)
-        )
+        json::object(|o| {
+            o.str("component", &self.component)
+                .str("action", &self.action)
+                .str("class", self.class.as_str())
+                .str("detail", &self.detail);
+        })
     }
 }
 

@@ -76,6 +76,7 @@ use std::collections::BTreeMap;
 use ph_core::autoguide;
 use ph_core::harness::Explorer;
 use ph_core::perturb::Strategy;
+use ph_lint::json;
 use ph_scenarios::experiments::{self, EXPERIMENTS};
 use ph_scenarios::{by_name, Scenario, Variant, SCENARIOS, STRATEGIES};
 use ph_sim::Trace;
@@ -309,7 +310,9 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
         let (report, trace) = scenario.run_traced(seed, new_strategy().as_mut(), variant);
         std::fs::write(path, format_trace(&trace, format)?)
             .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
-        println!("trace written to {path} ({} events, {format})", trace.len());
+        // Stderr, like `--prom`'s status, so `--json --trace` keeps stdout
+        // the report alone.
+        eprintln!("trace written to {path} ({} events, {format})", trace.len());
         report
     } else {
         scenario.run(seed, new_strategy().as_mut(), variant)
@@ -636,23 +639,18 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
         .collect();
 
     if args.has("json") {
-        let independence = matrices
-            .iter()
-            .map(|(scenario, m)| {
-                format!(
-                    "{{\"scenario\":\"{}\",\"matrix\":{}}}",
-                    ph_lint::findings::esc(scenario),
-                    m.to_json()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        println!(
-            "{{\"determinism\":{},\"hazards\":{},\"independence\":[{}]}}",
-            report.to_json(),
-            table.to_json(),
-            independence
-        );
+        let doc = json::object(|o| {
+            o.raw("determinism", &report.to_json())
+                .raw("hazards", &table.to_json());
+            let mut independence = o.arr("independence");
+            for (scenario, m) in &matrices {
+                independence
+                    .obj()
+                    .str("scenario", scenario)
+                    .raw("matrix", &m.to_json());
+            }
+        });
+        println!("{doc}");
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }
 
@@ -696,7 +694,6 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
 /// conformance drift exists.
 fn cmd_check(args: &Args) -> Result<i32, Failure> {
     use ph_lint::conformance;
-    use ph_lint::findings::esc as jesc;
     use ph_lint::modelcheck::model_check_all;
 
     let root = workspace_root(args)?;
@@ -739,49 +736,24 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
     let violated = !model_ok || unsuppressed_drift > 0;
 
     if json {
-        let mut out = String::from("{\"modelcheck\":[");
-        for (i, v) in verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let doc = json::object(|o| {
+            let mut modelcheck = o.arr("modelcheck");
+            for v in &verdicts {
+                modelcheck
+                    .obj()
+                    .str("scenario", v.name)
+                    .str("expected", v.expected.as_str())
+                    .val("class_witnessed", class_witnessed(v))
+                    .val("fixed_epoch_safe", fixed_safe(v))
+                    .raws("buggy", v.buggy.iter().map(|r| r.to_json()));
             }
-            let buggy = v
-                .buggy
-                .iter()
-                .map(|r| r.to_json())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"scenario\":\"{}\",\"expected\":\"{}\",\"class_witnessed\":{},\
-                 \"fixed_epoch_safe\":{},\"buggy\":[{}]}}",
-                jesc(v.name),
-                v.expected.as_str(),
-                class_witnessed(v),
-                fixed_safe(v),
-                buggy
-            ));
-        }
-        out.push_str("],\"conformance\":{\"findings\":[");
-        for (i, f) in drift.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\
-                 \"suppressed\":{}}}",
-                jesc(&f.rule),
-                jesc(&f.file),
-                f.line,
-                jesc(&f.message),
-                match &f.suppressed {
-                    Some(r) => format!("\"{}\"", jesc(r)),
-                    None => "null".into(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"unsuppressed\":{unsuppressed_drift}}},\"violated\":{violated}}}"
-        ));
-        println!("{out}");
+            drop(modelcheck);
+            o.obj("conformance")
+                .raws("findings", drift.iter().map(|f| f.to_json()))
+                .val("unsuppressed", unsuppressed_drift);
+            o.val("violated", violated);
+        });
+        println!("{doc}");
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }
 

@@ -1,7 +1,8 @@
 //! Trace exporters.
 //!
-//! Two serializations of a [`Trace`], both hand-rolled, deterministic and
-//! dependency-free:
+//! Two serializations of a [`Trace`], both deterministic and written
+//! through the workspace's one JSON writer ([`ph_lint::json`]) straight
+//! into the output buffer:
 //!
 //! * [`trace_to_jsonl`] — one structured JSON object per line, for grep/jq
 //!   pipelines and archival;
@@ -15,86 +16,57 @@
 //! wall-clock time is involved, so exports are byte-identical across
 //! same-seed runs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
-use crate::ids::ActorId;
-use crate::trace::{json_string, Trace, TraceEventKind};
+use ph_lint::json::{Arr, Obj};
+
+use crate::ids::{ActorId, MsgId};
+use crate::trace::{Trace, TraceEventKind as K};
 
 /// Renders the trace as JSON Lines: one event object per line, with
-/// structured per-kind fields (`type`, `seq`, `at_ns`, then the event's own
+/// structured per-kind fields (`seq`, `at_ns`, `type`, then the event's own
 /// fields).
 pub fn trace_to_jsonl(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.len() * 96);
     for e in trace.iter() {
-        out.push_str(&format!("{{\"seq\":{},\"at_ns\":{},", e.seq, e.at.0));
+        let mut o = Obj::new(&mut out);
+        o.val("seq", e.seq).val("at_ns", e.at.0);
         match &e.kind {
-            TraceEventKind::Spawned { actor, name } => {
-                out.push_str(&format!(
-                    "\"type\":\"spawned\",\"actor\":{},\"name\":{}",
-                    actor.0,
-                    json_string(name)
-                ));
+            K::Spawned { actor, name } => {
+                o.str("type", "spawned")
+                    .val("actor", actor.0)
+                    .str("name", name);
             }
-            TraceEventKind::MessageSent { id, src, dst, kind } => {
-                out.push_str(&format!(
-                    "\"type\":\"sent\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind)
-                ));
+            K::MessageSent { id, src, dst, kind } => {
+                message(&mut o, "sent", *id, *src, *dst, kind);
             }
-            TraceEventKind::MessageDelivered { id, src, dst, kind } => {
-                out.push_str(&format!(
-                    "\"type\":\"delivered\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind)
-                ));
+            K::MessageDelivered { id, src, dst, kind } => {
+                message(&mut o, "delivered", *id, *src, *dst, kind);
             }
-            TraceEventKind::MessageDropped {
+            K::MessageDropped {
                 id,
                 src,
                 dst,
                 kind,
                 reason,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"dropped\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{},\"reason\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind),
-                    json_string(&format!("{reason:?}"))
-                ));
+                message(&mut o, "dropped", *id, *src, *dst, kind)
+                    .str_fmt("reason", format_args!("{reason:?}"));
             }
-            TraceEventKind::MessageHeld { id, src, dst, kind } => {
-                out.push_str(&format!(
-                    "\"type\":\"held\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind)
-                ));
+            K::MessageHeld { id, src, dst, kind } => {
+                message(&mut o, "held", *id, *src, *dst, kind);
             }
-            TraceEventKind::MessageDelayed {
+            K::MessageDelayed {
                 id,
                 src,
                 dst,
                 kind,
                 by,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"delayed\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{},\"by_ns\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind),
-                    by.0
-                ));
+                message(&mut o, "delayed", *id, *src, *dst, kind).val("by_ns", by.0);
             }
-            TraceEventKind::MessageQueued {
+            K::MessageQueued {
                 id,
                 src,
                 dst,
@@ -102,90 +74,85 @@ pub fn trace_to_jsonl(trace: &Trace) -> String {
                 depth,
                 waited,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"queued\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{},\"depth\":{},\"waited_ns\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind),
-                    depth,
-                    waited.0
-                ));
+                message(&mut o, "queued", *id, *src, *dst, kind)
+                    .val("depth", depth)
+                    .val("waited_ns", waited.0);
             }
-            TraceEventKind::MessageReleased { id } => {
-                out.push_str(&format!("\"type\":\"released\",\"id\":{}", id.0));
+            K::MessageReleased { id } => {
+                o.str("type", "released").val("id", id.0);
             }
-            TraceEventKind::TimerSet {
+            K::TimerSet {
                 actor,
                 timer,
                 tag,
                 fire_at,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"timer_set\",\"actor\":{},\"timer\":{},\"tag\":{},\"fire_at_ns\":{}",
-                    actor.0, timer.0, tag, fire_at.0
-                ));
+                o.str("type", "timer_set")
+                    .val("actor", actor.0)
+                    .val("timer", timer.0)
+                    .val("tag", tag)
+                    .val("fire_at_ns", fire_at.0);
             }
-            TraceEventKind::TimerFired { actor, timer, tag } => {
-                out.push_str(&format!(
-                    "\"type\":\"timer_fired\",\"actor\":{},\"timer\":{},\"tag\":{}",
-                    actor.0, timer.0, tag
-                ));
+            K::TimerFired { actor, timer, tag } => {
+                o.str("type", "timer_fired")
+                    .val("actor", actor.0)
+                    .val("timer", timer.0)
+                    .val("tag", tag);
             }
-            TraceEventKind::Crashed { actor } => {
-                out.push_str(&format!("\"type\":\"crashed\",\"actor\":{}", actor.0));
+            K::Crashed { actor } => {
+                o.str("type", "crashed").val("actor", actor.0);
             }
-            TraceEventKind::Restarted { actor } => {
-                out.push_str(&format!("\"type\":\"restarted\",\"actor\":{}", actor.0));
+            K::Restarted { actor } => {
+                o.str("type", "restarted").val("actor", actor.0);
             }
-            TraceEventKind::Annotation { actor, label, data } => {
-                out.push_str(&format!(
-                    "\"type\":\"annotation\",\"actor\":{},\"label\":{},\"data\":{}",
-                    actor.0,
-                    json_string(label),
-                    json_string(data)
-                ));
+            K::Annotation { actor, label, data } => {
+                o.str("type", "annotation")
+                    .val("actor", actor.0)
+                    .str("label", label)
+                    .str("data", data);
             }
-            TraceEventKind::SpanBegin {
+            K::SpanBegin {
                 actor,
                 label,
                 detail,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"span_begin\",\"actor\":{},\"label\":{},\"detail\":{}",
-                    actor.0,
-                    json_string(label),
-                    json_string(detail)
-                ));
+                o.str("type", "span_begin")
+                    .val("actor", actor.0)
+                    .str("label", label)
+                    .str("detail", detail);
             }
-            TraceEventKind::SpanEnd { actor, label } => {
-                out.push_str(&format!(
-                    "\"type\":\"span_end\",\"actor\":{},\"label\":{}",
-                    actor.0,
-                    json_string(label)
-                ));
+            K::SpanEnd { actor, label } => {
+                o.str("type", "span_end")
+                    .val("actor", actor.0)
+                    .str("label", label);
             }
         }
-        out.push_str("}\n");
+        drop(o);
+        out.push('\n');
     }
     out
+}
+
+/// The fields every message event shares in the JSONL export.
+fn message<'o, 'a>(
+    o: &'o mut Obj<'a>,
+    ty: &str,
+    id: MsgId,
+    src: ActorId,
+    dst: ActorId,
+    kind: &str,
+) -> &'o mut Obj<'a> {
+    o.str("type", ty)
+        .val("id", id.0)
+        .val("src", src.0)
+        .val("dst", dst.0)
+        .str("kind", kind)
 }
 
 /// Formats logical nanoseconds as Chrome's microsecond `ts` with fixed
 /// 3-decimal precision (keeps output byte-stable, no float formatting).
 fn chrome_ts(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// Names of every spawned actor, from the trace itself.
-fn actor_names(trace: &Trace) -> BTreeMap<ActorId, crate::intern::Name> {
-    let mut names = BTreeMap::new();
-    for e in trace.iter() {
-        if let TraceEventKind::Spawned { actor, name } = &e.kind {
-            names.insert(*actor, name.clone());
-        }
-    }
-    names
 }
 
 /// Renders the trace in the Chrome `trace_event` JSON object format
@@ -198,142 +165,159 @@ fn actor_names(trace: &Trace) -> BTreeMap<ActorId, crate::intern::Name> {
 /// timelines — the visual counterpart of the happens-before edges
 /// `ph-core::causality` derives from the same trace.
 pub fn trace_to_chrome(trace: &Trace) -> String {
-    // Flow starts with no matching finish render as dangling arrows, so
-    // only messages that were actually delivered get a flow pair.
-    let delivered: std::collections::BTreeSet<u64> = trace
-        .iter()
-        .filter_map(|e| match &e.kind {
-            TraceEventKind::MessageDelivered { id, .. } => Some(id.0),
-            _ => None,
-        })
-        .collect();
-    let mut events: Vec<String> = Vec::with_capacity(trace.len() + 8);
-    for (actor, name) in actor_names(trace) {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-            actor.0,
-            json_string(&name)
-        ));
+    // Thread names come from the trace's spawns. Flow starts with no
+    // matching finish render as dangling arrows, so only messages that
+    // were actually delivered get a flow pair.
+    let (mut names, mut delivered) = (BTreeMap::new(), BTreeSet::new());
+    for e in trace.iter() {
+        match &e.kind {
+            K::Spawned { actor, name } => {
+                names.insert(*actor, name);
+            }
+            K::MessageDelivered { id, .. } => {
+                delivered.insert(*id);
+            }
+            _ => {}
+        }
+    }
+    let mut out = String::with_capacity(trace.len() * 128 + 64);
+    let mut doc = Obj::new(&mut out);
+    doc.str("displayTimeUnit", "ms");
+    let mut events = doc.arr("traceEvents");
+    for (actor, name) in names {
+        events
+            .obj()
+            .str("ph", "M")
+            .val("pid", 1)
+            .val("tid", actor.0)
+            .str("name", "thread_name")
+            .obj("args")
+            .str("name", name);
     }
     for e in trace.iter() {
         let ts = chrome_ts(e.at.0);
-        let ev = match &e.kind {
-            TraceEventKind::SpanBegin {
+        let ev = &mut events;
+        match &e.kind {
+            K::SpanBegin {
                 actor,
                 label,
                 detail,
-            } => format!(
-                "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":{},\"args\":{{\"detail\":{}}}}}",
-                actor.0,
-                json_string(label),
-                json_string(detail)
-            ),
-            TraceEventKind::SpanEnd { actor, label } => format!(
-                "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":{}}}",
-                actor.0,
-                json_string(label)
-            ),
-            TraceEventKind::MessageSent { id, src, dst, kind } => instant(
-                src.0,
-                &ts,
-                &format!("send {kind}"),
-                &format!("{{\"id\":{},\"dst\":{}}}", id.0, dst.0),
-            ),
-            TraceEventKind::MessageDelivered { id, src, dst, kind } => instant(
-                dst.0,
-                &ts,
-                &format!("recv {kind}"),
-                &format!("{{\"id\":{},\"src\":{}}}", id.0, src.0),
-            ),
-            TraceEventKind::MessageDropped {
+            } => {
+                ev.obj()
+                    .str("ph", "B")
+                    .val("pid", 1)
+                    .val("tid", actor.0)
+                    .val("ts", &ts)
+                    .str("name", label)
+                    .obj("args")
+                    .str("detail", detail);
+            }
+            K::SpanEnd { actor, label } => {
+                ev.obj()
+                    .str("ph", "E")
+                    .val("pid", 1)
+                    .val("tid", actor.0)
+                    .val("ts", &ts)
+                    .str("name", label);
+            }
+            K::MessageSent { id, src, dst, kind } => {
+                instant(&mut ev.obj(), *src, &ts, format_args!("send {kind}"))
+                    .val("id", id.0)
+                    .val("dst", dst.0);
+                if delivered.contains(id) {
+                    flow(ev, "s", *src, &ts, *id);
+                }
+            }
+            K::MessageDelivered { id, src, dst, kind } => {
+                instant(&mut ev.obj(), *dst, &ts, format_args!("recv {kind}"))
+                    .val("id", id.0)
+                    .val("src", src.0);
+                flow(ev, "f", *dst, &ts, *id);
+            }
+            K::MessageDropped {
                 id,
                 src,
                 dst,
                 kind,
                 reason,
-            } => instant(
-                dst.0,
-                &ts,
-                &format!("drop {kind}"),
-                &format!(
-                    "{{\"id\":{},\"src\":{},\"reason\":{}}}",
-                    id.0,
-                    src.0,
-                    json_string(&format!("{reason:?}"))
-                ),
-            ),
-            TraceEventKind::MessageDelayed {
+            } => {
+                instant(&mut ev.obj(), *dst, &ts, format_args!("drop {kind}"))
+                    .val("id", id.0)
+                    .val("src", src.0)
+                    .str_fmt("reason", format_args!("{reason:?}"));
+            }
+            K::MessageDelayed {
                 id,
                 src,
                 dst,
                 kind,
                 by,
-            } => instant(
-                dst.0,
-                &ts,
-                &format!("delay {kind}"),
-                &format!("{{\"id\":{},\"src\":{},\"by_ns\":{}}}", id.0, src.0, by.0),
-            ),
-            TraceEventKind::MessageQueued {
+            } => {
+                instant(&mut ev.obj(), *dst, &ts, format_args!("delay {kind}"))
+                    .val("id", id.0)
+                    .val("src", src.0)
+                    .val("by_ns", by.0);
+            }
+            K::MessageQueued {
                 id,
                 src,
                 dst,
                 kind,
                 depth,
                 waited,
-            } => instant(
-                src.0,
-                &ts,
-                &format!("queue {kind}"),
-                &format!(
-                    "{{\"id\":{},\"dst\":{},\"depth\":{},\"waited_ns\":{}}}",
-                    id.0, dst.0, depth, waited.0
-                ),
-            ),
-            TraceEventKind::Crashed { actor } => instant(actor.0, &ts, "crash", "{}"),
-            TraceEventKind::Restarted { actor } => instant(actor.0, &ts, "restart", "{}"),
-            TraceEventKind::Annotation { actor, label, data } => instant(
-                actor.0,
-                &ts,
-                label,
-                &format!("{{\"data\":{}}}", json_string(data)),
-            ),
+            } => {
+                instant(&mut ev.obj(), *src, &ts, format_args!("queue {kind}"))
+                    .val("id", id.0)
+                    .val("dst", dst.0)
+                    .val("depth", depth)
+                    .val("waited_ns", waited.0);
+            }
+            K::Crashed { actor } => {
+                instant(&mut ev.obj(), *actor, &ts, format_args!("crash"));
+            }
+            K::Restarted { actor } => {
+                instant(&mut ev.obj(), *actor, &ts, format_args!("restart"));
+            }
+            K::Annotation { actor, label, data } => {
+                instant(&mut ev.obj(), *actor, &ts, format_args!("{label}")).str("data", data);
+            }
             // Spawn/timer/hold bookkeeping would drown the timeline; the
             // JSONL exporter carries the complete record.
-            _ => continue,
-        };
-        events.push(ev);
-        match &e.kind {
-            TraceEventKind::MessageSent { id, src, .. } if delivered.contains(&id.0) => {
-                events.push(flow("s", src.0, &ts, id.0));
-            }
-            TraceEventKind::MessageDelivered { id, dst, .. } => {
-                events.push(flow("f", dst.0, &ts, id.0));
-            }
             _ => {}
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+    drop(events);
+    drop(doc);
+    out
 }
 
-fn instant(tid: u32, ts: &str, name: &str, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":{},\"args\":{args}}}",
-        json_string(name)
-    )
+/// Writes an instant event's header on `tid`'s timeline into `ev` and
+/// opens its `args`.
+fn instant<'e>(ev: &'e mut Obj, tid: ActorId, ts: &str, name: fmt::Arguments) -> Obj<'e> {
+    ev.str("ph", "i")
+        .str("s", "t")
+        .val("pid", 1)
+        .val("tid", tid.0)
+        .val("ts", ts)
+        .str_fmt("name", name)
+        .obj("args")
 }
 
 /// One half of a flow-event pair binding a send to its delivery. `bp:"e"`
 /// on the finishing half attaches the arrowhead to the enclosing event
 /// rather than the next slice, which is what instants need.
-fn flow(ph: &str, tid: u32, ts: &str, msg_id: u64) -> String {
-    let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-    format!(
-        "{{\"ph\":\"{ph}\"{bp},\"cat\":\"msg\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"msg\",\"id\":{msg_id}}}"
-    )
+fn flow(events: &mut Arr, ph: &str, tid: ActorId, ts: &str, msg: MsgId) {
+    let mut ev = events.obj();
+    ev.str("ph", ph);
+    if ph == "f" {
+        ev.str("bp", "e");
+    }
+    ev.str("cat", "msg")
+        .val("pid", 1)
+        .val("tid", tid.0)
+        .val("ts", ts)
+        .str("name", "msg")
+        .val("id", msg.0);
 }
 
 #[cfg(test)]

@@ -12,6 +12,8 @@
 //! not go through `Debug`; the `{:?}` rendering belongs to the exports
 //! ([`Trace::to_json`], [`crate::export`]).
 
+use ph_lint::json::Arr;
+
 use crate::ids::{ActorId, MsgId, TimerId};
 use crate::intern::Name;
 use crate::time::{Duration, SimTime};
@@ -535,45 +537,22 @@ impl Trace {
         self.hash.0
     }
 
-    /// Renders the trace as a JSON array of event objects (hand-rolled to
-    /// keep the dependency set minimal).
+    /// Renders the trace as a JSON array of event objects, each event's
+    /// kind in its `Debug` form.
     pub fn to_json(&self) -> String {
         let events = self.retained();
         let mut out = String::with_capacity(events.len() * 96 + 2);
-        out.push('[');
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seq\":{},\"at_ns\":{},\"event\":{}}}",
-                e.seq,
-                e.at.0,
-                json_string(&format!("{:?}", e.kind))
-            ));
+        let mut array = Arr::new(&mut out);
+        for e in events {
+            array
+                .obj()
+                .val("seq", e.seq)
+                .val("at_ns", e.at.0)
+                .str_fmt("event", format_args!("{:?}", e.kind));
         }
-        out.push(']');
+        drop(array);
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 impl<'a> IntoIterator for &'a Trace {
@@ -1033,12 +1012,6 @@ mod tests {
         swapped.swap(2, 3);
         assert_ne!(a.digest(), reference_digest(&swapped));
         assert_eq!(a.digest(), sample().digest());
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -213,6 +213,32 @@ fn phtool_lint_json_is_deterministic() {
     assert!(text.contains("\"why\":"));
 }
 
+/// `run --json` prints the report alone on stdout, with or without
+/// `--trace`: the trace file's status line goes to stderr.
+#[test]
+fn phtool_run_json_stdout_is_the_report_alone_with_a_trace() {
+    let bin = env!("CARGO_BIN_EXE_phtool");
+    let trace = std::env::temp_dir().join(format!("ph-run-json-{}.jsonl", std::process::id()));
+    let run = |extra: &[&str]| {
+        let out = std::process::Command::new(bin)
+            .args(["run", "--scenario", "k8s-59848", "--json"])
+            .args(extra)
+            .output()
+            .expect("spawning phtool");
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let plain = run(&[]);
+    let traced = run(&["--trace", trace.to_str().unwrap(), "--format", "jsonl"]);
+    std::fs::remove_file(&trace).expect("the trace was written");
+    assert_eq!(traced, plain);
+}
+
 /// Usage errors exit 2 and say what was wrong on stderr; a well-formed
 /// command that cannot finish exits 1. (`lint --threads` is the flag this
 /// suite itself used to pass — and phtool to ignore.)
