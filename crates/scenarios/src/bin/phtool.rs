@@ -558,16 +558,21 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
         probe.raft_commits,
         probe.raft_steps as f64 / probe.raft_commits.max(1) as f64
     );
-    // What compaction leaves of the store's history (CI bounds it).
+    // What compaction leaves of the store's history and Raft log (CI
+    // bounds both).
     let history = format!(
         "{} revisions retained (largest replica), compacted through {}",
         probe.store_history, probe.store_compacted
+    );
+    let log = format!(
+        "{} entries retained (largest replica), compacted through i{}",
+        probe.raft_log, probe.raft_log_base
     );
     if args.has("json") {
         // The memory probe is shard-layout-dependent, so it goes to stderr:
         // stdout stays byte-identical across shard counts (CI diffs it).
         eprintln!(
-            "cache probe: {} bytes over {} objects (shard-layout-dependent); raft: {raft}; history: {history}",
+            "cache probe: {} bytes over {} objects (shard-layout-dependent); raft: {raft}; history: {history}; log: {log}",
             probe.cache_bytes, probe.cache_objects
         );
         println!("{}", report.to_json());
@@ -617,6 +622,7 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
     );
     println!("raft     : {raft}");
     println!("history  : {history}");
+    println!("log      : {log}");
     Ok(exit)
 }
 

@@ -21,7 +21,10 @@
 //! `cluster_config`). Without it every replica kept every revision it had
 //! applied, and that history was most of a 5k-node run's memory; with it
 //! the history is bounded by the window plus one interval of commits
-//! whatever the run length ([`ScaleProbe::store_history`]).
+//! whatever the run length ([`ScaleProbe::store_history`]). The same
+//! compactions drop each replica's Raft log below the lowest index every
+//! replica holds, which bounds the log by about one interval of commits
+//! ([`ScaleProbe::raft_log`]).
 //!
 //! Scale points (the E10 sweep): nodes ∈ {100, 1k, 5k} with
 //! `pods = clamp(20 × nodes, 10k, 100k)`. `phtool scale` runs one point.
@@ -316,6 +319,12 @@ pub struct ScaleProbe {
     /// The lowest compaction floor over the store nodes (every replica has
     /// dropped the history at or below it).
     pub store_compacted: Revision,
+    /// Raft log entries held by the store node holding the most: the log
+    /// the same compactions bound.
+    pub raft_log: u64,
+    /// The lowest log base over the store nodes (every replica has dropped
+    /// the log entries at or below it).
+    pub raft_log_base: u64,
 }
 
 /// What a scale run keeps of its trace: nothing. The run injects no fault,
@@ -400,6 +409,16 @@ fn churn(seed: u64, p: &ScaleParams, retention: Retention) -> (Runner, ScaleProb
             .map(|s| s.mvcc().compacted())
             .min()
             .unwrap_or_default(),
+        raft_log: stores
+            .iter()
+            .map(|s| s.raft().log_len() - s.raft().log_base())
+            .max()
+            .unwrap_or(0),
+        raft_log_base: stores
+            .iter()
+            .map(|s| s.raft().log_base())
+            .min()
+            .unwrap_or(0),
     };
     (runner, probe)
 }
@@ -468,6 +487,16 @@ mod tests {
         assert!(
             probe.store_history as u64 <= keep + per_interval,
             "{probe:?}: more than {keep} + {per_interval} revisions retained"
+        );
+        // The same compactions bound the Raft log: each replica holds what
+        // committed since the floor was chosen (one interval, plus entries
+        // some replica had not yet acknowledged), against every commit of
+        // the run without them.
+        assert!(probe.raft_log_base > 0, "{probe:?}");
+        assert!(
+            probe.raft_log <= 2 * per_interval,
+            "{probe:?}: more than {} log entries retained",
+            2 * per_interval
         );
         // A store that refused the apiserver's resume point would have made
         // it re-list and announce itself ready a second time.

@@ -7,6 +7,7 @@
 use ph_sim::ActorId;
 
 use crate::kv::{Key, KeyValue, KvEvent, LeaseId, Revision, Value};
+use crate::raft::LogIndex;
 
 /// Precondition on a key's current `mod_revision` for compare-and-swap
 /// writes (the optimistic-concurrency primitive apiservers and the HBase
@@ -84,6 +85,14 @@ pub enum Op {
     Compact {
         /// Highest revision to discard.
         at: Revision,
+        /// Highest Raft log index to discard. The leader sets it to an index
+        /// every replica holds ([`RaftCore::match_floor`]), and lowers a
+        /// client's to that index, so every replica drops the same log
+        /// prefix and none drops an entry another lacks. The MVCC ignores
+        /// it.
+        ///
+        /// [`RaftCore::match_floor`]: crate::raft::RaftCore::match_floor
+        log_floor: LogIndex,
     },
     /// No-op (used by leaders to commit entries from earlier terms promptly).
     Nop,

@@ -120,6 +120,11 @@ impl MvccStore {
         self.leases.keys().copied().collect()
     }
 
+    /// The whole lease table.
+    pub(crate) fn leases(&self) -> &BTreeMap<LeaseId, LeaseInfo> {
+        &self.leases
+    }
+
     /// Retained events strictly after `after`, in revision order.
     ///
     /// # Errors
@@ -174,7 +179,7 @@ impl MvccStore {
                 }
             }
             Op::LeaseRevoke { id } => self.apply_lease_revoke(*id),
-            Op::Compact { at } => {
+            Op::Compact { at, .. } => {
                 self.compact(*at);
                 (Ok(OpResult::Compacted { at: self.compacted }), Vec::new())
             }
@@ -299,6 +304,46 @@ impl MvccStore {
             }),
             events,
         )
+    }
+
+    /// Restores the state at `revision`: undoes each retained event above
+    /// it through the `prev` it carries, newest first, and installs
+    /// `leases` — the lease table as it stood at `revision`, which events
+    /// do not record. The result equals the store as it was when it reached
+    /// `revision`, history window included; at revision 0 it is the empty
+    /// store, made without walking anything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `revision` is below the compaction floor (the events to
+    /// undo are gone) or above the current revision.
+    pub(crate) fn rewind(&mut self, revision: Revision, leases: BTreeMap<LeaseId, LeaseInfo>) {
+        assert!(
+            (self.compacted..=self.revision).contains(&revision),
+            "cannot rewind to {revision}: history spans {}..={}",
+            self.compacted,
+            self.revision
+        );
+        if revision == Revision::ZERO {
+            *self = MvccStore {
+                leases,
+                ..MvccStore::default()
+            };
+            return;
+        }
+        let keep = (revision.0 - self.compacted.0) as usize;
+        for ev in self.events.drain(keep..).rev() {
+            let (key, prev) = match &*ev {
+                KvEvent::Put { kv, prev } => (&kv.key, prev),
+                KvEvent::Delete { key, prev, .. } => (key, prev),
+            };
+            match prev {
+                Some(p) => self.current.insert(key.clone(), p.clone()),
+                None => self.current.remove(key),
+            };
+        }
+        self.revision = revision;
+        self.leases = leases;
     }
 
     /// Drops retained events at or below `at` (clamped to the current
@@ -589,9 +634,12 @@ mod tests {
         let before = s.revision();
         s.apply(&Op::Read { prefix: "".into() }).0.expect("read");
         s.apply(&Op::Nop).0.expect("nop");
-        s.apply(&Op::Compact { at: Revision(1) })
-            .0
-            .expect("compact");
+        s.apply(&Op::Compact {
+            at: Revision(1),
+            log_floor: 0,
+        })
+        .0
+        .expect("compact");
         assert_eq!(s.revision(), before);
         assert!(s.events_since(before).expect("ok").is_empty());
     }
@@ -628,6 +676,72 @@ mod tests {
         assert_eq!(out1, out2);
         assert_eq!(s1.revision(), s2.revision());
         assert_eq!(s1.range(""), s2.range(""));
+    }
+
+    #[test]
+    fn rewind_restores_the_state_at_a_cut_after_the_last_compaction() {
+        let mut rng = ph_sim::SimRng::from_seed(0x5E3D_0C07);
+        let (mut past_compaction, mut undid_update, mut undid_delete, mut undid_leases) =
+            (0, 0, 0, 0);
+        for case in 0..2_000 {
+            let mut s = MvccStore::new();
+            for _ in 0..rng.below(24) {
+                let _ = s.apply(&gen_op(&mut rng, &s));
+            }
+            // The cut: the state a replica records when it applies a
+            // compaction, which every later op leaves retained above it.
+            let cut = s.clone();
+            let mut undone = Vec::new();
+            for _ in 0..rng.range(1, 17) {
+                let op = match gen_op(&mut rng, &s) {
+                    Op::Compact { .. } => Op::Nop,
+                    op => op,
+                };
+                let (res, evs) = s.apply(&op);
+                undid_leases += u32::from(matches!(op, Op::LeaseGrant { .. }) && res.is_ok());
+                undone.extend(evs);
+            }
+            s.rewind(cut.revision, cut.leases.clone());
+
+            let at = format!("case {case}: cut at {}, {undone:?}", cut.revision);
+            assert_eq!(s.current, cut.current, "{at}");
+            assert_eq!(s.revision, cut.revision, "{at}");
+            assert_eq!(s.compacted, cut.compacted, "{at}");
+            assert_eq!(s.events, cut.events, "{at}");
+            assert_eq!(s.leases, cut.leases, "{at}");
+
+            past_compaction += u32::from(cut.compacted > Revision::ZERO && !undone.is_empty());
+            for ev in &undone {
+                match &**ev {
+                    KvEvent::Put { prev: Some(_), .. } => undid_update += 1,
+                    KvEvent::Delete { .. } => undid_delete += 1,
+                    KvEvent::Put { prev: None, .. } => {}
+                }
+            }
+        }
+        for (what, hits) in [
+            ("an undo above a compaction floor", past_compaction),
+            ("an undone update", undid_update),
+            ("an undone delete", undid_delete),
+            ("a lease granted after the cut", undid_leases),
+        ] {
+            assert!(hits >= 200, "{what}: only {hits} cases");
+        }
+    }
+
+    #[test]
+    fn rewinding_an_uncompacted_store_to_zero_empties_it() {
+        let mut rng = ph_sim::SimRng::from_seed(0x0000_2E80);
+        let mut s = MvccStore::new();
+        for _ in 0..64 {
+            match gen_op(&mut rng, &s) {
+                Op::Compact { .. } => {}
+                op => drop(s.apply(&op)),
+            }
+        }
+        assert!(s.revision() > Revision::ZERO && s.compacted() == Revision::ZERO);
+        s.rewind(Revision::ZERO, BTreeMap::new());
+        assert_eq!(format!("{s:?}"), format!("{:?}", MvccStore::new()));
     }
 
     // -----------------------------------------------------------------
@@ -792,6 +906,7 @@ mod tests {
             12 => Op::LeaseRevoke { id: lease },
             13 => Op::Compact {
                 at: Revision(rng.below(s.revision().0 + 3)),
+                log_floor: 0,
             },
             14 => Op::LeaseKeepAlive { id: lease },
             _ => Op::Read { prefix: "k".into() },

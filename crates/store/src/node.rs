@@ -11,13 +11,13 @@ use std::collections::BTreeMap;
 
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, SimTime, TimerId};
 
-use crate::kv::LeaseId;
+use crate::kv::{LeaseId, Revision};
 use crate::msgs::{
     ClientRequest, ClientResponse, Op, OpResult, ReadLevel, RequestError, WatchCancelReq,
     WatchCancelled, WatchCreate, WatchNotify, WatchProgress,
 };
-use crate::mvcc::MvccStore;
-use crate::raft::{Command, Effect, NodeIdx, Origin, RaftCore, RaftMsg};
+use crate::mvcc::{LeaseInfo, MvccStore};
+use crate::raft::{Command, Effect, LogIndex, NodeIdx, Origin, RaftCore, RaftMsg};
 use crate::watch::WatchRegistry;
 
 /// A Raft message on the wire between store nodes.
@@ -29,9 +29,13 @@ pub struct RaftWire(pub RaftMsg);
 /// Every `interval` the leader proposes an [`Op::Compact`] through Raft,
 /// so each replica drops the same prefix at the same log position; the
 /// command consumes no revision. Between proposals a replica's history
-/// grows from `keep` by whatever commits in one interval. Off by default
-/// ([`StoreNodeConfig::default`]); the mega-cluster scale family turns it
-/// on with `keep` equal to its apiserver's watch window.
+/// grows from `keep` by whatever commits in one interval. The same entry
+/// bounds the Raft log: it carries the leader's
+/// [`RaftCore::match_floor`], and each replica that applies it drops its
+/// log through that index and records a snapshot point to restart from.
+/// Off by default ([`StoreNodeConfig::default`]), and then neither history
+/// nor log is ever dropped; the mega-cluster scale family turns it on with
+/// `keep` equal to its apiserver's watch window.
 #[derive(Debug, Clone, Copy)]
 pub struct AutoCompact {
     /// Keep at least this many trailing revisions.
@@ -83,6 +87,20 @@ const TAG_COMPACT: u64 = 5;
 /// Timer tags at or above this are deferred-reply slots.
 const TAG_DEFER_BASE: u64 = 1 << 16;
 
+/// The state after the last [`Op::Compact`] a replica applied: where a
+/// restart resumes, since the log below it may be gone. Persistent, like
+/// the log.
+#[derive(Debug, Default)]
+struct SnapshotPoint {
+    /// Log index of the `Compact` entry (0: nothing applied yet).
+    index: LogIndex,
+    /// MVCC revision after it.
+    revision: Revision,
+    /// The lease table after it (leases change without events, so a
+    /// rewind cannot undo them).
+    leases: BTreeMap<LeaseId, LeaseInfo>,
+}
+
 /// One member of the replicated store.
 #[derive(Debug)]
 pub struct StoreNode {
@@ -92,6 +110,7 @@ pub struct StoreNode {
     peers: Vec<ActorId>,
     core: RaftCore,
     mvcc: MvccStore,
+    snapshot: SnapshotPoint,
     watches: WatchRegistry,
     election_timer: Option<TimerId>,
     /// Leader-side lease expiry deadlines.
@@ -119,6 +138,7 @@ impl StoreNode {
             peers,
             core: RaftCore::new(idx, n),
             mvcc: MvccStore::new(),
+            snapshot: SnapshotPoint::default(),
             watches: WatchRegistry::new(),
             election_timer: None,
             lease_deadlines: BTreeMap::new(),
@@ -179,7 +199,7 @@ impl StoreNode {
         for effect in effects {
             match effect {
                 Effect::Send(to, msg) => ctx.send(self.peers[to], RaftWire(msg)),
-                Effect::Apply { index: _, entry } => self.apply_committed(&entry.cmd, ctx),
+                Effect::Apply { index, entry } => self.apply_committed(index, &entry.cmd, ctx),
                 Effect::ResetElectionTimer => self.arm_election(ctx),
                 Effect::BecameLeader => {
                     ctx.annotate("store.leader", format!("term={}", self.core.term()));
@@ -200,8 +220,16 @@ impl StoreNode {
         }
     }
 
-    fn apply_committed(&mut self, cmd: &Command, ctx: &mut Ctx) {
+    fn apply_committed(&mut self, index: LogIndex, cmd: &Command, ctx: &mut Ctx) {
         let (result, events) = self.mvcc.apply(&cmd.op);
+        if let Op::Compact { log_floor, .. } = cmd.op {
+            self.snapshot = SnapshotPoint {
+                index,
+                revision: self.mvcc.revision(),
+                leases: self.mvcc.leases().clone(),
+            };
+            self.core.compact(log_floor);
+        }
         // Leader-side lease timing.
         if self.core.is_leader() {
             match (&cmd.op, &result) {
@@ -293,10 +321,16 @@ impl StoreNode {
             client: from,
             req: r.req,
         };
+        let mut op = r.op.clone();
+        // The log floor is the leader's to set: a client's `Compact` may
+        // not drop an entry some replica still lacks.
+        if let Op::Compact { log_floor, .. } = &mut op {
+            *log_floor = (*log_floor).min(self.core.match_floor());
+        }
         let mut effects = Vec::new();
         match self.core.propose(
             Command {
-                op: r.op.clone(),
+                op,
                 origin: Some(origin),
             },
             &mut effects,
@@ -366,12 +400,18 @@ impl Actor for StoreNode {
     }
 
     fn on_restart(&mut self, ctx: &mut Ctx) {
-        // Persistent: the Raft log/term/vote inside `core`. Volatile: the
-        // applied state machine, watch registrations and lease timing — all
-        // rebuilt (the MVCC by re-applying the log as the commit index
-        // re-advances).
-        self.core.restart();
-        self.mvcc = MvccStore::new();
+        // Persistent: the Raft log/term/vote inside `core` and the snapshot
+        // point. Volatile: the applied state machine, watch registrations
+        // and lease timing — all rebuilt. The MVCC restarts from the
+        // snapshot point, which the applied state reaches by undoing its
+        // retained history above it (every `Compact` leaves the events
+        // above its own revision in place), and re-applies the log above
+        // the point as the commit index re-advances. Without a compaction
+        // the point is the empty store at index 0: a replay of the whole
+        // log, as before any compaction existed.
+        self.core.restart(self.snapshot.index);
+        self.mvcc
+            .rewind(self.snapshot.revision, self.snapshot.leases.clone());
         self.watches.clear();
         self.lease_deadlines.clear();
         self.election_timer = None;
@@ -464,7 +504,8 @@ impl Actor for StoreNode {
                         if rev > ac.keep {
                             let at = crate::kv::Revision(rev - ac.keep);
                             if at > self.mvcc.compacted() {
-                                self.propose_internal(Op::Compact { at }, ctx);
+                                let log_floor = self.core.match_floor();
+                                self.propose_internal(Op::Compact { at, log_floor }, ctx);
                             }
                         }
                     }

@@ -4,7 +4,19 @@
 //! the Raft paper (Ongaro & Ousterhout, ATC '14) for a fixed-membership
 //! cluster — the shape the paper's infrastructures use for their central
 //! store (§4.1: "a small cluster of nodes, typically one to nine").
-//! Snapshots and membership change are deliberately out of scope.
+//! Membership change is deliberately out of scope.
+//!
+//! Log compaction (§7) drops an applied prefix: [`RaftCore::compact`] keeps
+//! only the entries above a base. The caller picks the floor so that no
+//! follower ever needs a compacted entry — [`crate::node::StoreNode`] has
+//! the leader propose [`RaftCore::match_floor`], an index every replica
+//! holds, through the log itself. A leader's back-off stops at its base
+//! (several rejections can arrive for one gap, one per append in flight),
+//! and every follower holds that base and accepts it as `prev_index`, so
+//! InstallSnapshot is never needed and not implemented: a follower that is
+//! down pins the floor, and catches up by `AppendEntries` alone. A
+//! restarted node resumes from the state after a snapshot point its
+//! caller restores ([`RaftCore::restart`]).
 //!
 //! Every per-message step of replication costs O(entries new to the
 //! receiver), never O(in-flight window): an `AppendEntries` carries a
@@ -75,59 +87,110 @@ pub struct LogEntry {
 /// The entry buffer a log and the views cut from it share.
 type Buf = Rc<RefCell<Vec<Rc<LogEntry>>>>;
 
-/// One node's log: `buf[i]` has index `i + 1`.
+/// One node's log: `buf[i]` has index `base + i + 1`; the entries at and
+/// below `base` were compacted away (Raft §7).
 ///
 /// Append-only while any [`LogView`] shares the buffer: a push lands above
-/// every outstanding view's end, and a truncation under a shared buffer
-/// moves the kept prefix to a fresh one instead of mutating what a view
-/// may still read.
+/// every outstanding view's end, and a truncation or compaction under a
+/// shared buffer moves the kept entries to a fresh one instead of mutating
+/// what a view may still read.
 #[derive(Debug, Default)]
 struct Log {
     buf: Buf,
+    /// Index of the last compacted entry (0: nothing compacted).
+    base: LogIndex,
+    /// Term of the entry at `base`.
+    base_term: Term,
 }
 
 impl Log {
-    fn len(&self) -> LogIndex {
-        self.buf.borrow().len() as LogIndex
+    /// Index of the last entry (`base` when nothing above it is held).
+    fn last(&self) -> LogIndex {
+        self.base + self.buf.borrow().len() as LogIndex
+    }
+
+    /// Position in `buf` of the entry at `index`, if it is held.
+    fn slot(&self, index: LogIndex) -> Option<usize> {
+        index.checked_sub(self.base + 1).map(|i| i as usize)
     }
 
     fn get(&self, index: LogIndex) -> Option<Rc<LogEntry>> {
-        let i = index.checked_sub(1)?;
-        self.buf.borrow().get(i as usize).cloned()
+        self.buf.borrow().get(self.slot(index)?).cloned()
     }
 
     /// Term of the entry at `index`; 0 before the log and past its end.
+    /// Only `base` itself is known of the compacted prefix.
     fn term_at(&self, index: LogIndex) -> Term {
-        let Some(i) = index.checked_sub(1) else {
-            return 0;
-        };
-        self.buf.borrow().get(i as usize).map_or(0, |e| e.term)
+        if index == self.base {
+            return self.base_term;
+        }
+        self.slot(index)
+            .and_then(|i| self.buf.borrow().get(i).map(|e| e.term))
+            .unwrap_or(0)
     }
 
     fn push(&mut self, entry: Rc<LogEntry>) {
         self.buf.borrow_mut().push(entry);
     }
 
-    /// Drops every entry above index `len`; returns how many entry handles
-    /// it had to copy (0 unless it cut under a view that shares the buffer).
-    fn truncate(&mut self, len: LogIndex) -> u64 {
-        if len >= self.len() {
-            return 0;
-        }
+    /// Keeps `buf[range]` and drops the rest, in place unless a view shares
+    /// the buffer; returns how many entry handles it had to copy.
+    fn keep(&mut self, range: std::ops::Range<usize>) -> u64 {
         if Rc::strong_count(&self.buf) == 1 {
-            self.buf.borrow_mut().truncate(len as usize);
+            let mut buf = self.buf.borrow_mut();
+            buf.truncate(range.end);
+            buf.drain(..range.start);
             return 0;
         }
-        let kept = self.buf.borrow()[..len as usize].to_vec();
+        let kept = self.buf.borrow()[range].to_vec();
+        let copied = kept.len() as u64;
         self.buf = Rc::new(RefCell::new(kept));
-        len
+        copied
+    }
+
+    /// Drops every entry above index `last`; returns how many entry handles
+    /// it had to copy (0 unless it cut under a view that shares the buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` is below the base: compacted entries are committed,
+    /// and committed entries are never truncated.
+    fn truncate(&mut self, last: LogIndex) -> u64 {
+        if last >= self.last() {
+            return 0;
+        }
+        assert!(last >= self.base, "truncating below the compacted base");
+        self.keep(0..(last - self.base) as usize)
+    }
+
+    /// Drops every entry at or below `through`, remembering its term.
+    fn compact(&mut self, through: LogIndex) {
+        if through <= self.base {
+            return;
+        }
+        self.base_term = self.term_at(through);
+        let len = self.buf.borrow().len();
+        self.keep((through - self.base) as usize..len);
+        self.base = through;
     }
 
     /// Everything above `prev_index` as of now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prev_index` is below the base. The compaction floor is
+    /// an index every replica holds and the back-off stops at the base, so
+    /// no follower is ever sent the compacted prefix (there is no
+    /// InstallSnapshot).
     fn view_after(&self, prev_index: LogIndex) -> LogView {
+        assert!(
+            prev_index >= self.base,
+            "entry {prev_index} was compacted (base {})",
+            self.base
+        );
         LogView {
             buf: Rc::clone(&self.buf),
-            start: prev_index as usize,
+            start: (prev_index - self.base) as usize,
             end: self.buf.borrow().len(),
         }
     }
@@ -348,14 +411,35 @@ impl RaftCore {
         self.commit
     }
 
-    /// Number of log entries.
+    /// Index of the last log entry.
     pub fn log_len(&self) -> LogIndex {
-        self.log.len()
+        self.log.last()
     }
 
-    /// The entry at `index`, if present.
+    /// Index of the last compacted entry: the log holds only the entries
+    /// above it (0 until [`RaftCore::compact`] drops a prefix).
+    pub fn log_base(&self) -> LogIndex {
+        self.log.base
+    }
+
+    /// The entry at `index`, if present (not compacted, not past the end).
     pub fn entry(&self, index: LogIndex) -> Option<Rc<LogEntry>> {
         self.log.get(index)
+    }
+
+    /// The lowest `match_index` over the cluster, this node's own included:
+    /// an index every replica is known to hold. Meaningful at a leader,
+    /// which proposes it as the log compaction floor; 0 until every
+    /// follower has acknowledged an append in this term.
+    pub fn match_floor(&self) -> LogIndex {
+        self.match_index.iter().copied().min().unwrap_or(0)
+    }
+
+    /// Drops the log entries at or below `min(through, applied)` (Raft §7):
+    /// an applied entry is in the state machine, so the log no longer needs
+    /// it. Views already sent keep reading the entries they were cut from.
+    pub fn compact(&mut self, through: LogIndex) {
+        self.log.compact(through.min(self.applied));
     }
 
     /// Deterministic cost of the replication path so far: one step per
@@ -376,12 +460,25 @@ impl RaftCore {
     }
 
     /// Models a crash+restart: persistent state (term, vote, log) survives,
-    /// volatile state resets. The caller must also reset its state machine
-    /// and will re-apply entries as the commit index re-advances.
-    pub fn restart(&mut self) {
+    /// volatile state resets. The caller restores its state machine to the
+    /// state after entry `restored` — its last snapshot point, 0 for the
+    /// empty state — and re-applies the entries above it as the commit
+    /// index re-advances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `restored` is below the log's base (those entries cannot
+    /// be re-applied) or past its end.
+    pub fn restart(&mut self, restored: LogIndex) {
+        assert!(
+            (self.log.base..=self.log.last()).contains(&restored),
+            "restore point {restored} outside the log ({}..={})",
+            self.log.base,
+            self.log.last()
+        );
         self.role = Role::Follower;
-        self.commit = 0;
-        self.applied = 0;
+        self.commit = restored;
+        self.applied = restored;
         self.leader_hint = None;
         self.votes = vec![false; self.n];
         self.next_index = vec![1; self.n];
@@ -389,11 +486,11 @@ impl RaftCore {
     }
 
     fn last_log_index(&self) -> LogIndex {
-        self.log.len()
+        self.log.last()
     }
 
     fn last_log_term(&self) -> Term {
-        self.log.term_at(self.log.len())
+        self.log.term_at(self.log.last())
     }
 
     fn term_at(&self, index: LogIndex) -> Term {
@@ -625,8 +722,11 @@ impl RaftCore {
         self.leader_hint = Some(from);
         effects.push(Effect::ResetElectionTimer);
 
-        // Consistency check.
-        if prev_index > self.last_log_index() || self.term_at(prev_index) != prev_term {
+        // Consistency check. The prefix at and below the base is committed,
+        // so every leader holds it too: it matches without a term.
+        if prev_index > self.last_log_index()
+            || (prev_index > self.log.base && self.term_at(prev_index) != prev_term)
+        {
             effects.push(Effect::Send(
                 from,
                 RaftMsg::AppendResp {
@@ -639,11 +739,12 @@ impl RaftCore {
         }
         // Skip what this log already holds: equal terms at the last index
         // the view and the log share mean identical entries up to it (Log
-        // Matching), so one comparison stands for the whole overlap.
+        // Matching), so one comparison stands for the whole overlap. The
+        // view's part at or below the base is held by construction.
         let match_index = prev_index + entries.len() as LogIndex;
         let shared = match_index.min(self.last_log_index());
-        let mut idx = prev_index;
-        if shared > prev_index {
+        let mut idx = prev_index.max(self.log.base);
+        if shared > idx {
             self.steps += 1;
             if self.term_at(shared) == entries.term((shared - prev_index) as usize - 1) {
                 idx = shared;
@@ -696,8 +797,14 @@ impl RaftCore {
             self.next_index[from] = self.match_index[from] + 1;
             self.advance_commit(effects);
         } else {
-            // Back off and retry (at the next heartbeat).
-            self.next_index[from] = self.next_index[from].saturating_sub(1).max(1);
+            // Back off and retry (at the next heartbeat). Rejections of
+            // several appends in flight at one `next_index` each back off,
+            // so the probe may pass the follower's log end; it stops at the
+            // base, which every replica holds (the compaction floor was an
+            // index all of them had) and every follower accepts.
+            self.next_index[from] = self.next_index[from]
+                .saturating_sub(1)
+                .max(self.log.base + 1);
         }
     }
 
@@ -991,7 +1098,7 @@ mod tests {
         assert_eq!(net.cores[1].commit(), 2);
 
         // Restart follower 1: volatile state resets, log survives.
-        net.cores[1].restart();
+        net.cores[1].restart(0);
         net.applied[1].clear();
         assert_eq!(net.cores[1].commit(), 0);
         assert_eq!(net.cores[1].log_len(), log_before);
@@ -1002,6 +1109,20 @@ mod tests {
         assert_eq!(net.cores[1].commit(), 2);
         let indices: Vec<_> = net.applied[1].iter().map(|(x, _)| *x).collect();
         assert_eq!(indices, vec![1, 2]);
+
+        // With its log compacted through 2, it restarts from a state that
+        // already holds entry 2 and re-applies only what follows.
+        net.propose(0, put_op("b")).expect("leader");
+        net.settle();
+        net.cores[1].compact(2);
+        assert_eq!(net.cores[1].entry(2), None);
+        net.cores[1].restart(2);
+        net.applied[1].clear();
+        assert_eq!(net.cores[1].commit(), 2);
+        net.heartbeat(0);
+        net.settle();
+        let indices: Vec<_> = net.applied[1].iter().map(|(x, _)| *x).collect();
+        assert_eq!(indices, vec![3]);
     }
 
     #[test]
@@ -1103,6 +1224,46 @@ mod tests {
     /// The one hazard of sharing the log buffer with messages: the sender
     /// truncates while its messages are still in flight.
     #[test]
+    fn back_off_stops_at_the_base() {
+        let (a, b, c) = (0, 1, 2);
+        let mut net = Net::new(3);
+        net.timeout(a);
+        net.settle();
+        // C misses three entries; A and B commit them, then compact
+        // through the floor all three hold (A's no-op). B takes over and
+        // starts probing C from its own log end.
+        net.blocked[c] = true;
+        for k in ["x", "y", "z"] {
+            net.propose(a, put_op(k)).expect("leader");
+        }
+        net.settle();
+        net.heartbeat(a);
+        net.settle();
+        for i in [a, b] {
+            net.cores[i].compact(1);
+            assert_eq!(net.cores[i].log_base(), 1);
+        }
+        net.timeout(b);
+        net.settle();
+        assert_eq!(net.leader(), Some(b));
+        assert_eq!(net.cores[b].next_index[c], 5);
+        net.blocked[c] = false;
+
+        // Six probes are rejected together: one back-off each, more than
+        // the gap, and none goes under the base.
+        for _ in 0..6 {
+            net.heartbeat(b);
+        }
+        net.settle();
+        assert_eq!(net.cores[b].next_index[c], 2);
+        net.heartbeat(b);
+        net.settle();
+        let z = net.cores[c].entry(4).expect("caught up");
+        assert_eq!(keys(&[z]), ["z"]);
+        assert_eq!(net.cores[c].commit(), 5);
+    }
+
+    #[test]
     fn in_flight_appends_outlive_the_senders_truncation() {
         let (a, b, c, d) = (0, 1, 2, 3);
         let mut net = Net::new(5);
@@ -1166,6 +1327,27 @@ mod tests {
         net.heartbeat(b);
         net.settle();
         assert_eq!(log_of(&net.cores[c]), b_log);
+
+        // B compacts everything it applied while its next appends are in
+        // flight: the messages still carry exactly what B held when it
+        // sent them, and every receiver appends them above its own base —
+        // C's sits right at their `prev_index`.
+        assert_eq!(net.cores[b].commit(), 3);
+        net.propose(b, put_op("z")).expect("leader");
+        let held = Vec::from(std::mem::take(&mut net.inflight));
+        let sent: Vec<_> = held.iter().map(|(_, _, m)| entries_of(m)).collect();
+        net.cores[b].compact(3);
+        assert_eq!((net.cores[b].log_base(), net.cores[b].log_len()), (3, 4));
+        for ((_, _, msg), before) in held.iter().zip(&sent) {
+            assert_eq!(&entries_of(msg), before);
+        }
+        net.cores[c].compact(3);
+        net.inflight.extend(held);
+        net.settle();
+        for (i, core) in net.cores.iter().enumerate() {
+            let z = core.entry(4).expect("replicated");
+            assert_eq!(keys(&[z]), ["z"], "node {i}");
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1246,9 +1428,10 @@ mod tests {
             }
         }
 
-        /// Everything the two paths must agree on, effects included.
-        fn observable(&self, effects: &[Effect]) -> String {
-            let log: Vec<_> = (1..=self.log_len()).map(|i| self.entry(i)).collect();
+        /// Everything the two paths must agree on above log index `base`,
+        /// effects included.
+        fn observable(&self, base: LogIndex, effects: &[Effect]) -> String {
+            let log: Vec<_> = (base + 1..=self.log_len()).map(|i| self.entry(i)).collect();
             format!(
                 "{log:?} {:?} term={} commit={} applied={} hint={:?} {effects:?}",
                 self.role, self.term, self.commit, self.applied, self.leader_hint
@@ -1302,6 +1485,7 @@ mod tests {
     fn on_append_matches_the_linear_scan() {
         let mut rng = ph_sim::SimRng::from_seed(0x0A99_E2D5);
         let (mut rejected, mut skipped, mut truncated, mut grown) = (0, 0, 0, 0);
+        let mut under_base = 0;
         for case in 0..4_000 {
             // The follower: up to 12 entries over terms 1–3.
             let flen = rng.below(13);
@@ -1326,7 +1510,7 @@ mod tests {
             {
                 leader.push(e);
             }
-            let prev_index = rng.below(leader.len() + 1);
+            let prev_index = rng.below(leader.last() + 1);
             let prev_term = leader.term_at(prev_index) + u64::from(rng.chance(0.1));
             let view = leader.view_after(prev_index);
             let term = if rng.chance(0.15) {
@@ -1334,17 +1518,28 @@ mod tests {
             } else {
                 fterm + rng.below(2)
             };
-            let commit = rng.below(leader.len() + 3);
+            let commit = rng.below(leader.last() + 3);
             let role = *rng
                 .pick(&[Role::Follower, Role::Candidate, Role::Leader])
                 .expect("non-empty");
             let fcommit = rng.below(d + 1);
+            // The follower compacted its log through `base`, inside the
+            // committed prefix every leader holds as it does: a message cut
+            // at or below the base carries the true term there.
+            let base = rng.below(fcommit + 1);
+            let prev_term = if prev_index <= base {
+                leader.term_at(prev_index)
+            } else {
+                prev_term
+            };
 
             let mut fast = core_with(3, role, fterm, &flog, fcommit);
             let mut slow = core_with(3, role, fterm, &flog, fcommit);
             // Sometimes a view of the follower's own log is outstanding (it
-            // led once): a truncation must not reach what that view reads.
+            // led once): neither the compaction nor a truncation may reach
+            // what that view reads. The reference keeps its whole log.
             let held = rng.chance(0.3).then(|| fast.log.view_after(0));
+            fast.compact(base);
 
             let (mut fast_eff, mut slow_eff) = (Vec::new(), Vec::new());
             fast.on_append(1, term, prev_index, prev_term, &view, commit, &mut fast_eff);
@@ -1359,9 +1554,9 @@ mod tests {
                 &mut slow_eff,
             );
             assert_eq!(
-                fast.observable(&fast_eff),
-                slow.observable(&slow_eff),
-                "case {case}: follower terms {:?} <- {view:?} of a log sharing {d}",
+                fast.observable(base, &fast_eff),
+                slow.observable(base, &slow_eff),
+                "case {case}: follower terms {:?} above {base} <- {view:?} of a log sharing {d}",
                 terms(&flog)
             );
             if let Some(held) = held {
@@ -1386,6 +1581,7 @@ mod tests {
             truncated += u32::from(accepted && conflict);
             grown += u32::from(accepted && !conflict && fast.log_len() > flen);
             skipped += u32::from(accepted && fast.log_len() == flen && !view.is_empty());
+            under_base += u32::from(accepted && prev_index < base);
         }
         // The generator reaches every branch, none of them rarely.
         for (what, hits) in [
@@ -1393,6 +1589,7 @@ mod tests {
             ("skipped a held overlap", skipped),
             ("truncated a conflict", truncated),
             ("appended a new tail", grown),
+            ("accepted a view reaching under the base", under_base),
         ] {
             assert!(hits >= 200, "{what}: only {hits} of 4000 cases");
         }
@@ -1422,8 +1619,8 @@ mod tests {
             fast.advance_commit(&mut fast_eff);
             slow.advance_commit_reference(&mut slow_eff);
             assert_eq!(
-                fast.observable(&fast_eff),
-                slow.observable(&slow_eff),
+                fast.observable(0, &fast_eff),
+                slow.observable(0, &slow_eff),
                 "case {case}: match {match_index:?}, commit {commit}, term {term}, log terms {:?}",
                 terms(&log)
             );

@@ -253,14 +253,7 @@ fn lease_expiry_deletes_attached_keys() {
 
 #[test]
 fn compaction_cancels_stale_watch_resume() {
-    let cfg = StoreNodeConfig {
-        autocompact: Some(AutoCompact {
-            keep: 5,
-            interval: Duration::millis(100),
-        }),
-        ..StoreNodeConfig::default()
-    };
-    let (mut world, _cluster, c) = setup(27, 3, cfg);
+    let (mut world, _cluster, c) = setup(27, 3, compacting());
     // Generate plenty of history.
     for i in 0..30 {
         let req = world.invoke::<BasicClient, _>(c, move |bc, ctx| {
@@ -283,37 +276,190 @@ fn compaction_cancels_stale_watch_resume() {
     assert!(compacted, "resume below the compaction floor must cancel");
 }
 
-#[test]
-fn follower_restart_rebuilds_identical_state() {
-    let (mut world, cluster, c) = setup(28, 3, StoreNodeConfig::default());
-    for i in 0..10 {
+/// Auto-compaction that keeps five revisions: a few puts are enough to
+/// compact both the history and the Raft log.
+fn compacting() -> StoreNodeConfig {
+    StoreNodeConfig {
+        autocompact: Some(AutoCompact {
+            keep: 5,
+            interval: Duration::millis(100),
+        }),
+        ..StoreNodeConfig::default()
+    }
+}
+
+fn put_keys(world: &mut World, c: ph_sim::ActorId, keys: std::ops::Range<usize>) {
+    for i in keys {
         let req = world.invoke::<BasicClient, _>(c, move |bc, ctx| {
             bc.client
                 .put(format!("k{i}"), Value::from_static(b"v"), ctx)
         });
-        await_op(&mut world, c, req).expect("put");
+        await_op(world, c, req).expect("put");
     }
+}
+
+fn node(world: &World, id: ph_sim::ActorId) -> &StoreNode {
+    world.actor_ref::<StoreNode>(id).expect("store node")
+}
+
+/// Everything a replica's applied state shows a reader: the live keys with
+/// the revision they reflect, the compaction floor and the history above it.
+fn applied_state(world: &World, id: ph_sim::ActorId) -> impl PartialEq + std::fmt::Debug {
+    let mvcc = node(world, id).mvcc();
+    let history = mvcc.events_since(mvcc.compacted()).expect("at the floor");
+    (mvcc.range(""), mvcc.compacted(), history)
+}
+
+/// Crashes a replica while the others commit without it, restarts it, and
+/// holds its rebuilt state to a peer's. With compaction on, the replica
+/// restarts from its snapshot point above a compacted log.
+fn restart_rebuilds_identical_state(cfg: StoreNodeConfig, crash_leader: bool) {
+    let (mut world, cluster, c) = setup(28, 3, cfg);
+    put_keys(&mut world, c, 0..10);
+    world.run_for(Duration::millis(200));
+    let leader = cluster.leader(&world).expect("leader");
+    let victim = if crash_leader {
+        leader
+    } else {
+        *cluster.nodes.iter().find(|&&n| n != leader).unwrap()
+    };
+    if cfg.autocompact.is_some() {
+        assert!(
+            node(&world, victim).raft().log_base() > 0,
+            "log not compacted"
+        );
+    }
+
+    world.crash(victim);
+    put_keys(&mut world, c, 10..15);
+    world.run_for(Duration::millis(100));
+    world.restart(victim);
+    world.run_for(Duration::millis(500));
+
+    let peer = *cluster.nodes.iter().find(|&&n| n != victim).unwrap();
+    assert_eq!(node(&world, victim).mvcc().len(), 15);
+    assert_eq!(
+        applied_state(&world, victim),
+        applied_state(&world, peer),
+        "rebuilt state must match a peer's exactly"
+    );
+}
+
+#[test]
+fn follower_restart_rebuilds_identical_state() {
+    restart_rebuilds_identical_state(StoreNodeConfig::default(), false);
+    restart_rebuilds_identical_state(compacting(), false);
+}
+
+#[test]
+fn leader_restart_rebuilds_identical_state() {
+    restart_rebuilds_identical_state(StoreNodeConfig::default(), true);
+    restart_rebuilds_identical_state(compacting(), true);
+}
+
+#[test]
+fn partitioned_follower_pins_the_log_floor_then_catches_up() {
+    let (mut world, cluster, c) = setup(29, 3, compacting());
+    put_keys(&mut world, c, 0..10);
     world.run_for(Duration::millis(200));
     let leader = cluster.leader(&world).expect("leader");
     let follower = *cluster.nodes.iter().find(|&&n| n != leader).unwrap();
-    let before = world
-        .actor_ref::<StoreNode>(follower)
-        .unwrap()
-        .mvcc()
-        .range("")
-        .0;
-    assert_eq!(before.len(), 10);
+    let others: Vec<_> = cluster
+        .nodes
+        .iter()
+        .copied()
+        .filter(|&n| n != follower)
+        .collect();
 
-    world.crash(follower);
-    world.run_for(Duration::millis(100));
-    world.restart(follower);
-    world.run_for(Duration::millis(500));
+    // Cut off, the follower holds no more than its log: no replica may
+    // compact past that while the history compacts on (Compact entries
+    // keep committing), however many compaction intervals go by.
+    let cut = world.partition(&[follower], &others);
+    let held = node(&world, follower).raft().log_len();
+    let compacted = node(&world, leader).mvcc().compacted();
+    let start = world.now();
+    for i in 10..40 {
+        put_keys(&mut world, c, i..i + 1);
+        world.run_for(Duration::millis(20));
+        for &n in cluster.nodes.iter() {
+            let base = node(&world, n).raft().log_base();
+            assert!(base <= held, "a replica compacted through {base} > {held}");
+        }
+    }
+    assert!(world.now().0 - start.0 >= Duration::millis(300).0);
+    for &n in &others {
+        assert!(node(&world, n).mvcc().compacted() > compacted);
+    }
 
-    let after = world
-        .actor_ref::<StoreNode>(follower)
-        .unwrap()
-        .mvcc()
-        .range("")
-        .0;
-    assert_eq!(before, after, "replayed state must match exactly");
+    // Healed, it catches up by AppendEntries alone while writes keep
+    // coming. Each write sends one more append at the same `next_index`,
+    // so several rejections can arrive for one gap: the leader backs off
+    // once per rejection, never under its base, from its own log end down
+    // to the follower's. The floor then moves past where it was pinned.
+    world.heal(cut);
+    for i in 40..100 {
+        world.invoke::<BasicClient, _>(c, move |bc, ctx| {
+            bc.client
+                .put(format!("k{i}"), Value::from_static(b"v"), ctx)
+        });
+        world.run_for(Duration::millis(5));
+    }
+    world.run_for(Duration::millis(1500));
+    let leader = cluster.leader(&world).expect("leader");
+    assert_eq!(
+        applied_state(&world, follower),
+        applied_state(&world, leader)
+    );
+    put_keys(&mut world, c, 100..105);
+    world.run_for(Duration::millis(300));
+    for &n in cluster.nodes.iter() {
+        let base = node(&world, n).raft().log_base();
+        assert!(base > held, "the floor stayed at {base} after the heal");
+    }
+}
+
+#[test]
+fn a_clients_compact_cannot_drop_what_a_follower_lacks() {
+    let (mut world, cluster, c) = setup(30, 3, StoreNodeConfig::default());
+    put_keys(&mut world, c, 0..5);
+    world.run_for(Duration::millis(200));
+    let leader = cluster.leader(&world).expect("leader");
+    let follower = *cluster.nodes.iter().find(|&&n| n != leader).unwrap();
+    let others: Vec<_> = cluster
+        .nodes
+        .iter()
+        .copied()
+        .filter(|&n| n != follower)
+        .collect();
+
+    // With one follower cut off, a client asks every replica to drop its
+    // whole log. The leader lowers the floor to what the follower holds.
+    let cut = world.partition(&[follower], &others);
+    put_keys(&mut world, c, 5..15);
+    let held = node(&world, follower).raft().log_len();
+    let req = world.invoke::<BasicClient, _>(c, |bc, ctx| {
+        bc.client.submit(
+            Op::Compact {
+                at: Revision(10),
+                log_floor: u64::MAX,
+            },
+            ReadLevel::Linearizable,
+            ctx,
+        )
+    });
+    await_op(&mut world, c, req).expect("compact");
+    for &n in cluster.nodes.iter() {
+        let base = node(&world, n).raft().log_base();
+        assert!(base <= held, "a replica compacted through {base} > {held}");
+    }
+
+    // Healed, the follower catches up by AppendEntries.
+    world.heal(cut);
+    put_keys(&mut world, c, 15..20);
+    world.run_for(Duration::millis(1500));
+    let leader = cluster.leader(&world).expect("leader");
+    assert_eq!(
+        applied_state(&world, follower),
+        applied_state(&world, leader)
+    );
 }

@@ -30,6 +30,7 @@ fn gen_op(rng: &mut SimRng) -> Op {
         },
         4 => Op::Compact {
             at: Revision(rng.below(20)),
+            log_floor: 0,
         },
         _ => Op::Nop,
     }
