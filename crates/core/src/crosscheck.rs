@@ -1,10 +1,12 @@
 //! Static/dynamic cross-check: does the hazard checker agree with the
 //! explorer?
 //!
-//! The static pass ([`ph_lint::summary::check_summary`]) predicts, from a
-//! scenario's access summaries alone, which §4.2 pattern class its buggy
-//! variant can exhibit; the dynamic explorer actually detects a violation
-//! under guided perturbation. A [`CrossCheckTable`] lines the two up, one
+//! The static pass (the bounded model checker,
+//! [`ph_lint::modelcheck::model_check_all`], as run by
+//! `ph_scenarios::static_crosscheck`) predicts, from a scenario's access
+//! summaries alone, which §4.2 pattern class its buggy variant can
+//! exhibit; the dynamic explorer actually detects a violation under
+//! guided perturbation. A [`CrossCheckTable`] lines the two up, one
 //! row per scenario, and `phtool lint` renders it. Agreement is
 //! *containment*: static analysis is conservative and may report several
 //! classes (a ByInstance component with an unfenced cache gate is both

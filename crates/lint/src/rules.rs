@@ -11,7 +11,7 @@
 //! | `wall-clock`       | `Instant::now` / `SystemTime::now` in libraries   |
 //! | `unordered-iter`   | `HashMap`/`HashSet` in trace-affecting crates     |
 //! | `unseeded-rng`     | `thread_rng`, `from_entropy`, `OsRng`, anywhere   |
-//! | `thread-primitive` | threads/atomics/locks/`Arc` outside `ph-core::parallel` |
+//! | `thread-primitive` | threads/atomics/locks/thread-locals/`Arc` outside `ph-core::parallel` |
 //! | `stray-print`      | `println!`/`eprintln!`/`dbg!` in libraries        |
 //! | `unsafe-block`     | `unsafe` anywhere — backstop behind `forbid(unsafe_code)` |
 //! | `bad-suppression`  | `ph-lint:` directives without a reason            |
@@ -106,7 +106,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "thread-primitive",
-        summary: "threads/atomics/locks/Arc outside ph-core::parallel — concurrency lives in the deterministic pool; sim code shares with Rc",
+        summary: "threads/atomics/locks/thread-locals/Arc outside ph-core::parallel — concurrency lives in the deterministic pool; sim code shares with Rc, and no state outlives its World",
     },
     RuleInfo {
         id: "stray-print",
@@ -237,7 +237,9 @@ pub fn lint_file(meta: &FileMeta, src: &str) -> Vec<Finding> {
         // thread-primitive: trace-affecting library code, except the
         // deterministic pool itself. `Arc` counts: cross-thread sharing in
         // the single-threaded sim is a design smell (its atomic refcounts
-        // also cost on the hot path) — share with `Rc` instead.
+        // also cost on the hot path) — share with `Rc` instead. So does a
+        // thread-local: state it keeps outlives the world that wrote it
+        // and carries over into the next trial on that thread.
         if lib
             && !in_test
             && trace_affecting
@@ -250,6 +252,7 @@ pub fn lint_file(meta: &FileMeta, src: &str) -> Vec<Finding> {
                 || has_ident(&line, "RwLock")
                 || has_ident(&line, "Condvar")
                 || has_ident(&line, "Arc")
+                || has_macro(&line, "thread_local")
                 || line.contains("Atomic"))
         {
             emit(

@@ -374,18 +374,6 @@ pub fn check_summary(s: &AccessSummary) -> Vec<Hazard> {
     hazards
 }
 
-/// Distinct hazard classes over a set of summaries, sorted.
-pub fn classes(summaries: &[AccessSummary]) -> Vec<PatternClass> {
-    let mut out: Vec<PatternClass> = summaries
-        .iter()
-        .flat_map(check_summary)
-        .map(|h| h.class)
-        .collect();
-    out.sort();
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,3 +19,8 @@ pub struct Counted {
     // Rc is the sanctioned sharing primitive and stays clean.
     narrow: std::rc::Rc<str>,
 }
+
+// A thread-local outlives the world that wrote it.
+thread_local! {
+    static CARRIED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}

@@ -252,8 +252,7 @@ impl Runner {
 
     /// Finishes the run: tears the strategy down, lets the system settle
     /// for `settle`, evaluates the oracles, and produces the report. The
-    /// trace stays with the world, so its buffers recycle into the trial
-    /// pool when the world drops here.
+    /// trace stays with the world and is freed with it here.
     pub fn finish(
         mut self,
         strategy: &mut dyn Strategy,

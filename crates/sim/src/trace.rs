@@ -380,7 +380,11 @@ pub struct Trace {
 
 impl Default for Trace {
     fn default() -> Trace {
-        Trace::with_buffer(Vec::new())
+        Trace {
+            events: Some(Vec::new()),
+            recorded: 0,
+            hash: Fold(Fold::SEED),
+        }
     }
 }
 
@@ -396,23 +400,6 @@ impl Trace {
             events: None,
             ..Trace::new()
         }
-    }
-
-    /// Creates an empty retaining trace on top of a recycled event buffer,
-    /// keeping its capacity. Used by the world's trial buffer pool.
-    pub(crate) fn with_buffer(mut events: Vec<TraceEvent>) -> Trace {
-        events.clear();
-        Trace {
-            events: Some(events),
-            recorded: 0,
-            hash: Fold(Fold::SEED),
-        }
-    }
-
-    /// Surrenders the backing event buffer so its capacity can be reused;
-    /// `None` if this trace never retained.
-    pub(crate) fn take_buffer(&mut self) -> Option<Vec<TraceEvent>> {
-        self.events.as_mut().map(std::mem::take)
     }
 
     /// What this trace keeps of its events.
@@ -959,20 +946,12 @@ mod tests {
     #[test]
     fn recycled_and_filtered_traces_hash_as_their_own_contents() {
         for seed in 0..16 {
-            let mut used = random_trace(seed, Trace::new());
-            let recycled = Trace::with_buffer(used.take_buffer().expect("retaining"));
-            assert!(recycled.is_empty() && recycled.digest() == Trace::new().digest());
-            let recycled = random_trace(seed + 100, recycled);
-            assert_eq!(recycled.digest(), reference_digest(recycled.events()));
-            assert!(recycled.iter().enumerate().all(|(i, e)| e.seq == i as u64));
-
-            let timers = recycled.filtered(|e| matches!(e.kind, TraceEventKind::TimerSet { .. }));
+            let trace = random_trace(seed, Trace::new());
+            let timers = trace.filtered(|e| matches!(e.kind, TraceEventKind::TimerSet { .. }));
             assert_eq!(timers.digest(), reference_digest(timers.events()));
             assert_eq!(timers.len(), timers.events().len());
             // Original positions survive the carve.
-            assert!(timers
-                .iter()
-                .all(|e| recycled.events()[e.seq as usize] == *e));
+            assert!(timers.iter().all(|e| trace.events()[e.seq as usize] == *e));
         }
     }
 

@@ -46,43 +46,6 @@ impl Default for WorldConfig {
     }
 }
 
-/// Recyclable backing storage for a [`World`]: the allocations that grow
-/// large over a trial (the event queue and its slab) plus the effect
-/// scratch vector. Pooling them lets back-to-back trials reuse warmed-up
-/// capacity instead of re-growing each buffer from empty.
-struct WorldBuffers {
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    event_slab: Vec<Option<Event>>,
-    free_slots: Vec<u32>,
-    effects: Vec<Effect>,
-}
-
-/// The per-thread free lists. Trace buffers are pooled apart from the rest
-/// because only retaining worlds have one: a digest-only world neither
-/// draws nor returns a trace buffer, so it cannot pin (or lose) the warm
-/// capacity a retaining trial left behind.
-struct BufferPool {
-    worlds: Vec<WorldBuffers>,
-    traces: Vec<Vec<TraceEvent>>,
-}
-
-/// Cap on pooled buffer sets, and on pooled trace buffers, per thread.
-/// Worlds are almost always live one-at-a-time (an explorer runs trials
-/// sequentially per worker thread), so anything beyond a few entries would
-/// be dead weight.
-const BUFFER_POOL_MAX: usize = 4;
-
-thread_local! {
-    /// Per-thread free list of world buffers. [`World::new`] draws from it
-    /// and [`Drop`] returns cleared storage, so steady-state trial loops
-    /// allocate nothing for the queue, trace or effect scratch. Being
-    /// thread-local it needs no synchronization, and because only *capacity*
-    /// survives — contents are cleared on both paths — reuse cannot leak
-    /// state between trials or perturb the deterministic schedule.
-    static BUFFER_POOL: std::cell::RefCell<BufferPool> =
-        const { std::cell::RefCell::new(BufferPool { worlds: Vec::new(), traces: Vec::new() }) };
-}
-
 struct Slot {
     name: Name,
     /// The actor's name pre-interned in the metrics registry, so metric
@@ -141,27 +104,10 @@ impl World {
     /// Two worlds created with equal configurations and seeds, populated and
     /// driven identically, produce identical traces.
     pub fn new(config: WorldConfig, seed: u64) -> World {
-        // Reuse pooled buffers from a previous world on this thread, if any.
-        // Capacity is the only thing that survives the round trip.
-        let (buffers, trace) = BUFFER_POOL.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            let trace = match config.retention {
-                Retention::All => Trace::with_buffer(pool.traces.pop().unwrap_or_default()),
-                Retention::DigestOnly => Trace::digest_only(),
-            };
-            (pool.worlds.pop(), trace)
-        });
-        let WorldBuffers {
-            queue,
-            event_slab,
-            free_slots,
-            effects: effects_scratch,
-        } = buffers.unwrap_or_else(|| WorldBuffers {
-            queue: BinaryHeap::new(),
-            event_slab: Vec::new(),
-            free_slots: Vec::new(),
-            effects: Vec::new(),
-        });
+        let trace = match config.retention {
+            Retention::All => Trace::new(),
+            Retention::DigestOnly => Trace::digest_only(),
+        };
         World {
             now: SimTime::ZERO,
             seed,
@@ -172,9 +118,9 @@ impl World {
             max_events: config.max_events,
             actors: Vec::new(),
             names: BTreeMap::new(),
-            queue,
-            event_slab,
-            free_slots,
+            queue: BinaryHeap::new(),
+            event_slab: Vec::new(),
+            free_slots: Vec::new(),
             timers: BTreeMap::new(),
             held: BTreeMap::new(),
             net: Network::new(config.net),
@@ -185,7 +131,7 @@ impl World {
             interner: Interner::new(),
             open_spans: BTreeMap::new(),
             span_ns: BTreeMap::new(),
-            effects_scratch,
+            effects_scratch: Vec::new(),
         }
     }
 
@@ -934,44 +880,6 @@ impl World {
     }
 }
 
-impl Drop for World {
-    fn drop(&mut self) {
-        // Return the large buffers to the per-thread pool, cleared. Dropping
-        // the contents happens *before* the pool is borrowed, so payload
-        // destructors can never observe the pool mid-mutation.
-        let mut queue = std::mem::take(&mut self.queue);
-        queue.clear();
-        let mut event_slab = std::mem::take(&mut self.event_slab);
-        event_slab.clear();
-        let mut free_slots = std::mem::take(&mut self.free_slots);
-        free_slots.clear();
-        let trace = self.trace.take_buffer().map(|mut events| {
-            events.clear();
-            events
-        });
-        let mut effects = std::mem::take(&mut self.effects_scratch);
-        effects.clear();
-        // `try_with` so a world dropped during thread teardown (after the
-        // pool's TLS destructor ran) degrades to a plain free.
-        let _ = BUFFER_POOL.try_with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.worlds.len() < BUFFER_POOL_MAX {
-                pool.worlds.push(WorldBuffers {
-                    queue,
-                    event_slab,
-                    free_slots,
-                    effects,
-                });
-            }
-            if let Some(trace) = trace {
-                if pool.traces.len() < BUFFER_POOL_MAX {
-                    pool.traces.push(trace);
-                }
-            }
-        });
-    }
-}
-
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
@@ -1244,29 +1152,6 @@ mod tests {
         // 2 ticks before crash (10, 20), then restart at 100 → ticks at 110..200: 10 ticks.
         assert_eq!(w.actor_ref::<Ticker>(t).unwrap().ticks, 10);
         assert_eq!(w.incarnation(t), 1);
-    }
-
-    #[test]
-    fn pooled_buffer_reuse_is_digest_transparent() {
-        let run = || {
-            let mut w = World::new(WorldConfig::default(), 42);
-            let a = w.spawn("a", Echo { received: vec![] });
-            let b = w.spawn("b", Echo { received: vec![] });
-            w.invoke::<Echo, _>(a, move |_, ctx| ctx.send(b, 0u32));
-            w.run_until_quiescent(10_000_000);
-            (w.trace().digest(), w.trace().to_json(), w.metrics_report())
-        };
-        // First run grows fresh buffers; dropping the world parks them in
-        // the thread-local pool.
-        let first = run();
-        let pooled = BUFFER_POOL.with(|p| {
-            let p = p.borrow();
-            p.worlds.len().min(p.traces.len())
-        });
-        assert!(pooled >= 1, "drop must return buffers to the pool");
-        // Second run draws the recycled buffers and must be byte-identical.
-        let second = run();
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -90,7 +90,6 @@ struct Pending {
     level: ReadLevel,
     target: ActorId,
     deadline: SimTime,
-    attempts: u32,
 }
 
 /// State of one client-side watch.
@@ -202,7 +201,6 @@ impl StoreClient {
                 level,
                 target,
                 deadline: ctx.now() + self.cfg.request_timeout,
-                attempts: 1,
             },
         );
         req
@@ -465,7 +463,6 @@ impl StoreClient {
         let p = self.pending.get_mut(&req).expect("checked");
         p.target = target;
         p.deadline = ctx.now() + timeout;
-        p.attempts += 1;
     }
 
     /// Periodic maintenance: retries timed-out requests and re-creates dead

@@ -2,48 +2,59 @@
 //!
 //! The whole methodology rests on this — a trial is only evidence if it can
 //! be replayed, and the telemetry layer is only trustworthy if it never
-//! perturbs or varies across replays. For every registered scenario we run
-//! the same (seed, strategy, variant) twice and require identical trace
-//! digests AND identical [`ph_sim::MetricsReport`]s (the report derives
-//! `Eq`, so equality covers every counter, gauge, and histogram bucket).
+//! perturbs or varies across replays. For every registered scenario and
+//! both variants we run the same (seed, strategy, variant) twice and
+//! require identical trace digests, verdicts and end times AND identical
+//! [`ph_sim::MetricsReport`]s (the report derives `Eq`, so equality covers
+//! every counter, gauge, and histogram bucket).
 
 use ph_core::harness::RunReport;
 use ph_core::perturb::Strategy;
 use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Scenario, Variant, SCENARIOS};
 
-fn run_once(scenario: &Scenario, seed: u64) -> RunReport {
+fn run_once(scenario: &Scenario, seed: u64, variant: Variant) -> RunReport {
     let mut strategy = (scenario.guided)(seed);
-    scenario.run(seed, strategy.as_mut(), Variant::Buggy)
+    scenario.run(seed, strategy.as_mut(), variant)
 }
 
 #[test]
 fn same_seed_same_trace_and_metrics_for_every_scenario() {
     const SEED: u64 = 7;
     for e in SCENARIOS {
-        let name = e.name;
-        let a = run_once(e, SEED);
-        let b = run_once(e, SEED);
-        assert_eq!(
-            a.trace_digest, b.trace_digest,
-            "{name}: trace digests diverge across same-seed runs"
-        );
-        assert_eq!(
-            a.trace_events, b.trace_events,
-            "{name}: event counts diverge across same-seed runs"
-        );
-        assert_eq!(
-            a.metrics, b.metrics,
-            "{name}: metrics reports diverge across same-seed runs"
-        );
-        assert_eq!(
-            a.divergence, b.divergence,
-            "{name}: divergence summaries diverge across same-seed runs"
-        );
-        assert_eq!(
-            a.metrics.to_json(),
-            b.metrics.to_json(),
-            "{name}: metrics JSON renderings diverge"
-        );
+        for variant in [Variant::Buggy, Variant::Fixed] {
+            let name = format!("{} ({variant:?})", e.name);
+            let a = run_once(e, SEED, variant);
+            let b = run_once(e, SEED, variant);
+            assert_eq!(
+                a.trace_digest, b.trace_digest,
+                "{name}: trace digests diverge across same-seed runs"
+            );
+            assert_eq!(
+                a.trace_events, b.trace_events,
+                "{name}: event counts diverge across same-seed runs"
+            );
+            assert_eq!(
+                a.violations, b.violations,
+                "{name}: oracle verdicts diverge across same-seed runs"
+            );
+            assert_eq!(
+                a.sim_time, b.sim_time,
+                "{name}: end times diverge across same-seed runs"
+            );
+            assert_eq!(
+                a.metrics, b.metrics,
+                "{name}: metrics reports diverge across same-seed runs"
+            );
+            assert_eq!(
+                a.divergence, b.divergence,
+                "{name}: divergence summaries diverge across same-seed runs"
+            );
+            assert_eq!(
+                a.metrics.to_json(),
+                b.metrics.to_json(),
+                "{name}: metrics JSON renderings diverge"
+            );
+        }
     }
 }
 
@@ -52,8 +63,8 @@ fn different_seeds_change_the_trace() {
     // Sanity check that the digest actually discriminates: perturbation
     // strategies are seeded, so two seeds should not produce identical
     // runs for a fault-injected scenario.
-    let a = run_once(&k8s_59848::SCENARIO, 1);
-    let b = run_once(&k8s_59848::SCENARIO, 2);
+    let a = run_once(&k8s_59848::SCENARIO, 1, Variant::Buggy);
+    let b = run_once(&k8s_59848::SCENARIO, 2, Variant::Buggy);
     assert_ne!(
         (a.trace_digest, a.trace_events),
         (b.trace_digest, b.trace_events),
@@ -197,7 +208,7 @@ fn blame_chains_are_identical_across_same_seed_runs_and_thread_counts() {
 fn telemetry_reports_are_populated() {
     // The instrumentation layer must actually produce data: lag samples
     // for every view and watch-delivery counts at the apiservers.
-    let r = run_once(&k8s_59848::SCENARIO, 1);
+    let r = run_once(&k8s_59848::SCENARIO, 1, Variant::Buggy);
     assert!(!r.metrics.is_empty(), "metrics report is empty");
     assert!(!r.divergence.is_empty(), "no divergence samples");
     assert!(
