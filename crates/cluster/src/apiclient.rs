@@ -155,11 +155,6 @@ impl ApiClient {
         self.cfg.apiservers[self.preferred]
     }
 
-    /// Index of the preferred apiserver.
-    pub fn upstream_index(&self) -> usize {
-        self.preferred
-    }
-
     /// Requests awaiting a response.
     pub fn pending_len(&self) -> usize {
         self.pending.len()

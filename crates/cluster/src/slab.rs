@@ -198,11 +198,6 @@ impl ShardedCache {
         }
     }
 
-    /// Number of shards (≥ 1).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, key: &str) -> usize {
         if self.shards.len() == 1 {
             0

@@ -2,20 +2,23 @@
 //! explorer?
 //!
 //! The static pass (the bounded model checker,
-//! [`ph_lint::modelcheck::model_check_all`], as run by
+//! [`ph_lint::modelcheck::model_check_all`], run once per variant by
 //! `ph_scenarios::static_crosscheck`) predicts, from a scenario's access
 //! summaries alone, which §4.2 pattern class its buggy variant can
 //! exhibit; the dynamic explorer actually detects a violation under
-//! guided perturbation. A [`CrossCheckTable`] lines the two up, one
-//! row per scenario, and `phtool lint` renders it. Agreement is
+//! guided perturbation. A [`CrossCheckTable`] lines the two up, one row
+//! per scenario holding the checker's reports for both variants; it is
+//! the one static verdict table `phtool lint`, `phtool check` and the E3
+//! experiment render. Agreement is
 //! *containment*: static analysis is conservative and may report several
 //! classes (a ByInstance component with an unfenced cache gate is both
 //! stale-able and time-travel-able), so a row agrees statically when the
-//! expected class is among the flagged ones for the buggy variant — and
-//! the fixed variant flags nothing at all.
+//! expected class is among the witnessed ones for the buggy variant — and
+//! the fixed variant proves epoch-safe.
 
 use ph_lint::json;
-use ph_lint::summary::{Hazard, PatternClass};
+use ph_lint::modelcheck::{ModelCheckReport, Witness};
+use ph_lint::summary::PatternClass;
 
 /// One scenario's static (and optionally dynamic) verdicts.
 #[derive(Debug, Clone)]
@@ -24,41 +27,54 @@ pub struct CrossCheckRow {
     pub scenario: String,
     /// The §4.2 class the scenario is documented to exercise.
     pub expected: PatternClass,
-    /// Hazards flagged on the buggy variant's summaries.
-    pub buggy_hazards: Vec<Hazard>,
-    /// Hazards flagged on the fixed variant's summaries (should be empty).
-    pub fixed_hazards: Vec<Hazard>,
+    /// Model-checker reports on the buggy variant's summaries, one per
+    /// component, in summary order.
+    pub buggy: Vec<ModelCheckReport>,
+    /// Reports on the fixed variant's summaries (every action should
+    /// prove epoch-safe).
+    pub fixed: Vec<ModelCheckReport>,
     /// Did the guided dynamic run on the buggy variant detect a violation?
     /// `None` when only the static pass ran (e.g. `phtool lint`).
     pub dynamic_buggy_detected: Option<bool>,
     /// Was the guided dynamic run on the fixed variant clean?
     pub dynamic_fixed_clean: Option<bool>,
-    /// Components covered by the static pass (one summary each).
-    pub static_components: Vec<String>,
     /// Components implicated dynamically that have *no* static row: an
     /// oracle blamed them but `access_summaries` never declared them, so
     /// the static side is silent for the wrong reason. Rendered as
     /// `static=missing` and always a disagreement.
     pub missing_static: Vec<String>,
-    /// Rendered minimal witnesses from the model checker for the buggy
-    /// variant (`ph_lint::modelcheck`), in canonical order.
-    pub buggy_witnesses: Vec<String>,
 }
 
 impl CrossCheckRow {
-    /// Distinct classes flagged on the buggy variant, sorted.
+    /// Minimal witnesses on the buggy variant, in (component, action,
+    /// class) order.
+    pub fn buggy_witnesses(&self) -> Vec<&Witness> {
+        self.buggy.iter().flat_map(|r| r.witnesses()).collect()
+    }
+
+    /// Distinct classes witnessed on the buggy variant, sorted.
     pub fn buggy_classes(&self) -> Vec<PatternClass> {
-        let mut out: Vec<PatternClass> = self.buggy_hazards.iter().map(|h| h.class).collect();
+        let mut out: Vec<PatternClass> = self.buggy_witnesses().iter().map(|w| w.class).collect();
         out.sort();
         out.dedup();
         out
+    }
+
+    /// Is the documented class among the buggy variant's witnesses?
+    pub fn class_witnessed(&self) -> bool {
+        self.buggy_classes().contains(&self.expected)
+    }
+
+    /// Does every component of the fixed variant prove epoch-safe?
+    pub fn fixed_epoch_safe(&self) -> bool {
+        self.fixed.iter().all(|r| r.is_epoch_safe())
     }
 
     /// Records a component the dynamic side implicated. If the static
     /// pass has no summary for it, the row gains a `static=missing` entry
     /// — previously such components silently vanished from the table.
     pub fn record_dynamic_component(&mut self, component: &str) {
-        if self.static_components.iter().any(|c| c == component)
+        if self.buggy.iter().any(|r| r.component == component)
             || self.missing_static.iter().any(|c| c == component)
         {
             return;
@@ -67,12 +83,11 @@ impl CrossCheckRow {
         self.missing_static.sort();
     }
 
-    /// Static agreement: expected class flagged on buggy, fixed clean,
-    /// and no dynamically-implicated component missing a static row.
+    /// Static agreement: expected class witnessed on buggy, fixed
+    /// epoch-safe, and no dynamically-implicated component missing a
+    /// static row.
     pub fn static_agrees(&self) -> bool {
-        self.buggy_classes().contains(&self.expected)
-            && self.fixed_hazards.is_empty()
-            && self.missing_static.is_empty()
+        self.class_witnessed() && self.fixed_epoch_safe() && self.missing_static.is_empty()
     }
 
     /// Full agreement: static agreement plus (when the dynamic side ran)
@@ -82,6 +97,20 @@ impl CrossCheckRow {
             && self.dynamic_buggy_detected.unwrap_or(true)
             && self.dynamic_fixed_clean.unwrap_or(true)
     }
+}
+
+/// One witness as a hazard object: component, action, class, and the
+/// witness detail with its schedule appended.
+fn hazard_json(w: &Witness) -> String {
+    json::object(|o| {
+        o.str("component", &w.component)
+            .str("action", &w.action)
+            .str("class", w.class.as_str())
+            .str(
+                "detail",
+                &format!("{} [witness: {}]", w.detail, w.schedule_text()),
+            );
+    })
 }
 
 /// The full static/dynamic agreement table.
@@ -116,7 +145,7 @@ impl CrossCheckTable {
                 .map(|c| c.as_str())
                 .collect::<Vec<_>>()
                 .join(",");
-            let fixed = if r.fixed_hazards.is_empty() {
+            let fixed = if r.fixed_epoch_safe() {
                 "clean"
             } else {
                 "FLAGGED"
@@ -142,8 +171,8 @@ impl CrossCheckTable {
                     ""
                 ));
             }
-            for w in &r.buggy_witnesses {
-                out.push_str(&format!("{:<16}   witness: {w}\n", ""));
+            for w in r.buggy_witnesses() {
+                out.push_str(&format!("{:<16}   witness: {}\n", "", w.render()));
             }
         }
         out
@@ -161,10 +190,16 @@ impl CrossCheckTable {
                         "static_buggy_classes",
                         r.buggy_classes().iter().map(|c| c.as_str()),
                     )
-                    .raws("buggy_hazards", r.buggy_hazards.iter().map(Hazard::to_json))
-                    .raws("fixed_hazards", r.fixed_hazards.iter().map(Hazard::to_json))
+                    .raws(
+                        "buggy_hazards",
+                        r.buggy_witnesses().into_iter().map(hazard_json),
+                    )
+                    .raws(
+                        "fixed_hazards",
+                        r.fixed.iter().flat_map(|f| f.witnesses()).map(hazard_json),
+                    )
                     .strs("missing_static", &r.missing_static)
-                    .strs("witnesses", &r.buggy_witnesses)
+                    .strs("witnesses", r.buggy_witnesses().iter().map(|w| w.render()))
                     .val("static_agrees", r.static_agrees());
             }
             drop(rows);
@@ -176,32 +211,64 @@ impl CrossCheckTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ph_lint::modelcheck::{ActionReport, ActionVerdict, Expansion, Letter};
 
-    fn hazard(class: PatternClass) -> Hazard {
-        Hazard {
+    /// One component's report: a single action with one witness per class
+    /// (epoch-safe when `classes` is empty).
+    fn report(classes: &[PatternClass]) -> ModelCheckReport {
+        let witnesses: Vec<Witness> = classes
+            .iter()
+            .map(|&class| Witness {
+                component: "c".into(),
+                action: "a".into(),
+                class,
+                path: "p".into(),
+                schedule: vec![Letter::DelayCache("pods".into())],
+                detail: "d".into(),
+            })
+            .collect();
+        ModelCheckReport {
             component: "c".into(),
-            action: "a".into(),
-            class,
-            detail: "d".into(),
+            states_explored: 1,
+            states_expanded: 0,
+            expansion: Expansion::Reduced,
+            stale_bound: 3,
+            actions: vec![ActionReport {
+                action: "a".into(),
+                verdict: if witnesses.is_empty() {
+                    ActionVerdict::EpochSafe
+                } else {
+                    ActionVerdict::Hazardous(witnesses)
+                },
+            }],
+        }
+    }
+
+    fn row(
+        expected: PatternClass,
+        buggy: &[PatternClass],
+        fixed: &[PatternClass],
+        dynamic: Option<bool>,
+    ) -> CrossCheckRow {
+        CrossCheckRow {
+            scenario: "s".into(),
+            expected,
+            buggy: vec![report(buggy)],
+            fixed: vec![report(fixed)],
+            dynamic_buggy_detected: dynamic,
+            dynamic_fixed_clean: dynamic,
+            missing_static: vec![],
         }
     }
 
     #[test]
     fn containment_semantics() {
-        let row = CrossCheckRow {
-            scenario: "s".into(),
-            expected: PatternClass::Staleness,
-            buggy_hazards: vec![
-                hazard(PatternClass::Staleness),
-                hazard(PatternClass::TimeTravel),
-            ],
-            fixed_hazards: vec![],
-            dynamic_buggy_detected: None,
-            dynamic_fixed_clean: None,
-            static_components: vec!["c".into()],
-            missing_static: vec![],
-            buggy_witnesses: vec![],
-        };
+        let row = row(
+            PatternClass::Staleness,
+            &[PatternClass::Staleness, PatternClass::TimeTravel],
+            &[],
+            None,
+        );
         assert!(row.static_agrees());
         assert_eq!(
             row.buggy_classes(),
@@ -211,33 +278,24 @@ mod tests {
 
     #[test]
     fn flagged_fixed_variant_breaks_agreement() {
-        let row = CrossCheckRow {
-            scenario: "s".into(),
-            expected: PatternClass::Staleness,
-            buggy_hazards: vec![hazard(PatternClass::Staleness)],
-            fixed_hazards: vec![hazard(PatternClass::Staleness)],
-            dynamic_buggy_detected: None,
-            dynamic_fixed_clean: None,
-            static_components: vec!["c".into()],
-            missing_static: vec![],
-            buggy_witnesses: vec![],
-        };
+        let row = row(
+            PatternClass::Staleness,
+            &[PatternClass::Staleness],
+            &[PatternClass::Staleness],
+            None,
+        );
+        assert!(!row.fixed_epoch_safe());
         assert!(!row.static_agrees());
     }
 
     #[test]
     fn dynamic_side_feeds_full_agreement() {
-        let mut row = CrossCheckRow {
-            scenario: "s".into(),
-            expected: PatternClass::TimeTravel,
-            buggy_hazards: vec![hazard(PatternClass::TimeTravel)],
-            fixed_hazards: vec![],
-            dynamic_buggy_detected: Some(true),
-            dynamic_fixed_clean: Some(true),
-            static_components: vec!["c".into()],
-            missing_static: vec![],
-            buggy_witnesses: vec![],
-        };
+        let mut row = row(
+            PatternClass::TimeTravel,
+            &[PatternClass::TimeTravel],
+            &[],
+            Some(true),
+        );
         assert!(row.agrees());
         row.dynamic_buggy_detected = Some(false);
         assert!(!row.agrees());
@@ -246,17 +304,12 @@ mod tests {
     #[test]
     fn dynamically_implicated_component_without_static_row_is_a_disagreement() {
         // Regression: such a component used to vanish from the table.
-        let mut row = CrossCheckRow {
-            scenario: "s".into(),
-            expected: PatternClass::Staleness,
-            buggy_hazards: vec![hazard(PatternClass::Staleness)],
-            fixed_hazards: vec![],
-            dynamic_buggy_detected: Some(true),
-            dynamic_fixed_clean: Some(true),
-            static_components: vec!["c".into()],
-            missing_static: vec![],
-            buggy_witnesses: vec![],
-        };
+        let mut row = row(
+            PatternClass::Staleness,
+            &[PatternClass::Staleness],
+            &[],
+            Some(true),
+        );
         assert!(row.static_agrees());
         row.record_dynamic_component("c"); // covered — no change
         assert!(row.static_agrees());
@@ -274,21 +327,17 @@ mod tests {
     #[test]
     fn json_is_stable() {
         let table = CrossCheckTable {
-            rows: vec![CrossCheckRow {
-                scenario: "s".into(),
-                expected: PatternClass::ObservabilityGap,
-                buggy_hazards: vec![hazard(PatternClass::ObservabilityGap)],
-                fixed_hazards: vec![],
-                dynamic_buggy_detected: None,
-                dynamic_fixed_clean: None,
-                static_components: vec!["c".into()],
-                missing_static: vec![],
-                buggy_witnesses: vec!["a [staleness] via [delay-cache(pods)]".into()],
-            }],
+            rows: vec![row(
+                PatternClass::ObservabilityGap,
+                &[PatternClass::ObservabilityGap],
+                &[],
+                None,
+            )],
         };
         let json = table.to_json();
         assert!(json.contains("\"expected\":\"observability-gap\""));
-        assert!(json.contains("\"witnesses\":[\"a [staleness] via [delay-cache(pods)]\"]"));
+        assert!(json.contains("\"witnesses\":[\"a [observability-gap] via [delay-cache(pods)]\"]"));
+        assert!(json.contains("\"detail\":\"d [witness: delay-cache(pods)]\""));
         assert!(json.contains("\"all_static_agree\":true"));
     }
 }

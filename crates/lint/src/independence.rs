@@ -250,11 +250,6 @@ impl IndependenceMatrix {
         }
     }
 
-    /// Is the letter at `i` absorbing (re-application a self-loop)?
-    pub fn absorbing_idx(&self, i: usize) -> bool {
-        self.absorbing.get(i).copied().unwrap_or(false)
-    }
-
     /// `(independent, total)` pair counts.
     pub fn pair_counts(&self) -> (usize, usize) {
         let ind = self

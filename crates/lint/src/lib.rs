@@ -19,8 +19,9 @@
 //!    checker explores the IR's freshness state space under an alphabet of
 //!    abstract perturbations and, per destructive action, either emits a
 //!    **minimal hazard witness** (the shortest schedule reaching a §4.2
-//!    pattern — staleness, time travel, observability gap) or proves the
-//!    action **epoch-safe** — *before anything runs*. The checker's
+//!    pattern — staleness, time travel, observability gap, congestion
+//!    staleness) or proves the action **epoch-safe** — *before anything
+//!    runs*. It is the one static classifier. The checker's
 //!    search is pruned by a static **independence relation**
 //!    ([`independence`]): letters on disjoint views commute unless a
 //!    declared gate path reads both, so a sleep-set partial-order
@@ -36,7 +37,7 @@
 //!    summaries, so the IR can never silently rot.
 //!
 //! All passes are wired into `phtool lint` / `phtool check`; the hazard
-//! pass is cross-checked against the dynamic explorer over all eight
+//! pass is cross-checked against the dynamic explorer over all nine
 //! scenarios, and its witnesses seed the explorer's guided search.
 //!
 //! 4. **The JSON writer** ([`json`]): one escaper and one object/array

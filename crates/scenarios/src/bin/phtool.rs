@@ -668,17 +668,22 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
     }
     println!("\n-- partial-history hazards (§4.2, buggy variants) --");
     for row in &table.rows {
-        for h in &row.buggy_hazards {
+        let hazard = |flag: &str, w: &ph_lint::modelcheck::Witness| {
             println!(
-                "  {}: {}/{} [{}] {}",
-                row.scenario, h.component, h.action, h.class, h.detail
-            );
+                "  {}: {flag}{}/{} [{}] {} [witness: {}]",
+                row.scenario,
+                w.component,
+                w.action,
+                w.class,
+                w.detail,
+                w.schedule_text()
+            )
+        };
+        for w in row.buggy_witnesses() {
+            hazard("", w);
         }
-        for h in &row.fixed_hazards {
-            println!(
-                "  {}: FIXED VARIANT FLAGGED {}/{} [{}] {}",
-                row.scenario, h.component, h.action, h.class, h.detail
-            );
+        for w in row.fixed.iter().flat_map(|r| r.witnesses()) {
+            hazard("FIXED VARIANT FLAGGED ", w);
         }
     }
     println!("\n-- static cross-check --");
@@ -700,35 +705,12 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
 /// conformance drift exists.
 fn cmd_check(args: &Args) -> Result<i32, Failure> {
     use ph_lint::conformance;
-    use ph_lint::modelcheck::model_check_all;
 
     let root = workspace_root(args)?;
     let json = args.has("json");
 
     // Model-check every scenario's buggy and fixed summaries.
-    struct ScenarioVerdict {
-        name: &'static str,
-        expected: ph_lint::summary::PatternClass,
-        buggy: Vec<ph_lint::modelcheck::ModelCheckReport>,
-        fixed: Vec<ph_lint::modelcheck::ModelCheckReport>,
-    }
-    let verdicts: Vec<ScenarioVerdict> = SCENARIOS
-        .iter()
-        .map(|e| ScenarioVerdict {
-            name: e.name,
-            expected: e.pattern,
-            buggy: model_check_all(&e.summaries(Variant::Buggy)),
-            fixed: model_check_all(&e.summaries(Variant::Fixed)),
-        })
-        .collect();
-
-    let class_witnessed = |v: &ScenarioVerdict| {
-        v.buggy
-            .iter()
-            .flat_map(|r| r.witnesses())
-            .any(|w| w.class == v.expected)
-    };
-    let fixed_safe = |v: &ScenarioVerdict| v.fixed.iter().all(|r| r.is_epoch_safe());
+    let table = ph_scenarios::static_crosscheck();
 
     // IR ↔ source conformance over the cluster sources.
     let cluster_src = root.join("crates/cluster/src");
@@ -738,20 +720,19 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
     let drift = conformance::check_conformance(&scans, &declared);
     let unsuppressed_drift = drift.iter().filter(|f| f.suppressed.is_none()).count();
 
-    let model_ok = verdicts.iter().all(|v| class_witnessed(v) && fixed_safe(v));
-    let violated = !model_ok || unsuppressed_drift > 0;
+    let violated = !table.all_static_agree() || unsuppressed_drift > 0;
 
     if json {
         let doc = json::object(|o| {
             let mut modelcheck = o.arr("modelcheck");
-            for v in &verdicts {
+            for r in &table.rows {
                 modelcheck
                     .obj()
-                    .str("scenario", v.name)
-                    .str("expected", v.expected.as_str())
-                    .val("class_witnessed", class_witnessed(v))
-                    .val("fixed_epoch_safe", fixed_safe(v))
-                    .raws("buggy", v.buggy.iter().map(|r| r.to_json()));
+                    .str("scenario", &r.scenario)
+                    .str("expected", r.expected.as_str())
+                    .val("class_witnessed", r.class_witnessed())
+                    .val("fixed_epoch_safe", r.fixed_epoch_safe())
+                    .raws("buggy", r.buggy.iter().map(|b| b.to_json()));
             }
             drop(modelcheck);
             o.obj("conformance")
@@ -764,20 +745,18 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
     }
 
     println!("-- symbolic model check (witnesses / epoch-safety) --");
-    for v in &verdicts {
-        let states: usize = v.buggy.iter().map(|r| r.states_explored).sum();
+    for row in &table.rows {
+        let states: usize = row.buggy.iter().map(|r| r.states_explored).sum();
         println!(
             "{}  expected {}  ({} state(s) explored)",
-            v.name,
-            v.expected.as_str(),
+            row.scenario,
+            row.expected.as_str(),
             states
         );
-        for r in &v.buggy {
-            for w in r.witnesses() {
-                println!("  buggy  witness: {}", w.render());
-            }
+        for w in row.buggy_witnesses() {
+            println!("  buggy  witness: {}", w.render());
         }
-        for r in &v.fixed {
+        for r in &row.fixed {
             if r.is_epoch_safe() {
                 println!("  fixed  {}: epoch-safe (all actions)", r.component);
             } else {
@@ -786,7 +765,7 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
                 }
             }
         }
-        if !class_witnessed(v) {
+        if !row.class_witnessed() {
             println!("  MISMATCH: no witness of the documented class");
         }
     }

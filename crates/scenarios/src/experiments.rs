@@ -279,8 +279,8 @@ pub fn report(
         .iter()
         .filter(|r| selected.iter().any(|s| s.name == r.scenario))
     {
-        for w in &row.buggy_witnesses {
-            say!(out, "{}  {}", row.scenario, w);
+        for w in row.buggy_witnesses() {
+            say!(out, "{}  {}", row.scenario, w.render());
         }
     }
     (out, reports.iter().any(|r| r.failed()))

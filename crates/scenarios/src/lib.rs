@@ -325,33 +325,22 @@ pub fn lookup(name: &str) -> Option<&'static Scenario> {
 }
 
 /// Runs the static hazard pass over every scenario, with the bounded
-/// model checker ([`ph_lint::modelcheck`]) as the verdict source: each
+/// model checker ([`ph_lint::modelcheck`]) as the one verdict source: each
 /// buggy variant's summaries are explored for minimal hazard witnesses,
-/// each fixed variant's must prove epoch-safe. `phtool lint`/`check`
-/// render the result; the agreement test additionally fills in the
-/// dynamic columns.
+/// each fixed variant's must prove epoch-safe. `phtool lint`/`check` and
+/// the E3 experiment render the result; the agreement test additionally
+/// fills in the dynamic columns.
 pub fn static_crosscheck() -> CrossCheckTable {
     let rows = SCENARIOS
         .iter()
-        .map(|e| {
-            let buggy = e.summaries(Variant::Buggy);
-            let fixed = e.summaries(Variant::Fixed);
-            let buggy_reports = ph_lint::modelcheck::model_check_all(&buggy);
-            let fixed_reports = ph_lint::modelcheck::model_check_all(&fixed);
-            CrossCheckRow {
-                scenario: e.name.to_string(),
-                expected: e.pattern,
-                buggy_hazards: buggy_reports.iter().flat_map(|r| r.hazards()).collect(),
-                fixed_hazards: fixed_reports.iter().flat_map(|r| r.hazards()).collect(),
-                dynamic_buggy_detected: None,
-                dynamic_fixed_clean: None,
-                static_components: buggy.iter().map(|s| s.component.clone()).collect(),
-                missing_static: Vec::new(),
-                buggy_witnesses: buggy_reports
-                    .iter()
-                    .flat_map(|r| r.witnesses().into_iter().map(|w| w.render()))
-                    .collect(),
-            }
+        .map(|e| CrossCheckRow {
+            scenario: e.name.to_string(),
+            expected: e.pattern,
+            buggy: ph_lint::modelcheck::model_check_all(&e.summaries(Variant::Buggy)),
+            fixed: ph_lint::modelcheck::model_check_all(&e.summaries(Variant::Fixed)),
+            dynamic_buggy_detected: None,
+            dynamic_fixed_clean: None,
+            missing_static: Vec::new(),
         })
         .collect();
     CrossCheckTable { rows }

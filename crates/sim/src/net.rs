@@ -150,21 +150,10 @@ impl Network {
         self.overrides.insert((src, dst), cfg);
     }
 
-    /// Overrides both directions between `a` and `b`.
-    pub fn set_link_bidir(&mut self, a: ActorId, b: ActorId, cfg: LinkConfig) {
-        self.set_link(a, b, cfg);
-        self.set_link(b, a, cfg);
-    }
-
     /// Blocks the directed link `src → dst` (messages are dropped as
     /// [`DropReason::Partitioned`]).
     pub fn block(&mut self, src: ActorId, dst: ActorId) {
         self.blocked.insert((src, dst));
-    }
-
-    /// Unblocks the directed link `src → dst`.
-    pub fn unblock(&mut self, src: ActorId, dst: ActorId) {
-        self.blocked.remove(&(src, dst));
     }
 
     /// `true` if `src → dst` is currently blocked.

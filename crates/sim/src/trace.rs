@@ -944,7 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn recycled_and_filtered_traces_hash_as_their_own_contents() {
+    fn filtered_traces_hash_as_their_own_contents() {
         for seed in 0..16 {
             let trace = random_trace(seed, Trace::new());
             let timers = trace.filtered(|e| matches!(e.kind, TraceEventKind::TimerSet { .. }));

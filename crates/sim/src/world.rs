@@ -361,11 +361,6 @@ impl World {
         self.held.keys().copied()
     }
 
-    /// Metadata of a held message: `(src, dst, short kind)`.
-    pub fn held_info(&self, id: MsgId) -> Option<(ActorId, ActorId, &'static str)> {
-        self.held.get(&id).map(|e| (e.src, e.dst, e.kind_short()))
-    }
-
     /// Releases a held message back toward its destination, delivering it
     /// shortly after the current time (to the destination's *current*
     /// incarnation — this is how replayed notifications reach a restarted
@@ -393,24 +388,6 @@ impl World {
         while let Some((&id, _)) = self.held.first_key_value() {
             self.release_held(id);
         }
-    }
-
-    /// Permanently drops a held message. Returns `false` if `id` is not held.
-    pub fn drop_held(&mut self, id: MsgId) -> bool {
-        let Some(env) = self.held.remove(&id) else {
-            return false;
-        };
-        self.trace.push(
-            self.now,
-            TraceEventKind::MessageDropped {
-                id: env.id,
-                src: env.src,
-                dst: env.dst,
-                kind: env.short,
-                reason: DropReason::Interceptor,
-            },
-        );
-        true
     }
 
     // ------------------------------------------------------------------

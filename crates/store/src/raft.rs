@@ -386,11 +386,6 @@ impl RaftCore {
         self.id
     }
 
-    /// Cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.n
-    }
-
     /// Current role.
     pub fn role(&self) -> Role {
         self.role

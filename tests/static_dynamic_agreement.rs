@@ -53,13 +53,13 @@ fn static_analysis_agrees_with_dynamic_exploration_on_all_scenarios() {
             row.buggy_classes()
         );
         assert!(
-            row.fixed_hazards.is_empty(),
+            row.fixed_epoch_safe(),
             "{}: fixed variant statically flagged: {:?}",
             row.scenario,
-            row.fixed_hazards
+            row.fixed
         );
         assert!(
-            !row.buggy_witnesses.is_empty(),
+            !row.buggy_witnesses().is_empty(),
             "{}: model checker produced no witness for the buggy variant",
             row.scenario
         );
