@@ -526,9 +526,6 @@ fn workspace_root(args: &Args) -> Result<std::path::PathBuf, Failure> {
     }
 }
 
-/// The static passes: the determinism lint over every workspace `.rs`
-/// file, and the §4.2 hazard analysis over every scenario's access
-/// summaries, cross-checked against each scenario's documented class.
 /// `phtool scale` — run one mega-cluster scale point (the E10 workload):
 /// a synthetic demand curve churns 10k–100k pods through the sharded slab
 /// watch cache while watch consumers follow along. Output is fully
@@ -540,14 +537,7 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
     let shards = args.get_positive("shards", 1)? as usize;
     let seed = args.get_u64("seed", 1)?;
     let mut params = ph_scenarios::mega_cluster::ScaleParams::for_nodes(nodes, shards);
-    if let Some(pods) = args.get("pods") {
-        params.pods = pods
-            .parse()
-            .map_err(|_| "--pods wants a number".to_string())?;
-        if params.pods == 0 {
-            return Err("--pods must be at least 1".into());
-        }
-    }
+    params.pods = args.get_positive("pods", params.pods as u64)? as usize;
     let (report, probe) = ph_scenarios::mega_cluster::run_probed(seed, &params);
     let exit = if report.failed() { EXIT_VIOLATION } else { 0 };
     // The store's replication cost: a deterministic counter (CI gates on
@@ -626,6 +616,9 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
     Ok(exit)
 }
 
+/// The static passes: the determinism lint over every workspace `.rs`
+/// file, and the §4.2 hazard analysis over every scenario's access
+/// summaries, cross-checked against each scenario's documented class.
 fn cmd_lint(args: &Args) -> Result<i32, Failure> {
     let root = workspace_root(args)?;
     let report = ph_lint::scan_workspace(&root)

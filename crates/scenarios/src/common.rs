@@ -488,7 +488,9 @@ mod tests {
     /// The incremental sampler and the full-diff reference must be
     /// *report-identical* — not just statistically close — on every
     /// scenario and variant: identical divergence summaries and identical
-    /// full report JSON, metrics included.
+    /// full report JSON, metrics included. The fast path runs twice, so
+    /// the same pair of runs also pins same-seed replay, and every fixed
+    /// variant must survive its buggy twin's guided injection.
     #[test]
     fn incremental_sampling_matches_the_full_diff_everywhere() {
         for scenario in crate::SCENARIOS {
@@ -499,7 +501,7 @@ mod tests {
                     FULL_DIFF.set(false);
                     report
                 };
-                let (fast, full) = (run(false), run(true));
+                let (fast, again, full) = (run(false), run(false), run(true));
                 let name = scenario.name;
 
                 // The headline statistics, named explicitly so a failure
@@ -531,6 +533,16 @@ mod tests {
                     fast.to_json(),
                     full.to_json(),
                     "{name} {variant}: full report diverged"
+                );
+                assert_eq!(
+                    (&fast.metrics, &fast.divergence, fast.to_json()),
+                    (&again.metrics, &again.divergence, again.to_json()),
+                    "{name} {variant}: same-seed runs diverged"
+                );
+                assert!(
+                    variant == Variant::Buggy || !fast.failed(),
+                    "{name} fixed variant violated under guided injection: {:?}",
+                    fast.violations
                 );
             }
         }

@@ -265,6 +265,8 @@ fn phtool_rejects_bad_command_lines_with_exit_2() {
         (&["scale", "--nodes"], "--nodes needs a value"),
         (&["scale", "--nodes", "many"], "--nodes wants a number"),
         (&["scale", "--nodes", "0"], "--nodes must be at least 1"),
+        (&["scale", "--pods", "many"], "--pods wants a number"),
+        (&["scale", "--pods", "0"], "--pods must be at least 1"),
         (&["matrix", "--trials", "0"], "--trials must be at least 1"),
         (
             &["hunt", "--scenario", "k8s-56261", "--budget", "0"],

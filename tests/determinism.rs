@@ -2,69 +2,23 @@
 //!
 //! The whole methodology rests on this — a trial is only evidence if it can
 //! be replayed, and the telemetry layer is only trustworthy if it never
-//! perturbs or varies across replays. For every registered scenario and
-//! both variants we run the same (seed, strategy, variant) twice and
-//! require identical trace digests, verdicts and end times AND identical
-//! [`ph_sim::MetricsReport`]s (the report derives `Eq`, so equality covers
-//! every counter, gauge, and histogram bucket).
+//! perturbs or varies across replays. Every scenario's whole-report
+//! replay, both variants, is `ph_scenarios::common`'s
+//! `incremental_sampling_matches_the_full_diff_everywhere`; this file pins
+//! the digest's discrimination, blame chains and summaries across runs and
+//! thread counts, and the telemetry's presence.
 
-use ph_core::harness::RunReport;
 use ph_core::perturb::Strategy;
-use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Scenario, Variant, SCENARIOS};
-
-fn run_once(scenario: &Scenario, seed: u64, variant: Variant) -> RunReport {
-    let mut strategy = (scenario.guided)(seed);
-    scenario.run(seed, strategy.as_mut(), variant)
-}
-
-#[test]
-fn same_seed_same_trace_and_metrics_for_every_scenario() {
-    const SEED: u64 = 7;
-    for e in SCENARIOS {
-        for variant in [Variant::Buggy, Variant::Fixed] {
-            let name = format!("{} ({variant:?})", e.name);
-            let a = run_once(e, SEED, variant);
-            let b = run_once(e, SEED, variant);
-            assert_eq!(
-                a.trace_digest, b.trace_digest,
-                "{name}: trace digests diverge across same-seed runs"
-            );
-            assert_eq!(
-                a.trace_events, b.trace_events,
-                "{name}: event counts diverge across same-seed runs"
-            );
-            assert_eq!(
-                a.violations, b.violations,
-                "{name}: oracle verdicts diverge across same-seed runs"
-            );
-            assert_eq!(
-                a.sim_time, b.sim_time,
-                "{name}: end times diverge across same-seed runs"
-            );
-            assert_eq!(
-                a.metrics, b.metrics,
-                "{name}: metrics reports diverge across same-seed runs"
-            );
-            assert_eq!(
-                a.divergence, b.divergence,
-                "{name}: divergence summaries diverge across same-seed runs"
-            );
-            assert_eq!(
-                a.metrics.to_json(),
-                b.metrics.to_json(),
-                "{name}: metrics JSON renderings diverge"
-            );
-        }
-    }
-}
+use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Variant};
 
 #[test]
 fn different_seeds_change_the_trace() {
     // Sanity check that the digest actually discriminates: perturbation
     // strategies are seeded, so two seeds should not produce identical
     // runs for a fault-injected scenario.
-    let a = run_once(&k8s_59848::SCENARIO, 1, Variant::Buggy);
-    let b = run_once(&k8s_59848::SCENARIO, 2, Variant::Buggy);
+    let a = crate::guided_report("k8s-59848");
+    let scenario = &k8s_59848::SCENARIO;
+    let b = scenario.run(2, (scenario.guided)(2).as_mut(), Variant::Buggy);
     assert_ne!(
         (a.trace_digest, a.trace_events),
         (b.trace_digest, b.trace_events),
@@ -205,10 +159,31 @@ fn blame_chains_are_identical_across_same_seed_runs_and_thread_counts() {
 }
 
 #[test]
+fn blame_summaries_are_identical_across_thread_counts() {
+    use ph_core::harness::Explorer;
+    // One representative per §4.2 class keeps the test fast.
+    for name in ["k8s-59848", "volume-ctrl-17", "hbase-3136"] {
+        let e = ph_scenarios::lookup(name).expect("scenario");
+        let explorer = Explorer {
+            max_trials: 3,
+            base_seed: 5,
+        };
+        let run = |seed: u64, s: &mut dyn Strategy| e.run(seed, s, Variant::Buggy);
+        let factory = |seed: u64| (e.guided)(seed);
+        let seq = explorer.explore(name, &run, &factory);
+        let par4 = explorer.explore_parallel(4, name, &run, &factory);
+        let b1 = seq.example.as_ref().and_then(|r| r.blame);
+        let b4 = par4.example.as_ref().and_then(|r| r.blame);
+        assert_eq!(b1, b4, "{name}: blame summary must not depend on threads");
+        assert_eq!(seq.trial_sim_ns, par4.trial_sim_ns, "{name}");
+    }
+}
+
+#[test]
 fn telemetry_reports_are_populated() {
     // The instrumentation layer must actually produce data: lag samples
     // for every view and watch-delivery counts at the apiservers.
-    let r = run_once(&k8s_59848::SCENARIO, 1, Variant::Buggy);
+    let r = crate::guided_report("k8s-59848");
     assert!(!r.metrics.is_empty(), "metrics report is empty");
     assert!(!r.divergence.is_empty(), "no divergence samples");
     assert!(

@@ -21,7 +21,7 @@
 //! Prometheus exposition, and `phtool check --json`.
 //!
 //! Regenerate after an intentional exporter or scenario change with
-//! `PH_EXPORT_BLESS=1 cargo test -p ph-scenarios --test export_golden`.
+//! `PH_EXPORT_BLESS=1 cargo test -p ph-scenarios --test integration export_golden`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -181,8 +181,7 @@ fn every_event_kind_exports_are_pinned() {
 /// digest's value is not an interface (DESIGN.md §6.3), so it is masked.
 #[test]
 fn failing_run_report_json_is_pinned() {
-    let scenario = lookup("k8s-59848").expect("registered scenario");
-    let report = scenario.run(1, scenario.strategy("guided", 1).as_mut(), Variant::Buggy);
+    let report = crate::guided_report("k8s-59848");
     assert!(report.failed() && report.blame.is_some());
     assert!(!report.divergence.is_empty() && !report.metrics.is_empty());
     let digest = format!("\"trace_digest\":\"{:#018x}\"", report.trace_digest);

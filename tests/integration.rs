@@ -1,14 +1,58 @@
-//! Cross-crate integration: the §3/§4.2 model applied to live cluster
-//! traces — frontiers, staleness, time travel and gap analysis computed
-//! from what the components actually observed.
+//! `ph-scenarios`' whole-scenario integration tests, built as one test
+//! binary: this file's own tests, then one module per concern.
+//!
+//! This file's tests are the cross-crate integration: the §3/§4.2 model
+//! applied to live cluster traces — frontiers, staleness, time travel and
+//! gap analysis computed from what the components actually observed.
+//!
+//! The tests that read a scenario's guided seed-1 trial on the buggy
+//! variant as a report or a blame chain share one run of it,
+//! [`guided_seed1`].
+
+mod auto_discovery;
+mod canonical_equivalence;
+mod congestion_staleness;
+mod determinism;
+mod export_golden;
+mod parallel_equivalence;
+mod reduction_equivalence;
+mod registry;
+mod static_dynamic_agreement;
+mod witness_guidance;
+
+use std::sync::OnceLock;
 
 use ph_cluster::objects::{Body, Object, PodPhase};
 use ph_cluster::topology::{spawn_cluster, ClusterConfig};
 use ph_core::causality::CausalGraph;
 use ph_core::history::FrontierLog;
 use ph_core::perturb::{RandomCrashes, Schedule, Strategy, Targets};
+use ph_core::provenance::{explain, BlameChain};
+use ph_core::RunReport;
 use ph_scenarios::common::targets_for;
+use ph_scenarios::{Variant, SCENARIOS};
 use ph_sim::{ActorId, Duration, SimTime, TraceEventKind, World, WorldConfig};
+
+/// Every scenario's guided seed-1 trial on the buggy variant, in registry
+/// order, run once per binary: its report and its blame chain (a trace is
+/// not `Sync`, so it is explained where it was run).
+pub fn guided_seed1() -> &'static [(RunReport, BlameChain)] {
+    static RUNS: OnceLock<Vec<(RunReport, BlameChain)>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        ph_core::run_indexed(ph_core::default_threads(), SCENARIOS.len(), |i| {
+            let s = SCENARIOS[i];
+            let (report, trace) = s.run_traced(1, (s.guided)(1).as_mut(), Variant::Buggy);
+            let chain = explain(&trace, &s.blame, &report.violations);
+            (report, chain)
+        })
+    })
+}
+
+/// The [`guided_seed1`] report of the scenario named `name`.
+pub fn guided_report(name: &str) -> &'static RunReport {
+    let i = SCENARIOS.iter().position(|s| s.name == name);
+    &guided_seed1()[i.expect("a registered scenario")].0
+}
 
 /// Extracts a component's view-frontier log from its `view.frontier`
 /// annotations.

@@ -7,7 +7,10 @@
 //! dynamic explorer must confirm both verdicts: the guided run on the
 //! buggy variant detects a violation, the same injection on the fixed
 //! variant stays clean. One [`CrossCheckTable`] holds all four columns;
-//! `all_agree()` is the theorem.
+//! `all_agree()` is the theorem. The backward trace slicer
+//! ([`ph_core::provenance::explain`]) must then blame each buggy
+//! violation on the same class: static prediction and dynamic provenance
+//! tell one story.
 //!
 //! The file also pins the determinism contract of the checker itself:
 //! the same IR yields byte-identical witness JSON across repeated
@@ -25,16 +28,15 @@ use ph_scenarios::{scenario_statics, Variant};
 /// Builds the full table: static verdicts from the model checker (via
 /// [`ph_scenarios::static_crosscheck`], the same source `phtool lint`
 /// renders), dynamic verdicts from one guided trial per variant (seed 1 —
-/// every scenario's tuned injection is deterministic and seed-stable).
+/// every scenario's tuned injection is deterministic and seed-stable). The
+/// buggy trials are the binary's shared [`crate::guided_seed1`] runs.
 fn full_table() -> CrossCheckTable {
     let mut table = ph_scenarios::static_crosscheck();
-    for (row, e) in table.rows.iter_mut().zip(scenario_statics()) {
+    let rows = table.rows.iter_mut().zip(scenario_statics());
+    for ((row, e), (buggy, _)) in rows.zip(crate::guided_seed1()) {
         assert_eq!(row.scenario, e.name, "row order must match scenario order");
-        let mut buggy_strategy = (e.guided)(1);
-        let buggy_report = (e.run)(1, buggy_strategy.as_mut(), Variant::Buggy);
-        let mut fixed_strategy = (e.guided)(1);
-        let fixed_report = (e.run)(1, fixed_strategy.as_mut(), Variant::Fixed);
-        row.dynamic_buggy_detected = Some(buggy_report.failed());
+        let fixed_report = (e.run)(1, (e.guided)(1).as_mut(), Variant::Fixed);
+        row.dynamic_buggy_detected = Some(buggy.failed());
         row.dynamic_fixed_clean = Some(!fixed_report.failed());
     }
     table
@@ -44,7 +46,7 @@ fn full_table() -> CrossCheckTable {
 fn static_analysis_agrees_with_dynamic_exploration_on_all_scenarios() {
     let table = full_table();
     assert_eq!(table.rows.len(), 9, "all nine scenarios must be wired");
-    for row in &table.rows {
+    for (row, (report, chain)) in table.rows.iter().zip(crate::guided_seed1()) {
         assert!(
             row.buggy_classes().contains(&row.expected),
             "{}: static pass missed the documented class {} (flagged: {:?})",
@@ -75,6 +77,47 @@ fn static_analysis_agrees_with_dynamic_exploration_on_all_scenarios() {
             "{}: fixed variant violated dynamically",
             row.scenario
         );
+        assert_eq!(
+            chain.class,
+            row.expected,
+            "{}: dynamic blame class {} disagrees with the static class {}\nrationale: {}\n{}",
+            row.scenario,
+            chain.class,
+            row.expected,
+            chain.rationale,
+            chain.render()
+        );
+        // The chain is non-trivial, and the report summary agrees.
+        let summary = report.blame.expect("failing run carries a blame summary");
+        assert_eq!(summary.class, chain.class, "{}", row.scenario);
+        assert_eq!(summary.injected, chain.injected, "{}", row.scenario);
+        if chain.class == ph_lint::summary::PatternClass::CongestionStaleness {
+            // The defining property of the emergent class: the guided
+            // strategy reshapes link capacity but injects nothing — every
+            // artifact in the chain is the queue's own queue-delay or
+            // queue-drop, which count as emergent, not injected.
+            assert_eq!(
+                chain.injected, 0,
+                "{}: a traffic surge must not count as injection",
+                row.scenario
+            );
+            assert!(
+                !chain.links.is_empty(),
+                "{}: emergent queue artifacts must be causally implicated",
+                row.scenario
+            );
+        } else {
+            assert!(
+                chain.injected > 0,
+                "{}: guided injection must leave artifacts",
+                row.scenario
+            );
+            assert!(
+                chain.in_chain > 0,
+                "{}: at least one injected artifact must be causally implicated",
+                row.scenario
+            );
+        }
     }
     assert!(table.all_agree(), "\n{}", table.render_text());
 }
