@@ -16,7 +16,7 @@
 //! * a restarted apiserver re-lists from the store and starts a fresh
 //!   window (old resume points may now be too old).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, TimerId};
 use std::rc::Rc;
@@ -30,7 +30,7 @@ use crate::api::{
     ApiWatchEvent, ApiWatchProgress, ObjEvent, Verb, WatchError,
 };
 use crate::objects::Object;
-use crate::slab::{ShardedCache, WindowRing};
+use crate::slab::ShardedCache;
 
 /// Apiserver tuning.
 #[derive(Debug, Clone)]
@@ -112,15 +112,16 @@ enum PendingApi {
 pub struct ApiServer {
     cfg: ApiServerConfig,
     store: StoreClient,
-    /// The watch cache: interned-key slab shards holding (bytes, resource
-    /// version) per object. This is this apiserver's `S′`.
+    /// The watch cache: (bytes, resource version) per object, in
+    /// key-hash shards. This is this apiserver's `S′`.
     cache: ShardedCache,
     /// The cache's frontier (last revision reflected).
     cache_rev: Revision,
     /// `true` once the bootstrap list has been applied.
     ready: bool,
-    /// Rolling window of recent events (dense in revision).
-    window: WindowRing,
+    /// Rolling window of recent events (dense in revision), at most
+    /// `cfg.window` long.
+    window: VecDeque<Rc<ObjEvent>>,
     /// High-water mark of live cache objects (scale telemetry).
     objects_peak: usize,
     /// High-water mark of buffered window events (scale telemetry).
@@ -148,14 +149,13 @@ impl ApiServer {
     pub fn new(cfg: ApiServerConfig) -> ApiServer {
         let store = StoreClient::new(cfg.store.clone());
         let cache = ShardedCache::new(cfg.shards);
-        let window = WindowRing::new(cfg.window);
         ApiServer {
             cfg,
             store,
             cache,
             cache_rev: Revision::ZERO,
             ready: false,
-            window,
+            window: VecDeque::new(),
             objects_peak: 0,
             window_peak: 0,
             window_floor: Revision::ZERO,
@@ -238,9 +238,9 @@ impl ApiServer {
         self.cache.get(key)
     }
 
-    /// Approximate bytes held by the watch cache (slab payloads + backing
-    /// arrays + key table): the deterministic peak-RSS proxy scale
-    /// benchmarks report.
+    /// Approximate bytes held by the watch cache (keys + values + a
+    /// per-entry constant): the deterministic memory proxy `phtool scale`
+    /// reports.
     pub fn cache_approx_bytes(&self) -> usize {
         self.cache.approx_bytes()
     }
@@ -298,12 +298,12 @@ impl ApiServer {
                 }
             };
             // One allocation per object event, shared by the window and
-            // every watcher batch. The ring evicts oldest-first as it
-            // fills, exactly like the push-all-then-trim deque it
-            // replaced (the window never exceeds capacity between
-            // deliveries, so per-push eviction drops the same events).
+            // every watcher batch. The window evicts oldest-first; at
+            // capacity 0 it drops each event as soon as it is pushed.
             let oe = Rc::new(oe);
-            if let Some(dropped) = self.window.push(Rc::clone(&oe)) {
+            self.window.push_back(Rc::clone(&oe));
+            while self.window.len() > self.cfg.window {
+                let dropped = self.window.pop_front().expect("over capacity");
                 self.window_floor = dropped.revision;
                 ctx.counter_inc("apiserver.window_evicted");
             }

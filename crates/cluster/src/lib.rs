@@ -30,8 +30,8 @@
 //!   a local object cache `(H′, S′)`;
 //! * [`kubelet`], [`scheduler`], [`controllers`], [`operator`] — the
 //!   services;
-//! * [`slab`] — the interned-key slab, sharded cache, and window ring the
-//!   apiserver's watch cache runs on at scale;
+//! * [`slab`] — the key-hash-sharded ordered map the apiserver's watch
+//!   cache is stored in;
 //! * [`topology`] — helpers that assemble whole clusters.
 
 #![forbid(unsafe_code)]
@@ -56,5 +56,5 @@ pub use informer::{Informer, InformerConfig, InformerEvent};
 pub use kubelet::{Kubelet, KubeletConfig};
 pub use objects::{Object, ObjectKind, ObjectMeta, PodPhase};
 pub use scheduler::{Scheduler, SchedulerConfig};
-pub use slab::{ObjectSlab, ShardedCache, WindowRing};
+pub use slab::ShardedCache;
 pub use topology::{spawn_cluster, ClusterConfig, ClusterHandle};

@@ -14,7 +14,7 @@
 //! is what the determinism tests rely on (same seed ⇒ identical telemetry,
 //! bit for bit).
 //!
-//! ## Storage and the incremental fast path
+//! ## Storage and the slot fast path
 //!
 //! Internally the summary is a slot vector keyed by an interned view name:
 //! a harness registers each view once ([`DivergenceSummary::slot`]) and
@@ -25,14 +25,9 @@
 //! time, so the output is byte-identical to the old name-keyed map
 //! regardless of registration order.
 //!
-//! [`LagSampler`] carries the companion dirty-set: it remembers each
-//! view's previous lag so a harness can skip re-publishing unchanged
-//! gauge values and touch only views whose frontier actually moved — the
-//! sampling cost scales with churn, not with how many objects the views
-//! hold (§"Scaling the world", DESIGN.md). Soundness: histograms are still
-//! fed every quantum (sample *counts* are part of the report), and a
-//! gauge records only its last value, so skipping an overwrite with an
-//! equal value is observationally free.
+//! A harness also publishes every sample to the world's metrics: it
+//! observes the view's `view_lag.revisions` histogram and sets its
+//! `view_lag.last` gauge, so a sample costs O(1) per view.
 
 use std::collections::BTreeMap;
 
@@ -233,48 +228,6 @@ impl PartialEq for DivergenceSummary {
 }
 impl Eq for DivergenceSummary {}
 
-/// The dirty-set companion to [`DivergenceSummary`]: remembers each view's
-/// previously sampled lag so a harness can detect which views actually
-/// moved this quantum and skip republishing unchanged gauge values.
-///
-/// Indices are the harness's own dense view numbering (typically the order
-/// it walks its actors in), not [`ViewSlot`]s — keeping the sampler usable
-/// before any sample lands in the summary.
-#[derive(Debug, Clone, Default)]
-pub struct LagSampler {
-    last: Vec<Option<u64>>,
-}
-
-impl LagSampler {
-    /// A sampler pre-sized for `views` views (grows on demand).
-    pub fn with_views(views: usize) -> LagSampler {
-        LagSampler {
-            last: vec![None; views],
-        }
-    }
-
-    /// Records view `i`'s current lag. Returns `true` when the value
-    /// differs from the previous sample (the first sample is always a
-    /// change) — the signal that last-value outputs (gauges) need a write.
-    pub fn changed(&mut self, i: usize, lag: u64) -> bool {
-        if i >= self.last.len() {
-            self.last.resize(i + 1, None);
-        }
-        let dirty = self.last[i] != Some(lag);
-        self.last[i] = Some(lag);
-        dirty
-    }
-
-    /// Forgets all previous samples (every view reads as changed next
-    /// quantum). Use after events that invalidate the memory wholesale,
-    /// e.g. a harness-level restart.
-    pub fn reset(&mut self) {
-        for v in &mut self.last {
-            *v = None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,18 +313,5 @@ mod tests {
         assert_eq!(ab, ba);
         ba.record("a", 9);
         assert_ne!(ab, ba);
-    }
-
-    #[test]
-    fn sampler_reports_changes_only() {
-        let mut s = LagSampler::with_views(2);
-        assert!(s.changed(0, 5), "first sample is a change");
-        assert!(!s.changed(0, 5), "same value is clean");
-        assert!(s.changed(0, 6), "moved value is dirty");
-        assert!(s.changed(1, 0), "independent per view");
-        assert!(!s.changed(1, 0));
-        s.reset();
-        assert!(s.changed(0, 6), "reset forgets history");
-        assert!(s.changed(7, 1), "grows on demand");
     }
 }

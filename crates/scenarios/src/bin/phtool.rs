@@ -527,7 +527,7 @@ fn workspace_root(args: &Args) -> Result<std::path::PathBuf, Failure> {
 }
 
 /// `phtool scale` — run one mega-cluster scale point (the E10 workload):
-/// a synthetic demand curve churns 10k–100k pods through the sharded slab
+/// a synthetic demand curve churns 10k–100k pods through the sharded
 /// watch cache while watch consumers follow along. Output is fully
 /// deterministic (no wall-clock numbers — wall time and memory are
 /// `phbench`'s `scale-1k`/`scale-5k` workloads), so two invocations with
@@ -559,10 +559,10 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
         probe.raft_log, probe.raft_log_base
     );
     if args.has("json") {
-        // The memory probe is shard-layout-dependent, so it goes to stderr:
-        // stdout stays byte-identical across shard counts (CI diffs it).
+        // The probe is costs, not report content, so it goes to stderr:
+        // stdout is the report alone (CI diffs it across shard counts).
         eprintln!(
-            "cache probe: {} bytes over {} objects (shard-layout-dependent); raft: {raft}; history: {history}; log: {log}",
+            "cache probe: {} bytes over {} objects; raft: {raft}; history: {history}; log: {log}",
             probe.cache_bytes, probe.cache_objects
         );
         println!("{}", report.to_json());
@@ -601,7 +601,7 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
         gauge("apiserver.window_peak")
     );
     println!(
-        "bytes    : {} over {} objects (cache approx at churn end; shard-layout-dependent)",
+        "bytes    : {} over {} objects (cache approx at churn end)",
         probe.cache_bytes, probe.cache_objects
     );
     println!(

@@ -6,7 +6,7 @@
 //! ([`Runner::drive`]) so trace-triggered strategies act promptly.
 
 use ph_cluster::topology::{ClusterConfig, ClusterHandle, Frontier};
-use ph_core::divergence::{DivergenceSummary, LagSampler, ViewSlot};
+use ph_core::divergence::{DivergenceSummary, ViewSlot};
 use ph_core::harness::RunReport;
 use ph_core::oracle::{check_all, Oracle};
 use ph_core::perturb::{Strategy, Targets};
@@ -67,9 +67,6 @@ struct LagProbe {
     /// Per-view `(metrics component sym, divergence slot)` pairs, resolved
     /// lazily the first time a view is sampled.
     meta: Vec<Option<(Sym, ViewSlot)>>,
-    /// Dirty-set tracker: remembers each view's last sampled lag so the
-    /// `view_lag.last` gauge is only rewritten when the value moved.
-    sampler: LagSampler,
     /// Interned metric-name syms for the two per-view lag series.
     hist_sym: Sym,
     gauge_sym: Sym,
@@ -186,7 +183,6 @@ impl Runner {
             divergence: DivergenceSummary::new(),
             meta: vec![None; cluster.views().count()],
             views: cluster.views().collect(),
-            sampler: LagSampler::default(),
             hist_sym: metrics.sym("view_lag.revisions"),
             gauge_sym: metrics.sym("view_lag.last"),
         };
@@ -238,14 +234,11 @@ impl Runner {
     /// per view), so they surface in trace/metric exports too. Skipped while the store
     /// has no leader (the truth frontier is unknowable then).
     ///
-    /// Sampling is incremental: per view it folds the lag into a
-    /// pre-resolved [`ViewSlot`] and sym pair (O(1), no string hashing),
-    /// observes the histogram, and rewrites the gauge only when the lag
-    /// actually moved since the last quantum (gauges are last-value, so
-    /// skipping unchanged writes is report-invisible). Cost per quantum is
-    /// therefore O(views) with a constant far below the string-keyed full
-    /// diff, which survives as the test-only reference this path is
-    /// pinned to.
+    /// Per view it folds the lag into a pre-resolved [`ViewSlot`] and sym
+    /// pair (O(1), no string hashing), observes the histogram and sets the
+    /// gauge. Cost per quantum is therefore O(views), through the same
+    /// writes as the string-keyed full diff, which survives as the
+    /// test-only reference this path is pinned to.
     pub fn sample_divergence(&mut self) {
         self.probe.sample(&mut self.world);
     }
@@ -343,20 +336,15 @@ impl LagProbe {
             (comp, self.divergence.slot(name.as_str()))
         });
         self.divergence.record_slot(slot, lag);
-        let dirty = self.sampler.changed(idx, lag);
         let metrics = world.metrics_mut();
-        // Histograms count samples, so every quantum must observe; the
-        // gauge is last-value, so only dirty views need the write.
         metrics.observe_sym(comp, self.hist_sym, lag);
-        if dirty {
-            metrics.gauge_set_sym(comp, self.gauge_sym, lag as i64);
-        }
+        metrics.gauge_set_sym(comp, self.gauge_sym, lag as i64);
     }
 
     /// The full-diff sampling path: the same walk, recorded through the
-    /// string-keyed APIs with every gauge rewritten. Kept as the reference
-    /// the incremental path is regression-tested against — both must
-    /// produce identical divergence summaries and metric reports.
+    /// string-keyed APIs. Kept as the reference the incremental path is
+    /// regression-tested against — both must produce identical divergence
+    /// summaries and metric reports.
     #[cfg(test)]
     fn sample_full(&mut self, world: &mut World, truth: Revision) {
         for &(id, frontier) in &self.views {

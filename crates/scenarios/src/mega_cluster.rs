@@ -3,8 +3,8 @@
 //! No upstream ticket and no injected fault: this family exists to measure
 //! (and regression-gate) the simulator's throughput and memory at datacenter
 //! scale — hundreds to thousands of nodes, tens of thousands of pods — with
-//! the slab/struct-of-arrays watch cache, sharded by key hash, and the
-//! incremental divergence sampler all under load at once.
+//! the watch cache, sharded by key hash, and the per-view divergence
+//! sampler all under load at once.
 //!
 //! The workload is a synthetic *demand curve*: a [`DemandGen`] actor writes
 //! pod objects straight to the store (batched puts/deletes per tick, like a
@@ -292,17 +292,16 @@ impl Actor for PodWatcher {
 }
 
 /// The deterministic probe a scale run hands back *beside* its report: the
-/// watch cache's allocation-footprint proxy, the store's replication cost
-/// and what compaction left of its history, all at churn end.
+/// watch cache's memory proxy, the store's replication cost and what
+/// compaction left of its history, all at churn end.
 ///
-/// Deliberately out-of-band: the proxy counts backing-array capacities,
-/// which depend on the shard layout (eight small slabs reserve differently
-/// than one big one) — folding it into the [`RunReport`] would break the
-/// byte-identical-across-shards guarantee the report carries. Everything
-/// *content*-derived (object counts, window peaks) stays in the report.
+/// Deliberately out-of-band: these are costs, not content, so they stay
+/// out of the [`RunReport`] and no export or golden moves when a cost
+/// does. Like the report, every field is the same at every shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleProbe {
-    /// Approximate watch-cache bytes (payloads + backing arrays + keys).
+    /// Approximate watch-cache bytes (keys + values + a per-entry
+    /// constant).
     pub cache_bytes: usize,
     /// Live cache objects at the same instant.
     pub cache_objects: usize,
@@ -341,8 +340,8 @@ pub fn run(seed: u64, p: &ScaleParams) -> RunReport {
     run_probed(seed, p).0
 }
 
-/// Like [`run`], but also hands back the shard-layout-dependent
-/// [`ScaleProbe`] `phtool scale` reports per-object memory from.
+/// Like [`run`], but also hands back the [`ScaleProbe`] `phtool scale`
+/// reports per-object memory from.
 pub fn run_probed(seed: u64, p: &ScaleParams) -> (RunReport, ScaleProbe) {
     run_with(seed, p, RETENTION)
 }

@@ -1,6 +1,6 @@
 //! Shard-count invisibility, end to end.
 //!
-//! The slab-level model tests pin that a `ShardedCache` behaves like one
+//! The cache-level model tests pin that a `ShardedCache` behaves like one
 //! `BTreeMap` for any shard count; this suite pins the whole-run claim: a
 //! mega-cluster trial at `shards ∈ {1, 2, 8}` produces byte-identical
 //! `RunReport` JSON and identical trace digests. Parameters are drawn as

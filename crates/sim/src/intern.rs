@@ -187,16 +187,6 @@ impl Interner {
         }
     }
 
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Interns `s`, returning its dense id (existing id if seen before).
     pub fn intern(&mut self, s: &str) -> Sym {
         if let Some(sym) = self.find(s) {
@@ -220,11 +210,6 @@ impl Interner {
         self.names[sym.0 as usize].clone()
     }
 
-    /// The id of `s` if it has been interned.
-    pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.find(s)
-    }
-
     /// The string for `sym`.
     ///
     /// # Panics
@@ -232,23 +217,6 @@ impl Interner {
     /// Panics if `sym` came from a different interner (id out of range).
     pub fn resolve(&self, sym: Sym) -> &str {
         self.names[sym.0 as usize].as_str()
-    }
-
-    /// The shared [`Name`] for `sym`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sym` came from a different interner (id out of range).
-    pub fn name(&self, sym: Sym) -> &Name {
-        &self.names[sym.0 as usize]
-    }
-
-    /// Iterates `(Sym, &str)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Sym(i as u32), n.as_str()))
     }
 
     fn find(&self, s: &str) -> Option<Sym> {
@@ -308,16 +276,6 @@ mod tests {
         assert_eq!(b.id(), 1);
         assert_eq!(it.resolve(a), "alpha");
         assert_eq!(it.resolve(b), "beta");
-        assert_eq!(it.len(), 2);
-    }
-
-    #[test]
-    fn lookup_without_insert() {
-        let mut it = Interner::new();
-        assert!(it.lookup("x").is_none());
-        let s = it.intern("x");
-        assert_eq!(it.lookup("x"), Some(s));
-        assert!(it.lookup("y").is_none());
     }
 
     #[test]
@@ -327,7 +285,7 @@ mod tests {
         for (i, sym) in syms.iter().enumerate() {
             assert_eq!(sym.id(), i as u32);
             assert_eq!(it.resolve(*sym), format!("s{i}"));
-            assert_eq!(it.lookup(&format!("s{i}")), Some(*sym));
+            assert_eq!(it.intern(&format!("s{i}")), *sym);
         }
     }
 
@@ -361,14 +319,5 @@ mod tests {
         let a = it.intern_name("shared");
         let b = it.intern_name("shared");
         assert!(std::rc::Rc::ptr_eq(&a.0, &b.0));
-    }
-
-    #[test]
-    fn iter_returns_insertion_order() {
-        let mut it = Interner::new();
-        it.intern("b");
-        it.intern("a");
-        let all: Vec<(u32, String)> = it.iter().map(|(s, n)| (s.id(), n.to_string())).collect();
-        assert_eq!(all, vec![(0, "b".to_string()), (1, "a".to_string())]);
     }
 }
