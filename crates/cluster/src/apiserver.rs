@@ -620,7 +620,7 @@ impl ApiServer {
                     let items: Vec<(String, Value, Revision)> = self
                         .cache
                         .range_prefix(&prefix)
-                        .map(|(k, v, rv)| (k.as_str().to_string(), v.clone(), rv))
+                        .map(|(k, v, rv)| (k.to_string(), v.clone(), rv))
                         .collect();
                     self.reply_cached(
                         from,

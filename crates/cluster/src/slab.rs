@@ -14,19 +14,19 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::rc::Rc;
 
-use ph_sim::intern::fnv1a;
-use ph_sim::Name;
+use ph_sim::rng::fnv1a;
 use ph_store::{Revision, Value};
 
 /// One shard: live objects by key, in lexical key order.
-type Shard = BTreeMap<Name, (Value, Revision)>;
+type Shard = BTreeMap<Rc<str>, (Value, Revision)>;
 
 /// The per-entry overhead [`ShardedCache::approx_bytes`] charges on top of
 /// key and value bytes: one map entry's inline key and value handles, plus
 /// the two reference counts in front of the key's shared string.
 const ENTRY_BYTES: usize =
-    std::mem::size_of::<(Name, (Value, Revision))>() + 2 * std::mem::size_of::<usize>();
+    std::mem::size_of::<(Rc<str>, (Value, Revision))>() + 2 * std::mem::size_of::<usize>();
 
 /// A watch cache split across several ordered maps by key hash.
 ///
@@ -71,7 +71,7 @@ impl ShardedCache {
         match self.shards[s].get_mut(key) {
             Some(entry) => *entry = (value, rev),
             None => {
-                self.shards[s].insert(Name::from(key), (value, rev));
+                self.shards[s].insert(Rc::from(key), (value, rev));
             }
         }
     }
@@ -124,15 +124,18 @@ impl ShardedCache {
     }
 }
 
+/// One shard's entries from a prefix on, in key order.
+type ShardRange<'a> = std::collections::btree_map::Range<'a, Rc<str>, (Value, Revision)>;
+
 /// K-way merge over the per-shard sorted ranges that start at a prefix.
 #[derive(Debug)]
 pub struct MergedRange<'a> {
-    arms: Vec<std::iter::Peekable<std::collections::btree_map::Range<'a, Name, (Value, Revision)>>>,
+    arms: Vec<std::iter::Peekable<ShardRange<'a>>>,
     prefix: &'a str,
 }
 
 impl<'a> Iterator for MergedRange<'a> {
-    type Item = (&'a Name, &'a Value, Revision);
+    type Item = (&'a Rc<str>, &'a Value, Revision);
 
     fn next(&mut self) -> Option<Self::Item> {
         // Shard count is tiny (≤ 16); a linear min scan beats a heap. An
@@ -141,7 +144,7 @@ impl<'a> Iterator for MergedRange<'a> {
         // `'a` lifetime, so the final `next()` call below doesn't conflict
         // with the scan borrows. Keys are disjoint across shards, so no
         // tie-break is needed.
-        let mut best: Option<(usize, &'a Name)> = None;
+        let mut best: Option<(usize, &'a Rc<str>)> = None;
         for (i, arm) in self.arms.iter_mut().enumerate() {
             if let Some(&(name, _)) = arm.peek() {
                 if name.starts_with(self.prefix) && best.map_or(true, |(_, b)| *name < *b) {
@@ -188,10 +191,7 @@ mod tests {
         for k in ["pods/c", "nodes/a", "pods/a", "pods/b", "pvcs/x"] {
             s.insert(k, val(k), Revision(1));
         }
-        let keys: Vec<&str> = s
-            .range_prefix("pods/")
-            .map(|(n, _, _)| n.as_str())
-            .collect();
+        let keys: Vec<&str> = s.range_prefix("pods/").map(|(n, _, _)| &**n).collect();
         assert_eq!(keys, vec!["pods/a", "pods/b", "pods/c"]);
         assert_eq!(s.range_prefix("zz").count(), 0);
         assert_eq!(s.range_prefix("").count(), 5);
@@ -226,7 +226,7 @@ mod tests {
             for prefix in ["", "pods/", "nodes/", "pvcs/", "pods/obj-1"] {
                 let got: Vec<(String, Revision)> = cache
                     .range_prefix(prefix)
-                    .map(|(n, _, rv)| (n.as_str().to_string(), rv))
+                    .map(|(n, _, rv)| (n.to_string(), rv))
                     .collect();
                 let want: Vec<(String, Revision)> = model
                     .range(prefix.to_string()..)
@@ -254,7 +254,7 @@ mod tests {
         };
         let scan = |c: &ShardedCache| -> Vec<(String, Revision)> {
             c.range_prefix("pods/")
-                .map(|(n, _, rv)| (n.as_str().to_string(), rv))
+                .map(|(n, _, rv)| (n.to_string(), rv))
                 .collect()
         };
         let one = build(1);

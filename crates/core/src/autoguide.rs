@@ -173,7 +173,7 @@ pub fn candidates(
         let TraceEventKind::Annotation { actor, label, .. } = &e.kind else {
             continue;
         };
-        if !decision_labels.contains(&label.as_str()) {
+        if !decision_labels.contains(label) {
             continue;
         }
         let occurrence = {

@@ -22,8 +22,11 @@
 //! verdict-preserving, which the canonical-equivalence property tests pin
 //! end to end.
 
+use std::fmt::Write as _;
+
 use ph_lint::independence::IndependenceMatrix;
 use ph_lint::modelcheck::Letter;
+use ph_sim::rng::fnv1a;
 
 /// One planned concrete injection: its abstract alphabet letter plus an
 /// anchor string carrying every behavioral parameter (victim, times,
@@ -104,22 +107,11 @@ pub fn canonicalize_ops(ops: &[PlannedOp], matrix: &IndependenceMatrix) -> Vec<P
 /// FNV-1a over the ops' labels and anchors, with separators so adjacent
 /// fields cannot alias.
 pub fn fingerprint(ops: &[PlannedOp]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut text = String::new();
     for op in ops {
-        eat(op.letter.label().as_bytes());
-        eat(b"@");
-        eat(op.anchor.as_bytes());
-        eat(b";");
+        let _ = write!(text, "{}@{};", op.letter.label(), op.anchor);
     }
-    h
+    fnv1a(&text)
 }
 
 /// The footprint-only independence matrix of a plan: derived from the
@@ -245,6 +237,19 @@ mod tests {
         let d1 = vec![delay("cache:0", "x"), drop_n("cache:0", "y")];
         let d2 = vec![drop_n("cache:0", "y"), delay("cache:0", "x")];
         assert_ne!(plan_class(&d1), plan_class(&d2));
+    }
+
+    /// The fingerprint is FNV-1a over `label@anchor;` per op; a change to
+    /// that text or to the hash moves every plan class, and these values.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        let plan = vec![
+            delay("cache:0", "t=5ms"),
+            drop_n("cache:1", "nth=2"),
+            PlannedOp::new(Letter::UpstreamSwitch, ""),
+        ];
+        assert_eq!(fingerprint(&plan), 0xbb30_fd5b_73ac_04bd);
+        assert_eq!(fingerprint(&[]), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

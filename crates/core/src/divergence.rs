@@ -16,8 +16,8 @@
 //!
 //! ## Storage and the slot fast path
 //!
-//! Internally the summary is a slot vector keyed by an interned view name:
-//! a harness registers each view once ([`DivergenceSummary::slot`]) and
+//! Internally the summary is a slot vector indexed by view name: a
+//! harness registers each view once ([`DivergenceSummary::slot`]) and
 //! then folds samples in O(1) by dense id ([`DivergenceSummary::record_slot`])
 //! — no string hashing or tree descent per sample. The string-keyed
 //! [`DivergenceSummary::record`] survives as a thin wrapper. All exported
@@ -84,7 +84,7 @@ pub type ViewSlot = u32;
 /// Per-view divergence over one run, keyed by component name.
 ///
 /// (Reports cross threads in the parallel trial pool, so the name table is
-/// plain `String`s rather than the sim-side `Rc`-backed interner.)
+/// plain `String`s, not the world's `Rc<str>` actor names.)
 #[derive(Debug, Clone, Default)]
 pub struct DivergenceSummary {
     /// Name → slot id (sorted — the canonical export order).

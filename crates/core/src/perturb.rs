@@ -456,7 +456,7 @@ impl Strategy for Schedule {
                     for e in &events[p.cursor..] {
                         match &e.kind {
                             TraceEventKind::Annotation { actor, label, .. }
-                                if label.as_str() == want && only.map_or(true, |a| a == *actor) =>
+                                if *label == want && only.map_or(true, |a| a == *actor) =>
                             {
                                 if (*nth..nth.saturating_add(u64::from(*max))).contains(&p.seen) {
                                     victims.push(*actor);

@@ -253,15 +253,15 @@ pub fn explain(trace: &Trace, spec: &BlameSpec, violations: &[Violation]) -> Bla
     // The sink: the victim's last destructive-action annotation at or
     // before the first violation. Absent => omission sink (the bug is that
     // the action never happened).
-    let mut sink: Option<(u64, SimTime, String, String)> = None;
+    let mut sink: Option<(u64, SimTime, &'static str, String)> = None;
     if let Some(v) = victim {
         for e in trace.iter() {
             if e.at > bound {
                 break;
             }
             if let TraceEventKind::Annotation { actor, label, data } = &e.kind {
-                if *actor == v && spec.action_labels.iter().any(|l| label.as_str() == *l) {
-                    sink = Some((e.seq, e.at, label.to_string(), data.clone()));
+                if *actor == v && spec.action_labels.contains(label) {
+                    sink = Some((e.seq, e.at, *label, data.clone()));
                 }
             }
         }
@@ -506,7 +506,7 @@ pub fn explain(trace: &Trace, spec: &BlameSpec, violations: &[Violation]) -> Bla
             // intervened before the crash — the state was re-entered, not
             // merely re-asserted.
             let mut twin = false;
-            let mut last_same_data_label: Option<String> = None;
+            let mut last_same_data_label = None;
             for e in trace.iter() {
                 if e.seq >= crash_seq {
                     break;
@@ -518,14 +518,14 @@ pub fn explain(trace: &Trace, spec: &BlameSpec, violations: &[Violation]) -> Bla
                 } = &e.kind
                 {
                     if *actor == v && d == data {
-                        if l.as_str() == label.as_str() {
+                        if l == label {
                             twin = true;
                         }
-                        last_same_data_label = Some(l.to_string());
+                        last_same_data_label = Some(*l);
                     }
                 }
             }
-            twin && last_same_data_label.as_deref() != Some(label.as_str())
+            twin && last_same_data_label != Some(*label)
         });
         if time_travel {
             (

@@ -10,7 +10,7 @@ use ph_core::divergence::{DivergenceSummary, ViewSlot};
 use ph_core::harness::RunReport;
 use ph_core::oracle::{check_all, Oracle};
 use ph_core::perturb::{Strategy, Targets};
-use ph_sim::{ActorId, Duration, Retention, SimTime, Sym, World, WorldConfig};
+use ph_sim::{ActorId, Duration, Retention, SimTime, World, WorldConfig};
 use ph_store::{Revision, StoreCluster, StoreNode};
 
 /// Which implementation variant a trial runs.
@@ -64,12 +64,9 @@ struct LagProbe {
     /// [`ClusterHandle::views`], resolved once: the walk order is fixed for
     /// the lifetime of a run and is the dense index of `meta`.
     views: Vec<(ActorId, Frontier)>,
-    /// Per-view `(metrics component sym, divergence slot)` pairs, resolved
-    /// lazily the first time a view is sampled.
-    meta: Vec<Option<(Sym, ViewSlot)>>,
-    /// Interned metric-name syms for the two per-view lag series.
-    hist_sym: Sym,
-    gauge_sym: Sym,
+    /// Per-view divergence slots, resolved lazily the first time a view
+    /// is sampled.
+    meta: Vec<Option<ViewSlot>>,
 }
 
 #[cfg(test)]
@@ -175,16 +172,11 @@ impl Runner {
         );
         world.run_until(t0);
         let targets = targets_for(&cluster, horizon);
-        // Pre-interning metric names is byte-invisible in exports (reports
-        // sort resolved keys), and keeps the per-sample hot path sym-only.
-        let metrics = world.metrics_mut();
         let probe = LagProbe {
             store: cluster.store.clone(),
             divergence: DivergenceSummary::new(),
             meta: vec![None; cluster.views().count()],
             views: cluster.views().collect(),
-            hist_sym: metrics.sym("view_lag.revisions"),
-            gauge_sym: metrics.sym("view_lag.last"),
         };
         Runner {
             world,
@@ -234,10 +226,10 @@ impl Runner {
     /// per view), so they surface in trace/metric exports too. Skipped while the store
     /// has no leader (the truth frontier is unknowable then).
     ///
-    /// Per view it folds the lag into a pre-resolved [`ViewSlot`] and sym
-    /// pair (O(1), no string hashing), observes the histogram and sets the
-    /// gauge. Cost per quantum is therefore O(views), through the same
-    /// writes as the string-keyed full diff, which survives as the
+    /// Per view it folds the lag into a pre-resolved [`ViewSlot`] (O(1),
+    /// no string lookup), observes the histogram and sets the gauge under
+    /// the view's actor id. Cost per quantum is therefore O(views), through
+    /// the same writes as the name-keyed full diff, which survives as the
     /// test-only reference this path is pinned to.
     pub fn sample_divergence(&mut self) {
         self.probe.sample(&mut self.world);
@@ -318,9 +310,9 @@ impl LagProbe {
     }
 
     /// Folds one view's lag sample into the divergence summary and metrics.
-    /// Resolves the view's `(component sym, divergence slot)` pair on first
-    /// contact — lazily, so views that never get sampled (e.g. a run that
-    /// ends before its first quantum) leave no empty entries in exports.
+    /// Resolves the view's divergence slot on first contact — lazily, so
+    /// views that never get sampled (e.g. a run that ends before its first
+    /// quantum) leave no empty entries in exports.
     fn record_view(
         &mut self,
         world: &mut World,
@@ -330,21 +322,15 @@ impl LagProbe {
         truth: Revision,
     ) {
         let lag = truth.0.saturating_sub(frontier.0);
-        let (comp, slot) = *self.meta[idx].get_or_insert_with(|| {
-            let name = world.name_handle(id);
-            let comp = world.metrics_mut().sym(name.as_str());
-            (comp, self.divergence.slot(name.as_str()))
-        });
+        let slot = *self.meta[idx].get_or_insert_with(|| self.divergence.slot(world.name_of(id)));
         self.divergence.record_slot(slot, lag);
-        let metrics = world.metrics_mut();
-        metrics.observe_sym(comp, self.hist_sym, lag);
-        metrics.gauge_set_sym(comp, self.gauge_sym, lag as i64);
+        record_lag_metrics(world, id, lag);
     }
 
-    /// The full-diff sampling path: the same walk, recorded through the
-    /// string-keyed APIs. Kept as the reference the incremental path is
-    /// regression-tested against — both must produce identical divergence
-    /// summaries and metric reports.
+    /// The full-diff sampling path: the same walk, recorded into the
+    /// divergence summary by view name. Kept as the reference the
+    /// incremental path is regression-tested against — both must produce
+    /// identical divergence summaries and metric reports.
     #[cfg(test)]
     fn sample_full(&mut self, world: &mut World, truth: Revision) {
         for &(id, frontier) in &self.views {
@@ -352,13 +338,18 @@ impl LagProbe {
                 continue;
             };
             let lag = truth.0.saturating_sub(rv.0);
-            let name = world.name_handle(id);
-            self.divergence.record(name.as_str(), lag);
-            let metrics = world.metrics_mut();
-            metrics.observe(name.as_str(), "view_lag.revisions", lag);
-            metrics.gauge_set(name.as_str(), "view_lag.last", lag as i64);
+            self.divergence.record(world.name_of(id), lag);
+            record_lag_metrics(world, id, lag);
         }
     }
+}
+
+/// Records one view's lag sample as its actor's `view_lag.revisions`
+/// histogram and `view_lag.last` gauge.
+fn record_lag_metrics(world: &mut World, view: ActorId, lag: u64) {
+    let metrics = world.metrics_mut();
+    metrics.observe(view, "view_lag.revisions", lag);
+    metrics.gauge_set(view, "view_lag.last", lag as i64);
 }
 
 /// Derives the strategy-facing [`Targets`] for a cluster:
@@ -457,7 +448,7 @@ mod tests {
         );
         assert_eq!(runner.probe.meta.len(), names.len());
         for (meta, name) in runner.probe.meta.iter().zip(names) {
-            let (_, slot) = meta.unwrap_or_else(|| panic!("{name} was never sampled"));
+            let slot = meta.unwrap_or_else(|| panic!("{name} was never sampled"));
             assert_eq!(slot, runner.probe.divergence.slot(name), "{name}");
         }
         let dead = runner

@@ -299,7 +299,7 @@ fn time_travel_depth(seed: u64, stale_upstream: bool) -> u64 {
     let mut log = FrontierLog::new();
     for e in world.trace().iter() {
         if let TraceEventKind::Annotation { actor, label, data } = &e.kind {
-            if *actor == kubelet && label == "view.frontier" {
+            if *actor == kubelet && *label == "view.frontier" {
                 if let Ok(rev) = data.parse() {
                     log.record(e.at.nanos(), rev);
                 }

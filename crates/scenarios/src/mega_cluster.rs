@@ -501,7 +501,7 @@ mod tests {
         // it re-list and announce itself ready a second time.
         let ready = trace.count(|e| {
             matches!(&e.kind, TraceEventKind::Annotation { label, .. }
-                if label.as_str() == "apiserver.ready")
+                if *label == "apiserver.ready")
         });
         assert_eq!(ready, 1, "the apiserver re-bootstrapped");
     }

@@ -65,7 +65,7 @@ mod tests {
             dst: ActorId(1),
             sent_at: SimTime::ZERO,
             kind: "test::Msg",
-            short: crate::intern::Name::from("Msg"),
+            short: "Msg",
             bytes: 0,
             msg: AnyMsg::new(1u8),
         }

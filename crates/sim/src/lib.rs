@@ -60,7 +60,6 @@ pub mod event;
 pub mod export;
 pub mod ids;
 pub mod intercept;
-pub mod intern;
 pub mod metrics;
 pub mod msg;
 pub mod net;
@@ -74,7 +73,6 @@ pub use event::Event;
 pub use export::{trace_to_chrome, trace_to_jsonl};
 pub use ids::{ActorId, MsgId, TimerId};
 pub use intercept::{Interceptor, NullInterceptor, Verdict};
-pub use intern::{Interner, Name, Sym};
 pub use metrics::{Histogram, MetricValue, Metrics, MetricsReport, DEFAULT_LATENCY_BOUNDS_NS};
 pub use msg::{AnyMsg, Envelope};
 pub use net::{LinkConfig, NetConfig, Network, Partition, SendOutcome};

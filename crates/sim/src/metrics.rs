@@ -17,7 +17,7 @@ use std::fmt::{Display, Write as _};
 
 use ph_lint::json;
 
-use crate::intern::{Interner, Sym};
+use crate::ids::ActorId;
 
 /// Default histogram bucket upper bounds, in nanoseconds: 1µs … 10s,
 /// log-spaced. Values above the last bound land in the implicit overflow
@@ -139,19 +139,32 @@ pub enum MetricValue {
 
 /// The live metrics registry, owned by a [`crate::World`].
 ///
-/// Keys are `(component, metric)` name pairs; components are actor names for
-/// actor-recorded samples, or harness-chosen labels for samples recorded from
-/// outside the message plane (e.g. the scenario runner's view-lag probe).
-///
-/// Internally the registry keys series by interned [`Sym`] pairs, so the
-/// steady-state record path (`*_sym` methods, or the string methods once a
-/// name has been seen) allocates nothing and compares integers instead of
-/// string pairs. [`Metrics::report`] resolves symbols back to strings, so
-/// snapshots are unchanged by the interning.
+/// Series are keyed `(actor, series)`: the recording actor's id and the
+/// metric's `&'static str` name, so recording a sample looks no string up
+/// and allocates nothing once the series exists. [`Metrics::report`]
+/// resolves ids to actor names; the report re-sorts by those strings, so
+/// its order does not depend on spawn order.
 #[derive(Debug, Default, Clone)]
 pub struct Metrics {
-    interner: Interner,
-    values: BTreeMap<(Sym, Sym), MetricValue>,
+    values: BTreeMap<(ActorId, Series), MetricValue>,
+}
+
+/// A series' name within one actor: a metric effect's name, or a span
+/// label whose durations land in the `"<label>.ns"` histogram. Spelled
+/// out only when a report is taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Series {
+    Named(&'static str),
+    SpanNs(&'static str),
+}
+
+impl Display for Series {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Series::Named(name) => f.write_str(name),
+            Series::SpanNs(label) => write!(f, "{label}.ns"),
+        }
+    }
 }
 
 impl Metrics {
@@ -160,37 +173,19 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Interns a component or metric name for use with the `*_sym` record
-    /// methods. Callers on a hot path should intern once and reuse the
-    /// returned [`Sym`].
-    pub fn sym(&mut self, s: &str) -> Sym {
-        self.interner.intern(s)
-    }
-
     /// Adds `delta` to a counter, creating it at zero first if needed.
     ///
     /// # Panics
     ///
     /// Panics if the name is already registered as a different metric kind.
-    pub fn counter_add(&mut self, component: &str, name: &str, delta: u64) {
-        let c = self.interner.intern(component);
-        let n = self.interner.intern(name);
-        self.counter_add_sym(c, n, delta);
-    }
-
-    /// [`Metrics::counter_add`] over pre-interned names.
-    pub fn counter_add_sym(&mut self, component: Sym, name: Sym, delta: u64) {
+    pub fn counter_add(&mut self, actor: ActorId, name: &'static str, delta: u64) {
         match self
             .values
-            .entry((component, name))
+            .entry((actor, Series::Named(name)))
             .or_insert(MetricValue::Counter(0))
         {
             MetricValue::Counter(v) => *v += delta,
-            other => panic!(
-                "{}/{} is not a counter: {other:?}",
-                self.interner.resolve(component),
-                self.interner.resolve(name)
-            ),
+            other => panic!("{actor}/{name} is not a counter: {other:?}"),
         }
     }
 
@@ -199,25 +194,14 @@ impl Metrics {
     /// # Panics
     ///
     /// Panics if the name is already registered as a different metric kind.
-    pub fn gauge_set(&mut self, component: &str, name: &str, value: i64) {
-        let c = self.interner.intern(component);
-        let n = self.interner.intern(name);
-        self.gauge_set_sym(c, n, value);
-    }
-
-    /// [`Metrics::gauge_set`] over pre-interned names.
-    pub fn gauge_set_sym(&mut self, component: Sym, name: Sym, value: i64) {
+    pub fn gauge_set(&mut self, actor: ActorId, name: &'static str, value: i64) {
         match self
             .values
-            .entry((component, name))
+            .entry((actor, Series::Named(name)))
             .or_insert(MetricValue::Gauge(0))
         {
             MetricValue::Gauge(v) => *v = value,
-            other => panic!(
-                "{}/{} is not a gauge: {other:?}",
-                self.interner.resolve(component),
-                self.interner.resolve(name)
-            ),
+            other => panic!("{actor}/{name} is not a gauge: {other:?}"),
         }
     }
 
@@ -227,48 +211,42 @@ impl Metrics {
     /// # Panics
     ///
     /// Panics if the name is already registered as a different metric kind.
-    pub fn observe(&mut self, component: &str, name: &str, value: u64) {
-        let c = self.interner.intern(component);
-        let n = self.interner.intern(name);
-        self.observe_sym(c, n, value);
+    pub fn observe(&mut self, actor: ActorId, name: &'static str, value: u64) {
+        self.observe_series(actor, Series::Named(name), value);
     }
 
-    /// [`Metrics::observe`] over pre-interned names.
-    pub fn observe_sym(&mut self, component: Sym, name: Sym, value: u64) {
+    /// Records a closed span's duration into the actor's `"<label>.ns"`
+    /// histogram.
+    pub(crate) fn observe_span(&mut self, actor: ActorId, label: &'static str, ns: u64) {
+        self.observe_series(actor, Series::SpanNs(label), ns);
+    }
+
+    fn observe_series(&mut self, actor: ActorId, series: Series, value: u64) {
         match self
             .values
-            .entry((component, name))
+            .entry((actor, series))
             .or_insert_with(|| MetricValue::Histogram(Histogram::new(&DEFAULT_LATENCY_BOUNDS_NS)))
         {
             MetricValue::Histogram(h) => h.observe(value),
-            other => panic!(
-                "{}/{} is not a histogram: {other:?}",
-                self.interner.resolve(component),
-                self.interner.resolve(name)
-            ),
+            other => panic!("{actor}/{series} is not a histogram: {other:?}"),
         }
     }
 
-    /// Snapshots the registry into an immutable, ordered report, resolving
-    /// interned keys back to `(component, metric)` strings. The resulting
-    /// report is byte-identical to one from a string-keyed registry: the
-    /// `BTreeMap` re-sorts by string key regardless of interning order.
-    pub fn report(&self) -> MetricsReport {
-        MetricsReport {
-            metrics: self
-                .values
-                .iter()
-                .map(|(&(c, n), v)| {
-                    (
-                        (
-                            self.interner.resolve(c).to_string(),
-                            self.interner.resolve(n).to_string(),
-                        ),
-                        v.clone(),
-                    )
-                })
-                .collect(),
-        }
+    /// Snapshots the registry into an immutable report, naming each
+    /// series' actor by `name_of`. The report's `BTreeMap` re-sorts by
+    /// `(actor name, metric name)`, so it is the same whatever order the
+    /// actors were spawned or the series recorded in.
+    pub fn report<'a>(&self, name_of: impl Fn(ActorId) -> &'a str) -> MetricsReport {
+        let metrics: BTreeMap<_, _> = self
+            .values
+            .iter()
+            .map(|(&(actor, series), v)| {
+                ((name_of(actor).to_string(), series.to_string()), v.clone())
+            })
+            .collect();
+        // A metric named `"<label>.ns"` would collide with that span's series.
+        debug_assert_eq!(metrics.len(), self.values.len(), "two series share a name");
+        MetricsReport { metrics }
     }
 }
 
@@ -471,16 +449,26 @@ pub fn prometheus_sample(out: &mut String, name: &str, labels: &str, value: impl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Actor, AnyMsg, Ctx, World, WorldConfig};
+
+    const A: ActorId = ActorId(0);
+    const B: ActorId = ActorId(1);
+    const C: ActorId = ActorId(2);
+
+    /// The registry's report with actors 0, 1, 2 named `a`, `b`, `c`.
+    fn report(m: &Metrics) -> MetricsReport {
+        m.report(|id| ["a", "b", "c"][id.index()])
+    }
 
     #[test]
     fn prometheus_rendering_is_grouped_and_cumulative() {
         let mut m = Metrics::new();
-        m.counter_add("b", "net.queue_dropped", 2);
-        m.counter_add("a", "net.queue_dropped", 1);
-        m.gauge_set("a", "net.queue_depth", 4);
-        m.observe("a", "net.queue_wait_ns", 5);
-        m.observe("a", "net.queue_wait_ns", 20_000_000_000);
-        let text = m.report().to_prometheus();
+        m.counter_add(B, "net.queue_dropped", 2);
+        m.counter_add(A, "net.queue_dropped", 1);
+        m.gauge_set(A, "net.queue_depth", 4);
+        m.observe(A, "net.queue_wait_ns", 5);
+        m.observe(A, "net.queue_wait_ns", 20_000_000_000);
+        let text = report(&m).to_prometheus();
         let expected = "\
 # TYPE ph_net_queue_depth gauge
 ph_net_queue_depth{component=\"a\"} 4
@@ -506,10 +494,10 @@ ph_net_queue_wait_ns_count{component=\"a\"} 2
     #[test]
     fn counters_accumulate_and_total_across_components() {
         let mut m = Metrics::new();
-        m.counter_add("a", "hits", 2);
-        m.counter_add("a", "hits", 3);
-        m.counter_add("b", "hits", 10);
-        let r = m.report();
+        m.counter_add(A, "hits", 2);
+        m.counter_add(A, "hits", 3);
+        m.counter_add(B, "hits", 10);
+        let r = report(&m);
         assert_eq!(r.counter("a", "hits"), Some(5));
         assert_eq!(r.counter("b", "hits"), Some(10));
         assert_eq!(r.counter_total("hits"), 15);
@@ -519,10 +507,10 @@ ph_net_queue_wait_ns_count{component=\"a\"} 2
     #[test]
     fn gauges_are_last_write_wins() {
         let mut m = Metrics::new();
-        m.gauge_set("a", "lag", 7);
-        m.gauge_set("a", "lag", 3);
-        m.gauge_set("b", "lag", 9);
-        let r = m.report();
+        m.gauge_set(A, "lag", 7);
+        m.gauge_set(A, "lag", 3);
+        m.gauge_set(B, "lag", 9);
+        let r = report(&m);
         assert_eq!(r.gauge("a", "lag"), Some(3));
         assert_eq!(r.gauge_max("lag"), Some(9));
     }
@@ -567,8 +555,8 @@ ph_net_queue_wait_ns_count{component=\"a\"} 2
     #[test]
     fn report_renderings_carry_quantiles() {
         let mut m = Metrics::new();
-        m.observe("c", "lat", 2_000);
-        let r = m.report();
+        m.observe(C, "lat", 2_000);
+        let r = report(&m);
         assert!(r.render().contains("p50 10000 p95 10000 p99 10000"));
         assert!(r
             .to_json()
@@ -579,36 +567,95 @@ ph_net_queue_wait_ns_count{component=\"a\"} 2
     #[should_panic(expected = "is not a counter")]
     fn kind_mismatch_panics() {
         let mut m = Metrics::new();
-        m.gauge_set("a", "x", 1);
-        m.counter_add("a", "x", 1);
+        m.gauge_set(A, "x", 1);
+        m.counter_add(A, "x", 1);
     }
 
     #[test]
     fn report_iterates_in_key_order_and_compares_equal() {
         let mut m1 = Metrics::new();
-        m1.counter_add("b", "n", 1);
-        m1.gauge_set("a", "g", 2);
+        m1.counter_add(B, "n", 1);
+        m1.gauge_set(A, "g", 2);
         let mut m2 = Metrics::new();
         // Recorded in the opposite order; snapshots must still be equal.
-        m2.gauge_set("a", "g", 2);
-        m2.counter_add("b", "n", 1);
-        assert_eq!(m1.report(), m2.report());
-        let report = m1.report();
-        let keys: Vec<(&str, &str)> = report.iter().map(|(c, n, _)| (c, n)).collect();
+        m2.gauge_set(A, "g", 2);
+        m2.counter_add(B, "n", 1);
+        assert_eq!(report(&m1), report(&m2));
+        let r = report(&m1);
+        let keys: Vec<(&str, &str)> = r.iter().map(|(c, n, _)| (c, n)).collect();
         assert_eq!(keys, vec![("a", "g"), ("b", "n")]);
-        assert_eq!(m1.report().len(), 2);
-        assert!(!m1.report().is_empty());
+        assert_eq!(r.len(), 2);
+        assert!(!r.is_empty());
     }
 
     #[test]
     fn json_rendering_is_deterministic_and_wellformed() {
         let mut m = Metrics::new();
-        m.counter_add("c", "n", 4);
-        m.observe("c", "lat", 2_000);
-        let j = m.report().to_json();
-        assert_eq!(j, m.report().to_json());
+        m.counter_add(C, "n", 4);
+        m.observe(C, "lat", 2_000);
+        let j = report(&m).to_json();
+        assert_eq!(j, report(&m).to_json());
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"c/n\":{\"type\":\"counter\",\"value\":4}"));
         assert!(j.contains("\"c/lat\":{\"type\":\"histogram\",\"count\":1,\"sum\":2000"));
+    }
+
+    /// Records the same counter, gauge and span on each actor it is
+    /// spawned as.
+    struct Recorder(u64);
+    impl Actor for Recorder {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.counter_add("hits", self.0);
+            ctx.gauge_set("depth", self.0 as i64);
+            ctx.span_begin("work", "");
+            ctx.span_end("work");
+        }
+        fn on_message(&mut self, _from: ActorId, _msg: AnyMsg, _ctx: &mut Ctx) {}
+    }
+
+    /// Series are keyed by actor id, and ids follow spawn order: `b`,
+    /// spawned first, has the smaller id, yet every rendering lists `a`
+    /// first, and a span's series is named `<label>.ns`.
+    #[test]
+    fn reports_sort_by_actor_name_not_spawn_order() {
+        let mut world = World::new(WorldConfig::default(), 1);
+        let b = world.spawn("b", Recorder(2));
+        let a = world.spawn("a", Recorder(1));
+        assert!(b < a);
+        let r = world.metrics_report();
+        let keys: Vec<(&str, &str)> = r.iter().map(|(c, n, _)| (c, n)).collect();
+        assert_eq!(
+            keys,
+            [
+                ("a", "depth"),
+                ("a", "hits"),
+                ("a", "work.ns"),
+                ("b", "depth"),
+                ("b", "hits"),
+                ("b", "work.ns"),
+            ]
+        );
+        assert_eq!(
+            (r.counter("a", "hits"), r.counter("b", "hits")),
+            (Some(1), Some(2))
+        );
+        assert_eq!(r.histogram("b", "work.ns").map(|h| h.count), Some(1));
+
+        let json = r.to_json();
+        assert!(json.starts_with("{\"a/depth\":{\"type\":\"gauge\",\"value\":1}"));
+        let at = |needle: &str| json.find(needle).unwrap_or_else(|| panic!("{needle}"));
+        assert!(at("\"a/work.ns\":{\"type\":\"histogram\"") < at("\"b/depth\""));
+
+        let prom = r.to_prometheus();
+        let at = |needle: &str| prom.find(needle).unwrap_or_else(|| panic!("{needle}"));
+        assert!(at("ph_depth{component=\"a\"} 1\n") < at("ph_depth{component=\"b\"} 2\n"));
+        assert!(
+            at("ph_hits_total{component=\"a\"} 1\n") < at("ph_hits_total{component=\"b\"} 2\n")
+        );
+        assert!(at("# TYPE ph_work_ns histogram\n") < at("ph_work_ns_count{component=\"a\"} 1\n"));
+        assert!(
+            at("ph_work_ns_count{component=\"a\"} 1\n")
+                < at("ph_work_ns_count{component=\"b\"} 1\n")
+        );
     }
 }

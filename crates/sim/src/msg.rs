@@ -9,7 +9,6 @@
 use std::any::Any;
 
 use crate::ids::{ActorId, MsgId};
-use crate::intern::Name;
 use crate::time::SimTime;
 
 /// A type-erased message payload.
@@ -89,9 +88,9 @@ pub struct Envelope {
     /// Human-readable payload type name (for traces and interceptor
     /// matching); derived from `std::any::type_name` of the payload.
     pub kind: &'static str,
-    /// [`Envelope::kind_short`] interned at send time, so every trace event
-    /// about this message shares one allocation.
-    pub(crate) short: Name,
+    /// [`Envelope::kind_short`], taken once at send time for every trace
+    /// event about this message.
+    pub(crate) short: &'static str,
     /// Modelled wire size in bytes. Only finite-bandwidth links read it;
     /// `0` (the [`crate::Ctx::send`] default) costs nothing to transmit.
     pub bytes: u64,
@@ -147,7 +146,7 @@ mod tests {
             dst: ActorId(1),
             sent_at: SimTime::ZERO,
             kind: "ph_store::raft::AppendEntries",
-            short: Name::from("AppendEntries"),
+            short: "AppendEntries",
             bytes: 0,
             msg: AnyMsg::new(Foo(1)),
         };

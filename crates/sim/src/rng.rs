@@ -4,6 +4,8 @@
 //! its own [`SimRng`] derived from `(root seed, actor id)`, so adding an actor
 //! or reordering unrelated draws does not perturb the streams of existing
 //! actors — a property that keeps bug reproductions stable as scenarios grow.
+//! [`fnv1a`] is the seed-independent string hash that layers above use to
+//! place keys deterministically.
 
 /// A deterministic random number generator for one simulation component.
 ///
@@ -13,6 +15,18 @@
 #[derive(Debug, Clone)]
 pub struct SimRng {
     s: [u64; 4],
+}
+
+/// FNV-1a hash of `s`: seed-independent and allocation-free, so a key's
+/// placement (a watch-cache shard, a plan fingerprint) is the same in
+/// every run and on every machine.
+pub fn fnv1a(s: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// Mixes a 64-bit value (splitmix64 finalizer); used to derive child seeds.

@@ -12,10 +12,11 @@
 //! not go through `Debug`; the `{:?}` rendering belongs to the exports
 //! ([`Trace::to_json`], [`crate::export`]).
 
+use std::rc::Rc;
+
 use ph_lint::json::Arr;
 
 use crate::ids::{ActorId, MsgId, TimerId};
-use crate::intern::Name;
 use crate::time::{Duration, SimTime};
 
 /// Why a message failed to reach its destination.
@@ -44,8 +45,8 @@ pub enum TraceEventKind {
     Spawned {
         /// The new actor.
         actor: ActorId,
-        /// Its human-readable name (interned; prints like a `String`).
-        name: Name,
+        /// Its human-readable name, shared with the world's actor table.
+        name: Rc<str>,
     },
     /// An actor sent a message.
     MessageSent {
@@ -55,8 +56,8 @@ pub enum TraceEventKind {
         src: ActorId,
         /// Destination.
         dst: ActorId,
-        /// Short payload type name (interned; prints like a `String`).
-        kind: Name,
+        /// Short payload type name (`"AppendEntries"`).
+        kind: &'static str,
     },
     /// A message reached its destination and was handled.
     MessageDelivered {
@@ -66,8 +67,8 @@ pub enum TraceEventKind {
         src: ActorId,
         /// Destination.
         dst: ActorId,
-        /// Short payload type name (interned; prints like a `String`).
-        kind: Name,
+        /// Short payload type name (`"AppendEntries"`).
+        kind: &'static str,
     },
     /// A message was lost.
     MessageDropped {
@@ -77,8 +78,8 @@ pub enum TraceEventKind {
         src: ActorId,
         /// Destination.
         dst: ActorId,
-        /// Short payload type name (interned; prints like a `String`).
-        kind: Name,
+        /// Short payload type name (`"AppendEntries"`).
+        kind: &'static str,
         /// Why it was lost.
         reason: DropReason,
     },
@@ -90,8 +91,8 @@ pub enum TraceEventKind {
         src: ActorId,
         /// Destination.
         dst: ActorId,
-        /// Short payload type name (interned; prints like a `String`).
-        kind: Name,
+        /// Short payload type name (`"AppendEntries"`).
+        kind: &'static str,
     },
     /// An interceptor delayed a message in flight ([`crate::Verdict::Delay`]).
     /// The message is still expected to arrive, `by` later than the network
@@ -103,8 +104,8 @@ pub enum TraceEventKind {
         src: ActorId,
         /// Destination.
         dst: ActorId,
-        /// Short payload type name (interned; prints like a `String`).
-        kind: Name,
+        /// Short payload type name (`"AppendEntries"`).
+        kind: &'static str,
         /// Extra in-flight latency added by the interceptor.
         by: Duration,
     },
@@ -119,8 +120,8 @@ pub enum TraceEventKind {
         src: ActorId,
         /// Destination.
         dst: ActorId,
-        /// Short payload type name (interned; prints like a `String`).
-        kind: Name,
+        /// Short payload type name (`"AppendEntries"`).
+        kind: &'static str,
         /// Queue occupancy at admission (this message included).
         depth: u32,
         /// Time spent queued before transmission began.
@@ -166,7 +167,7 @@ pub enum TraceEventKind {
         /// The annotating actor.
         actor: ActorId,
         /// Annotation label (namespaced by convention, e.g. `"kubelet.run_pod"`).
-        label: Name,
+        label: &'static str,
         /// Free-form payload.
         data: String,
     },
@@ -177,7 +178,7 @@ pub enum TraceEventKind {
         /// The actor the span belongs to.
         actor: ActorId,
         /// Span label (e.g. `"reconcile"`).
-        label: Name,
+        label: &'static str,
         /// Free-form detail attached at open time.
         detail: String,
     },
@@ -188,7 +189,7 @@ pub enum TraceEventKind {
         /// The actor the span belongs to.
         actor: ActorId,
         /// Span label matching the corresponding `SpanBegin`.
-        label: Name,
+        label: &'static str,
     },
 }
 
@@ -491,7 +492,7 @@ impl Trace {
                 actor,
                 label: l,
                 data,
-            } if l == label => Some((*actor, data.as_str())),
+            } if *l == label => Some((*actor, data.as_str())),
             _ => None,
         })
     }
@@ -503,7 +504,7 @@ impl Trace {
                 actor: a,
                 label,
                 data,
-            } if *a == actor => Some((label.as_str(), data.as_str())),
+            } if *a == actor => Some((*label, data.as_str())),
             _ => None,
         })
     }
@@ -566,7 +567,7 @@ mod tests {
     /// Field values for [`build`], handed out in the order asked for.
     struct Fields<'a> {
         ints: std::slice::Iter<'a, u64>,
-        strs: std::slice::Iter<'a, &'a str>,
+        strs: std::slice::Iter<'a, &'static str>,
     }
 
     impl Fields<'_> {
@@ -576,8 +577,8 @@ mod tests {
         fn actor(&mut self) -> ActorId {
             ActorId(self.n() as u32)
         }
-        fn name(&mut self) -> Name {
-            (*self.strs.next().expect("a string per field")).into()
+        fn name(&mut self) -> &'static str {
+            self.strs.next().expect("a string per field")
         }
     }
 
@@ -585,7 +586,7 @@ mod tests {
     /// `ints` and its string fields from `strs`, both in declaration order
     /// (extras unused). Every field is named, so a new one must draw a
     /// value here — which is all it takes for the tests below to perturb it.
-    fn build(tag: u64, ints: &[u64], strs: &[&str], reason: DropReason) -> TraceEventKind {
+    fn build(tag: u64, ints: &[u64], strs: &[&'static str], reason: DropReason) -> TraceEventKind {
         use TraceEventKind::*;
         let f = &mut Fields {
             ints: ints.iter(),
@@ -594,7 +595,7 @@ mod tests {
         match tag {
             1 => Spawned {
                 actor: f.actor(),
-                name: f.name(),
+                name: f.name().into(),
             },
             2 => MessageSent {
                 id: MsgId(f.n()),
@@ -823,7 +824,9 @@ mod tests {
         for (i, s) in TRICKY.iter().enumerate() {
             let ints = ints_for(i);
             let shrunk = &s[..s.char_indices().next_back().map_or(0, |(at, _)| at)];
-            let resized = [format!("{s}x"), format!("{s}\0"), shrunk.to_string()];
+            // Labels are `&'static str`; the few grown strings are leaked.
+            let resized = [format!("{s}x"), format!("{s}\0"), shrunk.to_string()]
+                .map(|r| &*Box::leak(r.into_boxed_str()));
             for (tag, reason) in shapes() {
                 let base = build(tag, &ints, &[s, s], reason);
                 let mut others = Vec::new();
@@ -884,7 +887,9 @@ mod tests {
 
     #[test]
     fn string_boundaries_are_framed() {
-        let note = |label: &str, data: &str| one(&build(13, &[0], &[label, data], REASONS[0]));
+        let note = |label: &'static str, data: &'static str| {
+            one(&build(13, &[0], &[label, data], REASONS[0]))
+        };
         // Bytes moving across the boundary between adjacent strings.
         assert_ne!(note("ab", "c"), note("a", "bc"));
         assert_ne!(note("abc", ""), note("", "abc"));

@@ -8,12 +8,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::rc::Rc;
 
 use crate::actor::{Actor, ActorObj, Ctx, Effect};
 use crate::event::{Event, Scheduled};
 use crate::ids::{ActorId, MsgId, TimerId};
 use crate::intercept::{Interceptor, NullInterceptor, Verdict};
-use crate::intern::{Interner, Name, Sym};
 use crate::metrics::{Metrics, MetricsReport};
 use crate::msg::{AnyMsg, Envelope};
 use crate::net::{NetConfig, Network, Partition, SendOutcome};
@@ -47,10 +47,7 @@ impl Default for WorldConfig {
 }
 
 struct Slot {
-    name: Name,
-    /// The actor's name pre-interned in the metrics registry, so metric
-    /// effects attribute without a lookup or allocation.
-    msym: Sym,
+    name: Rc<str>,
     actor: Box<dyn ActorObj>,
     rng: SimRng,
     crashed: bool,
@@ -69,7 +66,8 @@ pub struct World {
     processed: u64,
     max_events: u64,
     actors: Vec<Slot>,
-    names: BTreeMap<String, ActorId>,
+    /// Name → id, keyed by the slot's own name allocation.
+    names: BTreeMap<Rc<str>, ActorId>,
     queue: BinaryHeap<Reverse<Scheduled>>,
     /// Payload storage for queued events: [`Scheduled`] keys carry a slot
     /// index into this slab, keeping heap sifts small. Slots are recycled
@@ -85,13 +83,8 @@ pub struct World {
     interceptor: Box<dyn Interceptor>,
     trace: Trace,
     metrics: Metrics,
-    /// Interned trace strings (actor names, message kinds, labels): one
-    /// allocation per distinct string per world, shared by every event.
-    interner: Interner,
     /// Open span start times, LIFO per `(actor, label)`.
     open_spans: BTreeMap<(ActorId, &'static str), Vec<SimTime>>,
-    /// Pre-interned `"<label>.ns"` metric names, one per span label.
-    span_ns: BTreeMap<&'static str, Sym>,
     /// Reusable effect buffer for [`World::run_callback`]; taken for the
     /// duration of a callback and put back cleared, so steady-state
     /// callbacks allocate no effect storage.
@@ -128,9 +121,7 @@ impl World {
             interceptor: Box::new(NullInterceptor),
             trace,
             metrics: Metrics::new(),
-            interner: Interner::new(),
             open_spans: BTreeMap::new(),
-            span_ns: BTreeMap::new(),
             effects_scratch: Vec::new(),
         }
     }
@@ -178,9 +169,10 @@ impl World {
         &mut self.metrics
     }
 
-    /// Snapshots the metrics registry into an ordered, comparable report.
+    /// Snapshots the metrics registry into an ordered, comparable report,
+    /// naming each series' actor.
     pub fn metrics_report(&self) -> MetricsReport {
-        self.metrics.report()
+        self.metrics.report(|id| self.name_of(id))
     }
 
     /// Read access to the network fabric.
@@ -221,23 +213,17 @@ impl World {
         );
         let id = ActorId(self.actors.len() as u32);
         let rng = SimRng::derive(self.seed, id.0 as u64);
-        let interned = self.interner.intern_name(name);
+        let name: Rc<str> = name.into();
         self.actors.push(Slot {
-            name: interned.clone(),
-            msym: self.metrics.sym(name),
+            name: name.clone(),
             actor: Box::new(actor),
             rng,
             crashed: false,
             incarnation: 0,
         });
-        self.names.insert(name.to_string(), id);
-        self.trace.push(
-            self.now,
-            TraceEventKind::Spawned {
-                actor: id,
-                name: interned,
-            },
-        );
+        self.names.insert(name.clone(), id);
+        self.trace
+            .push(self.now, TraceEventKind::Spawned { actor: id, name });
         self.run_callback(id, |actor, ctx| actor.on_start(ctx));
         id
     }
@@ -254,17 +240,6 @@ impl World {
     /// Panics if `id` does not refer to a spawned actor.
     pub fn name_of(&self, id: ActorId) -> &str {
         &self.actors[id.index()].name
-    }
-
-    /// The actor's name as a cheaply clonable interned handle (an `Rc`
-    /// bump, where [`World::name_of`] would force callers that need
-    /// ownership to copy the string).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not refer to a spawned actor.
-    pub fn name_handle(&self, id: ActorId) -> Name {
-        self.actors[id.index()].name.clone()
     }
 
     /// Ids of all spawned actors, in spawn order. The iterator does not
@@ -554,7 +529,7 @@ impl World {
                 id: env.id,
                 src: env.src,
                 dst: env.dst,
-                kind: env.short.clone(),
+                kind: env.short,
             },
         );
         let Envelope { src, dst, msg, .. } = env;
@@ -644,7 +619,6 @@ impl World {
                     self.timers.remove(&id);
                 }
                 Effect::Annotate { label, data } => {
-                    let label = self.interner.intern_name(label);
                     self.trace.push(
                         self.now,
                         TraceEventKind::Annotation {
@@ -654,27 +628,14 @@ impl World {
                         },
                     );
                 }
-                Effect::CounterAdd { name, delta } => {
-                    let component = self.actors[src.index()].msym;
-                    let name = self.metrics.sym(name);
-                    self.metrics.counter_add_sym(component, name, delta);
-                }
-                Effect::GaugeSet { name, value } => {
-                    let component = self.actors[src.index()].msym;
-                    let name = self.metrics.sym(name);
-                    self.metrics.gauge_set_sym(component, name, value);
-                }
-                Effect::Observe { name, value } => {
-                    let component = self.actors[src.index()].msym;
-                    let name = self.metrics.sym(name);
-                    self.metrics.observe_sym(component, name, value);
-                }
+                Effect::CounterAdd { name, delta } => self.metrics.counter_add(src, name, delta),
+                Effect::GaugeSet { name, value } => self.metrics.gauge_set(src, name, value),
+                Effect::Observe { name, value } => self.metrics.observe(src, name, value),
                 Effect::SpanBegin { label, detail } => {
                     self.open_spans
                         .entry((src, label))
                         .or_default()
                         .push(self.now);
-                    let label = self.interner.intern_name(label);
                     self.trace.push(
                         self.now,
                         TraceEventKind::SpanBegin {
@@ -693,25 +654,10 @@ impl World {
                     // crash wipes the actor's open spans, and its restarted
                     // incarnation may close scopes it never opened.
                     if let Some(started) = started {
-                        let interned = self.interner.intern_name(label);
-                        self.trace.push(
-                            self.now,
-                            TraceEventKind::SpanEnd {
-                                actor: src,
-                                label: interned,
-                            },
-                        );
-                        let ns_sym = match self.span_ns.get(label) {
-                            Some(&s) => s,
-                            None => {
-                                let s = self.metrics.sym(&format!("{label}.ns"));
-                                self.span_ns.insert(label, s);
-                                s
-                            }
-                        };
-                        let component = self.actors[src.index()].msym;
+                        self.trace
+                            .push(self.now, TraceEventKind::SpanEnd { actor: src, label });
                         self.metrics
-                            .observe_sym(component, ns_sym, self.now.0 - started.0);
+                            .observe_span(src, label, self.now.0 - started.0);
                     }
                 }
             }
@@ -725,9 +671,7 @@ impl World {
         );
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
-        let short = self
-            .interner
-            .intern_name(kind.rsplit("::").next().unwrap_or(kind));
+        let short = kind.rsplit("::").next().unwrap_or(kind);
         let env = Envelope {
             id,
             src,
@@ -744,7 +688,7 @@ impl World {
                 id,
                 src,
                 dst,
-                kind: env.short.clone(),
+                kind: env.short,
             },
         );
         let verdict = self.interceptor.on_send(&env, self.now);
@@ -757,7 +701,7 @@ impl World {
                         id,
                         src,
                         dst,
-                        kind: env.short.clone(),
+                        kind: env.short,
                         by: d,
                     },
                 );
@@ -783,7 +727,7 @@ impl World {
                         id,
                         src,
                         dst,
-                        kind: env.short.clone(),
+                        kind: env.short,
                     },
                 );
                 self.held.insert(id, env);
@@ -808,12 +752,8 @@ impl World {
                 // Congestion telemetry, attributed to the sender: queue
                 // depth gauge, wait histogram, and — only when the message
                 // actually waited — a trace event provenance can blame.
-                let component = self.actors[src.index()].msym;
-                let depth_sym = self.metrics.sym("net.queue_depth");
-                self.metrics
-                    .gauge_set_sym(component, depth_sym, depth as i64);
-                let wait_sym = self.metrics.sym("net.queue_wait_ns");
-                self.metrics.observe_sym(component, wait_sym, waited.0);
+                self.metrics.gauge_set(src, "net.queue_depth", depth as i64);
+                self.metrics.observe(src, "net.queue_wait_ns", waited.0);
                 if waited.0 > 0 {
                     self.trace.push(
                         self.now,
@@ -821,7 +761,7 @@ impl World {
                             id,
                             src,
                             dst,
-                            kind: env.short.clone(),
+                            kind: env.short,
                             depth,
                             waited,
                         },
@@ -838,9 +778,7 @@ impl World {
             }
             SendOutcome::Lost(reason) => {
                 if reason == DropReason::QueueFull {
-                    let component = self.actors[src.index()].msym;
-                    let sym = self.metrics.sym("net.queue_dropped");
-                    self.metrics.counter_add_sym(component, sym, 1);
+                    self.metrics.counter_add(src, "net.queue_dropped", 1);
                 }
                 self.trace.push(
                     self.now,
@@ -1099,7 +1037,7 @@ mod tests {
         );
         let hit = w.run_until_event(SimTime(Duration::secs(1).as_nanos()), |e| {
             matches!(&e.kind, TraceEventKind::Annotation { label, data, .. }
-                if label == "tick" && data == "3")
+                if *label == "tick" && data == "3")
         });
         assert!(hit.is_some());
         assert_eq!(w.now().millis(), 30);

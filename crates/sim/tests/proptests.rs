@@ -5,10 +5,14 @@
 //! Cases are generated from a fixed-seed [`SimRng`] rather than an external
 //! property-testing framework, so the exact case set is pinned forever and
 //! the suite runs with zero third-party dependencies.
+//!
+//! The crate's one test binary: the network model's properties are the
+//! [`net_props`] module.
+
+mod net_props;
 
 use ph_sim::{
-    Actor, ActorId, AnyMsg, Ctx, Duration, Interner, SimRng, SimTime, TraceEventKind, World,
-    WorldConfig,
+    Actor, ActorId, AnyMsg, Ctx, Duration, SimRng, SimTime, TraceEventKind, World, WorldConfig,
 };
 
 /// A chatty actor: every tick it messages a fixed peer with a sequence
@@ -196,62 +200,6 @@ fn trace_message_lifecycle_is_consistent() {
             }
         }
         assert!(delivered.is_disjoint(&dropped), "delivered AND dropped");
-    }
-}
-
-/// Draws a random lowercase string of length 0..10.
-fn gen_string(rng: &mut SimRng) -> String {
-    let len = rng.below(10) as usize;
-    (0..len)
-        .map(|_| (b'a' + rng.below(26) as u8) as char)
-        .collect()
-}
-
-/// Interner properties under random workloads: resolution round-trips,
-/// symbol assignment is a pure function of the intern sequence, and ids are
-/// dense in first-occurrence order.
-#[test]
-fn interner_round_trips_and_is_insertion_order_deterministic() {
-    let mut rng = SimRng::from_seed(0x1A7E);
-    for _ in 0..64 {
-        // A pool with deliberate duplicates, interned in a random order.
-        let pool: Vec<String> = (0..rng.range(1, 24))
-            .map(|_| gen_string(&mut rng))
-            .collect();
-        let seq: Vec<&String> = (0..rng.range(1, 200))
-            .map(|_| &pool[rng.below(pool.len() as u64) as usize])
-            .collect();
-
-        let mut a = Interner::new();
-        let mut b = Interner::new();
-        let syms_a: Vec<_> = seq.iter().map(|s| a.intern(s)).collect();
-        let syms_b: Vec<_> = seq.iter().map(|s| b.intern(s)).collect();
-        assert_eq!(syms_a, syms_b, "sym assignment must be deterministic");
-
-        for (s, sym) in seq.iter().zip(&syms_a) {
-            assert_eq!(a.resolve(*sym), s.as_str(), "resolution must round-trip");
-            // Re-interning is idempotent and intern_name shares the
-            // original allocation.
-            assert_eq!(a.intern(s), *sym);
-            let n1 = a.intern_name(s);
-            let n2 = a.intern_name(s);
-            assert_eq!(n1, n2);
-            assert_eq!(n1.as_str().as_ptr(), n2.as_str().as_ptr());
-        }
-
-        // Ids are dense and ordered by first occurrence.
-        let mut first_occurrence: Vec<&str> = Vec::new();
-        for s in &seq {
-            if !first_occurrence.contains(&s.as_str()) {
-                first_occurrence.push(s);
-            }
-        }
-        for (i, s) in first_occurrence.iter().enumerate() {
-            assert_eq!(a.intern(s).id() as usize, i, "ids must be dense");
-        }
-        // Nothing else was interned: the next new string gets the next id.
-        let fresh = a.intern("#fresh");
-        assert_eq!(fresh.id() as usize, first_occurrence.len());
     }
 }
 

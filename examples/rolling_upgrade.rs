@@ -42,7 +42,7 @@ fn main() {
     assert_eq!(report2.0.trace_digest, report.trace_digest);
     for e in report2.1.iter() {
         if let TraceEventKind::Annotation { label, data, .. } = &e.kind {
-            if label.starts_with("kubelet.pod_") || label == "kubelet.restart" {
+            if label.starts_with("kubelet.pod_") || *label == "kubelet.restart" {
                 println!("  {:>10}  {:<18} {}", e.at.to_string(), label, data);
             }
         }

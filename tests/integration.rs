@@ -65,7 +65,7 @@ fn frontier_log(world: &World, actor: ActorId) -> FrontierLog {
             data,
         } = &e.kind
         {
-            if *a == actor && label == "view.frontier" {
+            if *a == actor && *label == "view.frontier" {
                 if let Ok(rev) = data.parse::<u64>() {
                     log.record(e.at.nanos(), rev);
                 }
