@@ -32,10 +32,6 @@ pub enum PickPolicy {
 pub struct ApiClientConfig {
     /// The apiservers, in a fixed order.
     pub apiservers: Vec<ActorId>,
-    /// Resend an unanswered request after this long.
-    pub request_timeout: Duration,
-    /// Declare a watch dead after this long without traffic.
-    pub watch_timeout: Duration,
     /// Upstream selection.
     pub pick: PickPolicy,
 }
@@ -45,8 +41,6 @@ impl ApiClientConfig {
     pub fn new(apiservers: Vec<ActorId>) -> ApiClientConfig {
         ApiClientConfig {
             apiservers,
-            request_timeout: Duration::millis(400),
-            watch_timeout: Duration::millis(1200),
             pick: PickPolicy::Pinned(0),
         }
     }
@@ -59,6 +53,15 @@ impl ApiClientConfig {
         self.pick == PickPolicy::ByInstance && self.apiservers.len() > 1
     }
 }
+
+/// Resend an unanswered request after this long.
+const REQUEST_TIMEOUT: Duration = Duration::millis(400);
+/// Declare a watch dead after this long without traffic.
+const WATCH_TIMEOUT: Duration = Duration::millis(1200);
+
+// An idle watch stays alive only because a progress notification refreshes
+// its `last_seen` before the timeout: the apiserver must send one sooner.
+const _: () = assert!(crate::apiserver::PROGRESS_INTERVAL.as_nanos() < WATCH_TIMEOUT.as_nanos());
 
 /// A finished client interaction.
 #[derive(Debug, Clone)]
@@ -180,7 +183,7 @@ impl ApiClient {
             Pending {
                 verb,
                 target,
-                deadline: ctx.now() + self.cfg.request_timeout,
+                deadline: ctx.now() + REQUEST_TIMEOUT,
             },
         );
         req
@@ -415,13 +418,12 @@ impl ApiClient {
     }
 
     fn resend(&mut self, req: u64, ctx: &mut Ctx) {
-        let timeout = self.cfg.request_timeout;
         let target = self.upstream();
         let Some(p) = self.pending.get_mut(&req) else {
             return;
         };
         p.target = target;
-        p.deadline = ctx.now() + timeout;
+        p.deadline = ctx.now() + REQUEST_TIMEOUT;
         let verb = p.verb.clone();
         let wire = ApiRequest { req, verb };
         let bytes = wire.wire_bytes();
@@ -449,7 +451,7 @@ impl ApiClient {
         let dead: Vec<u64> = self
             .watches
             .iter()
-            .filter(|(_, st)| now.since(st.last_seen) > self.cfg.watch_timeout)
+            .filter(|(_, st)| now.since(st.last_seen) > WATCH_TIMEOUT)
             .map(|(&w, _)| w)
             .collect();
         for watch in dead {

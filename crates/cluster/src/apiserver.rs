@@ -40,10 +40,6 @@ pub struct ApiServerConfig {
     pub store: StoreClientConfig,
     /// Rolling watch-event window length, in events.
     pub window: usize,
-    /// Client maintenance tick.
-    pub tick: Duration,
-    /// Idle-watcher progress interval.
-    pub progress_interval: Duration,
     /// Service time per cache read served by this apiserver (models finite
     /// apiserver capacity; zero = infinite).
     pub read_service: Duration,
@@ -61,14 +57,17 @@ impl ApiServerConfig {
         ApiServerConfig {
             store,
             window: 100,
-            tick: Duration::millis(20),
-            progress_interval: Duration::millis(200),
             read_service: Duration::ZERO,
             shards: 1,
             scale_telemetry: false,
         }
     }
 }
+
+/// Client maintenance tick.
+const TICK: Duration = Duration::millis(20);
+/// Idle-watcher progress interval.
+pub(crate) const PROGRESS_INTERVAL: Duration = Duration::millis(200);
 
 const TAG_TICK: u64 = 1;
 const TAG_PROGRESS: u64 = 2;
@@ -749,8 +748,8 @@ impl ApiServer {
 
 impl Actor for ApiServer {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.cfg.tick, TAG_TICK);
-        ctx.set_timer(self.cfg.progress_interval, TAG_PROGRESS);
+        ctx.set_timer(TICK, TAG_TICK);
+        ctx.set_timer(PROGRESS_INTERVAL, TAG_PROGRESS);
         self.begin_bootstrap(ctx);
     }
 
@@ -806,7 +805,7 @@ impl Actor for ApiServer {
         match tag {
             TAG_TICK => {
                 self.store.tick(ctx);
-                ctx.set_timer(self.cfg.tick, TAG_TICK);
+                ctx.set_timer(TICK, TAG_TICK);
             }
             TAG_PROGRESS => {
                 let cache_rev = self.cache_rev;
@@ -822,7 +821,7 @@ impl Actor for ApiServer {
                         },
                     );
                 }
-                ctx.set_timer(self.cfg.progress_interval, TAG_PROGRESS);
+                ctx.set_timer(PROGRESS_INTERVAL, TAG_PROGRESS);
             }
             _ => {}
         }

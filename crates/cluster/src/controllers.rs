@@ -495,13 +495,14 @@ pub struct NodeLifecycleConfig {
     pub api: ApiClientConfig,
     /// Reconcile interval.
     pub sync_interval: Duration,
-    /// A node whose lease is older than this is considered unreachable.
-    pub lease_grace: Duration,
     /// `true`: force-delete pods bound to unreachable nodes so they get
     /// rescheduled (fast failover, unsafe under partitions — the hazard).
     /// `false`: only mark the node not-ready (safe; availability suffers).
     pub force_evict: bool,
 }
+
+/// A node whose lease is older than this is considered unreachable.
+const LEASE_GRACE: Duration = Duration::millis(800);
 
 /// Marks nodes (not-)ready from heartbeat-lease age and optionally evicts
 /// pods from unreachable nodes.
@@ -604,7 +605,7 @@ impl NodeLifecycleController {
                     Body::Lease { renewed_at_ns, .. } => Some(*renewed_at_ns),
                     _ => None,
                 })
-                .is_some_and(|at| now.since(ph_sim::SimTime(at)) <= self.cfg.lease_grace);
+                .is_some_and(|at| now.since(ph_sim::SimTime(at)) <= LEASE_GRACE);
             if fresh != *ready {
                 let mut flipped = node.clone();
                 if let Body::Node { ready } = &mut flipped.body {

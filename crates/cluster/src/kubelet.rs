@@ -38,10 +38,6 @@ pub struct KubeletConfig {
     pub api: ApiClientConfig,
     /// Reconcile interval.
     pub sync_interval: Duration,
-    /// Grace period between observing a pod's termination mark and
-    /// finalizing (deleting) the pod object — Kubernetes'
-    /// `terminationGracePeriodSeconds`.
-    pub termination_grace: Duration,
     /// `true` = quorum-read lists (the upstream fix).
     pub fixed: bool,
     /// Renew a node heartbeat lease (`leases/{node}`) this often
@@ -49,6 +45,10 @@ pub struct KubeletConfig {
     /// them on).
     pub lease_interval: Option<Duration>,
 }
+
+/// Grace period between observing a pod's termination mark and finalizing
+/// (deleting) the pod object — Kubernetes' `terminationGracePeriodSeconds`.
+const TERMINATION_GRACE: Duration = Duration::millis(200);
 
 const TAG_TICK: u64 = 1;
 const TAG_LEASE: u64 = 2;
@@ -222,7 +222,7 @@ impl Kubelet {
                 .terminating_since
                 .entry(obj.meta.name.clone())
                 .or_insert(now);
-            if now.since(since) >= self.cfg.termination_grace {
+            if now.since(since) >= TERMINATION_GRACE {
                 self.client
                     .delete(obj.key().as_str().to_string(), None, ctx);
             }
@@ -318,7 +318,6 @@ mod tests {
             node: "n1".into(),
             api,
             sync_interval: Duration::millis(50),
-            termination_grace: Duration::millis(200),
             fixed: false,
             lease_interval: None,
         });

@@ -29,22 +29,22 @@ use crate::objects::Object;
 use crate::operator::{CassandraOperator, OperatorConfig, OperatorFlags};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 
+/// Store cluster size (1–9 in the systems the paper surveys).
+const STORE_NODES: usize = 3;
+
 /// What to build.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Store cluster size (1–9 in the systems the paper surveys).
-    pub store_nodes: usize,
     /// Number of apiservers.
     pub apiservers: usize,
     /// Kubelet node names (a kubelet and a `Node` object are created for
     /// each — seed the `Node` objects with [`ClusterHandle::create_object`]).
     pub nodes: Vec<String>,
-    /// How kubelets pick their apiserver.
-    pub kubelet_pick: PickPolicy,
-    /// Under `ByInstance`, stagger kubelets' *initial* apiservers across the
-    /// fleet (kubelet i starts on apiserver i). Disable to have every
-    /// kubelet start on apiserver 1 and only diverge on restarts — the
-    /// Kubernetes-59848 topology.
+    /// Stagger kubelets' *initial* apiservers across the fleet (kubelet i
+    /// starts on apiserver i). Disable to have every kubelet start on
+    /// apiserver 1 and only diverge on restarts — the Kubernetes-59848
+    /// topology. Kubelets pick their apiserver
+    /// [`PickPolicy::ByInstance`].
     pub kubelet_stagger: bool,
     /// Kubelet variant (`true` = quorum-read lists, the 59848 fix).
     pub kubelet_fixed: bool,
@@ -68,8 +68,6 @@ pub struct ClusterConfig {
     pub store: StoreNodeConfig,
     /// Component reconcile interval.
     pub sync_interval: Duration,
-    /// Kubelet termination grace period.
-    pub termination_grace: Duration,
     /// Apiserver watch-cache shard count (internal layout only; runs are
     /// byte-identical across shard counts).
     pub api_shards: usize,
@@ -83,10 +81,8 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
         ClusterConfig {
-            store_nodes: 3,
             apiservers: 2,
             nodes: vec!["node-1".into(), "node-2".into()],
-            kubelet_pick: PickPolicy::ByInstance,
             kubelet_stagger: true,
             kubelet_fixed: false,
             scheduler: None,
@@ -97,7 +93,6 @@ impl Default for ClusterConfig {
             node_lifecycle: None,
             store: StoreNodeConfig::default(),
             sync_interval: Duration::millis(50),
-            termination_grace: Duration::millis(200),
             api_shards: 1,
             api_window: 100,
             api_scale_telemetry: false,
@@ -170,8 +165,8 @@ pub fn component_configs(cfg: &ClusterConfig, apiservers: &[ActorId]) -> Compone
         .iter()
         .enumerate()
         .map(|(i, node)| {
-            let mut api = api_cfg(cfg.kubelet_pick);
-            if cfg.kubelet_pick == PickPolicy::ByInstance && cfg.kubelet_stagger {
+            let mut api = api_cfg(PickPolicy::ByInstance);
+            if cfg.kubelet_stagger {
                 // Stagger initial upstreams: kubelet i starts on apiserver i.
                 api.apiservers.rotate_left(i % apiservers.len().max(1));
             }
@@ -179,7 +174,6 @@ pub fn component_configs(cfg: &ClusterConfig, apiservers: &[ActorId]) -> Compone
                 node: node.clone(),
                 api,
                 sync_interval: cfg.sync_interval,
-                termination_grace: cfg.termination_grace,
                 fixed: cfg.kubelet_fixed,
                 lease_interval: cfg.node_lifecycle.map(|_| Duration::millis(200)),
             }
@@ -215,7 +209,6 @@ pub fn component_configs(cfg: &ClusterConfig, apiservers: &[ActorId]) -> Compone
         node_lifecycle: cfg.node_lifecycle.map(|force_evict| NodeLifecycleConfig {
             api: api_cfg(PickPolicy::Pinned(0)),
             sync_interval: cfg.sync_interval.times(2),
-            lease_grace: Duration::millis(800),
             force_evict,
         }),
     }
@@ -275,12 +268,12 @@ pub fn declared_access_summaries() -> Vec<ph_lint::summary::AccessSummary> {
 
 /// Spawns the full stack described by `cfg`.
 pub fn spawn_cluster(world: &mut World, cfg: &ClusterConfig) -> ClusterHandle {
-    let store = spawn_store_cluster(world, cfg.store_nodes, cfg.store);
+    let store = spawn_store_cluster(world, STORE_NODES, cfg.store);
 
     let mut apiservers = Vec::with_capacity(cfg.apiservers);
     for i in 0..cfg.apiservers {
         let mut scc = StoreClientConfig::new(store.nodes.clone());
-        scc.affinity = Some(i % cfg.store_nodes);
+        scc.affinity = Some(i % STORE_NODES);
         let mut api_cfg = ApiServerConfig::new(scc);
         api_cfg.window = cfg.api_window;
         api_cfg.shards = cfg.api_shards;

@@ -1,4 +1,11 @@
 //! End-to-end cluster tests: the full Figure-1 pipeline under no faults.
+//!
+//! The crate's one test binary: the cluster-layer edge cases and the
+//! node-lifecycle controller are the [`edge_cases`] and [`node_lifecycle`]
+//! modules.
+
+mod edge_cases;
+mod node_lifecycle;
 
 use ph_cluster::controllers::VcMode;
 use ph_cluster::kubelet::Kubelet;

@@ -156,7 +156,7 @@ pub fn candidates(
         .collect();
     for e in trace.iter() {
         if let TraceEventKind::MessageSent { dst, kind, .. } = &e.kind {
-            if targets.notify_kinds.iter().any(|k| k == kind) && interesting.contains(dst) {
+            if targets.notify_kinds.contains(kind) && interesting.contains(dst) {
                 let n = per_dst.entry(*dst).or_insert(0);
                 ordinal_at.insert(e.seq, (*dst, *n));
                 *n += 1;
@@ -327,7 +327,7 @@ mod tests {
             store_nodes: [].into(),
             caches: [].into(),
             components: [d].into(),
-            notify_kinds: ["View".to_string()].into(),
+            notify_kinds: &["View"],
             horizon: Duration::millis(200),
         };
         (w, targets, d)

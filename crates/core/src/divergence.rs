@@ -14,20 +14,9 @@
 //! is what the determinism tests rely on (same seed ⇒ identical telemetry,
 //! bit for bit).
 //!
-//! ## Storage and the slot fast path
-//!
-//! Internally the summary is a slot vector indexed by view name: a
-//! harness registers each view once ([`DivergenceSummary::slot`]) and
-//! then folds samples in O(1) by dense id ([`DivergenceSummary::record_slot`])
-//! — no string hashing or tree descent per sample. The string-keyed
-//! [`DivergenceSummary::record`] survives as a thin wrapper. All exported
-//! orders (JSON, tables, iteration, equality) sort by view name at render
-//! time, so the output is byte-identical to the old name-keyed map
-//! regardless of registration order.
-//!
 //! A harness also publishes every sample to the world's metrics: it
 //! observes the view's `view_lag.revisions` histogram and sets its
-//! `view_lag.last` gauge, so a sample costs O(1) per view.
+//! `view_lag.last` gauge, so a sample costs one name lookup per view.
 
 use std::collections::BTreeMap;
 
@@ -78,19 +67,14 @@ impl ViewLag {
     }
 }
 
-/// A dense view id handed out by [`DivergenceSummary::slot`].
-pub type ViewSlot = u32;
-
-/// Per-view divergence over one run, keyed by component name.
+/// Per-view divergence over one run, keyed by component name. Every
+/// exported order (JSON, tables, iteration) is the name order.
 ///
-/// (Reports cross threads in the parallel trial pool, so the name table is
+/// (Reports cross threads in the parallel trial pool, so the names are
 /// plain `String`s, not the world's `Rc<str>` actor names.)
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DivergenceSummary {
-    /// Name → slot id (sorted — the canonical export order).
-    index: BTreeMap<String, ViewSlot>,
-    /// Stats by slot id.
-    slots: Vec<ViewLag>,
+    views: BTreeMap<String, ViewLag>,
 }
 
 impl DivergenceSummary {
@@ -101,68 +85,42 @@ impl DivergenceSummary {
 
     /// `true` if nothing was sampled.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.views.is_empty()
     }
 
-    /// Registers (or finds) the slot for `component`. Call once per view,
-    /// then fold samples in by id with [`DivergenceSummary::record_slot`].
-    pub fn slot(&mut self, component: &str) -> ViewSlot {
-        if let Some(&slot) = self.index.get(component) {
-            return slot;
-        }
-        let slot = self.slots.len() as ViewSlot;
-        self.index.insert(component.to_string(), slot);
-        self.slots.push(ViewLag::default());
-        slot
-    }
-
-    /// Folds one sampled lag into a registered slot — O(1), no hashing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` did not come from [`DivergenceSummary::slot`] on
-    /// this summary.
-    pub fn record_slot(&mut self, slot: ViewSlot, lag: u64) {
-        self.slots[slot as usize].record(lag);
-    }
-
-    /// Folds one sampled lag for `component` in (string-keyed wrapper
-    /// around [`DivergenceSummary::record_slot`]).
+    /// Folds one sampled lag for `component` in. The name is copied only
+    /// the first time the view is sampled.
     pub fn record(&mut self, component: &str, lag: u64) {
-        let slot = self.slot(component);
-        self.record_slot(slot, lag);
+        match self.views.get_mut(component) {
+            Some(view) => view.record(lag),
+            None => self
+                .views
+                .entry(component.to_string())
+                .or_default()
+                .record(lag),
+        }
     }
 
     /// The stats for one component, if sampled.
     pub fn view(&self, component: &str) -> Option<&ViewLag> {
-        self.index
-            .get(component)
-            .map(|&slot| &self.slots[slot as usize])
-    }
-
-    /// All `(component, stats)` pairs, sorted by component name — the
-    /// name-keyed index is already in that order.
-    fn sorted(&self) -> impl Iterator<Item = (&str, &ViewLag)> {
-        self.index
-            .iter()
-            .map(|(name, &slot)| (name.as_str(), &self.slots[slot as usize]))
+        self.views.get(component)
     }
 
     /// All `(component, stats)` pairs, in component order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ViewLag)> {
-        self.sorted()
+        self.views.iter().map(|(name, v)| (name.as_str(), v))
     }
 
     /// Largest lag sampled anywhere.
     pub fn max_lag(&self) -> u64 {
-        self.slots.iter().map(|v| v.max).max().unwrap_or(0)
+        self.views.values().map(|v| v.max).max().unwrap_or(0)
     }
 
     /// Mean lag across all samples of all views.
     pub fn mean_lag(&self) -> f64 {
         let (sum, n) = self
-            .slots
-            .iter()
+            .views
+            .values()
             .fold((0u64, 0u64), |(s, n), v| (s + v.sum, n + v.samples));
         if n == 0 {
             0.0
@@ -175,7 +133,7 @@ impl DivergenceSummary {
     /// component, in component order.
     pub fn to_json(&self) -> String {
         json::object(|o| {
-            for (name, v) in self.sorted() {
+            for (name, v) in self.iter() {
                 o.obj(name)
                     .val("samples", v.samples)
                     .val("lagging", v.lagging)
@@ -187,11 +145,11 @@ impl DivergenceSummary {
 
     /// Renders an aligned text table (deterministic: component order).
     pub fn render(&self) -> String {
-        if self.slots.is_empty() {
+        if self.views.is_empty() {
             return "(no divergence samples)\n".to_string();
         }
         let wide = self
-            .index
+            .views
             .keys()
             .map(|name| name.len())
             .max()
@@ -201,7 +159,7 @@ impl DivergenceSummary {
             "{:<wide$}  {:>8}  {:>8}  {:>8}  {:>7}\n",
             "view", "samples", "max-lag", "mean", "gap"
         );
-        for (name, v) in self.sorted() {
+        for (name, v) in self.iter() {
             out.push_str(&format!(
                 "{name:<wide$}  {:>8}  {:>8}  {:>8.2}  {:>6.1}%\n",
                 v.samples,
@@ -213,20 +171,6 @@ impl DivergenceSummary {
         out
     }
 }
-
-// Equality by (sorted name, stats) content: two summaries that recorded
-// the same views and samples compare equal even if the views were first
-// seen in different orders (slot ids are an internal layout detail).
-impl PartialEq for DivergenceSummary {
-    fn eq(&self, other: &DivergenceSummary) -> bool {
-        self.index.len() == other.index.len()
-            && self
-                .sorted()
-                .zip(other.sorted())
-                .all(|((an, av), (bn, bv))| an == bn && av == bv)
-    }
-}
-impl Eq for DivergenceSummary {}
 
 #[cfg(test)]
 mod tests {
@@ -282,24 +226,6 @@ mod tests {
         let z = table.find("zeta").expect("zeta row");
         assert!(a < z, "rows must be name-ordered:\n{table}");
         assert!(table.contains("gap"));
-    }
-
-    #[test]
-    fn slot_api_matches_string_api() {
-        let mut by_name = DivergenceSummary::new();
-        let mut by_slot = DivergenceSummary::new();
-        // Register in reverse name order: slot ids then disagree with the
-        // exported (sorted) order, which must not matter.
-        let z = by_slot.slot("zeta");
-        let a = by_slot.slot("alpha");
-        for (name, slot, lag) in [("zeta", z, 3), ("alpha", a, 0), ("zeta", z, 1)] {
-            by_name.record(name, lag);
-            by_slot.record_slot(slot, lag);
-        }
-        assert_eq!(by_name, by_slot);
-        assert_eq!(by_name.to_json(), by_slot.to_json());
-        assert_eq!(by_name.render(), by_slot.render());
-        assert_eq!(by_slot.slot("zeta"), z, "slot is idempotent");
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub mod telemetry;
 pub use autoguide::{candidates, explore, AutoFinding, Candidate};
 pub use canon::{canonicalize, canonicalize_ops, plan_class, ClassCensus, PlannedOp};
 pub use causality::CausalGraph;
-pub use divergence::{DivergenceSummary, ViewLag, ViewSlot};
+pub use divergence::{DivergenceSummary, ViewLag};
 pub use epoch::{EpochBuffer, EpochPartition};
 pub use harness::{DetectionMatrix, Explorer, RunReport, TrialOutcome};
 pub use history::{Change, ChangeOp, FrontierLog, History, PartialHistory, View};

@@ -48,7 +48,7 @@ pub struct Targets {
     /// Crash-eligible service components (kubelets, controllers, schedulers).
     pub components: std::rc::Rc<[ActorId]>,
     /// Short message-kind names that carry view updates (e.g. `WatchNotify`).
-    pub notify_kinds: std::rc::Rc<[String]>,
+    pub notify_kinds: &'static [&'static str],
     /// Nominal scenario length; random strategies scatter faults within it.
     pub horizon: Duration,
 }
@@ -199,9 +199,9 @@ impl Rule {
         }
     }
 
-    fn matches(&self, env: &Envelope, notify_kinds: &[String]) -> bool {
+    fn matches(&self, env: &Envelope, notify_kinds: &[&str]) -> bool {
         match &self.matcher {
-            None => notify_kinds.iter().any(|k| k == env.kind_short()),
+            None => notify_kinds.contains(&env.kind_short()),
             Some(m) => m.matches(env),
         }
     }
@@ -376,7 +376,7 @@ impl Strategy for Schedule {
                         let sent = |e: &&ph_sim::TraceEvent| {
                             matches!(&e.kind, TraceEventKind::MessageSent { dst: d, kind, .. }
                                 if *d == dst && e.at >= at(rule.from)
-                                    && targets.notify_kinds.iter().any(|k| k == kind))
+                                    && targets.notify_kinds.contains(kind))
                         };
                         progress[i].seen = world.trace().iter().filter(sent).count() as u64;
                     }
@@ -399,7 +399,7 @@ impl Strategy for Schedule {
             return;
         }
         let progress = Rc::clone(&self.progress);
-        let notify_kinds = targets.notify_kinds.clone();
+        let notify_kinds = targets.notify_kinds;
         world.set_interceptor(move |env: &Envelope, now: SimTime| {
             let mut progress = progress.borrow_mut();
             for (i, dst, rule) in &rules {
@@ -407,7 +407,7 @@ impl Strategy for Schedule {
                 if env.dst != *dst
                     || p.over
                     || now < at(rule.from)
-                    || !rule.matches(env, &notify_kinds)
+                    || !rule.matches(env, notify_kinds)
                 {
                     continue;
                 }
@@ -738,7 +738,7 @@ impl Strategy for CrashTunerCrashes {
                 let e = &events[self.cursor];
                 self.cursor += 1;
                 if let TraceEventKind::MessageDelivered { dst, kind, .. } = &e.kind {
-                    let is_view_update = targets.notify_kinds.iter().any(|k| k == kind);
+                    let is_view_update = targets.notify_kinds.contains(kind);
                     let is_service =
                         targets.components.contains(dst) || targets.caches.contains(dst);
                     if is_view_update && is_service && self.fired < self.max_crashes {
@@ -823,7 +823,7 @@ impl Strategy for CoFiPartitions {
                 let e = &events[self.cursor];
                 self.cursor += 1;
                 if let TraceEventKind::MessageDelivered { src, dst, kind, .. } = &e.kind {
-                    let is_view_update = targets.notify_kinds.iter().any(|k| k == kind);
+                    let is_view_update = targets.notify_kinds.contains(kind);
                     let is_service =
                         targets.components.contains(dst) || targets.caches.contains(dst);
                     if is_view_update && is_service && self.fired < self.max_partitions {
@@ -898,7 +898,7 @@ mod tests {
             store_nodes: [].into(),
             caches: [cache].into(),
             components: [cache].into(),
-            notify_kinds: ["ViewUpdate".to_string()].into(),
+            notify_kinds: &["ViewUpdate"],
             horizon: Duration::millis(500),
         };
         (w, targets, cache)
@@ -1119,7 +1119,7 @@ mod tests {
             store_nodes: [].into(),
             caches: [feeder].into(),
             components: [view].into(),
-            notify_kinds: ["ViewUpdate".to_string()].into(),
+            notify_kinds: &["ViewUpdate"],
             horizon: Duration::millis(500),
         };
         // 8 KB every 10 ms offered to a 10 KB/s link: ~80× over capacity

@@ -18,14 +18,14 @@
 use std::fmt::Write as _;
 
 use ph_sim::metrics::{prometheus_family, prometheus_sample};
-use ph_sim::{Histogram, DEFAULT_LATENCY_BOUNDS_NS};
+use ph_sim::Histogram;
 
 use crate::harness::{DetectionMatrix, TrialOutcome};
 
 impl TrialOutcome {
     /// Distribution of the executed trials' simulated run lengths.
     pub fn trial_latency(&self) -> Histogram {
-        let mut latency = Histogram::new(&DEFAULT_LATENCY_BOUNDS_NS);
+        let mut latency = Histogram::new();
         for &ns in &self.trial_sim_ns {
             latency.observe(ns);
         }

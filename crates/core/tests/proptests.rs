@@ -1,5 +1,10 @@
 //! Randomized-but-deterministic tests on the partial-history model's
 //! invariants, generated from a fixed-seed [`SimRng`].
+//!
+//! The crate's one test binary: the causality laws are the
+//! [`causality_props`] module.
+
+mod causality_props;
 
 use ph_sim::SimRng;
 

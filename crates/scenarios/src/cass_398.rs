@@ -97,7 +97,6 @@ fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
 /// scheduler, and the operator with one scenario's defect switches.
 pub(crate) fn operator_cluster(flags: OperatorFlags) -> ClusterConfig {
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         scheduler: Some(true),

@@ -6,12 +6,12 @@
 //! ([`Runner::drive`]) so trace-triggered strategies act promptly.
 
 use ph_cluster::topology::{ClusterConfig, ClusterHandle, Frontier};
-use ph_core::divergence::{DivergenceSummary, ViewSlot};
+use ph_core::divergence::DivergenceSummary;
 use ph_core::harness::RunReport;
 use ph_core::oracle::{check_all, Oracle};
 use ph_core::perturb::{Strategy, Targets};
 use ph_sim::{ActorId, Duration, Retention, SimTime, World, WorldConfig};
-use ph_store::{Revision, StoreCluster, StoreNode};
+use ph_store::{StoreCluster, StoreNode};
 
 /// Which implementation variant a trial runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,19 +62,8 @@ struct LagProbe {
     /// The samples so far; moved into the report when the run finishes.
     divergence: DivergenceSummary,
     /// [`ClusterHandle::views`], resolved once: the walk order is fixed for
-    /// the lifetime of a run and is the dense index of `meta`.
+    /// the lifetime of a run.
     views: Vec<(ActorId, Frontier)>,
-    /// Per-view divergence slots, resolved lazily the first time a view
-    /// is sampled.
-    meta: Vec<Option<ViewSlot>>,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Routes this thread's runners through the string-keyed full diff
-    /// ([`LagProbe::sample_full`]), the reference the incremental sampler
-    /// is tested against.
-    static FULL_DIFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The drive loop every trial shares: runs `world` up to absolute time
@@ -159,11 +148,7 @@ impl Runner {
         horizon: Duration,
         retention: Retention,
     ) -> Runner {
-        let config = WorldConfig {
-            retention,
-            ..WorldConfig::default()
-        };
-        let mut world = World::new(config, seed);
+        let mut world = World::new(WorldConfig { retention }, seed);
         let cluster = ph_cluster::topology::spawn_cluster(&mut world, cfg);
         let t0 = SimTime(t0.as_nanos());
         assert!(
@@ -175,7 +160,6 @@ impl Runner {
         let probe = LagProbe {
             store: cluster.store.clone(),
             divergence: DivergenceSummary::new(),
-            meta: vec![None; cluster.views().count()],
             views: cluster.views().collect(),
         };
         Runner {
@@ -226,11 +210,11 @@ impl Runner {
     /// per view), so they surface in trace/metric exports too. Skipped while the store
     /// has no leader (the truth frontier is unknowable then).
     ///
-    /// Per view it folds the lag into a pre-resolved [`ViewSlot`] (O(1),
-    /// no string lookup), observes the histogram and sets the gauge under
-    /// the view's actor id. Cost per quantum is therefore O(views), through
-    /// the same writes as the name-keyed full diff, which survives as the
-    /// test-only reference this path is pinned to.
+    /// Per view it folds the lag into the summary under the view's name,
+    /// observes the histogram and sets the gauge under the view's actor id,
+    /// so the cost per quantum is O(views). A view enters the summary the
+    /// first time it is sampled, so views a run never samples (one that
+    /// ends before its first quantum) leave no empty entries in exports.
     pub fn sample_divergence(&mut self) {
         self.probe.sample(&mut self.world);
     }
@@ -296,60 +280,17 @@ impl LagProbe {
         else {
             return;
         };
-        #[cfg(test)]
-        if FULL_DIFF.get() {
-            self.sample_full(world, truth);
-            return;
-        }
-        for idx in 0..self.views.len() {
-            let (id, frontier) = self.views[idx];
-            if let Some(rv) = frontier(world, id) {
-                self.record_view(world, idx, id, rv, truth);
-            }
-        }
-    }
-
-    /// Folds one view's lag sample into the divergence summary and metrics.
-    /// Resolves the view's divergence slot on first contact — lazily, so
-    /// views that never get sampled (e.g. a run that ends before its first
-    /// quantum) leave no empty entries in exports.
-    fn record_view(
-        &mut self,
-        world: &mut World,
-        idx: usize,
-        id: ActorId,
-        frontier: Revision,
-        truth: Revision,
-    ) {
-        let lag = truth.0.saturating_sub(frontier.0);
-        let slot = *self.meta[idx].get_or_insert_with(|| self.divergence.slot(world.name_of(id)));
-        self.divergence.record_slot(slot, lag);
-        record_lag_metrics(world, id, lag);
-    }
-
-    /// The full-diff sampling path: the same walk, recorded into the
-    /// divergence summary by view name. Kept as the reference the
-    /// incremental path is regression-tested against — both must produce
-    /// identical divergence summaries and metric reports.
-    #[cfg(test)]
-    fn sample_full(&mut self, world: &mut World, truth: Revision) {
         for &(id, frontier) in &self.views {
             let Some(rv) = frontier(world, id) else {
                 continue;
             };
             let lag = truth.0.saturating_sub(rv.0);
             self.divergence.record(world.name_of(id), lag);
-            record_lag_metrics(world, id, lag);
+            let metrics = world.metrics_mut();
+            metrics.observe(id, "view_lag.revisions", lag);
+            metrics.gauge_set(id, "view_lag.last", lag as i64);
         }
     }
-}
-
-/// Records one view's lag sample as its actor's `view_lag.revisions`
-/// histogram and `view_lag.last` gauge.
-fn record_lag_metrics(world: &mut World, view: ActorId, lag: u64) {
-    let metrics = world.metrics_mut();
-    metrics.observe(view, "view_lag.revisions", lag);
-    metrics.gauge_set(view, "view_lag.last", lag as i64);
 }
 
 /// Derives the strategy-facing [`Targets`] for a cluster:
@@ -371,7 +312,7 @@ pub fn targets_for(cluster: &ClusterHandle, horizon: Duration) -> Targets {
             .skip(cluster.apiservers.len())
             .map(|(id, _)| id)
             .collect(),
-        notify_kinds: ["WatchNotify".to_string(), "ApiWatchEvent".to_string()].into(),
+        notify_kinds: &["WatchNotify", "ApiWatchEvent"],
         horizon,
     }
 }
@@ -414,8 +355,8 @@ mod tests {
         use ph_cluster::controllers::VcMode;
         use ph_cluster::operator::OperatorFlags;
         // Every optional component configured, and one kubelet crashed: a
-        // crashed view keeps its index (and its frozen frontier keeps being
-        // sampled — the lag of a dead view is still lag).
+        // crashed view keeps its place in the walk (and its frozen frontier
+        // keeps being sampled — the lag of a dead view is still lag).
         let cfg = ClusterConfig {
             scheduler: Some(false),
             volume_controller: Some(VcMode::MarkOnly),
@@ -429,11 +370,11 @@ mod tests {
         runner.world.crash(crashed);
         runner.drive(&mut NoFault, Duration::millis(1200), Duration::millis(20));
 
-        let names: Vec<&str> = (runner.cluster.views())
-            .map(|(id, _)| runner.world.name_of(id))
+        let walk: Vec<&str> = (runner.probe.views.iter())
+            .map(|&(id, _)| runner.world.name_of(id))
             .collect();
         assert_eq!(
-            names,
+            walk,
             [
                 "apiserver-1",
                 "apiserver-2",
@@ -446,84 +387,13 @@ mod tests {
                 "node-lifecycle",
             ]
         );
-        assert_eq!(runner.probe.meta.len(), names.len());
-        for (meta, name) in runner.probe.meta.iter().zip(names) {
-            let slot = meta.unwrap_or_else(|| panic!("{name} was never sampled"));
-            assert_eq!(slot, runner.probe.divergence.slot(name), "{name}");
-        }
-        let dead = runner
-            .probe
-            .divergence
-            .view("kubelet-node-1")
-            .expect("sampled");
-        let live = runner
-            .probe
-            .divergence
-            .view("kubelet-node-2")
-            .expect("sampled");
+        let divergence = &runner.probe.divergence;
+        let sampled: Vec<&str> = divergence.iter().map(|(name, _)| name).collect();
+        let mut expected = walk.clone();
+        expected.sort_unstable();
+        assert_eq!(sampled, expected, "every view is sampled, once each");
+        let dead = divergence.view("kubelet-node-1").expect("sampled");
+        let live = divergence.view("kubelet-node-2").expect("sampled");
         assert_eq!(dead.samples, live.samples);
-    }
-
-    /// The incremental sampler and the full-diff reference must be
-    /// *report-identical* — not just statistically close — on every
-    /// scenario and variant: identical divergence summaries and identical
-    /// full report JSON, metrics included. The fast path runs twice, so
-    /// the same pair of runs also pins same-seed replay, and every fixed
-    /// variant must survive its buggy twin's guided injection.
-    #[test]
-    fn incremental_sampling_matches_the_full_diff_everywhere() {
-        for scenario in crate::SCENARIOS {
-            for variant in [Variant::Buggy, Variant::Fixed] {
-                let run = |full: bool| {
-                    FULL_DIFF.set(full);
-                    let report = scenario.run(7, (scenario.guided)(7).as_mut(), variant);
-                    FULL_DIFF.set(false);
-                    report
-                };
-                let (fast, again, full) = (run(false), run(false), run(true));
-                let name = scenario.name;
-
-                // The headline statistics, named explicitly so a failure
-                // reads directly...
-                assert_eq!(
-                    fast.divergence.max_lag(),
-                    full.divergence.max_lag(),
-                    "{name} {variant}: max lag diverged"
-                );
-                assert_eq!(
-                    fast.divergence.mean_lag().to_bits(),
-                    full.divergence.mean_lag().to_bits(),
-                    "{name} {variant}: mean lag diverged"
-                );
-                let gaps = |r: &RunReport| -> Vec<(String, u64)> {
-                    r.divergence
-                        .iter()
-                        .map(|(n, v)| (n.to_string(), v.gap_fraction().to_bits()))
-                        .collect()
-                };
-                assert_eq!(
-                    gaps(&fast),
-                    gaps(&full),
-                    "{name} {variant}: per-view gap fractions diverged"
-                );
-                // ...and the sledgehammer: the whole report, byte for byte
-                // (covers the histogram/gauge metrics both paths write).
-                assert_eq!(
-                    fast.to_json(),
-                    full.to_json(),
-                    "{name} {variant}: full report diverged"
-                );
-                assert_eq!(
-                    (&fast.metrics, &fast.divergence, fast.to_json()),
-                    (&again.metrics, &again.divergence, again.to_json()),
-                    "{name} {variant}: same-seed runs diverged"
-                );
-                assert!(
-                    variant == Variant::Buggy || !fast.failed(),
-                    "{name} fixed variant violated under guided injection: {:?}",
-                    fast.violations
-                );
-            }
-        }
     }
 }

@@ -119,7 +119,6 @@ fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
 /// nodes, the scheduler, and a replica-set controller.
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 1,
         nodes: vec!["node-1".into(), "node-2".into()],
         scheduler: Some(!variant.is_buggy()),

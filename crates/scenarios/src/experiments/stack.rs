@@ -401,7 +401,7 @@ fn run_manager(seed: u64, fixed: bool, lag: Duration) -> (u64, usize) {
         store_nodes: cluster.nodes.clone(),
         caches: [follower].into(),
         components: [manager].into(),
-        notify_kinds: ["RaftWire".to_string()].into(),
+        notify_kinds: &["RaftWire"],
         horizon: Duration::secs(5),
     };
     let mut strategy = Schedule::staleness(0, lag, Duration::millis(1500));

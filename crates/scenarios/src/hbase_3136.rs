@@ -298,7 +298,7 @@ fn setup(seed: u64, variant: Variant) -> StoreWorld {
         store_nodes: cluster.nodes.clone(),
         caches: [follower].into(),
         components: [manager].into(),
-        notify_kinds: ["RaftWire".to_string()].into(),
+        notify_kinds: &["RaftWire"],
         horizon: SCENARIO.horizon,
     };
     StoreWorld {

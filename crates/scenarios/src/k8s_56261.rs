@@ -93,7 +93,6 @@ fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
 
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         scheduler: Some(!variant.is_buggy()),

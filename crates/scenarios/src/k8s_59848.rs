@@ -99,7 +99,6 @@ fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
 
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         kubelet_stagger: false, // both kubelets start on api-1; restarts move them

@@ -95,7 +95,6 @@ fn cluster_config(p: &ScaleParams) -> ClusterConfig {
     // consumers' resume points, or relist storms dominate the run.
     let window = (p.pods / 2).max(1024);
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 1,
         nodes: vec![],
         store: StoreNodeConfig {

@@ -91,7 +91,6 @@ fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
 /// nodes.
 fn cluster_config(variant: Variant) -> ClusterConfig {
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         scheduler: Some(true),

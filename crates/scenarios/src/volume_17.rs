@@ -103,7 +103,6 @@ fn cluster_config(variant: Variant) -> ClusterConfig {
         VcMode::FreshOrphan
     };
     ClusterConfig {
-        store_nodes: 3,
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         volume_controller: Some(mode),

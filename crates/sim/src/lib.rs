@@ -75,7 +75,7 @@ pub use ids::{ActorId, MsgId, TimerId};
 pub use intercept::{Interceptor, NullInterceptor, Verdict};
 pub use metrics::{Histogram, MetricValue, Metrics, MetricsReport, DEFAULT_LATENCY_BOUNDS_NS};
 pub use msg::{AnyMsg, Envelope};
-pub use net::{LinkConfig, NetConfig, Network, Partition, SendOutcome};
+pub use net::{LinkConfig, Network, Partition, SendOutcome};
 pub use rng::SimRng;
 pub use time::{Duration, SimTime};
 pub use trace::{DropReason, Retention, Trace, TraceEvent, TraceEventKind};

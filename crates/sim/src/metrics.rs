@@ -8,9 +8,8 @@
 //! `BTreeMap` order — so two runs with the same seed produce *byte-identical*
 //! reports, and a report diff is a behavior diff.
 //!
-//! Histogram bucket bounds are fixed at registration (first observation) and
-//! default to [`DEFAULT_LATENCY_BOUNDS_NS`], a log-spaced ladder suited to
-//! simulated latencies recorded in nanoseconds.
+//! Every histogram buckets by [`DEFAULT_LATENCY_BOUNDS_NS`], a log-spaced
+//! ladder suited to simulated latencies recorded in nanoseconds.
 
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
@@ -33,14 +32,16 @@ pub const DEFAULT_LATENCY_BOUNDS_NS: [u64; 8] = [
     10_000_000_000,
 ];
 
-/// A fixed-bucket histogram: counts per upper bound plus an overflow bucket,
-/// with total count and sum for mean computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The last finite bucket bound: an overflow observation's quantile.
+const LAST_BOUND: u64 = DEFAULT_LATENCY_BOUNDS_NS[DEFAULT_LATENCY_BOUNDS_NS.len() - 1];
+
+/// A fixed-bucket histogram over [`DEFAULT_LATENCY_BOUNDS_NS`]: counts per
+/// upper bound plus an overflow bucket, with total count and sum for mean
+/// computation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Inclusive upper bounds of each bucket, ascending.
-    pub bounds: Vec<u64>,
     /// One count per bound, plus a final overflow bucket.
-    pub counts: Vec<u64>,
+    pub counts: [u64; DEFAULT_LATENCY_BOUNDS_NS.len() + 1],
     /// Total number of observations.
     pub count: u64,
     /// Sum of all observed values.
@@ -48,18 +49,9 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram over the given ascending bounds.
-    pub fn new(bounds: &[u64]) -> Histogram {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds not ascending"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-        }
+    /// Creates an empty histogram.
+    pub fn new() -> Histogram {
+        Histogram::default()
     }
 
     /// Appends this histogram as the Prometheus series `name{labels}`:
@@ -69,7 +61,7 @@ impl Histogram {
         let mut cumulative = 0u64;
         for (i, &count) in self.counts.iter().enumerate() {
             cumulative += count;
-            let _ = match self.bounds.get(i) {
+            let _ = match DEFAULT_LATENCY_BOUNDS_NS.get(i) {
                 Some(b) => writeln!(out, "{name}_bucket{{{labels},le=\"{b}\"}} {cumulative}"),
                 None => writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cumulative}"),
             };
@@ -80,11 +72,10 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
+        let idx = DEFAULT_LATENCY_BOUNDS_NS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(DEFAULT_LATENCY_BOUNDS_NS.len());
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += value;
@@ -116,13 +107,13 @@ impl Histogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return match self.bounds.get(i) {
-                    Some(&b) => b,
-                    None => *self.bounds.last().unwrap_or(&0),
-                };
+                return DEFAULT_LATENCY_BOUNDS_NS
+                    .get(i)
+                    .copied()
+                    .unwrap_or(LAST_BOUND);
             }
         }
-        *self.bounds.last().unwrap_or(&0)
+        LAST_BOUND
     }
 }
 
@@ -225,7 +216,7 @@ impl Metrics {
         match self
             .values
             .entry((actor, series))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new(&DEFAULT_LATENCY_BOUNDS_NS)))
+            .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
         {
             MetricValue::Histogram(h) => h.observe(value),
             other => panic!("{actor}/{series} is not a histogram: {other:?}"),
@@ -376,8 +367,8 @@ impl MetricsReport {
                             .val("p50", h.quantile(0.50))
                             .val("p95", h.quantile(0.95))
                             .val("p99", h.quantile(0.99))
-                            .vals("bounds", &h.bounds)
-                            .vals("counts", &h.counts);
+                            .vals("bounds", DEFAULT_LATENCY_BOUNDS_NS)
+                            .vals("counts", h.counts);
                     }
                 }
             }
@@ -517,39 +508,39 @@ ph_net_queue_wait_ns_count{component=\"a\"} 2
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(&[10, 100]);
-        h.observe(5);
-        h.observe(10); // inclusive upper bound
-        h.observe(50);
-        h.observe(1000); // overflow
-        assert_eq!(h.counts, vec![2, 1, 1]);
+        let mut h = Histogram::new();
+        h.observe(500);
+        h.observe(1_000); // inclusive upper bound
+        h.observe(5_000);
+        h.observe(20_000_000_000); // overflow
+        assert_eq!(h.counts, [2, 1, 0, 0, 0, 0, 0, 0, 1]);
         assert_eq!(h.count, 4);
-        assert_eq!(h.sum, 1065);
-        assert!((h.mean() - 266.25).abs() < 1e-9);
+        assert_eq!(h.sum, 20_000_006_500);
+        assert!((h.mean() - 5_000_001_625.0).abs() < 1e-3);
     }
 
     #[test]
     fn empty_histogram_mean_is_zero() {
-        assert_eq!(Histogram::new(&[1]).mean(), 0.0);
-        assert_eq!(Histogram::new(&[1]).quantile(0.5), 0);
+        assert_eq!(Histogram::new().mean(), 0.0);
+        assert_eq!(Histogram::new().quantile(0.5), 0);
     }
 
     #[test]
     fn quantiles_pick_bucket_upper_bounds() {
-        let mut h = Histogram::new(&[10, 100, 1000]);
+        let mut h = Histogram::new();
         for _ in 0..90 {
-            h.observe(5); // bucket <=10
+            h.observe(500); // bucket <=1µs
         }
         for _ in 0..9 {
-            h.observe(50); // bucket <=100
+            h.observe(5_000); // bucket <=10µs
         }
-        h.observe(5000); // overflow
-        assert_eq!(h.quantile(0.50), 10);
-        assert_eq!(h.quantile(0.90), 10);
-        assert_eq!(h.quantile(0.95), 100);
-        assert_eq!(h.quantile(0.99), 100);
+        h.observe(20_000_000_000); // overflow
+        assert_eq!(h.quantile(0.50), 1_000);
+        assert_eq!(h.quantile(0.90), 1_000);
+        assert_eq!(h.quantile(0.95), 10_000);
+        assert_eq!(h.quantile(0.99), 10_000);
         // Overflow observations report the last finite bound.
-        assert_eq!(h.quantile(1.0), 1000);
+        assert_eq!(h.quantile(1.0), 10_000_000_000);
     }
 
     #[test]

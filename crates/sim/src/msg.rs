@@ -102,8 +102,14 @@ impl Envelope {
     /// Short form of [`Envelope::kind`]: the path-stripped type name
     /// (`"AppendEntries"` rather than `"ph_store::raft::AppendEntries"`).
     pub fn kind_short(&self) -> &'static str {
-        self.kind.rsplit("::").next().unwrap_or(self.kind)
+        self.short
     }
+}
+
+/// The path-stripped form of a payload type name, taken once per send for
+/// [`Envelope::kind_short`].
+pub(crate) fn short_kind(kind: &'static str) -> &'static str {
+    kind.rsplit("::").next().unwrap_or(kind)
 }
 
 #[cfg(test)]
@@ -140,17 +146,8 @@ mod tests {
 
     #[test]
     fn kind_short_strips_module_path() {
-        let env = Envelope {
-            id: MsgId(1),
-            src: ActorId(0),
-            dst: ActorId(1),
-            sent_at: SimTime::ZERO,
-            kind: "ph_store::raft::AppendEntries",
-            short: "AppendEntries",
-            bytes: 0,
-            msg: AnyMsg::new(Foo(1)),
-        };
-        assert_eq!(env.kind_short(), "AppendEntries");
+        assert_eq!(short_kind("ph_store::raft::AppendEntries"), "AppendEntries");
+        assert_eq!(short_kind("Unqualified"), "Unqualified");
     }
 
     #[test]

@@ -70,13 +70,6 @@ struct QueueState {
     departures: VecDeque<SimTime>,
 }
 
-/// Network-wide defaults.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NetConfig {
-    /// Link behaviour used for every pair without an override.
-    pub default_link: LinkConfig,
-}
-
 /// A handle to an active partition, listing exactly the directed pairs it
 /// blocked, so healing removes precisely what the partition added.
 #[derive(Debug, Clone)]
@@ -113,10 +106,10 @@ pub enum SendOutcome {
     Lost(DropReason),
 }
 
-/// The simulated network fabric.
-#[derive(Debug)]
+/// The simulated network fabric. Every pair without an override behaves
+/// as [`LinkConfig::default`].
+#[derive(Debug, Default)]
 pub struct Network {
-    default_link: LinkConfig,
     overrides: BTreeMap<(ActorId, ActorId), LinkConfig>,
     blocked: BTreeSet<(ActorId, ActorId)>,
     /// Last scheduled delivery per directed link, for FIFO clamping.
@@ -126,23 +119,14 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network with the given defaults.
-    pub fn new(config: NetConfig) -> Network {
-        Network {
-            default_link: config.default_link,
-            overrides: BTreeMap::new(),
-            blocked: BTreeSet::new(),
-            fifo_horizon: BTreeMap::new(),
-            queues: BTreeMap::new(),
-        }
+    /// Creates a network with no overrides, partitions or queued traffic.
+    pub fn new() -> Network {
+        Network::default()
     }
 
     /// The link configuration in effect for `src → dst`.
     pub fn link(&self, src: ActorId, dst: ActorId) -> LinkConfig {
-        self.overrides
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default_link)
+        self.overrides.get(&(src, dst)).copied().unwrap_or_default()
     }
 
     /// Overrides the configuration of the directed link `src → dst`.
@@ -287,7 +271,7 @@ mod tests {
     use super::*;
 
     fn net() -> Network {
-        Network::new(NetConfig::default())
+        Network::new()
     }
 
     fn a() -> ActorId {

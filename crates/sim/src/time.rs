@@ -82,7 +82,7 @@ impl Duration {
 
     /// The length of this duration in nanoseconds.
     #[inline]
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 

@@ -15,20 +15,15 @@ use crate::event::{Event, Scheduled};
 use crate::ids::{ActorId, MsgId, TimerId};
 use crate::intercept::{Interceptor, NullInterceptor, Verdict};
 use crate::metrics::{Metrics, MetricsReport};
-use crate::msg::{AnyMsg, Envelope};
-use crate::net::{NetConfig, Network, Partition, SendOutcome};
+use crate::msg::{short_kind, AnyMsg, Envelope};
+use crate::net::{Network, Partition, SendOutcome};
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
 use crate::trace::{DropReason, Retention, Trace, TraceEvent, TraceEventKind};
 
-/// Tuning knobs for a [`World`].
-#[derive(Debug, Clone, Copy)]
+/// How a [`World`] is built.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WorldConfig {
-    /// Network defaults.
-    pub net: NetConfig,
-    /// Safety cap on processed events; exceeding it panics (it nearly always
-    /// means a zero-delay message loop in a protocol).
-    pub max_events: u64,
     /// Whether the trace stores its events or only hashes and counts them.
     /// A choice for the code that builds the world, made by what will read
     /// the trace afterwards — not a tuning knob: [`Retention::DigestOnly`]
@@ -36,15 +31,9 @@ pub struct WorldConfig {
     pub retention: Retention,
 }
 
-impl Default for WorldConfig {
-    fn default() -> WorldConfig {
-        WorldConfig {
-            net: NetConfig::default(),
-            max_events: 50_000_000,
-            retention: Retention::All,
-        }
-    }
-}
+/// Safety cap on processed events; exceeding it panics (it nearly always
+/// means a zero-delay message loop in a protocol).
+const MAX_EVENTS: u64 = 50_000_000;
 
 struct Slot {
     name: Rc<str>,
@@ -64,7 +53,6 @@ pub struct World {
     next_msg: u64,
     next_timer: u64,
     processed: u64,
-    max_events: u64,
     actors: Vec<Slot>,
     /// Name → id, keyed by the slot's own name allocation.
     names: BTreeMap<Rc<str>, ActorId>,
@@ -85,10 +73,6 @@ pub struct World {
     metrics: Metrics,
     /// Open span start times, LIFO per `(actor, label)`.
     open_spans: BTreeMap<(ActorId, &'static str), Vec<SimTime>>,
-    /// Reusable effect buffer for [`World::run_callback`]; taken for the
-    /// duration of a callback and put back cleared, so steady-state
-    /// callbacks allocate no effect storage.
-    effects_scratch: Vec<Effect>,
 }
 
 impl World {
@@ -108,7 +92,6 @@ impl World {
             next_msg: 0,
             next_timer: 0,
             processed: 0,
-            max_events: config.max_events,
             actors: Vec::new(),
             names: BTreeMap::new(),
             queue: BinaryHeap::new(),
@@ -116,13 +99,12 @@ impl World {
             free_slots: Vec::new(),
             timers: BTreeMap::new(),
             held: BTreeMap::new(),
-            net: Network::new(config.net),
+            net: Network::new(),
             net_rng: SimRng::derive(seed, u64::MAX),
             interceptor: Box::new(NullInterceptor),
             trace,
             metrics: Metrics::new(),
             open_spans: BTreeMap::new(),
-            effects_scratch: Vec::new(),
         }
     }
 
@@ -374,16 +356,15 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the configured `max_events` cap is exceeded.
+    /// Panics past `MAX_EVENTS` (50 000 000) processed events.
     pub fn step(&mut self) -> bool {
         let Some(Reverse(scheduled)) = self.queue.pop() else {
             return false;
         };
         self.processed += 1;
         assert!(
-            self.processed <= self.max_events,
-            "simulation exceeded max_events={} — livelock or runaway timer loop?",
-            self.max_events
+            self.processed <= MAX_EVENTS,
+            "simulation exceeded {MAX_EVENTS} events — livelock or runaway timer loop?"
         );
         debug_assert!(scheduled.at >= self.now, "time went backwards");
         self.now = scheduled.at;
@@ -561,12 +542,9 @@ impl World {
         self.run_callback(id, |a, ctx| a.on_restart(ctx));
     }
 
-    /// Runs one actor callback and applies its effects. The effect buffer
-    /// is a reusable scratch vector (taken for the duration of the callback,
-    /// put back cleared), so steady-state callbacks allocate nothing here.
+    /// Runs one actor callback and applies its effects.
     fn run_callback(&mut self, id: ActorId, f: impl FnOnce(&mut dyn ActorObj, &mut Ctx)) {
-        let mut effects = std::mem::take(&mut self.effects_scratch);
-        debug_assert!(effects.is_empty());
+        let mut effects = Vec::new();
         {
             let now = self.now;
             let next_timer_id = &mut self.next_timer;
@@ -580,13 +558,11 @@ impl World {
             };
             f(slot.actor.as_mut(), &mut ctx);
         }
-        self.apply_effects(id, &mut effects);
-        effects.clear();
-        self.effects_scratch = effects;
+        self.apply_effects(id, effects);
     }
 
-    fn apply_effects(&mut self, src: ActorId, effects: &mut Vec<Effect>) {
-        for effect in effects.drain(..) {
+    fn apply_effects(&mut self, src: ActorId, effects: Vec<Effect>) {
+        for effect in effects {
             match effect {
                 Effect::Send {
                     to,
@@ -671,14 +647,13 @@ impl World {
         );
         let id = MsgId(self.next_msg);
         self.next_msg += 1;
-        let short = kind.rsplit("::").next().unwrap_or(kind);
         let env = Envelope {
             id,
             src,
             dst,
             sent_at: self.now,
             kind,
-            short,
+            short: short_kind(kind),
             bytes,
             msg,
         };
@@ -1072,11 +1047,7 @@ mod tests {
     #[test]
     fn retention_changes_neither_digest_nor_count() {
         let run = |retention| {
-            let config = WorldConfig {
-                retention,
-                ..WorldConfig::default()
-            };
-            let mut w = World::new(config, 42);
+            let mut w = World::new(WorldConfig { retention }, 42);
             let a = w.spawn("a", Echo { received: vec![] });
             let b = w.spawn("b", Echo { received: vec![] });
             let t = w.spawn(

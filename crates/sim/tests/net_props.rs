@@ -17,7 +17,7 @@
 //!    transmission + propagation; a zero-size message sees pure
 //!    propagation delay.
 
-use ph_sim::net::{LinkConfig, NetConfig, Network, SendOutcome};
+use ph_sim::net::{LinkConfig, Network, SendOutcome};
 use ph_sim::{
     Actor, ActorId, AnyMsg, Ctx, DropReason, Duration, SimRng, SimTime, TraceEventKind, World,
     WorldConfig,
@@ -70,7 +70,7 @@ fn random_flow(
 fn fifo_queued_links_never_reorder_across_seeds() {
     for seed in 0..CASES {
         let mut rng = SimRng::from_seed(seed);
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let (src, dst) = (ActorId(0), ActorId(1));
         net.set_link(src, dst, random_queued_link(&mut rng, true));
         let mut last = None;
@@ -95,7 +95,7 @@ fn fifo_queued_links_never_reorder_across_seeds() {
 fn every_offer_is_admitted_or_lost_with_a_reason() {
     for seed in 0..CASES {
         let mut rng = SimRng::from_seed(0x1000 + seed);
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let (src, dst) = (ActorId(0), ActorId(1));
         let fifo = rng.chance(0.8);
         net.set_link(src, dst, random_queued_link(&mut rng, fifo));
@@ -124,7 +124,7 @@ fn every_offer_is_admitted_or_lost_with_a_reason() {
 fn queue_occupancy_never_exceeds_capacity() {
     for seed in 0..CASES {
         let mut rng = SimRng::from_seed(0x2000 + seed);
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let (src, dst) = (ActorId(0), ActorId(1));
         let mut link = random_queued_link(&mut rng, true);
         link.queue = rng.range(1, 12) as usize;
@@ -162,7 +162,7 @@ fn queue_occupancy_never_exceeds_capacity() {
 fn zero_load_latency_is_transmission_plus_propagation() {
     for seed in 0..CASES {
         let mut rng = SimRng::from_seed(0x3000 + seed);
-        let mut net = Network::new(NetConfig::default());
+        let mut net = Network::new();
         let (src, dst) = (ActorId(0), ActorId(1));
         let mut link = random_queued_link(&mut rng, true);
         link.jitter = Duration::ZERO;
@@ -302,7 +302,7 @@ fn queued_offer_sequences_are_deterministic() {
     for seed in 0..CASES {
         let run = |seed: u64| {
             let mut rng = SimRng::from_seed(0x5000 + seed);
-            let mut net = Network::new(NetConfig::default());
+            let mut net = Network::new();
             let (src, dst) = (ActorId(0), ActorId(1));
             net.set_link(src, dst, random_queued_link(&mut rng, true));
             random_flow(&mut net, &mut rng, src, dst, 100)

@@ -30,11 +30,6 @@ pub struct StoreClientConfig {
     /// per-trial config cloned from a cluster bumps a refcount instead of
     /// copying the id list).
     pub nodes: std::rc::Rc<[ActorId]>,
-    /// Resend an unanswered request after this long.
-    pub request_timeout: Duration,
-    /// Declare a watch stream dead after this long without events or
-    /// progress, and re-create it (possibly on a different node).
-    pub watch_timeout: Duration,
     /// Preferred node index for serializable reads and watches (`None`
     /// round-robins). Components pin this to "their" endpoint, like real
     /// deployments pin an apiserver to a local etcd member.
@@ -47,12 +42,20 @@ impl StoreClientConfig {
     pub fn new(nodes: impl Into<std::rc::Rc<[ActorId]>>) -> StoreClientConfig {
         StoreClientConfig {
             nodes: nodes.into(),
-            request_timeout: Duration::millis(500),
-            watch_timeout: Duration::millis(1000),
             affinity: None,
         }
     }
 }
+
+/// Resend an unanswered request after this long.
+const REQUEST_TIMEOUT: Duration = Duration::millis(500);
+/// Declare a watch stream dead after this long without events or
+/// progress, and re-create it (possibly on a different node).
+const WATCH_TIMEOUT: Duration = Duration::millis(1000);
+
+// An idle watch stays alive only because a progress notification refreshes
+// its `last_seen` before the timeout: the store must send one sooner.
+const _: () = assert!(crate::node::PROGRESS_INTERVAL.as_nanos() < WATCH_TIMEOUT.as_nanos());
 
 /// A finished interaction, surfaced to the owning component.
 #[derive(Debug, Clone)]
@@ -200,7 +203,7 @@ impl StoreClient {
                 op,
                 level,
                 target,
-                deadline: ctx.now() + self.cfg.request_timeout,
+                deadline: ctx.now() + REQUEST_TIMEOUT,
             },
         );
         req
@@ -443,7 +446,6 @@ impl StoreClient {
     }
 
     fn resend(&mut self, req: u64, ctx: &mut Ctx) {
-        let timeout = self.cfg.request_timeout;
         let Some(p) = self.pending.get(&req) else {
             return;
         };
@@ -462,7 +464,7 @@ impl StoreClient {
         ctx.send(target, ClientRequest { req, op, level });
         let p = self.pending.get_mut(&req).expect("checked");
         p.target = target;
-        p.deadline = ctx.now() + timeout;
+        p.deadline = ctx.now() + REQUEST_TIMEOUT;
     }
 
     /// Periodic maintenance: retries timed-out requests and re-creates dead
@@ -483,7 +485,7 @@ impl StoreClient {
         let dead: Vec<u64> = self
             .watches
             .iter()
-            .filter(|(_, st)| now.since(st.last_seen) > self.cfg.watch_timeout)
+            .filter(|(_, st)| now.since(st.last_seen) > WATCH_TIMEOUT)
             .map(|(&w, _)| w)
             .collect();
         for watch in dead {

@@ -44,19 +44,10 @@ pub struct AutoCompact {
     pub interval: Duration,
 }
 
-/// Tuning for a store node.
-#[derive(Debug, Clone, Copy)]
+/// Tuning for a store node. The default retains all history and serves
+/// reads at infinite capacity.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StoreNodeConfig {
-    /// Leader heartbeat / replication interval.
-    pub heartbeat: Duration,
-    /// Election timeout lower bound (randomized per arm).
-    pub election_min: Duration,
-    /// Election timeout upper bound.
-    pub election_max: Duration,
-    /// How often idle watchers receive a progress notification.
-    pub progress_interval: Duration,
-    /// How often the leader scans for expired leases.
-    pub lease_check_interval: Duration,
     /// History compaction policy (`None` retains everything).
     pub autocompact: Option<AutoCompact>,
     /// Service time consumed per client read served by this node (models
@@ -65,19 +56,21 @@ pub struct StoreNodeConfig {
     pub read_service: Duration,
 }
 
-impl Default for StoreNodeConfig {
-    fn default() -> StoreNodeConfig {
-        StoreNodeConfig {
-            heartbeat: Duration::millis(20),
-            election_min: Duration::millis(100),
-            election_max: Duration::millis(200),
-            progress_interval: Duration::millis(250),
-            lease_check_interval: Duration::millis(50),
-            autocompact: None,
-            read_service: Duration::ZERO,
-        }
-    }
-}
+/// Leader heartbeat / replication interval.
+const HEARTBEAT: Duration = Duration::millis(20);
+/// Election timeout bounds: each arm draws uniformly from
+/// `[ELECTION_MIN, ELECTION_MAX)`.
+const ELECTION_MIN: Duration = Duration::millis(100);
+const ELECTION_MAX: Duration = Duration::millis(200);
+/// How often idle watchers receive a progress notification.
+pub(crate) const PROGRESS_INTERVAL: Duration = Duration::millis(250);
+/// How often the leader scans for expired leases.
+const LEASE_CHECK_INTERVAL: Duration = Duration::millis(50);
+
+// A leader's heartbeats must reach followers before any of them can time
+// out, and the election draw needs a non-empty range.
+const _: () = assert!(HEARTBEAT.as_nanos() < ELECTION_MIN.as_nanos());
+const _: () = assert!(ELECTION_MIN.as_nanos() < ELECTION_MAX.as_nanos());
 
 const TAG_ELECTION: u64 = 1;
 const TAG_HEARTBEAT: u64 = 2;
@@ -185,13 +178,9 @@ impl StoreNode {
         if let Some(t) = self.election_timer.take() {
             ctx.cancel_timer(t);
         }
-        let span = ctx.rng().range(
-            self.cfg.election_min.as_nanos(),
-            self.cfg
-                .election_max
-                .as_nanos()
-                .max(self.cfg.election_min.as_nanos() + 1),
-        );
+        let span = ctx
+            .rng()
+            .range(ELECTION_MIN.as_nanos(), ELECTION_MAX.as_nanos());
         self.election_timer = Some(ctx.set_timer(Duration::nanos(span), TAG_ELECTION));
     }
 
@@ -203,7 +192,7 @@ impl StoreNode {
                 Effect::ResetElectionTimer => self.arm_election(ctx),
                 Effect::BecameLeader => {
                     ctx.annotate("store.leader", format!("term={}", self.core.term()));
-                    ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
+                    ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
                     // Fresh leader: every known lease gets a full TTL grace.
                     self.lease_deadlines.clear();
                     for id in self.mvcc.lease_ids() {
@@ -392,8 +381,8 @@ impl StoreNode {
 impl Actor for StoreNode {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.arm_election(ctx);
-        ctx.set_timer(self.cfg.progress_interval, TAG_PROGRESS);
-        ctx.set_timer(self.cfg.lease_check_interval, TAG_LEASE);
+        ctx.set_timer(PROGRESS_INTERVAL, TAG_PROGRESS);
+        ctx.set_timer(LEASE_CHECK_INTERVAL, TAG_LEASE);
         if let Some(ac) = self.cfg.autocompact {
             ctx.set_timer(ac.interval, TAG_COMPACT);
         }
@@ -462,7 +451,7 @@ impl Actor for StoreNode {
                 let mut effects = Vec::new();
                 self.core.on_heartbeat(&mut effects);
                 self.handle_effects(effects, ctx);
-                ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT, TAG_HEARTBEAT);
             }
             TAG_PROGRESS => {
                 let revision = self.mvcc.revision();
@@ -480,7 +469,7 @@ impl Actor for StoreNode {
                         },
                     );
                 }
-                ctx.set_timer(self.cfg.progress_interval, TAG_PROGRESS);
+                ctx.set_timer(PROGRESS_INTERVAL, TAG_PROGRESS);
             }
             TAG_LEASE => {
                 if self.core.is_leader() {
@@ -495,7 +484,7 @@ impl Actor for StoreNode {
                         self.propose_internal(Op::LeaseRevoke { id }, ctx);
                     }
                 }
-                ctx.set_timer(self.cfg.lease_check_interval, TAG_LEASE);
+                ctx.set_timer(LEASE_CHECK_INTERVAL, TAG_LEASE);
             }
             TAG_COMPACT => {
                 if let Some(ac) = self.cfg.autocompact {

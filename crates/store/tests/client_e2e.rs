@@ -1,6 +1,11 @@
 //! End-to-end store tests: client ↔ replicated store over the simulated
 //! network, exercising writes, reads at both consistency levels, watches,
 //! CAS, leases, compaction, failover and follower staleness.
+//!
+//! The crate's one test binary: the MVCC and Raft properties are the
+//! [`proptests`] module.
+
+mod proptests;
 
 use ph_sim::{Duration, SimTime, World, WorldConfig};
 use ph_store::client::BasicClient;

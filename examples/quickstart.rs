@@ -78,7 +78,7 @@ fn main() {
         store_nodes: cluster.store.nodes.clone(),
         caches: cluster.apiservers.as_slice().into(),
         components: cluster.kubelets.as_slice().into(),
-        notify_kinds: ["WatchNotify".to_string(), "ApiWatchEvent".to_string()].into(),
+        notify_kinds: &["WatchNotify", "ApiWatchEvent"],
         horizon: Duration::secs(10),
     };
     // (Delays preserve per-link FIFO order, like the TCP streams they

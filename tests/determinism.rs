@@ -2,11 +2,10 @@
 //!
 //! The whole methodology rests on this — a trial is only evidence if it can
 //! be replayed, and the telemetry layer is only trustworthy if it never
-//! perturbs or varies across replays. Every scenario's whole-report
-//! replay, both variants, is `ph_scenarios::common`'s
-//! `incremental_sampling_matches_the_full_diff_everywhere`; this file pins
-//! the digest's discrimination, blame chains and summaries across runs and
-//! thread counts, and the telemetry's presence.
+//! perturbs or varies across replays. This file pins every scenario's
+//! whole-report replay on both variants, the digest's discrimination,
+//! blame chains and summaries across runs and thread counts, and the
+//! telemetry's presence.
 
 use ph_core::perturb::Strategy;
 use ph_scenarios::{k8s_59848, scenario_statics, volume_17, Variant};
@@ -39,29 +38,49 @@ fn debug_fnv_digest(trace: &ph_sim::Trace) -> u64 {
 
 /// The re-encoding of the digest changed every digest's value and must
 /// have changed nothing else: the old definition and `Trace::digest()`
-/// must call exactly the same pairs of runs equal. A smoke of three guided
-/// runs per scenario — buggy at one seed, its replay (the deliberately
-/// equal pair), fixed at another seed; the migration itself was proven on
-/// a 468-run corpus when it was made, and the word layout is unit-tested
-/// beside the encoder.
+/// must call exactly the same pairs of runs equal. A smoke of four guided
+/// runs per scenario — buggy at one seed and fixed at another, each with
+/// its replay (the deliberately equal pairs); the migration itself was
+/// proven on a 468-run corpus when it was made, and the word layout is
+/// unit-tested beside the encoder.
+///
+/// The same runs pin two more things: a replay reproduces the whole
+/// report, metrics and divergence included, byte for byte; and every
+/// fixed variant survives its buggy twin's guided injection.
 #[test]
 fn binary_digest_partitions_runs_exactly_like_the_debug_rendering_digest() {
     let entries = scenario_statics();
     let mut jobs = Vec::new();
     for scenario in 0..entries.len() {
         jobs.extend([(scenario, Variant::Buggy, 3); 2]);
-        jobs.push((scenario, Variant::Fixed, 7));
+        jobs.extend([(scenario, Variant::Fixed, 7); 2]);
     }
     let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
-    // (old digest, new digest) per run; traces are not `Send`, so both are
-    // taken where the run happened.
-    let digests: Vec<(u64, u64)> = ph_core::run_indexed(threads, jobs.len(), |i| {
-        let (scenario, variant, seed) = jobs[i];
-        let e = &entries[scenario];
-        let (report, trace) = (e.run_traced)(seed, (e.guided)(seed).as_mut(), variant);
-        assert_eq!(report.trace_digest, trace.digest());
-        (debug_fnv_digest(&trace), trace.digest())
-    });
+    // (old digest, new digest, report) per run; traces are not `Send`, so
+    // both digests are taken where the run happened.
+    let runs: Vec<(u64, u64, ph_core::RunReport)> =
+        ph_core::run_indexed(threads, jobs.len(), |i| {
+            let (scenario, variant, seed) = jobs[i];
+            let e = &entries[scenario];
+            let (report, trace) = (e.run_traced)(seed, (e.guided)(seed).as_mut(), variant);
+            assert_eq!(report.trace_digest, trace.digest());
+            (debug_fnv_digest(&trace), trace.digest(), report)
+        });
+    for (pair, job) in runs.chunks(2).zip(jobs.chunks(2)) {
+        let (name, variant) = (entries[job[0].0].name, job[0].1);
+        let (a, b) = (&pair[0].2, &pair[1].2);
+        assert_eq!(
+            (&a.metrics, &a.divergence, a.to_json()),
+            (&b.metrics, &b.divergence, b.to_json()),
+            "{name} {variant}: same-seed runs diverged"
+        );
+        assert!(
+            variant == Variant::Buggy || !a.failed(),
+            "{name} fixed variant violated under guided injection: {:?}",
+            a.violations
+        );
+    }
+    let digests: Vec<(u64, u64)> = runs.iter().map(|&(old, new, _)| (old, new)).collect();
 
     // Per scenario, (equal, unequal) pairs seen — so the equivalence
     // below cannot hold vacuously.

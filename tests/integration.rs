@@ -17,7 +17,9 @@ mod export_golden;
 mod parallel_equivalence;
 mod reduction_equivalence;
 mod registry;
+mod shard_equivalence;
 mod static_dynamic_agreement;
+mod store_linearizability;
 mod witness_guidance;
 
 use std::sync::OnceLock;
