@@ -502,7 +502,7 @@ pub struct NodeLifecycleConfig {
 }
 
 /// A node whose lease is older than this is considered unreachable.
-const LEASE_GRACE: Duration = Duration::millis(800);
+pub(crate) const LEASE_GRACE: Duration = Duration::millis(800);
 
 /// Marks nodes (not-)ready from heartbeat-lease age and optionally evicts
 /// pods from unreachable nodes.

@@ -34,7 +34,6 @@
 //!   cache is stored in;
 //! * [`topology`] — helpers that assemble whole clusters.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

@@ -29,14 +29,15 @@ pub struct SchedulerConfig {
     /// `true` enables the recovery behaviours (periodic node re-list +
     /// rebinding off ghost nodes).
     pub fixed: bool,
-    /// Node-informer re-list period in the fixed variant.
-    pub resync_interval: Duration,
     /// `true` when the apiserver→scheduler feed rides a finite-bandwidth
     /// link, so offered load alone can age this scheduler's views. Purely a
     /// static declaration (threaded into [`InformerConfig::congestible`]);
     /// the link itself is configured on the world's network.
     pub congestible_feed: bool,
 }
+
+/// Both informers' re-list period in the fixed variant.
+const RESYNC_INTERVAL: Duration = Duration::millis(500);
 
 const TAG_TICK: u64 = 1;
 
@@ -64,13 +65,13 @@ impl Scheduler {
         let pods = Informer::new(InformerConfig {
             prefix: "pods/".into(),
             fresh_lists: false,
-            resync_interval: cfg.fixed.then_some(cfg.resync_interval),
+            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
             congestible: cfg.congestible_feed,
         });
         let nodes = Informer::new(InformerConfig {
             prefix: "nodes/".into(),
             fresh_lists: cfg.fixed,
-            resync_interval: cfg.fixed.then_some(cfg.resync_interval),
+            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
             congestible: cfg.congestible_feed,
         });
         Scheduler {
@@ -95,13 +96,13 @@ impl Scheduler {
         let pods = InformerConfig {
             prefix: "pods/".into(),
             fresh_lists: false,
-            resync_interval: cfg.fixed.then_some(cfg.resync_interval),
+            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
             congestible: cfg.congestible_feed,
         };
         let nodes = InformerConfig {
             prefix: "nodes/".into(),
             fresh_lists: cfg.fixed,
-            resync_interval: cfg.fixed.then_some(cfg.resync_interval),
+            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
             congestible: cfg.congestible_feed,
         };
         let mut actions = vec![ActionDecl {
@@ -299,7 +300,6 @@ mod tests {
             api: ApiClientConfig::new(vec![ActorId(1)]),
             sync_interval: Duration::millis(50),
             fixed: true,
-            resync_interval: Duration::millis(500),
             congestible_feed: false,
         });
         assert!(s.cached_nodes().is_empty());

@@ -32,6 +32,14 @@ use crate::scheduler::{Scheduler, SchedulerConfig};
 /// Store cluster size (1–9 in the systems the paper surveys).
 const STORE_NODES: usize = 3;
 
+/// How often a kubelet renews its node lease when a node-lifecycle
+/// controller watches the leases.
+const LEASE_INTERVAL: Duration = Duration::millis(200);
+
+// A live node stays ready only because it renews its lease before the
+// controller's grace runs out: the kubelet must renew sooner.
+const _: () = assert!(LEASE_INTERVAL.as_nanos() < crate::controllers::LEASE_GRACE.as_nanos());
+
 /// What to build.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -175,7 +183,7 @@ pub fn component_configs(cfg: &ClusterConfig, apiservers: &[ActorId]) -> Compone
                 api,
                 sync_interval: cfg.sync_interval,
                 fixed: cfg.kubelet_fixed,
-                lease_interval: cfg.node_lifecycle.map(|_| Duration::millis(200)),
+                lease_interval: cfg.node_lifecycle.map(|_| LEASE_INTERVAL),
             }
         })
         .collect();
@@ -186,7 +194,6 @@ pub fn component_configs(cfg: &ClusterConfig, apiservers: &[ActorId]) -> Compone
             api: api_cfg(PickPolicy::Pinned(0)),
             sync_interval: cfg.sync_interval,
             fixed,
-            resync_interval: Duration::millis(500),
             congestible_feed: cfg.scheduler_congestible,
         }),
         volume_controller: cfg.volume_controller.map(|mode| VolumeControllerConfig {

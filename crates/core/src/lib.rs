@@ -71,7 +71,6 @@
 //! assert!(h.state().is_empty());                 // the pod is long gone
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autoguide;

@@ -31,6 +31,12 @@
 //! thread's trial buffer pool warm across calls. Which worker runs a trial
 //! never changes the trial's seed, nor where its result lands.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one deterministic worker pool"
+)]
+
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 

@@ -5,7 +5,7 @@
 //! IR it checks. Summaries are hand-declared next to the components, so
 //! they can rot: a fence can be removed from the code while the
 //! declaration keeps claiming it, or a new destructive call can appear
-//! with no declaration at all. This pass extends the determinism lexer
+//! with no declaration at all. This pass extends [`crate::lexer`]
 //! into a lightweight item scanner over the cluster sources: it segments
 //! each file into top-level `impl` blocks, extracts the *observed* access
 //! protocol — which informer views the component maintains, which

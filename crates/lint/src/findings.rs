@@ -8,7 +8,7 @@ pub use crate::json::esc;
 /// One lint finding, suppressed or not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `wall-clock`.
+    /// Rule id, e.g. `ir-conformance`.
     pub rule: String,
     /// Repo-relative path of the offending file.
     pub file: String,
@@ -33,55 +33,36 @@ impl Finding {
     }
 }
 
-/// The result of a workspace determinism scan.
+/// The result of a workspace directive audit ([`crate::scan_workspace`]).
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// All findings, sorted by (file, line, rule).
+    /// All findings, in file order and then line order.
     pub findings: Vec<Finding>,
     /// How many `.rs` files were scanned.
     pub files_scanned: usize,
 }
 
 impl LintReport {
-    /// Sorts findings into their canonical deterministic order and drops
-    /// exact duplicates, so rendered output is independent of directory
-    /// walk order and of the same file being scanned via two passes.
-    pub fn sort(&mut self) {
-        self.findings.sort_by(|a, b| {
-            (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
-        });
-        self.findings.dedup();
-    }
-
-    /// Findings not covered by a suppression — these gate CI.
-    pub fn unsuppressed(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.suppressed.is_none())
-    }
-
-    /// Count of gating findings.
+    /// Count of findings not covered by a suppression — these gate CI.
     pub fn unsuppressed_count(&self) -> usize {
-        self.unsuppressed().count()
+        self.findings
+            .iter()
+            .filter(|f| f.suppressed.is_none())
+            .count()
     }
 
     /// Human-readable report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
-            match &f.suppressed {
-                Some(reason) => out.push_str(&format!(
-                    "allowed   {}:{} [{}] {} (reason: {})\n",
-                    f.file, f.line, f.rule, f.message, reason
-                )),
-                None => out.push_str(&format!(
-                    "finding   {}:{} [{}] {}\n",
-                    f.file, f.line, f.rule, f.message
-                )),
-            }
+            out.push_str(&format!(
+                "finding   {}:{} [{}] {}\n",
+                f.file, f.line, f.rule, f.message
+            ));
         }
         out.push_str(&format!(
-            "determinism: {} finding(s), {} suppressed, {} file(s) scanned\n",
-            self.unsuppressed_count(),
-            self.findings.len() - self.unsuppressed_count(),
+            "directives: {} malformed, {} file(s) scanned\n",
+            self.findings.len(),
             self.files_scanned
         ));
         out

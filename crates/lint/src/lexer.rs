@@ -1,9 +1,9 @@
 //! A line-preserving Rust source cleaner.
 //!
-//! The determinism rules in [`crate::rules`] are textual: they look for
-//! identifiers like `Instant::now` or `HashMap` on each line. Matching raw
-//! source would mis-fire on comments, doc text and string literals, so this
-//! module first *cleans* the source: every character inside a comment or a
+//! [`crate::conformance`] scans the cluster sources for calls and names like
+//! `.delete(` or `NotFound` line by line. Matching raw source would
+//! mis-fire on comments, doc text and string literals, so this module
+//! first *cleans* the source: every character inside a comment or a
 //! string/char literal is replaced by a space, while newlines are kept, so
 //! line numbers in findings match the original file exactly.
 //!
@@ -12,16 +12,16 @@
 //! matching findings on its own line (trailing comment) and on the next
 //! line (a comment placed above the offending statement). Directives with a
 //! missing or empty reason are reported as [`CleanFile::bad_directives`];
-//! the lint turns those into findings of their own, so a reason is
-//! mandatory, as the paper's methodology demands an argument for every
-//! deliberate divergence from determinism.
+//! [`crate::scan_workspace`] turns those into findings of their own, so a
+//! reason is mandatory, as the paper's methodology demands an argument for
+//! every deliberate divergence from what the IR declares.
 
 /// A well-formed suppression directive extracted from a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Directive {
     /// 1-based line the directive's comment ends on.
     pub line: usize,
-    /// The rule id being allowed, e.g. `wall-clock`.
+    /// The rule id being allowed, e.g. `ir-conformance`.
     pub rule: String,
     /// The mandatory human reason.
     pub reason: String,
@@ -349,8 +349,8 @@ fn parse_directive(text: &str, line: usize, file: &mut CleanFile) {
 /// Marks lines belonging to `#[cfg(test)]`-gated modules.
 ///
 /// Returns one flag per line of `lines` (same indexing); `true` means the
-/// line is test-only code, which most rules skip — tests may print, spawn
-/// threads, and measure wall time without affecting traces.
+/// line is test-only code, which the conformance scan skips: a test's
+/// calls are not the component's protocol.
 pub fn test_line_mask(lines: &[String]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0usize;

@@ -1,16 +1,17 @@
-//! # ph-lint — static determinism lint + partial-history hazard analysis
+//! # ph-lint — partial-history hazard analysis
 //!
-//! Two static passes that complement the dynamic explorer:
+//! The workspace's determinism contract — no wall clock, no unordered
+//! hash iteration, no entropy, no threads or locks outside
+//! `ph-core::parallel`, no stray prints, no `unsafe` — is enforced by the
+//! compiler and clippy, not here: `crates/clippy.toml` and the root
+//! manifest's `[workspace.lints]` (DESIGN.md §6.1). This crate holds the
+//! static passes that need the repo's own IR:
 //!
-//! 1. **Determinism lint** ([`rules`], [`lexer`], [`findings`]): every
-//!    guarantee the repo sells — byte-identical replay, parallel ≡
-//!    sequential exploration — rests on the workspace containing zero
-//!    nondeterminism. The lint scans all `.rs` files with a hand-rolled
-//!    comment/string-aware cleaner and flags wall-clock reads, unordered
-//!    hash iteration in trace-affecting crates, entropy-seeded RNG, thread
-//!    primitives outside the deterministic pool, and stray prints.
-//!    Suppressions (`// ph-lint: allow(<rule>, <reason>)`) require a
-//!    reason.
+//! 1. **The `ph-lint:` directive audit** ([`scan_workspace`], [`lexer`],
+//!    [`findings`]): conformance drift is suppressed with a
+//!    `// ph-lint: allow(<rule>, <reason>)` comment, and a directive
+//!    without a reason is a finding of its own, so every suppression says
+//!    why.
 //!
 //! 2. **Partial-history hazard analysis** ([`summary`], [`modelcheck`]):
 //!    each ph-cluster component exports an [`summary::AccessSummary`] of
@@ -48,30 +49,25 @@
 //! other workspace crate so they can export summaries in its IR and write
 //! JSON through its one writer.
 
-#![forbid(unsafe_code)]
-
 pub mod conformance;
 pub mod findings;
 pub mod independence;
 pub mod json;
 pub mod lexer;
 pub mod modelcheck;
-pub mod rules;
 pub mod summary;
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use findings::LintReport;
-use rules::{lint_file, FileMeta};
+use findings::{Finding, LintReport};
 
 /// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
+const SKIP_DIRS: &[&str] = &["target", ".git"];
 
 /// Collects all workspace `.rs` files under `root`, sorted for
-/// deterministic output. `fixtures` directories are skipped — they hold
-/// deliberately bad source for the lint's own golden tests.
+/// deterministic output.
 fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -95,23 +91,33 @@ fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Runs the determinism lint over every `.rs` file under `root` (a
-/// workspace checkout). Findings use repo-relative paths.
+/// Audits every `ph-lint:` directive in the `.rs` files under `root` (a
+/// workspace checkout): each malformed one, a reasonless `allow` among
+/// them, is a `bad-suppression` finding, which no directive can suppress.
+/// Findings use repo-relative paths, in file order and then line order.
 pub fn scan_workspace(root: &Path) -> io::Result<LintReport> {
-    let files = collect_rs_files(root)?;
     let mut report = LintReport::default();
-    for path in files {
+    for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(&path)?;
-        let meta = FileMeta::from_path(&rel);
-        report.findings.extend(lint_file(&meta, &src));
+        report.findings.extend(
+            lexer::clean(&src)
+                .bad_directives
+                .into_iter()
+                .map(|bad| Finding {
+                    rule: "bad-suppression".to_string(),
+                    file: rel.clone(),
+                    line: bad.line,
+                    message: format!("malformed ph-lint directive: {}", bad.problem),
+                    suppressed: None,
+                }),
+        );
         report.files_scanned += 1;
     }
-    report.sort();
     Ok(report)
 }
 
@@ -122,17 +128,28 @@ mod tests {
     #[test]
     fn scan_handles_a_small_tree() {
         let dir = std::env::temp_dir().join("ph-lint-scan-test");
-        let src_dir = dir.join("crates/sim/src");
+        fs::remove_dir_all(&dir).ok();
+        let src_dir = dir.join("crates/cluster/src");
         fs::create_dir_all(&src_dir).unwrap();
         fs::write(
             src_dir.join("bad.rs"),
-            "pub fn t() { let _ = std::time::Instant::now(); }\n",
+            "// ph-lint: allow(ir-conformance)\npub fn t() {}\n",
+        )
+        .unwrap();
+        fs::write(
+            src_dir.join("ok.rs"),
+            "// ph-lint: allow(ir-conformance, the reason it is fine)\npub fn t() {}\n",
         )
         .unwrap();
         let report = scan_workspace(&dir).unwrap();
-        assert_eq!(report.files_scanned, 1);
+        assert_eq!(report.files_scanned, 2);
         assert_eq!(report.unsuppressed_count(), 1);
-        assert_eq!(report.findings[0].file, "crates/sim/src/bad.rs");
+        let finding = &report.findings[0];
+        assert_eq!(finding.file, "crates/cluster/src/bad.rs");
+        assert_eq!(
+            (finding.rule.as_str(), finding.line),
+            ("bad-suppression", 1)
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

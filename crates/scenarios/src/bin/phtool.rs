@@ -43,7 +43,7 @@
 //!                                     (objects, window peak, cache bytes);
 //!                                     the trace is hashed and counted but
 //!                                     not stored (digest-only)
-//! phtool lint [--json] [--root DIR]  static determinism lint + §4.2
+//! phtool lint [--json] [--root DIR]  `ph-lint:` directive audit + §4.2
 //!                                     partial-history hazard analysis
 //! phtool check [--json] [--root DIR] symbolic model check (minimal
 //!                                     witnesses / epoch-safety per
@@ -70,6 +70,12 @@
 //! violation was detected (a dynamic oracle fired, a hunt found a
 //! violating candidate, or `lint` found unsuppressed findings or a
 //! static/dynamic disagreement) — so CI can gate on any subcommand.
+
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command line tool: stdout and stderr are its output"
+)]
 
 use std::collections::BTreeMap;
 
@@ -616,9 +622,10 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
     Ok(exit)
 }
 
-/// The static passes: the determinism lint over every workspace `.rs`
-/// file, and the §4.2 hazard analysis over every scenario's access
+/// The static passes: the `ph-lint:` directive audit over every workspace
+/// `.rs` file, and the §4.2 hazard analysis over every scenario's access
 /// summaries, cross-checked against each scenario's documented class.
+/// Determinism itself is clippy's (`crates/clippy.toml`).
 fn cmd_lint(args: &Args) -> Result<i32, Failure> {
     let root = workspace_root(args)?;
     let report = ph_lint::scan_workspace(&root)
@@ -639,7 +646,7 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
 
     if args.has("json") {
         let doc = json::object(|o| {
-            o.raw("determinism", &report.to_json())
+            o.raw("directives", &report.to_json())
                 .raw("hazards", &table.to_json());
             let mut independence = o.arr("independence");
             for (scenario, m) in &matrices {
@@ -653,7 +660,7 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }
 
-    println!("-- determinism lint ({}) --", root.display());
+    println!("-- ph-lint directives ({}) --", root.display());
     print!("{}", report.render_text());
     println!("\n-- independence matrices (perturbation alphabets, buggy variants) --");
     for (scenario, m) in &matrices {
@@ -682,7 +689,7 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
     println!("\n-- static cross-check --");
     print!("{}", table.render_text());
     if violated {
-        println!("\nverdict: VIOLATION (lint findings or static/dynamic mismatch)");
+        println!("\nverdict: VIOLATION (malformed directives or static/dynamic mismatch)");
         Ok(EXIT_VIOLATION)
     } else {
         println!("\nverdict: clean");

@@ -31,7 +31,6 @@
 //! one registry every tool, test and experiment loops over — adding a
 //! scenario is one module plus one line of the `scenarios!` list below.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cass_398;

@@ -52,7 +52,6 @@
 //! assert_eq!(ping_a.got, 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;

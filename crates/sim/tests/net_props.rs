@@ -207,10 +207,14 @@ struct Blaster {
     size: u64,
 }
 
-// The payload value exists to give each send a distinct Debug rendering in
-// the trace; nothing downcasts it.
 #[derive(Debug)]
-struct Blast(#[allow(dead_code)] u32);
+struct Blast(
+    #[allow(
+        dead_code,
+        reason = "gives each send a distinct Debug rendering in the trace; nothing downcasts it"
+    )]
+    u32,
+);
 
 impl Actor for Blaster {
     fn on_start(&mut self, ctx: &mut Ctx) {

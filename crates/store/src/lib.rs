@@ -44,7 +44,6 @@
 //! assert_eq!(s.events_since(Revision::ZERO).unwrap().len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bytes;

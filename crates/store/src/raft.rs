@@ -690,7 +690,10 @@ impl RaftCore {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the fields of one AppendEntries message, unpacked"
+    )]
     fn on_append(
         &mut self,
         from: NodeIdx,
@@ -1351,7 +1354,7 @@ mod tests {
     // -----------------------------------------------------------------
 
     impl RaftCore {
-        #[allow(clippy::too_many_arguments)]
+        #[allow(clippy::too_many_arguments, reason = "mirrors on_append's signature")]
         fn on_append_reference(
             &mut self,
             from: NodeIdx,

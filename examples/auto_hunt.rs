@@ -12,6 +12,12 @@
 //! are causally related to a component's action are likely to trigger
 //! bugs."
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example narrates its run on stdout"
+)]
+
 use ph_core::autoguide::explore;
 use ph_core::perturb::Strategy;
 use ph_scenarios::{k8s_56261, volume_17, Scenario, Variant};

@@ -13,6 +13,12 @@
 //! paper predicts: epochs convert silent interior gaps into *detected*,
 //! whole-epoch losses (no partial visibility), at the cost of buffering.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example narrates its run on stdout"
+)]
+
 use ph_core::epoch::{EpochBuffer, EpochError, EpochPartition};
 use ph_core::history::{Change, ChangeOp, History};
 use ph_core::observe::observability_report;

@@ -10,6 +10,12 @@
 //! cache holds a view `(H′, S′)`; we freeze its feed and watch the lag
 //! grow, then heal it and watch the views converge.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example narrates its run on stdout"
+)]
+
 use ph_cluster::apiserver::ApiServer;
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::{spawn_cluster, ClusterConfig};

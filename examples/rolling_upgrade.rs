@@ -9,6 +9,12 @@
 //! the trace, and then shows that the fixed kubelet survives the identical
 //! injection.
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "an example narrates its run on stdout"
+)]
+
 use ph_scenarios::k8s_59848::SCENARIO;
 use ph_scenarios::Variant;
 use ph_sim::TraceEventKind;
