@@ -43,12 +43,10 @@ pub enum Verb {
         /// Optimistic-concurrency precondition (`None` = last-writer-wins).
         expect_rv: Option<Revision>,
     },
-    /// Delete an object outright, optionally guarded.
+    /// Delete an object outright.
     Delete {
         /// Store key.
         key: String,
-        /// Optimistic-concurrency precondition.
-        expect_rv: Option<Revision>,
     },
     /// Graceful deletion: set the object's `deletionTimestamp` (the object
     /// stays visible until its manager finalizes and deletes it).
@@ -65,7 +63,7 @@ impl Verb {
             Verb::Get { key, .. }
             | Verb::Create { key, .. }
             | Verb::Update { key, .. }
-            | Verb::Delete { key, .. }
+            | Verb::Delete { key }
             | Verb::MarkDeleted { key } => key,
             Verb::List { prefix, .. } => prefix,
         }

@@ -240,20 +240,9 @@ impl ApiClient {
         )
     }
 
-    /// Deletes by key.
-    pub fn delete(
-        &mut self,
-        key: impl Into<String>,
-        expect_rv: Option<Revision>,
-        ctx: &mut Ctx,
-    ) -> u64 {
-        self.submit(
-            Verb::Delete {
-                key: key.into(),
-                expect_rv,
-            },
-            ctx,
-        )
+    /// Deletes by key, unconditionally.
+    pub fn delete(&mut self, key: impl Into<String>, ctx: &mut Ctx) -> u64 {
+        self.submit(Verb::Delete { key: key.into() }, ctx)
     }
 
     /// Marks an object for graceful deletion.

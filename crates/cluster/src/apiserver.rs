@@ -178,55 +178,6 @@ impl ApiServer {
         self.ready
     }
 
-    /// The static access protocol an apiserver follows, for the
-    /// partial-history hazard checker. The apiserver is pure plumbing: its
-    /// watch cache is a view over the store, but everything it *does* is
-    /// non-destructive — serve reads (cache or quorum passthrough) and
-    /// forward writes, the latter fenced by the store's revision
-    /// preconditions. Hazards live in the components acting on its views.
-    pub fn access_summary(_cfg: &ApiServerConfig) -> ph_lint::summary::AccessSummary {
-        use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath, ReadKind, ViewDecl};
-        AccessSummary {
-            component: "apiserver".into(),
-            upstream_switch: false,
-            views: vec![ViewDecl {
-                resource: "store".into(),
-                list: ReadKind::Cache,
-                watch: true,
-                relist_on_gap: true,
-                periodic_resync: false,
-                event_replay: false,
-                congestible: false,
-            }],
-            actions: vec![
-                ActionDecl {
-                    name: "serve-cache-read".into(),
-                    destructive: false,
-                    paths: vec![GatePath::new(
-                        "watch-cache",
-                        vec![Gate::CachePresence("store".into())],
-                    )],
-                },
-                ActionDecl {
-                    name: "serve-quorum-read".into(),
-                    destructive: false,
-                    paths: vec![GatePath::new(
-                        "passthrough",
-                        vec![Gate::FreshConfirm("store".into())],
-                    )],
-                },
-                ActionDecl {
-                    name: "forward-write".into(),
-                    destructive: false,
-                    paths: vec![GatePath::new(
-                        "revision-fenced",
-                        vec![Gate::Fence("store".into())],
-                    )],
-                },
-            ],
-        }
-    }
-
     /// Number of objects in the watch cache.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
@@ -664,12 +615,8 @@ impl ApiServer {
                     },
                 );
             }
-            Verb::Delete { key, expect_rv } => {
-                let expect = match expect_rv {
-                    Some(rv) => Expect::ModRev(rv),
-                    None => Expect::Any,
-                };
-                let sreq = self.store.delete(key, expect, ctx);
+            Verb::Delete { key } => {
+                let sreq = self.store.delete(key, Expect::Any, ctx);
                 self.pending.insert(
                     sreq,
                     PendingApi::Delete {

@@ -32,6 +32,8 @@ use std::collections::BTreeSet;
 
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, TimerId};
 
+use ph_lint::summary::{AccessSummary, ActionDecl, Evidence, Gate, GatePath};
+
 use crate::api::ApiOk;
 use crate::apiclient::{ApiClient, ApiClientConfig, ApiCompletion};
 use crate::informer::{Informer, InformerConfig, InformerEvent};
@@ -51,6 +53,46 @@ pub enum VcMode {
     FreshOrphan,
 }
 
+impl VcMode {
+    /// The `release-pvc` gate paths this mode acts under, in the order a
+    /// sparse read tries them. The `terminating-owner` path requires
+    /// *witnessing* the owner pod's transient terminating mark
+    /// ([`Gate::ObservedEvent`]: the mark exists only between graceful
+    /// delete and finalization, and this controller samples its view
+    /// sparsely), so under `MarkOnly` the release can be missed forever:
+    /// the §4.2.3 gap of the volume-controller scenario. Orphan paths gate
+    /// on the owner's absence from the cached pod view; only `FreshOrphan`
+    /// re-confirms with a quorum read.
+    pub(crate) fn release_paths(self) -> Vec<GatePath> {
+        let terminating_owner = GatePath::new(
+            "terminating-owner",
+            vec![Gate::ObservedEvent("pods".into())],
+        );
+        match self {
+            VcMode::MarkOnly => vec![terminating_owner],
+            VcMode::CacheOrphan => vec![terminating_owner, orphan_in_cache()],
+            VcMode::FreshOrphan => vec![terminating_owner, orphan_confirmed()],
+        }
+    }
+}
+
+/// Act on a PVC whose owner pod the cached view no longer shows.
+pub(crate) fn orphan_in_cache() -> GatePath {
+    GatePath::new("orphan-in-cache", vec![Gate::CacheAbsence("pods".into())])
+}
+
+/// Act on a PVC whose owner pod the cache no longer shows, once a quorum
+/// read confirms the pod is gone.
+pub(crate) fn orphan_confirmed() -> GatePath {
+    GatePath::new(
+        "orphan-confirmed",
+        vec![
+            Gate::CacheAbsence("pods".into()),
+            Gate::FreshConfirm("pods".into()),
+        ],
+    )
+}
+
 /// Volume controller tuning.
 #[derive(Debug, Clone)]
 pub struct VolumeControllerConfig {
@@ -67,72 +109,66 @@ pub struct VolumeControllerConfig {
 #[derive(Debug)]
 pub struct VolumeController {
     cfg: VolumeControllerConfig,
+    /// `cfg.mode`'s release paths with their evidence, resolved once.
+    paths: Vec<(GatePath, Evidence)>,
     client: ApiClient,
     pods: Informer,
     pvcs: Informer,
     /// PVC keys already released (avoid duplicate deletes).
     released: BTreeSet<String>,
-    /// Fresh-confirmation requests in flight: req → (pvc key, owner key).
-    confirming: std::collections::BTreeMap<u64, (String, String)>,
+    /// Fresh-confirmation requests in flight: req → (pvc key, index of the
+    /// path it acts under).
+    confirming: std::collections::BTreeMap<u64, (String, usize)>,
 }
 
 impl VolumeController {
     /// Creates a volume controller (spawn it into a world).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a release path is fenced: a PVC release carries no
+    /// precondition.
     pub fn new(cfg: VolumeControllerConfig) -> VolumeController {
+        let paths: Vec<(GatePath, Evidence)> = (cfg.mode.release_paths().into_iter())
+            .map(|path| {
+                let evidence = path.evidence();
+                assert!(evidence != Evidence::Fenced, "release-pvc is never fenced");
+                (path, evidence)
+            })
+            .collect();
         let client = ApiClient::new(cfg.api.clone(), 0);
+        let [pods, pvcs] = Self::informers().map(Informer::new);
         VolumeController {
             cfg,
+            paths,
             client,
-            pods: Informer::new(InformerConfig::new("pods/")),
-            pvcs: Informer::new(InformerConfig::new("pvcs/")),
+            pods,
+            pvcs,
             released: BTreeSet::new(),
             confirming: std::collections::BTreeMap::new(),
         }
     }
 
+    /// The controller's views: pods and PVCs, cache-listed.
+    fn informers() -> [InformerConfig; 2] {
+        ["pods/", "pvcs/"].map(InformerConfig::new)
+    }
+
     /// The static access protocol a volume controller built from `cfg`
-    /// follows, for the partial-history hazard checker.
-    ///
-    /// The `terminating-owner` path requires *witnessing* the owner pod's
-    /// transient terminating mark ([`ph_lint::summary::Gate::ObservedEvent`]
-    /// — the mark exists only between graceful delete and finalization, and
-    /// this controller samples its view sparsely), so in `MarkOnly` mode
-    /// the release can be missed forever: the §4.2.3 gap of the
-    /// volume-controller scenario. Orphan paths gate on the owner's
-    /// absence from the cached pod view; only `FreshOrphan` re-confirms
-    /// with a quorum read. Target-existence checks (the PVC itself) are
-    /// omitted: deleting an already-gone object is an idempotent no-op.
-    pub fn access_summary(cfg: &VolumeControllerConfig) -> ph_lint::summary::AccessSummary {
-        use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath};
-        let mut paths = vec![GatePath::new(
-            "terminating-owner",
-            vec![Gate::ObservedEvent("pods".into())],
-        )];
-        match cfg.mode {
-            VcMode::MarkOnly => {}
-            VcMode::CacheOrphan => paths.push(GatePath::new(
-                "orphan-in-cache",
-                vec![Gate::CacheAbsence("pods".into())],
-            )),
-            VcMode::FreshOrphan => paths.push(GatePath::new(
-                "orphan-confirmed",
-                vec![
-                    Gate::CacheAbsence("pods".into()),
-                    Gate::FreshConfirm("pods".into()),
-                ],
-            )),
-        }
+    /// follows, for the partial-history hazard checker: its views, and
+    /// its mode's release paths. Target-existence checks (the PVC itself)
+    /// are omitted: deleting an already-gone object is an idempotent no-op.
+    pub fn access_summary(cfg: &VolumeControllerConfig) -> AccessSummary {
         AccessSummary {
             component: "volume-controller".into(),
             upstream_switch: cfg.api.upstream_switch(),
-            views: vec![
-                InformerConfig::new("pods/").view_decl(),
-                InformerConfig::new("pvcs/").view_decl(),
-            ],
+            views: (Self::informers().iter())
+                .map(InformerConfig::view_decl)
+                .collect(),
             actions: vec![ActionDecl {
                 name: "release-pvc".into(),
                 destructive: true,
-                paths,
+                paths: cfg.mode.release_paths(),
             }],
         }
     }
@@ -148,13 +184,15 @@ impl VolumeController {
         self.pods.revision().min(self.pvcs.revision())
     }
 
-    fn release(&mut self, pvc_key: String, why: &str, ctx: &mut Ctx) {
+    /// Releases a PVC under `self.paths[path]`, annotated with its name.
+    fn release(&mut self, pvc_key: String, path: usize, ctx: &mut Ctx) {
         if !self.released.insert(pvc_key.clone()) {
             return;
         }
+        let why = &self.paths[path].0.name;
         ctx.annotate("vc.release_pvc", format!("{pvc_key} ({why})"));
         ctx.counter_inc("vc.pvc_releases");
-        self.client.delete(pvc_key, None, ctx);
+        self.client.delete(pvc_key, ctx);
     }
 
     /// One sparse read of `S′` (the controller's entire decision procedure).
@@ -168,19 +206,22 @@ impl VolumeController {
     }
 
     fn sparse_read_inner(&mut self, ctx: &mut Ctx) {
-        // Path 1: pods observed carrying a deletion timestamp.
-        let mut to_release: Vec<(String, &'static str)> = Vec::new();
-        for pod in self.pods.objects() {
-            if pod.is_terminating() {
-                if let Some(pvc) = pod.pod_pvc() {
-                    to_release.push((format!("pvcs/{pvc}"), "terminating-owner"));
+        let mut to_release: Vec<(String, usize)> = Vec::new();
+        let mut to_confirm: Vec<(String, String, usize)> = Vec::new();
+        for (path, (_, evidence)) in self.paths.iter().enumerate() {
+            if *evidence == Evidence::Observed {
+                // Pods observed carrying a deletion timestamp.
+                for pod in self.pods.objects() {
+                    if pod.is_terminating() {
+                        if let Some(pvc) = pod.pod_pvc() {
+                            to_release.push((format!("pvcs/{pvc}"), path));
+                        }
+                    }
                 }
+                continue;
             }
-        }
-        // Path 2 (CacheOrphan / FreshOrphan): PVCs whose owner is gone from
-        // the cached pod view.
-        let mut to_confirm: Vec<(String, String)> = Vec::new();
-        if self.cfg.mode != VcMode::MarkOnly {
+            // Orphan paths: PVCs whose owner is gone from the cached pod
+            // view, released at once or after a quorum read confirms it.
             for pvc in self.pvcs.objects() {
                 let key = pvc.key().as_str().to_string();
                 if self.released.contains(&key) {
@@ -191,23 +232,22 @@ impl VolumeController {
                 };
                 let owner_key = format!("pods/{owner}");
                 if self.pods.get(&owner_key).is_none() {
-                    match self.cfg.mode {
-                        VcMode::CacheOrphan => to_release.push((key, "orphan-in-cache")),
-                        VcMode::FreshOrphan => to_confirm.push((key, owner_key)),
-                        VcMode::MarkOnly => unreachable!(),
+                    match evidence {
+                        Evidence::Fresh => to_confirm.push((key, owner_key, path)),
+                        _ => to_release.push((key, path)),
                     }
                 }
             }
         }
-        for (key, why) in to_release {
-            self.release(key, why, ctx);
+        for (key, path) in to_release {
+            self.release(key, path, ctx);
         }
-        for (pvc_key, owner_key) in to_confirm {
+        for (pvc_key, owner_key, path) in to_confirm {
             if self.confirming.values().any(|(p, _)| p == &pvc_key) {
                 continue;
             }
-            let req = self.client.get(owner_key.clone(), true, ctx);
-            self.confirming.insert(req, (pvc_key, owner_key));
+            let req = self.client.get(owner_key, true, ctx);
+            self.confirming.insert(req, (pvc_key, path));
         }
     }
 }
@@ -244,9 +284,9 @@ impl Actor for VolumeController {
             }
             // Fresh-confirmation results.
             if let ApiCompletion::Done { req, result } = c {
-                if let Some((pvc_key, _owner)) = self.confirming.remove(req) {
+                if let Some((pvc_key, path)) = self.confirming.remove(req) {
                     if let Ok(ApiOk::Obj(None)) = result {
-                        self.release(pvc_key, "orphan-confirmed", ctx);
+                        self.release(pvc_key, path, ctx);
                     }
                 }
             }
@@ -295,13 +335,19 @@ impl ReplicaSetController {
     /// Creates a replica-set controller (spawn it into a world).
     pub fn new(cfg: ReplicaSetControllerConfig) -> ReplicaSetController {
         let client = ApiClient::new(cfg.api.clone(), 0);
+        let [sets, pods] = Self::informers().map(Informer::new);
         ReplicaSetController {
             cfg,
             client,
-            sets: Informer::new(InformerConfig::new("replicasets/")),
-            pods: Informer::new(InformerConfig::new("pods/")),
+            sets,
+            pods,
             creating: BTreeSet::new(),
         }
+    }
+
+    /// The controller's views: replica sets and pods, cache-listed.
+    fn informers() -> [InformerConfig; 2] {
+        ["replicasets/", "pods/"].map(InformerConfig::new)
     }
 
     /// The static access protocol a replica-set controller built from
@@ -312,15 +358,13 @@ impl ReplicaSetController {
     /// view shows*, unfenced — an honest staleness hazard (a stale view
     /// can pick a pod that was already replaced), reported but not
     /// exercised by any scenario.
-    pub fn access_summary(cfg: &ReplicaSetControllerConfig) -> ph_lint::summary::AccessSummary {
-        use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath};
+    pub fn access_summary(cfg: &ReplicaSetControllerConfig) -> AccessSummary {
         AccessSummary {
             component: "rs-controller".into(),
             upstream_switch: cfg.api.upstream_switch(),
-            views: vec![
-                InformerConfig::new("replicasets/").view_decl(),
-                InformerConfig::new("pods/").view_decl(),
-            ],
+            views: (Self::informers().iter())
+                .map(InformerConfig::view_decl)
+                .collect(),
             actions: vec![
                 ActionDecl {
                     name: "create-pod".into(),
@@ -468,8 +512,16 @@ mod tests {
 
     #[test]
     fn vc_modes_are_distinct() {
-        assert_ne!(VcMode::MarkOnly, VcMode::CacheOrphan);
-        assert_ne!(VcMode::CacheOrphan, VcMode::FreshOrphan);
+        let evidence = |mode: VcMode| -> Vec<Evidence> {
+            mode.release_paths()
+                .iter()
+                .map(GatePath::evidence)
+                .collect()
+        };
+        use Evidence::{Cached, Fresh, Observed};
+        assert_eq!(evidence(VcMode::MarkOnly), [Observed]);
+        assert_eq!(evidence(VcMode::CacheOrphan), [Observed, Cached]);
+        assert_eq!(evidence(VcMode::FreshOrphan), [Observed, Fresh]);
     }
 
     #[test]
@@ -519,13 +571,19 @@ impl NodeLifecycleController {
     /// Creates a node-lifecycle controller (spawn it into a world).
     pub fn new(cfg: NodeLifecycleConfig) -> NodeLifecycleController {
         let client = ApiClient::new(cfg.api.clone(), 0);
+        let [nodes, leases, pods] = Self::informers().map(Informer::new);
         NodeLifecycleController {
             cfg,
             client,
-            nodes: Informer::new(InformerConfig::new("nodes/")),
-            leases: Informer::new(InformerConfig::new("leases/")),
-            pods: Informer::new(InformerConfig::new("pods/")),
+            nodes,
+            leases,
+            pods,
         }
+    }
+
+    /// The controller's views: nodes, leases and pods, cache-listed.
+    fn informers() -> [InformerConfig; 3] {
+        ["nodes/", "leases/", "pods/"].map(InformerConfig::new)
     }
 
     /// The static access protocol a node-lifecycle controller built from
@@ -537,8 +595,7 @@ impl NodeLifecycleController {
     /// fence: silence cannot distinguish a dead kubelet from a partitioned
     /// one, the §4.2.3 observability gap the node-fencing scenario
     /// exercises.
-    pub fn access_summary(cfg: &NodeLifecycleConfig) -> ph_lint::summary::AccessSummary {
-        use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath};
+    pub fn access_summary(cfg: &NodeLifecycleConfig) -> AccessSummary {
         let mut actions = vec![ActionDecl {
             name: "mark-node-ready".into(),
             destructive: false,
@@ -563,11 +620,9 @@ impl NodeLifecycleController {
         AccessSummary {
             component: "node-lifecycle".into(),
             upstream_switch: cfg.api.upstream_switch(),
-            views: vec![
-                InformerConfig::new("nodes/").view_decl(),
-                InformerConfig::new("leases/").view_decl(),
-                InformerConfig::new("pods/").view_decl(),
-            ],
+            views: (Self::informers().iter())
+                .map(InformerConfig::view_decl)
+                .collect(),
             actions,
         }
     }
@@ -634,7 +689,7 @@ impl NodeLifecycleController {
             // gone. The kubelet may merely be partitioned.
             ctx.annotate("nlc.force_evict", pod.clone());
             ctx.counter_inc("nlc.force_evictions");
-            self.client.delete(format!("pods/{pod}"), None, ctx);
+            self.client.delete(format!("pods/{pod}"), ctx);
         }
     }
 }

@@ -75,12 +75,8 @@ impl Kubelet {
     /// Creates a kubelet (spawn it into a world).
     pub fn new(cfg: KubeletConfig) -> Kubelet {
         let client = ApiClient::new(cfg.api.clone(), 0);
-        let informer = Informer::new(InformerConfig {
-            prefix: "pods/".into(),
-            fresh_lists: cfg.fixed,
-            resync_interval: None,
-            congestible: false,
-        });
+        let [pods] = Self::informers(&cfg);
+        let informer = Informer::new(pods);
         Kubelet {
             cfg,
             instance: 0,
@@ -90,6 +86,15 @@ impl Kubelet {
             status_written: BTreeSet::new(),
             terminating_since: std::collections::BTreeMap::new(),
         }
+    }
+
+    /// The kubelet's one view: the pod key space, quorum-listed when
+    /// `fixed` (the 59848 fix).
+    fn informers(cfg: &KubeletConfig) -> [InformerConfig; 1] {
+        [InformerConfig {
+            fresh_lists: cfg.fixed,
+            ..InformerConfig::new("pods/")
+        }]
     }
 
     /// The static access protocol a kubelet built from `cfg` follows, for
@@ -104,16 +109,12 @@ impl Kubelet {
     /// the §4.2.2 recipe the Kubernetes-59848 scenario replays.
     pub fn access_summary(cfg: &KubeletConfig) -> ph_lint::summary::AccessSummary {
         use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath};
-        let pods = InformerConfig {
-            prefix: "pods/".into(),
-            fresh_lists: cfg.fixed,
-            resync_interval: None,
-            congestible: false,
-        };
         AccessSummary {
             component: format!("kubelet-{}", cfg.node),
             upstream_switch: cfg.api.upstream_switch(),
-            views: vec![pods.view_decl()],
+            views: (Self::informers(cfg).iter())
+                .map(InformerConfig::view_decl)
+                .collect(),
             actions: vec![
                 ActionDecl {
                     name: "start-pod".into(),
@@ -223,8 +224,7 @@ impl Kubelet {
                 .entry(obj.meta.name.clone())
                 .or_insert(now);
             if now.since(since) >= TERMINATION_GRACE {
-                self.client
-                    .delete(obj.key().as_str().to_string(), None, ctx);
+                self.client.delete(obj.key().as_str().to_string(), ctx);
             }
         }
     }
@@ -257,12 +257,8 @@ impl Actor for Kubelet {
         // The view is volatile; the containers are not.
         self.instance += 1;
         self.client = ApiClient::new(self.cfg.api.clone(), self.instance);
-        self.informer = Informer::new(InformerConfig {
-            prefix: "pods/".into(),
-            fresh_lists: self.cfg.fixed,
-            resync_interval: None,
-            congestible: false,
-        });
+        let [pods] = Self::informers(&self.cfg);
+        self.informer = Informer::new(pods);
         self.status_written.clear();
         self.terminating_since.clear();
         ctx.annotate("kubelet.restart", self.cfg.node.clone());

@@ -8,62 +8,108 @@
 //! caches — its `(H′, S′)`.
 //!
 //! The three real defects the paper's tool found (instaclustr
-//! cassandra-operator issues 398, 400, 402) are individually switchable via
-//! [`OperatorFlags`]:
+//! cassandra-operator issues 398, 400, 402) are the gate paths its two
+//! destructive actions act under, chosen per defect by [`OperatorPaths`]:
 //!
-//! * **398** (`pvc_requires_observed_terminating = true`): `Reconcile()`
+//! * **398** (`delete_pvc` = `observed-terminating`): `Reconcile()`
 //!   deletes a PVC only if it *observed* the pod with a deletion timestamp;
 //!   if the pod's mark+delete fell into an observability gap, the PVC is
 //!   orphaned forever.
-//! * **400** (`handle_decommission_notfound = false`): decommission
-//!   decisions trust the cached pod list; when the target is already gone
-//!   (stale cache), the mark-delete returns NotFound and the buggy operator
-//!   pins itself on the same target, blocking scale-down.
-//! * **402** (`fresh_confirm_orphan = false`): orphaned-PVC cleanup trusts
-//!   the cached pod list; a stale cache makes it delete the PVC of a live
-//!   pod.
+//! * **400** (`decommission` unfenced): decommission decisions trust the
+//!   cached pod list; when the target is already gone (stale cache), the
+//!   mark-delete returns NotFound and the buggy operator pins itself on the
+//!   same target, blocking scale-down.
+//! * **402** (`delete_pvc` = `orphan-in-cache`): orphaned-PVC cleanup
+//!   trusts the cached pod list; a stale cache makes it delete the PVC of a
+//!   live pod.
+//!
+//! The code branches on the paths' gates ([`GatePath::evidence`]), and
+//! [`CassandraOperator::access_summary`] declares the same paths, so the
+//! hazard checker reads what runs.
 
 use std::collections::BTreeSet;
 
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, TimerId};
 
+use ph_lint::summary::{AccessSummary, ActionDecl, Evidence, Gate, GatePath};
+
 use crate::api::{ApiError, ApiOk};
 use crate::apiclient::{ApiClient, ApiClientConfig, ApiCompletion};
+use crate::controllers::{orphan_confirmed, orphan_in_cache};
 use crate::informer::{Informer, InformerConfig, InformerEvent};
 use crate::objects::{Body, Object};
 
 const TAG_TICK: u64 = 1;
 
-/// Defect switches (see module docs). [`OperatorFlags::buggy`] reproduces
-/// all three upstream defects; [`OperatorFlags::fixed`] none.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OperatorFlags {
-    /// Bug 398 when `true`.
-    pub pvc_requires_observed_terminating: bool,
-    /// Bug 400 when `false`.
-    pub handle_decommission_notfound: bool,
-    /// Bug 402 when `false`.
-    pub fresh_confirm_orphan: bool,
+/// The gate paths the operator's two destructive actions act under (see
+/// module docs). [`OperatorPaths::buggy`] reproduces all three upstream
+/// defects; [`OperatorPaths::fixed`] none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OperatorPaths {
+    /// `decommission-pod`: `scale-down`, fenced by NotFound recovery
+    /// unless bug 400.
+    pub decommission: GatePath,
+    /// `delete-pvc`: `observed-terminating` (bug 398), `orphan-in-cache`
+    /// (bug 402) or `orphan-confirmed` (fixed).
+    pub delete_pvc: GatePath,
 }
 
-impl OperatorFlags {
-    /// The shipped (defective) behaviour.
-    pub fn buggy() -> OperatorFlags {
-        OperatorFlags {
-            pvc_requires_observed_terminating: true,
-            handle_decommission_notfound: false,
-            fresh_confirm_orphan: false,
-        }
+impl OperatorPaths {
+    /// The shipped (defective) behaviour: 398's PVC path, unfenced.
+    pub fn buggy() -> OperatorPaths {
+        OperatorPaths::new(false, observed_terminating())
     }
 
     /// All three defects repaired.
-    pub fn fixed() -> OperatorFlags {
-        OperatorFlags {
-            pvc_requires_observed_terminating: false,
-            handle_decommission_notfound: true,
-            fresh_confirm_orphan: true,
+    pub fn fixed() -> OperatorPaths {
+        OperatorPaths::new(true, orphan_confirmed())
+    }
+
+    /// Only bug 398.
+    pub fn cass_398() -> OperatorPaths {
+        OperatorPaths::new(true, observed_terminating())
+    }
+
+    /// Only bug 400.
+    pub fn cass_400() -> OperatorPaths {
+        OperatorPaths::new(false, orphan_confirmed())
+    }
+
+    /// Only bug 402.
+    pub fn cass_402() -> OperatorPaths {
+        OperatorPaths::new(true, orphan_in_cache())
+    }
+
+    fn new(fenced_decommission: bool, delete_pvc: GatePath) -> OperatorPaths {
+        OperatorPaths {
+            decommission: scale_down(fenced_decommission),
+            delete_pvc,
         }
     }
+}
+
+/// Decommission the highest-index pod the cache shows. `fenced`: NotFound
+/// on the mark-delete is detected and the target re-derived, so the
+/// destructive write is ordered after the true state (a fence in the
+/// §4.2.2 sense).
+fn scale_down(fenced: bool) -> GatePath {
+    let mut gates = vec![Gate::CachePresence("pods".into())];
+    if fenced {
+        gates.push(Gate::Fence("pods".into()));
+    }
+    GatePath::new("scale-down", gates)
+}
+
+/// Delete a PVC only after witnessing its owner's transient terminating
+/// mark: a missed-trigger observability gap (bug 398).
+fn observed_terminating() -> GatePath {
+    GatePath::new(
+        "observed-terminating",
+        vec![
+            Gate::CacheAbsence("pods".into()),
+            Gate::ObservedEvent("pods".into()),
+        ],
+    )
 }
 
 /// Operator tuning.
@@ -74,23 +120,26 @@ pub struct OperatorConfig {
     pub api: ApiClientConfig,
     /// Reconcile interval.
     pub sync_interval: Duration,
-    /// Defect switches.
-    pub flags: OperatorFlags,
+    /// The gate paths the destructive actions act under.
+    pub paths: OperatorPaths,
 }
 
 #[derive(Debug)]
 enum PendingOp {
     /// A decommission mark in flight: the pod key.
     Decommission(String),
-    /// A fresh owner-existence check guarding PVC deletion:
-    /// (pvc key, owner pod key).
-    ConfirmOrphan(String, String),
+    /// A fresh owner-existence check guarding PVC deletion: the pvc key.
+    ConfirmOrphan(String),
 }
 
 /// The Cassandra operator actor.
 #[derive(Debug)]
 pub struct CassandraOperator {
     cfg: OperatorConfig,
+    /// `paths.decommission`'s evidence: `Fenced` recovers from NotFound.
+    decommission_evidence: Evidence,
+    /// `paths.delete_pvc`'s evidence: what an orphaned PVC waits for.
+    pvc_evidence: Evidence,
     instance: u64,
     client: ApiClient,
     dcs: Informer,
@@ -110,15 +159,34 @@ pub struct CassandraOperator {
 
 impl CassandraOperator {
     /// Creates an operator (spawn it into a world).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a path demands evidence its action has no code for: a
+    /// decommission path is fenced or cached, and a PVC delete carries no
+    /// precondition, so it is never fenced.
     pub fn new(cfg: OperatorConfig) -> CassandraOperator {
+        let decommission_evidence = cfg.paths.decommission.evidence();
+        assert!(
+            matches!(decommission_evidence, Evidence::Fenced | Evidence::Cached),
+            "decommission-pod cannot act on {decommission_evidence:?} evidence"
+        );
+        let pvc_evidence = cfg.paths.delete_pvc.evidence();
+        assert!(
+            pvc_evidence != Evidence::Fenced,
+            "delete-pvc carries no precondition to fence it"
+        );
         let client = ApiClient::new(cfg.api.clone(), 0);
+        let [dcs, pods, pvcs] = Self::informers().map(Informer::new);
         CassandraOperator {
             cfg,
+            decommission_evidence,
+            pvc_evidence,
             instance: 0,
             client,
-            dcs: Informer::new(InformerConfig::new("cassdcs/")),
-            pods: Informer::new(InformerConfig::new("pods/")),
-            pvcs: Informer::new(InformerConfig::new("pvcs/")),
+            dcs,
+            pods,
+            pvcs,
             observed_terminating: BTreeSet::new(),
             released: BTreeSet::new(),
             stuck_on: None,
@@ -127,54 +195,21 @@ impl CassandraOperator {
         }
     }
 
+    /// The operator's views: datacenters, pods and PVCs, cache-listed.
+    fn informers() -> [InformerConfig; 3] {
+        ["cassdcs/", "pods/", "pvcs/"].map(InformerConfig::new)
+    }
+
     /// The static access protocol an operator built from `cfg` follows,
-    /// for the partial-history hazard checker. The three defect switches
-    /// map directly onto gate structure:
-    ///
-    /// * bug 398 (`pvc_requires_observed_terminating`): PVC deletion's
-    ///   *only* path demands having witnessed the owner's transient
-    ///   terminating mark — a missed-trigger observability gap;
-    /// * bug 400 (`!handle_decommission_notfound`): the decommission mark
-    ///   is not fenced by NotFound detect-and-recover, so it fires from an
-    ///   arbitrarily stale (and, under `ByInstance`, time-traveled) view;
-    /// * bug 402 (`!fresh_confirm_orphan`): orphanhood is judged from the
-    ///   cached snapshot alone, with no quorum confirmation.
-    pub fn access_summary(cfg: &OperatorConfig) -> ph_lint::summary::AccessSummary {
-        use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath};
-        let mut decommission_gates = vec![Gate::CachePresence("pods".into())];
-        if cfg.flags.handle_decommission_notfound {
-            // NotFound on the mark-delete is detected and the target
-            // re-derived: the destructive write is ordered after the true
-            // state — a fence in the §4.2.2 sense.
-            decommission_gates.push(Gate::Fence("pods".into()));
-        }
-        let pvc_path = if cfg.flags.pvc_requires_observed_terminating {
-            GatePath::new(
-                "observed-terminating",
-                vec![
-                    Gate::CacheAbsence("pods".into()),
-                    Gate::ObservedEvent("pods".into()),
-                ],
-            )
-        } else if cfg.flags.fresh_confirm_orphan {
-            GatePath::new(
-                "orphan-confirmed",
-                vec![
-                    Gate::CacheAbsence("pods".into()),
-                    Gate::FreshConfirm("pods".into()),
-                ],
-            )
-        } else {
-            GatePath::new("orphan-in-cache", vec![Gate::CacheAbsence("pods".into())])
-        };
+    /// for the partial-history hazard checker: its views, and the gate
+    /// paths its code acts under (see [`OperatorPaths`]).
+    pub fn access_summary(cfg: &OperatorConfig) -> AccessSummary {
         AccessSummary {
             component: "cassandra-operator".into(),
             upstream_switch: cfg.api.upstream_switch(),
-            views: vec![
-                InformerConfig::new("cassdcs/").view_decl(),
-                InformerConfig::new("pods/").view_decl(),
-                InformerConfig::new("pvcs/").view_decl(),
-            ],
+            views: (Self::informers().iter())
+                .map(InformerConfig::view_decl)
+                .collect(),
             actions: vec![
                 ActionDecl {
                     name: "create-pod".into(),
@@ -187,12 +222,12 @@ impl CassandraOperator {
                 ActionDecl {
                     name: "decommission-pod".into(),
                     destructive: true,
-                    paths: vec![GatePath::new("scale-down", decommission_gates)],
+                    paths: vec![cfg.paths.decommission.clone()],
                 },
                 ActionDecl {
                     name: "delete-pvc".into(),
                     destructive: true,
-                    paths: vec![pvc_path],
+                    paths: vec![cfg.paths.delete_pvc.clone()],
                 },
             ],
         }
@@ -217,13 +252,15 @@ impl CassandraOperator {
             .min(self.pvcs.revision())
     }
 
-    fn delete_pvc(&mut self, pvc_key: String, why: &str, ctx: &mut Ctx) {
+    /// Deletes a PVC under the `delete_pvc` path, annotated with its name.
+    fn delete_pvc(&mut self, pvc_key: String, ctx: &mut Ctx) {
         if !self.released.insert(pvc_key.clone()) {
             return;
         }
+        let why = &self.cfg.paths.delete_pvc.name;
         ctx.annotate("operator.delete_pvc", format!("{pvc_key} ({why})"));
         ctx.counter_inc("operator.pvc_deletes");
-        self.client.delete(pvc_key, None, ctx);
+        self.client.delete(pvc_key, ctx);
     }
 
     fn reconcile(&mut self, ctx: &mut Ctx) {
@@ -350,34 +387,39 @@ impl CassandraOperator {
             if self.pods.get(&owner_key).is_some() {
                 continue; // owner visible: nothing to clean
             }
-            if self.cfg.flags.pvc_requires_observed_terminating {
-                // Bug 398: without the observed deletion timestamp, the
-                // reconcile loop refuses to clean up — the PVC leaks.
-                if !self.observed_terminating.contains(&owner) {
-                    continue;
+            match self.pvc_evidence {
+                Evidence::Observed => {
+                    // Bug 398: without the observed deletion timestamp,
+                    // the reconcile loop refuses to clean up — the PVC
+                    // leaks.
+                    if self.observed_terminating.contains(&owner) {
+                        self.delete_pvc(pvc_key, ctx);
+                    }
                 }
-                self.delete_pvc(pvc_key, "observed-terminating", ctx);
-            } else if self.cfg.flags.fresh_confirm_orphan {
-                // Fixed path: also skip anything we are mid-creating — the
-                // quorum read would race our own uncommitted create.
-                if self.creating.contains(&owner_key) {
-                    continue;
+                Evidence::Fresh => {
+                    // Fixed path: also skip anything we are mid-creating —
+                    // the quorum read would race our own uncommitted
+                    // create.
+                    if self.creating.contains(&owner_key) {
+                        continue;
+                    }
+                    if self
+                        .pending
+                        .values()
+                        .any(|p| matches!(p, PendingOp::ConfirmOrphan(k) if *k == pvc_key))
+                    {
+                        continue;
+                    }
+                    let req = self.client.get(owner_key, true, ctx);
+                    self.pending.insert(req, PendingOp::ConfirmOrphan(pvc_key));
                 }
-                if self
-                    .pending
-                    .values()
-                    .any(|p| matches!(p, PendingOp::ConfirmOrphan(k, _) if *k == pvc_key))
-                {
-                    continue;
+                Evidence::Cached | Evidence::Fenced => {
+                    // Bug 402: trust the cache — deliberately no
+                    // in-flight-create guard either: the shipped operator
+                    // judged orphanhood purely from its (possibly stale)
+                    // listed snapshot. (`new` rejects a fenced path.)
+                    self.delete_pvc(pvc_key, ctx);
                 }
-                let req = self.client.get(owner_key.clone(), true, ctx);
-                self.pending
-                    .insert(req, PendingOp::ConfirmOrphan(pvc_key, owner_key));
-            } else {
-                // Bug 402: trust the cache — deliberately no in-flight-create
-                // guard either: the shipped operator judged orphanhood purely
-                // from its (possibly stale) listed snapshot.
-                self.delete_pvc(pvc_key, "orphan-in-cache", ctx);
             }
         }
     }
@@ -387,7 +429,7 @@ impl CassandraOperator {
             PendingOp::Decommission(target) => match result {
                 Err(ApiError::NotFound) => {
                     ctx.span_end("decommission");
-                    if self.cfg.flags.handle_decommission_notfound {
+                    if self.decommission_evidence == Evidence::Fenced {
                         // Fixed: the cache was stale; drop the target and
                         // let the next reconcile re-derive it.
                         self.stuck_on = None;
@@ -404,9 +446,9 @@ impl CassandraOperator {
                     self.stuck_on = None;
                 }
             },
-            PendingOp::ConfirmOrphan(pvc_key, _owner_key) => {
+            PendingOp::ConfirmOrphan(pvc_key) => {
                 if let Ok(ApiOk::Obj(None)) = result {
-                    self.delete_pvc(pvc_key, "orphan-confirmed", ctx);
+                    self.delete_pvc(pvc_key, ctx);
                 }
             }
         }
@@ -489,15 +531,13 @@ mod tests {
 
     #[test]
     fn flag_presets() {
-        let b = OperatorFlags::buggy();
-        assert!(b.pvc_requires_observed_terminating);
-        assert!(!b.handle_decommission_notfound);
-        assert!(!b.fresh_confirm_orphan);
-        let f = OperatorFlags::fixed();
-        assert!(!f.pvc_requires_observed_terminating);
-        assert!(f.handle_decommission_notfound);
-        assert!(f.fresh_confirm_orphan);
-        assert_ne!(b, f);
+        let evidence = |p: OperatorPaths| (p.decommission.evidence(), p.delete_pvc.evidence());
+        use Evidence::{Cached, Fenced, Fresh, Observed};
+        assert_eq!(evidence(OperatorPaths::buggy()), (Cached, Observed));
+        assert_eq!(evidence(OperatorPaths::fixed()), (Fenced, Fresh));
+        assert_eq!(evidence(OperatorPaths::cass_398()), (Fenced, Observed));
+        assert_eq!(evidence(OperatorPaths::cass_400()), (Cached, Fresh));
+        assert_eq!(evidence(OperatorPaths::cass_402()), (Fenced, Cached));
     }
 
     #[test]
@@ -505,7 +545,7 @@ mod tests {
         let op = CassandraOperator::new(OperatorConfig {
             api: ApiClientConfig::new(vec![ActorId(0)]),
             sync_interval: Duration::millis(100),
-            flags: OperatorFlags::buggy(),
+            paths: OperatorPaths::buggy(),
         });
         assert!(op.released().is_empty());
         assert!(op.stuck_on().is_none());

@@ -59,21 +59,7 @@ impl Scheduler {
     /// Creates a scheduler (spawn it into a world).
     pub fn new(cfg: SchedulerConfig) -> Scheduler {
         let client = ApiClient::new(cfg.api.clone(), 0);
-        // The fixed variant re-lists BOTH informers periodically (real
-        // schedulers run periodic resyncs); the buggy variant trusts its
-        // event streams forever.
-        let pods = Informer::new(InformerConfig {
-            prefix: "pods/".into(),
-            fresh_lists: false,
-            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
-            congestible: cfg.congestible_feed,
-        });
-        let nodes = Informer::new(InformerConfig {
-            prefix: "nodes/".into(),
-            fresh_lists: cfg.fixed,
-            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
-            congestible: cfg.congestible_feed,
-        });
+        let [pods, nodes] = Self::informers(&cfg).map(Informer::new);
         Scheduler {
             cfg,
             client,
@@ -81,6 +67,20 @@ impl Scheduler {
             nodes,
             assumed: std::collections::BTreeMap::new(),
         }
+    }
+
+    /// The scheduler's views: pods, and nodes (quorum-listed when fixed).
+    /// The fixed variant re-lists BOTH periodically (real schedulers run
+    /// periodic resyncs); the buggy variant trusts its event streams
+    /// forever.
+    fn informers(cfg: &SchedulerConfig) -> [InformerConfig; 2] {
+        let view = |prefix: &str, fresh_lists: bool| InformerConfig {
+            fresh_lists,
+            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
+            congestible: cfg.congestible_feed,
+            ..InformerConfig::new(prefix)
+        };
+        [view("pods/", false), view("nodes/", cfg.fixed)]
     }
 
     /// The static access protocol a scheduler built from `cfg` follows,
@@ -93,18 +93,6 @@ impl Scheduler {
     /// and resyncs both informers, discharging the staleness hazard.
     pub fn access_summary(cfg: &SchedulerConfig) -> ph_lint::summary::AccessSummary {
         use ph_lint::summary::{AccessSummary, ActionDecl, Gate, GatePath};
-        let pods = InformerConfig {
-            prefix: "pods/".into(),
-            fresh_lists: false,
-            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
-            congestible: cfg.congestible_feed,
-        };
-        let nodes = InformerConfig {
-            prefix: "nodes/".into(),
-            fresh_lists: cfg.fixed,
-            resync_interval: cfg.fixed.then_some(RESYNC_INTERVAL),
-            congestible: cfg.congestible_feed,
-        };
         let mut actions = vec![ActionDecl {
             name: "bind-pod".into(),
             destructive: true,
@@ -132,7 +120,9 @@ impl Scheduler {
         AccessSummary {
             component: "scheduler".into(),
             upstream_switch: cfg.api.upstream_switch(),
-            views: vec![pods.view_decl(), nodes.view_decl()],
+            views: (Self::informers(cfg).iter())
+                .map(InformerConfig::view_decl)
+                .collect(),
             actions,
         }
     }

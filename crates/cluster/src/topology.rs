@@ -26,7 +26,7 @@ use crate::controllers::{
 };
 use crate::kubelet::{Kubelet, KubeletConfig};
 use crate::objects::Object;
-use crate::operator::{CassandraOperator, OperatorConfig, OperatorFlags};
+use crate::operator::{CassandraOperator, OperatorConfig, OperatorPaths};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 
 /// Store cluster size (1–9 in the systems the paper surveys).
@@ -67,8 +67,9 @@ pub struct ClusterConfig {
     pub volume_controller: Option<VcMode>,
     /// Spawn a replica-set controller? (`Some(with_pvcs)`)
     pub rs_controller: Option<bool>,
-    /// Spawn a Cassandra operator with these defect switches?
-    pub operator: Option<OperatorFlags>,
+    /// Spawn a Cassandra operator whose destructive actions act under
+    /// these gate paths?
+    pub operator: Option<OperatorPaths>,
     /// Spawn a node-lifecycle controller? (`Some(force_evict)`; also turns
     /// on kubelet heartbeat leases.)
     pub node_lifecycle: Option<bool>,
@@ -208,10 +209,10 @@ pub fn component_configs(cfg: &ClusterConfig, apiservers: &[ActorId]) -> Compone
                 sync_interval: cfg.sync_interval,
                 with_pvcs,
             }),
-        operator: cfg.operator.map(|flags| OperatorConfig {
+        operator: cfg.operator.clone().map(|paths| OperatorConfig {
             api: api_cfg(PickPolicy::ByInstance),
             sync_interval: cfg.sync_interval,
-            flags,
+            paths,
         }),
         node_lifecycle: cfg.node_lifecycle.map(|force_evict| NodeLifecycleConfig {
             api: api_cfg(PickPolicy::Pinned(0)),
@@ -250,27 +251,19 @@ pub fn access_summaries(cfg: &ClusterConfig) -> Vec<ph_lint::summary::AccessSumm
     out
 }
 
-/// The complete declared-summary set for the IR ↔ source conformance
-/// pass: every component the tree implements, in its fully-guarded
-/// (fixed) variant so all declared gates are present, plus the
-/// apiserver's own summary — which [`access_summaries`] omits because the
-/// apiserver performs no destructive actions, but the scanner still finds
-/// its informer-like store view and must see a matching declaration.
-pub fn declared_access_summaries() -> Vec<ph_lint::summary::AccessSummary> {
-    let cfg = ClusterConfig {
+/// A cluster that spawns every component the tree implements, each in
+/// its fully-guarded (fixed) variant so all declared gates are present:
+/// its [`access_summaries`] are every component's declared summary.
+pub fn declared_config() -> ClusterConfig {
+    ClusterConfig {
         kubelet_fixed: true,
         scheduler: Some(true),
         volume_controller: Some(VcMode::FreshOrphan),
         rs_controller: Some(true),
-        operator: Some(OperatorFlags::fixed()),
+        operator: Some(OperatorPaths::fixed()),
         node_lifecycle: Some(true),
         ..ClusterConfig::default()
-    };
-    let mut out = access_summaries(&cfg);
-    out.push(ApiServer::access_summary(&ApiServerConfig::new(
-        StoreClientConfig::new(Vec::new()),
-    )));
-    out
+    }
 }
 
 /// Spawns the full stack described by `cfg`.

@@ -10,7 +10,7 @@ mod node_lifecycle;
 use ph_cluster::controllers::VcMode;
 use ph_cluster::kubelet::Kubelet;
 use ph_cluster::objects::{Body, Object, PodPhase};
-use ph_cluster::operator::OperatorFlags;
+use ph_cluster::operator::OperatorPaths;
 use ph_cluster::topology::{spawn_cluster, ClusterConfig};
 use ph_sim::{Duration, SimTime, World, WorldConfig};
 
@@ -185,7 +185,7 @@ fn cassandra_operator_scales_up_and_down() {
     let mut world = World::new(WorldConfig::default(), 43);
     let cfg = ClusterConfig {
         scheduler: Some(false),
-        operator: Some(OperatorFlags::fixed()),
+        operator: Some(OperatorPaths::fixed()),
         ..ClusterConfig::default()
     };
     let cluster = spawn_cluster(&mut world, &cfg);

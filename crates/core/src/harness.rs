@@ -101,19 +101,18 @@ pub struct TrialOutcome {
     pub scenario: String,
     /// Strategy name (from the first built strategy).
     pub strategy: String,
-    /// Trials actually executed (canonical-schedule duplicates are
-    /// skipped and counted in [`TrialOutcome::deduped_trials`] instead).
+    /// Trials executed, up to and including the first failure.
     pub trials_run: u32,
     /// Distinct canonical schedule classes among the considered trials
     /// ([`crate::canon::plan_class`] over each trial's planned schedule;
     /// a strategy that plans no schedule counts as its own class).
     pub distinct_classes: u32,
-    /// Trials skipped because their (canonical class, seed) pair already
-    /// ran — provably identical runs whose verdict is already known.
+    /// Always 0: every trial runs under its own seed, so none repeats
+    /// another and none is skipped. Kept because readers outside the
+    /// workspace (the benchmark's matrix workload) and the
+    /// `ph_hunt_deduped_trials_total` exposition read it.
     pub deduped_trials: u32,
-    /// 1-based index of the first failing trial (numbered over
-    /// *considered* trials, so seeds and indices match the non-deduped
-    /// explorer), `None` if none failed.
+    /// 1-based index of the first failing trial, `None` if none failed.
     pub first_violation: Option<u32>,
     /// The failing run's report (evidence), if any.
     pub example: Option<RunReport>,

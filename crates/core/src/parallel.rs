@@ -146,15 +146,12 @@ impl Explorer {
     /// cooperatively), and `total_events`/`total_sim_ns` are summed in
     /// trial order over exactly the trials up to it.
     ///
-    /// Trials whose (canonical schedule class, seed) pair already ran are
-    /// skipped: with identical planned injections *and* an identical root
-    /// seed the run is bit-for-bit the same simulation, so its verdict is
-    /// already known — the dedup is verdict-preserving by construction.
-    /// The seed stays in the key because scenario workloads are
-    /// seed-sensitive (jitter derives from the trial seed): equal plans
-    /// under different seeds are genuinely different runs and both
-    /// execute. Strategies without a planned schedule (the random
-    /// baselines) are never deduplicated.
+    /// Each trial runs under its own seed (`derive_trial_seed` is
+    /// injective in the trial index), so no two trials are the same
+    /// simulation and none is skipped. Planned schedules are still classed
+    /// (`plan_class`): `distinct_classes` counts the canonical classes
+    /// among the trials up to the first failure, and strategies without a
+    /// planned schedule (the random baselines) count one class per trial.
     pub fn explore_parallel(
         &self,
         threads: usize,
@@ -164,44 +161,25 @@ impl Explorer {
     ) -> TrialOutcome {
         let n = self.max_trials;
 
-        // Canonical-schedule dedup decisions are precomputed positionally
-        // — a walk over planned schedules in trial order (cheap: no
-        // simulation runs) — so every worker agrees on which trials are
-        // duplicates, regardless of completion order. `*_prefix[t]` hold
-        // the counter values after considering trials `0..=t`, so the
-        // outcome reports them as of the first failure.
+        // The class census is precomputed positionally — a walk over
+        // planned schedules in trial order (cheap: no simulation runs) —
+        // so it is the same at any thread count. `distinct_prefix[t]` holds
+        // the count after trials `0..=t`, so the outcome reports it as of
+        // the first failure.
         let mut classes: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut ran: std::collections::BTreeSet<(u64, u64)> = std::collections::BTreeSet::new();
-        let mut skip = vec![false; n as usize];
         let mut distinct_prefix = vec![0u32; n as usize];
-        let mut deduped_prefix = vec![0u32; n as usize];
         let mut distinct = 0u32;
-        let mut deduped = 0u32;
         for t in 0..n {
-            let seed = self.trial_seed(t);
-            match factory(seed).planned_schedule() {
-                Some(ops) => {
-                    let class = crate::canon::plan_class(&ops);
-                    if classes.insert(class) {
-                        distinct += 1;
-                    }
-                    if !ran.insert((class, seed)) {
-                        deduped += 1;
-                        skip[t as usize] = true;
-                    }
-                }
-                None => distinct += 1,
-            }
+            let fresh = match factory(self.trial_seed(t)).planned_schedule() {
+                Some(ops) => classes.insert(crate::canon::plan_class(&ops)),
+                None => true,
+            };
+            distinct += u32::from(fresh);
             distinct_prefix[t as usize] = distinct;
-            deduped_prefix[t as usize] = deduped;
         }
-        let skip = &skip;
 
         let cutoff = AtomicU32::new(u32::MAX);
         let slots = run_pool(threads, n, Some(&cutoff), |t| {
-            if skip[t as usize] {
-                return None;
-            }
             let seed = self.trial_seed(t);
             let mut strategy = factory(seed);
             let strategy_name = strategy.name();
@@ -211,19 +189,19 @@ impl Explorer {
                 // cutoff at the lowest failure seen so far.
                 cutoff.fetch_min(t, Ordering::AcqRel);
             }
-            Some(TrialRecord {
+            TrialRecord {
                 strategy_name,
                 report,
-            })
+            }
         });
 
         // Merge in trial order, up to and including the first failure.
-        let mut records: Vec<Option<Option<TrialRecord>>> = slots
+        let mut records: Vec<Option<TrialRecord>> = slots
             .into_iter()
             .map(|s| s.into_inner().expect("slot poisoned"))
             .collect();
         let first_fail = records.iter().enumerate().find_map(|(t, r)| match r {
-            Some(Some(rec)) if rec.report.failed() => Some(t as u32),
+            Some(rec) if rec.report.failed() => Some(t as u32),
             _ => None,
         });
         let upto = first_fail.map_or(n, |f| f + 1);
@@ -234,13 +212,9 @@ impl Explorer {
         let mut total_sim_ns = 0u64;
         let mut trial_sim_ns = Vec::with_capacity(upto as usize);
         for t in 0..upto {
-            if skip[t as usize] {
-                continue;
-            }
             let rec = records[t as usize]
                 .take()
-                .expect("trials at or before the first failure always run")
-                .expect("non-skipped trials always record");
+                .expect("trials at or before the first failure always run");
             if t == 0 {
                 strategy_name = rec.strategy_name;
             }
@@ -252,19 +226,15 @@ impl Explorer {
                 example = Some(rec.report);
             }
         }
-        let (distinct_classes, deduped_trials) = match upto.checked_sub(1) {
-            Some(last) => (
-                distinct_prefix[last as usize],
-                deduped_prefix[last as usize],
-            ),
-            None => (0, 0),
-        };
+        let distinct_classes = upto
+            .checked_sub(1)
+            .map_or(0, |last| distinct_prefix[last as usize]);
         TrialOutcome {
             scenario: scenario_name.to_string(),
             strategy: strategy_name,
             trials_run: executed,
             distinct_classes,
-            deduped_trials,
+            deduped_trials: 0,
             first_violation: first_fail.map(|f| f + 1),
             example,
             total_events,
@@ -395,8 +365,7 @@ mod tests {
             };
             let scenario = fake(modulus);
             let seq = ex.explore("fake", &scenario, &planned_factory);
-            // Seeds are distinct, so every bucket is a fresh (class, seed)
-            // pair: nothing dedups, but the class census collapses to the
+            // Every trial runs, but the class census collapses to the
             // bucket count.
             assert_eq!(seq.deduped_trials, 0);
             assert!(seq.distinct_classes <= 4);
@@ -406,8 +375,7 @@ mod tests {
                 outcomes_equal(&seq, &par);
             }
         }
-        // Strategies without a plan are never deduplicated: each trial is
-        // its own class.
+        // Without a plan, each trial is its own class.
         let ex = Explorer {
             max_trials: 9,
             base_seed: 1_000_003,

@@ -5,10 +5,10 @@ use crate::json;
 /// The JSON escaper, kept at the path callers outside the workspace import.
 pub use crate::json::esc;
 
-/// One lint finding, suppressed or not.
+/// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `ir-conformance`.
+    /// Rule id, e.g. `stale-directive`.
     pub rule: String,
     /// Repo-relative path of the offending file.
     pub file: String,
@@ -16,19 +16,16 @@ pub struct Finding {
     pub line: usize,
     /// Human explanation of what matched and why it matters.
     pub message: String,
-    /// `Some(reason)` if a well-formed `ph-lint: allow` covers this line.
-    pub suppressed: Option<String>,
 }
 
 impl Finding {
-    /// Deterministic JSON object; `suppressed` is the reason or `null`.
+    /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
         json::object(|o| {
             o.str("rule", &self.rule)
                 .str("file", &self.file)
                 .val("line", self.line)
-                .str("message", &self.message)
-                .opt_str("suppressed", self.suppressed.as_deref());
+                .str("message", &self.message);
         })
     }
 }
@@ -43,15 +40,8 @@ pub struct LintReport {
 }
 
 impl LintReport {
-    /// Count of findings not covered by a suppression — these gate CI.
-    pub fn unsuppressed_count(&self) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.suppressed.is_none())
-            .count()
-    }
-
-    /// Human-readable report.
+    /// Human-readable report. Its count line calls every directive
+    /// malformed: the syntax is retired, so none is well-formed.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -68,11 +58,12 @@ impl LintReport {
         out
     }
 
-    /// Deterministic JSON rendering.
+    /// Deterministic JSON rendering. `unsuppressed` counts every finding,
+    /// since none can be suppressed; the key keeps the report's shape.
     pub fn to_json(&self) -> String {
         json::object(|o| {
             o.raws("findings", self.findings.iter().map(Finding::to_json))
-                .val("unsuppressed", self.unsuppressed_count())
+                .val("unsuppressed", self.findings.len())
                 .val("files_scanned", self.files_scanned);
         })
     }

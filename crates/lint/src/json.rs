@@ -130,14 +130,6 @@ impl<'a> Obj<'a> {
         }
     }
 
-    /// [`Obj::str`], or `null` for `None`.
-    pub fn opt_str(&mut self, key: &str, value: Option<&str>) -> &mut Self {
-        match value {
-            Some(v) => self.str(key, v),
-            None => self.null(key),
-        }
-    }
-
     /// A `null` member.
     pub fn null(&mut self, key: &str) -> &mut Self {
         self.raw(key, "null")
@@ -299,14 +291,12 @@ mod tests {
         let out = object(|o| {
             o.opt_val("some", Some(7u64))
                 .opt_val("none", None::<u64>)
-                .opt_str("str", Some("s"))
-                .opt_str("no_str", None)
                 .null("nil")
                 .str_fmt("fmt", format_args!("{:?}", Some("q\"")));
         });
         assert_eq!(
             out,
-            r#"{"some":7,"none":null,"str":"s","no_str":null,"nil":null,"fmt":"Some(\"q\\\"\")"}"#
+            r#"{"some":7,"none":null,"nil":null,"fmt":"Some(\"q\\\"\")"}"#
         );
     }
 

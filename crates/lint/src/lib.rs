@@ -7,11 +7,9 @@
 //! manifest's `[workspace.lints]` (DESIGN.md §6.1). This crate holds the
 //! static passes that need the repo's own IR:
 //!
-//! 1. **The `ph-lint:` directive audit** ([`scan_workspace`], [`lexer`],
-//!    [`findings`]): conformance drift is suppressed with a
-//!    `// ph-lint: allow(<rule>, <reason>)` comment, and a directive
-//!    without a reason is a finding of its own, so every suppression says
-//!    why.
+//! 1. **The `ph-lint:` directive audit** ([`scan_workspace`],
+//!    [`findings`]): no pass reads `// ph-lint:` directives any more, so
+//!    one left in the tree is stale, and a finding.
 //!
 //! 2. **Partial-history hazard analysis** ([`summary`], [`modelcheck`]):
 //!    each ph-cluster component exports an [`summary::AccessSummary`] of
@@ -32,10 +30,13 @@
 //!    canonical-schedule dedup in the dynamic explorer
 //!    (`ph_core::canon`).
 //!
-//! 3. **IR ↔ source conformance** ([`conformance`]): a lightweight item
-//!    scanner over the ph-cluster sources extracts the access protocol the
-//!    code actually implements and diffs it against the declared
-//!    summaries, so the IR can never silently rot.
+//! 3. **The summaries are the code's own values.** Each ph-cluster
+//!    component builds its views from one `informers(cfg)` list and its
+//!    gate paths from its config, and its code branches on those paths'
+//!    gates ([`summary::GatePath::evidence`]). Nothing scans source text to
+//!    keep the two in step; tests in the workspace check the summaries
+//!    against the requests components send and the actors the cluster
+//!    spawns.
 //!
 //! All passes are wired into `phtool lint` / `phtool check`; the hazard
 //! pass is cross-checked against the dynamic explorer over all nine
@@ -49,11 +50,9 @@
 //! other workspace crate so they can export summaries in its IR and write
 //! JSON through its one writer.
 
-pub mod conformance;
 pub mod findings;
 pub mod independence;
 pub mod json;
-pub mod lexer;
 pub mod modelcheck;
 pub mod summary;
 
@@ -91,10 +90,26 @@ fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Audits every `ph-lint:` directive in the `.rs` files under `root` (a
-/// workspace checkout): each malformed one, a reasonless `allow` among
-/// them, is a `bad-suppression` finding, which no directive can suppress.
-/// Findings use repo-relative paths, in file order and then line order.
+/// The marker a `// ph-lint:` directive comment starts with.
+const DIRECTIVE: &str = "// ph-lint:";
+
+/// The 1-based lines of `src` whose first comment is a `// ph-lint:`
+/// directive, on its own line or after code. Doc comments and prose that
+/// mention the marker are not directives, nor is a marker after an odd
+/// number of `"` on its line (inside a string literal).
+fn directive_lines(src: &str) -> impl Iterator<Item = usize> + '_ {
+    src.lines().enumerate().filter_map(|(i, line)| {
+        let at = line.find(DIRECTIVE)?;
+        let first_comment = line.find("//")? == at;
+        let in_string = line[..at].matches('"').count() % 2 == 1;
+        (first_comment && !in_string).then_some(i + 1)
+    })
+}
+
+/// Walks the `.rs` files under `root` (a workspace checkout) and reports
+/// every `// ph-lint:` directive comment as a `stale-directive` finding:
+/// the directive syntax is retired, and no pass reads one. Findings use
+/// repo-relative paths, in file order and then line order.
 pub fn scan_workspace(root: &Path) -> io::Result<LintReport> {
     let mut report = LintReport::default();
     for path in collect_rs_files(root)? {
@@ -104,18 +119,14 @@ pub fn scan_workspace(root: &Path) -> io::Result<LintReport> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(&path)?;
-        report.findings.extend(
-            lexer::clean(&src)
-                .bad_directives
-                .into_iter()
-                .map(|bad| Finding {
-                    rule: "bad-suppression".to_string(),
-                    file: rel.clone(),
-                    line: bad.line,
-                    message: format!("malformed ph-lint directive: {}", bad.problem),
-                    suppressed: None,
-                }),
-        );
+        report
+            .findings
+            .extend(directive_lines(&src).map(|line| Finding {
+                rule: "stale-directive".to_string(),
+                file: rel.clone(),
+                line,
+                message: "stale ph-lint directive: no pass reads directives; delete it".to_string(),
+            }));
         report.files_scanned += 1;
     }
     Ok(report)
@@ -131,25 +142,30 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
         let src_dir = dir.join("crates/cluster/src");
         fs::create_dir_all(&src_dir).unwrap();
+        let directive = format!("{DIRECTIVE} allow(some-rule, a reason)");
         fs::write(
-            src_dir.join("bad.rs"),
-            "// ph-lint: allow(ir-conformance)\npub fn t() {}\n",
+            src_dir.join("stale.rs"),
+            format!("{directive}\npub fn t() {{}} {directive}\n"),
         )
         .unwrap();
         fs::write(
             src_dir.join("ok.rs"),
-            "// ph-lint: allow(ir-conformance, the reason it is fine)\npub fn t() {}\n",
+            format!("/{directive}\npub const S: &str = \"{directive}\";\n"),
         )
         .unwrap();
         let report = scan_workspace(&dir).unwrap();
         assert_eq!(report.files_scanned, 2);
-        assert_eq!(report.unsuppressed_count(), 1);
-        let finding = &report.findings[0];
-        assert_eq!(finding.file, "crates/cluster/src/bad.rs");
+        let at: Vec<(&str, usize)> = (report.findings.iter())
+            .map(|f| (f.file.as_str(), f.line))
+            .collect();
         assert_eq!(
-            (finding.rule.as_str(), finding.line),
-            ("bad-suppression", 1)
+            at,
+            [
+                ("crates/cluster/src/stale.rs", 1),
+                ("crates/cluster/src/stale.rs", 2)
+            ]
         );
+        assert!(report.findings.iter().all(|f| f.rule == "stale-directive"));
         fs::remove_dir_all(&dir).ok();
     }
 }

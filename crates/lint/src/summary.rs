@@ -139,7 +139,7 @@ impl Gate {
 }
 
 /// One way an action can be justified: all gates must hold together.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatePath {
     /// Label for reports, e.g. `observed-terminating`.
     pub name: String,
@@ -155,6 +155,39 @@ impl GatePath {
             gates,
         }
     }
+
+    /// The strongest evidence this path's gates demand, which picks the
+    /// branch of the code that acts under it. A component resolves it
+    /// once, when it is built, from the path it declares.
+    pub fn evidence(&self) -> Evidence {
+        let has = |gate: fn(&Gate) -> bool| self.gates.iter().any(gate);
+        if has(|g| matches!(g, Gate::ObservedEvent(_))) {
+            Evidence::Observed
+        } else if has(|g| matches!(g, Gate::FreshConfirm(_))) {
+            Evidence::Fresh
+        } else if has(|g| matches!(g, Gate::Fence(_))) {
+            Evidence::Fenced
+        } else {
+            Evidence::Cached
+        }
+    }
+}
+
+/// What code acting under a [`GatePath`] holds before it acts
+/// ([`GatePath::evidence`]), strongest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Evidence {
+    /// A [`Gate::ObservedEvent`]: the code waits until its view has shown
+    /// the event.
+    Observed,
+    /// A [`Gate::FreshConfirm`]: the code confirms with a quorum read
+    /// first.
+    Fresh,
+    /// A [`Gate::Fence`]: the code recovers when the store rejects its
+    /// write (NotFound), instead of trusting the view that chose it.
+    Fenced,
+    /// None of these: the code trusts its view's snapshot.
+    Cached,
 }
 
 /// One action a component takes, with its justifying paths (OR of ANDs).

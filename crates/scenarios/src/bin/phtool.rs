@@ -43,12 +43,12 @@
 //!                                     (objects, window peak, cache bytes);
 //!                                     the trace is hashed and counted but
 //!                                     not stored (digest-only)
-//! phtool lint [--json] [--root DIR]  `ph-lint:` directive audit + §4.2
-//!                                     partial-history hazard analysis
-//! phtool check [--json] [--root DIR] symbolic model check (minimal
+//! phtool lint [--json] [--root DIR]  stale `ph-lint:` directive scan +
+//!                                     §4.2 partial-history hazard
+//!                                     analysis
+//! phtool check [--json]               symbolic model check (minimal
 //!                                     witnesses / epoch-safety per
-//!                                     destructive action) + IR↔source
-//!                                     conformance
+//!                                     destructive action)
 //! phtool repro <id> | --all           reproduce one of the paper's figures
 //!                                     or tables (or all of them) as text;
 //!                                     `tests/golden/repro/<id>.txt` pins
@@ -68,16 +68,18 @@
 //! Exit codes: `0` clean, `1` runtime error (I/O), `2` usage error (unknown
 //! command or flag, missing, ill-typed or out-of-range value), `3` a
 //! violation was detected (a dynamic oracle fired, a hunt found a
-//! violating candidate, or `lint` found unsuppressed findings or a
-//! static/dynamic disagreement) — so CI can gate on any subcommand.
+//! violating candidate, or `lint` found a stale directive or a
+//! static/dynamic disagreement) — so CI can gate on any subcommand. A
+//! closed stdout (`phtool repro --all | head`) ends the command quietly
+//! with `141`, the status a shell reports for a process SIGPIPE ended.
 
 #![allow(
-    clippy::print_stdout,
     clippy::print_stderr,
-    reason = "a command line tool: stdout and stderr are its output"
+    reason = "a command line tool: its status and error lines go to stderr"
 )]
 
 use std::collections::BTreeMap;
+use std::io::Write;
 
 use ph_core::autoguide;
 use ph_core::harness::Explorer;
@@ -101,6 +103,18 @@ enum Failure {
     Usage(String),
     /// The command line was fine but the run could not finish (exit 1).
     Runtime(String),
+    /// Stdout closed before the output was written: exit
+    /// [`EXIT_CLOSED`], quietly.
+    Closed,
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Failure {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Failure::Closed,
+            _ => Failure::Runtime(format!("writing stdout: {e}")),
+        }
+    }
 }
 
 impl From<String> for Failure {
@@ -118,7 +132,9 @@ impl From<&str> for Failure {
 /// Flags that take no value.
 const BOOL_FLAGS: &[&str] = &["metrics", "json", "witnesses", "all"];
 
-type Command = fn(&Args) -> Result<i32, Failure>;
+/// A subcommand: it writes its output to `out` (stdout) and returns its
+/// exit code.
+type Command = fn(&Args, &mut dyn Write) -> Result<i32, Failure>;
 
 /// Every subcommand with the flags it accepts; any other flag is a usage
 /// error.
@@ -162,7 +178,7 @@ const COMMANDS: &[(&str, &[&str], Command)] = &[
         cmd_scale,
     ),
     ("lint", &["json", "root"], cmd_lint),
-    ("check", &["json", "root"], cmd_check),
+    ("check", &["json"], cmd_check),
     ("repro", &["all"], cmd_repro),
 ];
 
@@ -274,17 +290,17 @@ fn usage() -> &'static str {
      phtool matrix [--trials N] [--seed N] [--threads N] [--prom <file>]\n  phtool hunt \
      --scenario <name> [--budget N] [--depth N] [--seed N] [--threads N] [--witnesses]\n  \
      phtool scale [--nodes N] [--pods N] [--shards N] [--seed N] [--json]\n  \
-     phtool lint [--json] [--root DIR]\n  phtool check [--json] [--root DIR]\n  \
+     phtool lint [--json] [--root DIR]\n  phtool check [--json]\n  \
      phtool repro <id> | --all\n\
-     exit codes: 0 clean, 1 error, 2 usage, 3 violation detected"
+     exit codes: 0 clean, 1 error, 2 usage, 3 violation detected, 141 stdout closed"
 }
 
-fn cmd_list(_args: &Args) -> Result<i32, Failure> {
-    println!("scenarios:");
+fn cmd_list(_args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
+    writeln!(out, "scenarios:")?;
     for scenario in by_name() {
-        println!("  {}", scenario.name);
+        writeln!(out, "  {}", scenario.name)?;
     }
-    println!("strategies: {}", STRATEGIES.join(", "));
+    writeln!(out, "strategies: {}", STRATEGIES.join(", "))?;
     Ok(0)
 }
 
@@ -304,7 +320,7 @@ fn format_trace(trace: &Trace, format: &str) -> Result<String, String> {
 /// runtime (1) and usage (2) errors so CI can gate on it.
 const EXIT_VIOLATION: i32 = 3;
 
-fn cmd_run(args: &Args) -> Result<i32, Failure> {
+fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let scenario = lookup(args.get("scenario").ok_or("--scenario is required")?)?;
     let seed = args.get_u64("seed", 1)?;
     let variant = args.variant()?;
@@ -333,34 +349,35 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
 
     let exit = if report.failed() { EXIT_VIOLATION } else { 0 };
     if args.has("json") {
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
         return Ok(exit);
     }
-    println!("scenario : {}", report.scenario);
-    println!("strategy : {}", report.strategy);
-    println!("variant  : {variant}");
-    println!("seed     : {}", report.seed);
-    println!("events   : {}", report.trace_events);
-    println!("digest   : {:#018x}", report.trace_digest);
+    writeln!(out, "scenario : {}", report.scenario)?;
+    writeln!(out, "strategy : {}", report.strategy)?;
+    writeln!(out, "variant  : {variant}")?;
+    writeln!(out, "seed     : {}", report.seed)?;
+    writeln!(out, "events   : {}", report.trace_events)?;
+    writeln!(out, "digest   : {:#018x}", report.trace_digest)?;
     if report.failed() {
-        println!("VERDICT  : VIOLATED");
+        writeln!(out, "VERDICT  : VIOLATED")?;
         for v in &report.violations {
-            println!("  {v}");
+            writeln!(out, "  {v}")?;
         }
     } else {
-        println!("VERDICT  : clean");
+        writeln!(out, "VERDICT  : clean")?;
     }
     if let Some(b) = report.blame {
-        println!(
+        writeln!(
+            out,
             "blame    : {} ({} link(s); {}/{} injected artifacts in chain)",
             b.class, b.links, b.in_chain, b.injected
-        );
+        )?;
     }
     if args.has("metrics") {
-        println!("\n-- metrics --");
-        print!("{}", report.metrics.render());
-        println!("\n-- divergence (|H| - |H'|, sampled) --");
-        print!("{}", report.divergence.render());
+        writeln!(out, "\n-- metrics --")?;
+        write!(out, "{}", report.metrics.render())?;
+        writeln!(out, "\n-- divergence (|H| - |H'|, sampled) --")?;
+        write!(out, "{}", report.divergence.render())?;
     }
     Ok(exit)
 }
@@ -373,7 +390,7 @@ fn cmd_run(args: &Args) -> Result<i32, Failure> {
 /// Exit 3 when the dynamic class disagrees with the static one (or the run
 /// produced no violation to explain while one was statically predicted) —
 /// CI gates on it.
-fn cmd_explain(args: &Args) -> Result<i32, Failure> {
+fn cmd_explain(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let seed = args.get_u64("seed", 1)?;
     let variant = args.variant()?;
     let strategy_name = args.strategy()?;
@@ -394,13 +411,13 @@ fn cmd_explain(args: &Args) -> Result<i32, Failure> {
         threads,
         args.has("json"),
     );
-    print!("{text}");
+    write!(out, "{text}")?;
     Ok(if disagreements > 0 { EXIT_VIOLATION } else { 0 })
 }
 
 /// The observability dashboard: run every scenario (or one) once and
 /// summarize verdicts, effort, and divergence side by side.
-fn cmd_report(args: &Args) -> Result<i32, Failure> {
+fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let seed = args.get_u64("seed", 1)?;
     let variant = args.variant()?;
     let strategy_name = args.strategy()?;
@@ -410,23 +427,23 @@ fn cmd_report(args: &Args) -> Result<i32, Failure> {
         None => by_name(),
     };
     let (text, violated) = experiments::report(&selected, strategy_name, variant, seed, threads);
-    print!("{text}");
+    write!(out, "{text}")?;
     Ok(if violated { EXIT_VIOLATION } else { 0 })
 }
 
-fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
+fn cmd_matrix(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let explorer = Explorer {
         max_trials: args.get_positive("trials", 5)? as u32,
         base_seed: args.get_u64("seed", 1000)?,
     };
     let matrix = experiments::detection_matrix(&by_name(), STRATEGIES, explorer, args.threads()?);
-    println!("{}", matrix.render());
-    println!("-- hunt telemetry (per scenario × strategy cell) --");
-    print!("{}", matrix.render_telemetry());
+    writeln!(out, "{}", matrix.render())?;
+    writeln!(out, "-- hunt telemetry (per scenario × strategy cell) --")?;
+    write!(out, "{}", matrix.render_telemetry())?;
     if let Some(path) = args.get("prom") {
         std::fs::write(path, matrix.to_prometheus())
             .map_err(|e| Failure::Runtime(format!("writing {path}: {e}")))?;
-        println!("prometheus exposition written to {path}");
+        writeln!(out, "prometheus exposition written to {path}")?;
     }
     if matrix.cells().iter().any(|c| c.detected()) {
         return Ok(EXIT_VIOLATION);
@@ -434,14 +451,14 @@ fn cmd_matrix(args: &Args) -> Result<i32, Failure> {
     Ok(0)
 }
 
-fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
+fn cmd_hunt(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let scenario = args.get("scenario").ok_or("--scenario is required")?;
     let entry = lookup(scenario)?;
     let seed = args.get_u64("seed", 1)?;
     if args.has("witnesses") {
         let budget = args.get_positive("budget", 30)? as usize;
         let (text, found) = experiments::witness_hunt(entry, budget, seed);
-        print!("{text}");
+        write!(out, "{text}")?;
         return Ok(if found.is_some() { EXIT_VIOLATION } else { 0 });
     }
     let labels = entry.blame.action_labels;
@@ -460,24 +477,28 @@ fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
             trace,
         )
     };
-    println!("hunting {scenario} (decisions {labels:?}, depth {depth}, budget {budget})…");
+    writeln!(
+        out,
+        "hunting {scenario} (decisions {labels:?}, depth {depth}, budget {budget})…"
+    )?;
     let (findings, total, census) =
         autoguide::explore(run, |_| entry.targets(seed), labels, depth, budget, threads);
-    println!(
+    writeln!(
+        out,
         "{total} candidates derived; {} distinct classes, {} deduplicated; {} tried",
         census.distinct_classes,
         census.deduped_trials,
         findings.len()
-    );
+    )?;
     let mut found = 0;
     let mut first_violating: Option<usize> = None;
     for (i, f) in findings.iter().enumerate() {
         if f.violated {
             found += 1;
             first_violating.get_or_insert(i + 1);
-            println!("✗ {}", f.candidate);
+            writeln!(out, "✗ {}", f.candidate)?;
             for v in &f.violations {
-                println!("    → {v}");
+                writeln!(out, "    → {v}")?;
             }
         }
     }
@@ -488,7 +509,8 @@ fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
         .saturating_mul(1_000_000_000)
         .checked_div(sim_ns)
         .unwrap_or(0);
-    println!(
+    writeln!(
+        out,
         "telemetry: {events} events over {:.2}s simulated ({rate} events/sim-sec); \
          first violating candidate: {}",
         sim_ns as f64 / 1e9,
@@ -496,8 +518,11 @@ fn cmd_hunt(args: &Args) -> Result<i32, Failure> {
             Some(i) => format!("#{i}"),
             None => "none".into(),
         }
-    );
-    println!("{found} violating candidate(s); re-run any with the same seed to replay");
+    )?;
+    writeln!(
+        out,
+        "{found} violating candidate(s); re-run any with the same seed to replay"
+    )?;
     if found > 0 {
         return Ok(EXIT_VIOLATION);
     }
@@ -538,7 +563,7 @@ fn workspace_root(args: &Args) -> Result<std::path::PathBuf, Failure> {
 /// deterministic (no wall-clock numbers — wall time and memory are
 /// `phbench`'s `scale-1k`/`scale-5k` workloads), so two invocations with
 /// the same flags are byte-identical, shard count included.
-fn cmd_scale(args: &Args) -> Result<i32, Failure> {
+fn cmd_scale(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let nodes = args.get_positive("nodes", 100)? as usize;
     let shards = args.get_positive("shards", 1)? as usize;
     let seed = args.get_u64("seed", 1)?;
@@ -571,7 +596,7 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
             "cache probe: {} bytes over {} objects; raft: {raft}; history: {history}; log: {log}",
             probe.cache_bytes, probe.cache_objects
         );
-        println!("{}", report.to_json());
+        writeln!(out, "{}", report.to_json())?;
         return Ok(exit);
     }
     let gauge = |name: &str| {
@@ -581,57 +606,63 @@ fn cmd_scale(args: &Args) -> Result<i32, Failure> {
             .map(|v| v.to_string())
             .unwrap_or_else(|| "-".into())
     };
-    println!("scenario : {}", report.scenario);
-    println!("seed     : {}", report.seed);
-    println!("nodes    : {nodes}");
-    println!("pods     : {}", params.pods);
-    println!("shards   : {shards}");
-    println!("events   : {}", report.trace_events);
-    println!("digest   : {:#018x}", report.trace_digest);
+    writeln!(out, "scenario : {}", report.scenario)?;
+    writeln!(out, "seed     : {}", report.seed)?;
+    writeln!(out, "nodes    : {nodes}")?;
+    writeln!(out, "pods     : {}", params.pods)?;
+    writeln!(out, "shards   : {shards}")?;
+    writeln!(out, "events   : {}", report.trace_events)?;
+    writeln!(out, "digest   : {:#018x}", report.trace_digest)?;
     // Where the memory did not go. The line states the family's retention,
     // so it must change with it.
     const _: () = assert!(matches!(
         ph_scenarios::mega_cluster::RETENTION,
         ph_sim::Retention::DigestOnly
     ));
-    println!(
+    writeln!(
+        out,
         "trace    : {} recorded, 0 retained (digest-only)",
         report.trace_events
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "objects  : {} (peak live in the watch cache)",
         gauge("apiserver.objects")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "peak-win : {} (window entries)",
         gauge("apiserver.window_peak")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "bytes    : {} over {} objects (cache approx at churn end)",
         probe.cache_bytes, probe.cache_objects
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "churn    : {} creates, {} deletes, {} watch events delivered",
         report.metrics.counter_total("demand.pod_creates"),
         report.metrics.counter_total("demand.pod_deletes"),
         report.metrics.counter_total("watcher.events"),
-    );
-    println!("raft     : {raft}");
-    println!("history  : {history}");
-    println!("log      : {log}");
+    )?;
+    writeln!(out, "raft     : {raft}")?;
+    writeln!(out, "history  : {history}")?;
+    writeln!(out, "log      : {log}")?;
     Ok(exit)
 }
 
-/// The static passes: the `ph-lint:` directive audit over every workspace
-/// `.rs` file, and the §4.2 hazard analysis over every scenario's access
-/// summaries, cross-checked against each scenario's documented class.
+/// The static passes: the stale `ph-lint:` directive scan over every
+/// workspace `.rs` file, and the §4.2 hazard analysis over every
+/// scenario's access summaries, cross-checked against each scenario's
+/// documented class.
 /// Determinism itself is clippy's (`crates/clippy.toml`).
-fn cmd_lint(args: &Args) -> Result<i32, Failure> {
+fn cmd_lint(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let root = workspace_root(args)?;
     let report = ph_lint::scan_workspace(&root)
         .map_err(|e| Failure::Runtime(format!("scanning {}: {e}", root.display())))?;
     let table = ph_scenarios::static_crosscheck();
-    let violated = report.unsuppressed_count() > 0 || !table.all_static_agree();
+    let violated = !report.findings.is_empty() || !table.all_static_agree();
 
     // Static independence matrices over every scenario's perturbation
     // alphabet (buggy variants — the alphabets the hunts actually use).
@@ -656,20 +687,30 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
                     .raw("matrix", &m.to_json());
             }
         });
-        println!("{doc}");
+        writeln!(out, "{doc}")?;
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }
 
-    println!("-- ph-lint directives ({}) --", root.display());
-    print!("{}", report.render_text());
-    println!("\n-- independence matrices (perturbation alphabets, buggy variants) --");
+    writeln!(out, "-- ph-lint directives ({}) --", root.display())?;
+    write!(out, "{}", report.render_text())?;
+    writeln!(
+        out,
+        "\n-- independence matrices (perturbation alphabets, buggy variants) --"
+    )?;
     for (scenario, m) in &matrices {
-        print!("{scenario} {}", m.render());
+        write!(out, "{scenario} {}", m.render())?;
     }
-    println!("\n-- partial-history hazards (§4.2, buggy variants) --");
+    writeln!(
+        out,
+        "\n-- partial-history hazards (§4.2, buggy variants) --"
+    )?;
     for row in &table.rows {
-        let hazard = |flag: &str, w: &ph_lint::modelcheck::Witness| {
-            println!(
+        let buggy = row.buggy_witnesses().into_iter().map(|w| ("", w));
+        let fixed =
+            (row.fixed.iter().flat_map(|r| r.witnesses())).map(|w| ("FIXED VARIANT FLAGGED ", w));
+        for (flag, w) in buggy.chain(fixed) {
+            writeln!(
+                out,
                 "  {}: {flag}{}/{} [{}] {} [witness: {}]",
                 row.scenario,
                 w.component,
@@ -677,52 +718,32 @@ fn cmd_lint(args: &Args) -> Result<i32, Failure> {
                 w.class,
                 w.detail,
                 w.schedule_text()
-            )
-        };
-        for w in row.buggy_witnesses() {
-            hazard("", w);
-        }
-        for w in row.fixed.iter().flat_map(|r| r.witnesses()) {
-            hazard("FIXED VARIANT FLAGGED ", w);
+            )?;
         }
     }
-    println!("\n-- static cross-check --");
-    print!("{}", table.render_text());
+    writeln!(out, "\n-- static cross-check --")?;
+    write!(out, "{}", table.render_text())?;
     if violated {
-        println!("\nverdict: VIOLATION (malformed directives or static/dynamic mismatch)");
+        writeln!(
+            out,
+            "\nverdict: VIOLATION (stale directives or static/dynamic mismatch)"
+        )?;
         Ok(EXIT_VIOLATION)
     } else {
-        println!("\nverdict: clean");
+        writeln!(out, "\nverdict: clean")?;
         Ok(0)
     }
 }
 
 /// `phtool check` — the symbolic side on its own: per-scenario model-check
 /// verdicts (minimal witnesses on buggy variants, epoch-safety proofs on
-/// fixed ones) plus the IR ↔ source conformance diff over the cluster
-/// sources. Exits 3 when a buggy variant lacks a witness of its documented
-/// class, a fixed variant fails to prove epoch-safe, or unsuppressed
-/// conformance drift exists.
-fn cmd_check(args: &Args) -> Result<i32, Failure> {
-    use ph_lint::conformance;
-
-    let root = workspace_root(args)?;
-    let json = args.has("json");
-
-    // Model-check every scenario's buggy and fixed summaries.
+/// fixed ones). Exits 3 when a buggy variant lacks a witness of its
+/// documented class or a fixed variant fails to prove epoch-safe.
+fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let table = ph_scenarios::static_crosscheck();
+    let violated = !table.all_static_agree();
 
-    // IR ↔ source conformance over the cluster sources.
-    let cluster_src = root.join("crates/cluster/src");
-    let scans = conformance::scan_dir(&cluster_src, "crates/cluster/src")
-        .map_err(|e| Failure::Runtime(format!("scanning {}: {e}", cluster_src.display())))?;
-    let declared = ph_cluster::topology::declared_access_summaries();
-    let drift = conformance::check_conformance(&scans, &declared);
-    let unsuppressed_drift = drift.iter().filter(|f| f.suppressed.is_none()).count();
-
-    let violated = !table.all_static_agree() || unsuppressed_drift > 0;
-
-    if json {
+    if args.has("json") {
         let doc = json::object(|o| {
             let mut modelcheck = o.arr("modelcheck");
             for r in &table.rows {
@@ -735,68 +756,44 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
                     .raws("buggy", r.buggy.iter().map(|b| b.to_json()));
             }
             drop(modelcheck);
-            o.obj("conformance")
-                .raws("findings", drift.iter().map(|f| f.to_json()))
-                .val("unsuppressed", unsuppressed_drift);
             o.val("violated", violated);
         });
-        println!("{doc}");
+        writeln!(out, "{doc}")?;
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }
 
-    println!("-- symbolic model check (witnesses / epoch-safety) --");
+    writeln!(out, "-- symbolic model check (witnesses / epoch-safety) --")?;
     for row in &table.rows {
         let states: usize = row.buggy.iter().map(|r| r.states_explored).sum();
-        println!(
+        writeln!(
+            out,
             "{}  expected {}  ({} state(s) explored)",
             row.scenario,
             row.expected.as_str(),
             states
-        );
+        )?;
         for w in row.buggy_witnesses() {
-            println!("  buggy  witness: {}", w.render());
+            writeln!(out, "  buggy  witness: {}", w.render())?;
         }
         for r in &row.fixed {
             if r.is_epoch_safe() {
-                println!("  fixed  {}: epoch-safe (all actions)", r.component);
+                writeln!(out, "  fixed  {}: epoch-safe (all actions)", r.component)?;
             } else {
                 for w in r.witnesses() {
-                    println!("  fixed  UNEXPECTED witness: {}", w.render());
+                    writeln!(out, "  fixed  UNEXPECTED witness: {}", w.render())?;
                 }
             }
         }
         if !row.class_witnessed() {
-            println!("  MISMATCH: no witness of the documented class");
-        }
-    }
-
-    println!(
-        "\n-- IR ↔ source conformance ({}) --",
-        cluster_src.display()
-    );
-    if drift.is_empty() {
-        println!(
-            "zero drift: {} impl(s) scanned against {} declared summaries",
-            scans.iter().map(|s| s.components.len()).sum::<usize>(),
-            declared.len()
-        );
-    } else {
-        for f in &drift {
-            match &f.suppressed {
-                Some(reason) => println!(
-                    "allowed   {}:{} [{}] {} (reason: {})",
-                    f.file, f.line, f.rule, f.message, reason
-                ),
-                None => println!("drift     {}:{} [{}] {}", f.file, f.line, f.rule, f.message),
-            }
+            writeln!(out, "  MISMATCH: no witness of the documented class")?;
         }
     }
 
     if violated {
-        println!("\nverdict: VIOLATION (model-check mismatch or conformance drift)");
+        writeln!(out, "\nverdict: VIOLATION (model-check mismatch)")?;
         Ok(EXIT_VIOLATION)
     } else {
-        println!("\nverdict: clean");
+        writeln!(out, "\nverdict: clean")?;
         Ok(0)
     }
 }
@@ -804,7 +801,7 @@ fn cmd_check(args: &Args) -> Result<i32, Failure> {
 /// `phtool repro` — print one of the paper's experiments, or all of them
 /// in EXPERIMENTS.md order. `repro <id>` prints exactly what
 /// `tests/golden/repro/<id>.txt` pins.
-fn cmd_repro(args: &Args) -> Result<i32, Failure> {
+fn cmd_repro(args: &Args, out: &mut dyn Write) -> Result<i32, Failure> {
     let ids = || {
         let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         ids.join(" ")
@@ -813,12 +810,12 @@ fn cmd_repro(args: &Args) -> Result<i32, Failure> {
         (Some(id), false) => {
             let experiment = experiments::find(id)
                 .ok_or_else(|| format!("unknown experiment {id:?} (try: {})", ids()))?;
-            print!("{}", (experiment.run)());
+            write!(out, "{}", (experiment.run)())?;
         }
         (None, true) => {
             for e in EXPERIMENTS {
-                println!("### {} ({}) — {}\n", e.id, e.paper_ref, e.title);
-                println!("{}", (e.run)());
+                writeln!(out, "### {} ({}) — {}\n", e.id, e.paper_ref, e.title)?;
+                writeln!(out, "{}", (e.run)())?;
             }
         }
         _ => return Err(format!("give one experiment id or --all (ids: {})", ids()).into()),
@@ -826,27 +823,34 @@ fn cmd_repro(args: &Args) -> Result<i32, Failure> {
     Ok(0)
 }
 
+/// Exit code when stdout closed before the output was written (a reader
+/// such as `head` exited): 141, the status a shell reports for a process
+/// that SIGPIPE ended, written quietly.
+const EXIT_CLOSED: i32 = 141;
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         eprintln!("{}", usage());
         std::process::exit(2);
     };
+    let mut out = std::io::stdout().lock();
     let result = match COMMANDS.iter().find(|(name, ..)| name == cmd) {
         Some((name, flags, run)) => Args::parse(name, flags, rest)
             .map_err(Failure::Usage)
-            .and_then(|args| run(&args)),
-        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
-            println!("{}", usage());
-            Ok(0)
-        }
+            .and_then(|args| run(&args, &mut out)),
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => writeln!(out, "{}", usage())
+            .map(|()| 0)
+            .map_err(Failure::from),
         None => Err(Failure::Usage(format!(
             "unknown command {cmd:?}\n{}",
             usage()
         ))),
     };
+    let result = result.and_then(|code| out.flush().map(|()| code).map_err(Failure::from));
     let (kind, message, code) = match result {
         Ok(code) => std::process::exit(code),
+        Err(Failure::Closed) => std::process::exit(EXIT_CLOSED),
         Err(Failure::Usage(message)) => ("usage error", message, 2),
         Err(Failure::Runtime(message)) => ("error", message, 1),
     };

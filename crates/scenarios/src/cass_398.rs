@@ -16,7 +16,7 @@
 //! `7.0s` end.
 
 use ph_cluster::objects::{Body, Object};
-use ph_cluster::operator::OperatorFlags;
+use ph_cluster::operator::OperatorPaths;
 use ph_cluster::topology::ClusterConfig;
 use ph_core::perturb::Strategy;
 use ph_core::provenance::BlameSpec;
@@ -43,7 +43,7 @@ pub static SCENARIO: Scenario = Scenario {
     },
     horizon: Duration::secs(7),
     stack: Stack::Cluster {
-        config: |variant| operator_cluster(flags(variant)),
+        config: |variant| operator_cluster(paths(variant)),
         focal: "cassandra-operator",
         seed: seed_datacenter::<3>,
         workload,
@@ -59,16 +59,12 @@ pub static SCENARIO: Scenario = Scenario {
     realize,
 };
 
-/// Defect switches for this scenario's buggy variant: only bug 398.
-fn flags(variant: Variant) -> OperatorFlags {
+/// The operator's gate paths: only bug 398 when buggy.
+fn paths(variant: Variant) -> OperatorPaths {
     if variant.is_buggy() {
-        OperatorFlags {
-            pvc_requires_observed_terminating: true,
-            handle_decommission_notfound: true,
-            fresh_confirm_orphan: false,
-        }
+        OperatorPaths::cass_398()
     } else {
-        OperatorFlags::fixed()
+        OperatorPaths::fixed()
     }
 }
 
@@ -94,13 +90,13 @@ fn realize(letter: &Letter) -> Vec<Box<dyn Strategy>> {
 }
 
 /// The cluster the three cassandra-operator scenarios share: two nodes, a
-/// scheduler, and the operator with one scenario's defect switches.
-pub(crate) fn operator_cluster(flags: OperatorFlags) -> ClusterConfig {
+/// scheduler, and the operator acting under one scenario's gate paths.
+pub(crate) fn operator_cluster(paths: OperatorPaths) -> ClusterConfig {
     ClusterConfig {
         apiservers: 2,
         nodes: vec!["node-1".into(), "node-2".into()],
         scheduler: Some(true),
-        operator: Some(flags),
+        operator: Some(paths),
         ..ClusterConfig::default()
     }
 }

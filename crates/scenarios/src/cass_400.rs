@@ -15,7 +15,7 @@
 //! reconnects to the frozen api-2), and release the backlog later. The
 //! restarted operator re-targets `dc1-2` → NotFound:
 //!
-//! * **buggy** (`handle_decommission_notfound = false`): wedges on `dc1-2`;
+//! * **buggy** (`decommission` unfenced): wedges on `dc1-2`;
 //!   even after api-2 catches up, the stuck target blocks `dc1-1`'s
 //!   decommission — scale-down never completes;
 //! * **fixed**: skips the phantom, re-derives the target after the view
@@ -25,7 +25,7 @@
 //! freeze api-2 at `3.05s` → crash operator `3.3s`, restart `3.6s` →
 //! release backlog `5.0s` → `8.0s` end.
 
-use ph_cluster::operator::OperatorFlags;
+use ph_cluster::operator::OperatorPaths;
 use ph_core::perturb::{Schedule, Strategy};
 use ph_core::provenance::BlameSpec;
 use ph_lint::modelcheck::Letter;
@@ -50,7 +50,7 @@ pub static SCENARIO: Scenario = Scenario {
     },
     horizon: Duration::secs(8),
     stack: Stack::Cluster {
-        config: |variant| operator_cluster(flags(variant)),
+        config: |variant| operator_cluster(paths(variant)),
         focal: "cassandra-operator",
         seed: seed_datacenter::<3>,
         workload,
@@ -65,16 +65,12 @@ pub static SCENARIO: Scenario = Scenario {
     realize,
 };
 
-/// Defect switches for this scenario's buggy variant: only bug 400.
-fn flags(variant: Variant) -> OperatorFlags {
+/// The operator's gate paths: only bug 400 when buggy.
+fn paths(variant: Variant) -> OperatorPaths {
     if variant.is_buggy() {
-        OperatorFlags {
-            pvc_requires_observed_terminating: false,
-            handle_decommission_notfound: false,
-            fresh_confirm_orphan: true,
-        }
+        OperatorPaths::cass_400()
     } else {
-        OperatorFlags::fixed()
+        OperatorPaths::fixed()
     }
 }
 

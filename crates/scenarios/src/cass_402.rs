@@ -12,7 +12,7 @@
 //! trace-triggered restart ([`crash_on_annotation`] on the operator's
 //! `operator.create_pod` decision).
 //!
-//! * **buggy** (`fresh_confirm_orphan = false`): deletes `dc1-pvc-2` while
+//! * **buggy** (`delete_pvc` = `orphan-in-cache`): deletes `dc1-pvc-2` while
 //!   `dc1-2` runs — the wrongful-delete oracle fires;
 //! * **fixed**: confirms the owner's absence with a quorum read, finds the
 //!   pod alive, and leaves the PVC alone.
@@ -22,7 +22,7 @@
 //! `dc1-pvc-2` then `dc1-2`) → crash operator 300 ms after the create,
 //! restart 300 ms later on api-2 → release backlog at teardown → `6.5s` end.
 
-use ph_cluster::operator::OperatorFlags;
+use ph_cluster::operator::OperatorPaths;
 use ph_core::perturb::{Schedule, Strategy, TargetRef};
 use ph_core::provenance::BlameSpec;
 use ph_lint::modelcheck::Letter;
@@ -47,7 +47,7 @@ pub static SCENARIO: Scenario = Scenario {
     },
     horizon: Duration::millis(6500),
     stack: Stack::Cluster {
-        config: |variant| operator_cluster(flags(variant)),
+        config: |variant| operator_cluster(paths(variant)),
         focal: "cassandra-operator",
         seed: seed_datacenter::<2>,
         workload,
@@ -57,16 +57,12 @@ pub static SCENARIO: Scenario = Scenario {
     realize,
 };
 
-/// Defect switches for this scenario's buggy variant: only bug 402.
-fn flags(variant: Variant) -> OperatorFlags {
+/// The operator's gate paths: only bug 402 when buggy.
+fn paths(variant: Variant) -> OperatorPaths {
     if variant.is_buggy() {
-        OperatorFlags {
-            pvc_requires_observed_terminating: false,
-            handle_decommission_notfound: true,
-            fresh_confirm_orphan: false,
-        }
+        OperatorPaths::cass_402()
     } else {
-        OperatorFlags::fixed()
+        OperatorPaths::fixed()
     }
 }
 

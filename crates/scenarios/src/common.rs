@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn view_walk_order_is_the_dense_sample_index() {
         use ph_cluster::controllers::VcMode;
-        use ph_cluster::operator::OperatorFlags;
+        use ph_cluster::operator::OperatorPaths;
         // Every optional component configured, and one kubelet crashed: a
         // crashed view keeps its place in the walk (and its frozen frontier
         // keeps being sampled — the lag of a dead view is still lag).
@@ -361,7 +361,7 @@ mod tests {
             scheduler: Some(false),
             volume_controller: Some(VcMode::MarkOnly),
             rs_controller: Some(false),
-            operator: Some(OperatorFlags::fixed()),
+            operator: Some(OperatorPaths::fixed()),
             node_lifecycle: Some(false),
             ..ClusterConfig::default()
         };

@@ -13,6 +13,7 @@ use ph_core::epoch::{EpochBuffer, EpochError, EpochPartition};
 use ph_core::history::{Change, ChangeOp, FrontierLog, History};
 use ph_core::observe::observability_report;
 use ph_core::perturb::{Schedule, Strategy, Targets};
+use ph_lint::summary::ReadKind;
 use ph_sim::{
     Actor, ActorId, AnyMsg, Ctx, Duration, SimRng, SimTime, TimerId, TraceEventKind, World,
     WorldConfig,
@@ -394,7 +395,16 @@ fn run_manager(seed: u64, fixed: bool, lag: Duration) -> (u64, usize) {
     scc.affinity = Some(follower_idx);
     let manager = world.spawn(
         "region-manager",
-        RegionManager::new(StoreClient::new(scc), 4, Duration::millis(50), fixed),
+        RegionManager::new(
+            StoreClient::new(scc),
+            4,
+            Duration::millis(50),
+            if fixed {
+                ReadKind::Quorum
+            } else {
+                ReadKind::Cache
+            },
+        ),
     );
 
     let targets = Targets {

@@ -23,7 +23,7 @@
 use ph_core::perturb::{Schedule, Strategy, Targets};
 use ph_core::provenance::BlameSpec;
 use ph_lint::modelcheck::Letter;
-use ph_lint::summary::{AccessSummary, PatternClass};
+use ph_lint::summary::{AccessSummary, PatternClass, ReadKind};
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, SimTime, TimerId, World, WorldConfig};
 use ph_store::msgs::Expect;
 use ph_store::node::StoreNodeConfig;
@@ -59,28 +59,34 @@ pub static SCENARIO: Scenario = Scenario {
     realize,
 };
 
+/// How the region manager reads a region before its CAS: serializably
+/// from its local follower (buggy, possibly stale) or linearizably (fixed,
+/// HBASE-3136's sync). The run and the static summary both read it.
+fn read_kind(variant: Variant) -> ReadKind {
+    if variant.is_buggy() {
+        ReadKind::Cache
+    } else {
+        ReadKind::Quorum
+    }
+}
+
 /// Static access summary of the region manager.
 ///
 /// This scenario has no informer stack, so the summary is written by hand:
-/// the manager's "view" is one point read per transition — serializable
-/// from its local follower (buggy, `ReadKind::Cache`) or linearizable
-/// (fixed, `ReadKind::Quorum`). The CAS carries an `Expect::ModRev`
-/// precondition, but that fence only protects the *write*: the manager
-/// treats a failed CAS as a permanently broken assignment and abandons the
-/// region, so the destructive abandon decision consumes the possibly-stale
-/// read unfenced — which is exactly HBASE-3136's failure mode.
+/// the manager's "view" is one point read per transition, of
+/// [`read_kind`]. The CAS carries an `Expect::ModRev` precondition, but
+/// that fence only protects the *write*: the manager treats a failed CAS as
+/// a permanently broken assignment and abandons the region, so the
+/// destructive abandon decision consumes the possibly-stale read unfenced —
+/// which is exactly HBASE-3136's failure mode.
 fn summaries(variant: Variant) -> Vec<AccessSummary> {
-    use ph_lint::summary::{ActionDecl, Gate, GatePath, ReadKind, ViewDecl};
+    use ph_lint::summary::{ActionDecl, Gate, GatePath, ViewDecl};
     vec![AccessSummary {
         component: "region-manager".into(),
         upstream_switch: false,
         views: vec![ViewDecl {
             resource: "regions".into(),
-            list: if variant.is_buggy() {
-                ReadKind::Cache
-            } else {
-                ReadKind::Quorum
-            },
+            list: read_kind(variant),
             watch: false,
             relist_on_gap: false,
             periodic_resync: false,
@@ -105,8 +111,9 @@ pub struct RegionManager {
     client: StoreClient,
     regions: Vec<String>,
     interval: Duration,
-    /// `true` = sync (linearizable read) before every CAS — the fix.
-    fixed: bool,
+    /// How each transition reads its region: `Linearizable` (a sync before
+    /// every CAS) is the fix.
+    level: ReadLevel,
     /// req → region, for reads awaiting a response.
     pending_read: std::collections::BTreeMap<u64, String>,
     /// req → region, for CAS writes awaiting a response.
@@ -121,13 +128,18 @@ pub struct RegionManager {
 
 impl RegionManager {
     /// Creates a manager for `n` regions, reading through `client`
-    /// (configure the client's affinity to pick the follower it trusts).
-    pub fn new(client: StoreClient, n: usize, interval: Duration, fixed: bool) -> RegionManager {
+    /// (configure the client's affinity to pick the follower it trusts):
+    /// serializably for `ReadKind::Cache`, linearizably for
+    /// `ReadKind::Quorum`.
+    pub fn new(client: StoreClient, n: usize, interval: Duration, read: ReadKind) -> RegionManager {
         RegionManager {
             client,
             regions: (0..n).map(|i| format!("regions/r{i}")).collect(),
             interval,
-            fixed,
+            level: match read {
+                ReadKind::Cache => ReadLevel::Serializable,
+                ReadKind::Quorum => ReadLevel::Linearizable,
+            },
             pending_read: std::collections::BTreeMap::new(),
             pending_cas: std::collections::BTreeMap::new(),
             broken: std::collections::BTreeSet::new(),
@@ -152,11 +164,7 @@ impl RegionManager {
     }
 
     fn start_transitions(&mut self, ctx: &mut Ctx) {
-        let level = if self.fixed {
-            ReadLevel::Linearizable
-        } else {
-            ReadLevel::Serializable
-        };
+        let level = self.level;
         let todo: Vec<String> = self
             .regions
             .iter()
@@ -290,7 +298,7 @@ fn setup(seed: u64, variant: Variant) -> StoreWorld {
             StoreClient::new(scc),
             4,
             Duration::millis(50),
-            !variant.is_buggy(),
+            read_kind(variant),
         ),
     );
 

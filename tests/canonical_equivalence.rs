@@ -295,6 +295,33 @@ fn phtool_rejects_bad_command_lines_with_exit_2() {
     assert!(stderr.starts_with("error: writing"), "{stderr}");
 }
 
+/// A reader that exits early (`phtool repro --all | head`) closes phtool's
+/// stdout: phtool stops quietly with exit 141, the status a shell reports
+/// for a process SIGPIPE ended, instead of panicking. The stdout handed to
+/// phtool is the write end of a pipe whose only reader has already exited,
+/// so its first write fails.
+#[test]
+fn phtool_exits_quietly_when_stdout_closes() {
+    use std::process::{Command, Stdio};
+    let bin = env!("CARGO_BIN_EXE_phtool");
+    let mut reader = Command::new(bin)
+        .stdin(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning phtool");
+    let closed = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("the reader exits without reading");
+    let out = Command::new(bin)
+        .arg("list")
+        .stdout(Stdio::from(closed))
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawning phtool");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(141), "{stderr}");
+}
+
 /// `phtool list` prints exactly the registry, and every scenario it prints
 /// takes a causal hunt: labels and targets come from the scenario's own
 /// value, so there is no wiring table for a scenario to be missing from.

@@ -15,15 +15,23 @@
 //! The file also pins the determinism contract of the checker itself:
 //! the same IR yields byte-identical witness JSON across repeated
 //! in-process runs and across any worker count of the parallel runner —
-//! and the IR↔source conformance pass reports zero drift on the real
-//! `ph-cluster` tree.
+//! and checks the IR against what runs: every request the cluster
+//! scenarios' components send is one their summaries declare.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
+use ph_cluster::api::ApiWatchCreate;
+use ph_cluster::topology::spawn_cluster;
+use ph_cluster::{ApiRequest, Verb};
 use ph_core::crosscheck::CrossCheckTable;
 use ph_core::parallel::run_indexed;
+use ph_core::perturb::{Strategy, Targets};
 use ph_lint::modelcheck::model_check_all;
-use ph_scenarios::{scenario_statics, Variant};
+use ph_lint::summary::{Gate, ReadKind};
+use ph_scenarios::{scenario_statics, Stack, Variant, SCENARIOS, T0};
+use ph_sim::{ActorId, Envelope, SimTime, Verdict, World, WorldConfig};
 
 /// Builds the full table: static verdicts from the model checker (via
 /// [`ph_scenarios::static_crosscheck`], the same source `phtool lint`
@@ -194,28 +202,120 @@ fn witness_json_is_byte_identical_across_runs_and_thread_counts() {
     assert!(first.matches("\"verdict\":\"hazardous\"").count() >= 9);
 }
 
+/// One message a component sent an apiserver.
+#[derive(Debug)]
+enum Sent {
+    /// A request.
+    Request(Verb),
+    /// A watch opened on a prefix.
+    Watch(String),
+}
+
+/// The messages recorded so far, with their senders.
+type Log = Rc<RefCell<Vec<(ActorId, Sent)>>>;
+
+/// Installs an interceptor on `world` that passes every message and logs
+/// each one [`Sent`] to an apiserver.
+fn record_requests(world: &mut World) -> Log {
+    let log = Log::default();
+    let sink = Rc::clone(&log);
+    world.set_interceptor(move |env: &Envelope, _now: SimTime| {
+        let request = env.msg.downcast_ref::<ApiRequest>();
+        let watch = env.msg.downcast_ref::<ApiWatchCreate>();
+        let sent = match (request, watch) {
+            (Some(r), _) => Some(Sent::Request(r.verb.clone())),
+            (_, Some(w)) => Some(Sent::Watch(w.prefix.clone())),
+            _ => None,
+        };
+        sink.borrow_mut().extend(sent.map(|sent| (env.src, sent)));
+        Verdict::Pass
+    });
+    log
+}
+
+/// A strategy that injects nothing and logs every message [`Sent`] to an
+/// apiserver.
+struct Recorder(Option<Log>);
+
+impl Strategy for Recorder {
+    fn name(&self) -> String {
+        "recorder".into()
+    }
+
+    fn setup(&mut self, world: &mut World, _targets: &Targets) {
+        self.0 = Some(record_requests(world));
+    }
+}
+
+/// The resource a key or prefix names: `pods` for `pods/p1` and `pods/`.
+fn resource(key: &str) -> &str {
+    key.split('/').next().unwrap_or(key)
+}
+
+/// What the components of every cluster scenario send, in a seed-1
+/// no-fault run of each variant, is what their access summaries declare:
+/// a delete or graceful delete comes from a component that declares a
+/// destructive action, on a resource it has a view of; every list and
+/// watch is on a declared view, a quorum list on a quorum view; and a quorum read comes from a component
+/// that declares a fresh confirmation, or a quorum view, of that resource.
+/// A component that sends requests but has no summary fails too.
+///
+/// A trial's strategy is set up only once the cluster is ready, so the
+/// boot (spawn to [`T0`]: the first lists and watches) is recorded on its
+/// own world built the same way, with the same seed and config: the same
+/// actors, ids and requests as the trial's warm-up.
 #[test]
-fn conformance_pass_reports_zero_drift_on_the_real_tree() {
-    // `phtool check` runs exactly this scan; keep the tree clean.
-    let cluster_src = concat!(env!("CARGO_MANIFEST_DIR"), "/../cluster/src");
-    let scans =
-        ph_lint::conformance::scan_dir(std::path::Path::new(cluster_src), "crates/cluster/src")
-            .expect("cluster sources must be readable");
-    assert!(
-        !scans.is_empty(),
-        "scanner found no sources under {cluster_src}"
-    );
-    let declared = ph_cluster::topology::declared_access_summaries();
-    assert_eq!(declared.len(), 8, "every component must declare a summary");
-    let findings = ph_lint::conformance::check_conformance(&scans, &declared);
-    let unsuppressed: Vec<_> = findings.iter().filter(|f| f.suppressed.is_none()).collect();
-    assert!(
-        unsuppressed.is_empty(),
-        "IR drift against the real tree:\n{}",
-        unsuppressed
-            .iter()
-            .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+fn components_send_only_what_their_summaries_declare() {
+    let mut destructive = 0;
+    for scenario in SCENARIOS {
+        let Stack::Cluster { config, .. } = &scenario.stack else {
+            continue;
+        };
+        for variant in [Variant::Buggy, Variant::Fixed] {
+            let at = format!("{} {variant}", scenario.name);
+            let mut boot = World::new(WorldConfig::default(), 1);
+            let boot_log = record_requests(&mut boot);
+            let cluster = spawn_cluster(&mut boot, &config(variant));
+            let t0 = SimTime(T0.as_nanos());
+            assert!(cluster.wait_ready(&mut boot, t0), "{at}: not ready");
+            boot.run_until(t0);
+            let mut trial = Recorder(None);
+            scenario.run(1, &mut trial, variant);
+            let trial_log = trial.0.expect("the driver sets the strategy up");
+
+            let summaries = ph_cluster::topology::access_summaries(&config(variant));
+            let log = boot_log.take().into_iter().chain(trial_log.take());
+            for (id, sent) in log {
+                let sender = boot.name_of(id);
+                let Some(summary) = summaries.iter().find(|s| s.component == sender) else {
+                    panic!("{at}: {sender} sends {sent:?} but declares no summary");
+                };
+                let view =
+                    |prefix: &str| (summary.views.iter()).find(|v| v.resource == resource(prefix));
+                let ok = match &sent {
+                    Sent::Request(Verb::Delete { key } | Verb::MarkDeleted { key }) => {
+                        destructive += 1;
+                        summary.actions.iter().any(|a| a.destructive) && view(key).is_some()
+                    }
+                    Sent::Request(Verb::List { prefix, fresh }) => {
+                        view(prefix).is_some_and(|v| (v.list == ReadKind::Quorum) == *fresh)
+                    }
+                    Sent::Watch(prefix) => view(prefix).is_some_and(|v| v.watch),
+                    Sent::Request(Verb::Get { key, fresh: true }) => {
+                        let confirms = (summary.actions.iter())
+                            .flat_map(|a| &a.paths)
+                            .flat_map(|p| &p.gates)
+                            .any(|g| *g == Gate::FreshConfirm(resource(key).to_string()));
+                        confirms || view(key).is_some_and(|v| v.list == ReadKind::Quorum)
+                    }
+                    Sent::Request(_) => true,
+                };
+                assert!(
+                    ok,
+                    "{at}: {sender} sends {sent:?}, undeclared by its summary"
+                );
+            }
+        }
+    }
+    assert!(destructive > 0, "no run sent a destructive request");
 }
