@@ -186,6 +186,12 @@ pub struct ObjEvent {
     pub value: Option<Value>,
 }
 
+impl ph_store::watch::StreamEvent for ObjEvent {
+    fn has_prefix(&self, prefix: &str) -> bool {
+        self.key.starts_with(prefix)
+    }
+}
+
 impl ObjEvent {
     /// `true` for deletions.
     pub fn is_delete(&self) -> bool {
@@ -217,6 +223,23 @@ pub struct ApiWatchCreate {
 pub struct ApiWatchCancelReq {
     /// The watch.
     pub watch: u64,
+}
+
+impl ph_store::watch::StreamWire for ApiWatchCreate {
+    type Cancel = ApiWatchCancelReq;
+    const RECONNECTS: Option<&'static str> = Some("apiclient.watch_reconnects");
+
+    fn create(watch: u64, prefix: String, after: Revision) -> ApiWatchCreate {
+        ApiWatchCreate {
+            watch,
+            prefix,
+            after,
+        }
+    }
+
+    fn cancel(watch: u64) -> ApiWatchCancelReq {
+        ApiWatchCancelReq { watch }
+    }
 }
 
 /// A batch of events on a watch stream.

@@ -5,15 +5,20 @@
 //! time-travel vector of §4.2.2: "a service can synchronize its state with
 //! one of multiple upstream sources, each of which could be potentially
 //! stale". [`PickPolicy`] controls the choice deterministically.
+//!
+//! Watch streams go through [`ph_store::watch::Streams`], the tracker the
+//! store client embeds too: this client only picks the apiserver each
+//! (re)connect goes to.
 
 use std::collections::BTreeMap;
 
 use ph_sim::{ActorId, AnyMsg, Ctx, Duration, SimTime};
+use ph_store::watch::Streams;
 use ph_store::Revision;
 
 use crate::api::{
-    ApiError, ApiOk, ApiRequest, ApiResponse, ApiWatchCancelReq, ApiWatchCancelled, ApiWatchCreate,
-    ApiWatchEvent, ApiWatchProgress, ObjEvent, Verb,
+    ApiError, ApiOk, ApiRequest, ApiResponse, ApiWatchCancelled, ApiWatchCreate, ApiWatchEvent,
+    ApiWatchProgress, ObjEvent, Verb,
 };
 
 /// How a component chooses its apiserver.
@@ -99,16 +104,6 @@ struct Pending {
     deadline: SimTime,
 }
 
-#[derive(Debug, Clone)]
-struct WatchSt {
-    prefix: String,
-    resume: Revision,
-    node: ActorId,
-    last_seen: SimTime,
-    /// Next expected stream sequence; a gap ⇒ reconnect from `resume`.
-    expect_seq: u64,
-}
-
 /// The client state machine. Owners forward messages to
 /// [`ApiClient::on_message`] and call [`ApiClient::tick`] periodically.
 #[derive(Debug)]
@@ -120,9 +115,8 @@ pub struct ApiClient {
     /// while retrying around unavailability and snaps back on success.
     preferred: usize,
     next_req: u64,
-    next_watch: u64,
     pending: BTreeMap<u64, Pending>,
-    watches: BTreeMap<u64, WatchSt>,
+    watches: Streams<ApiWatchCreate>,
 }
 
 impl ApiClient {
@@ -147,9 +141,8 @@ impl ApiClient {
             home: preferred,
             preferred,
             next_req: 0,
-            next_watch: 0,
             pending: BTreeMap::new(),
-            watches: BTreeMap::new(),
+            watches: Streams::new(WATCH_TIMEOUT),
         }
     }
 
@@ -256,36 +249,13 @@ impl ApiClient {
 
     /// Opens a watch on the preferred apiserver.
     pub fn watch(&mut self, prefix: impl Into<String>, after: Revision, ctx: &mut Ctx) -> u64 {
-        let watch = self.next_watch;
-        self.next_watch += 1;
         let node = self.upstream();
-        let prefix = prefix.into();
-        ctx.send(
-            node,
-            ApiWatchCreate {
-                watch,
-                prefix: prefix.clone(),
-                after,
-            },
-        );
-        self.watches.insert(
-            watch,
-            WatchSt {
-                prefix,
-                resume: after,
-                node,
-                last_seen: ctx.now(),
-                expect_seq: 0,
-            },
-        );
-        watch
+        self.watches.open(prefix.into(), after, node, ctx)
     }
 
     /// Cancels a watch.
     pub fn cancel_watch(&mut self, watch: u64, ctx: &mut Ctx) {
-        if let Some(st) = self.watches.remove(&watch) {
-            ctx.send(st.node, ApiWatchCancelReq { watch });
-        }
+        self.watches.cancel(watch, ctx);
     }
 
     // -----------------------------------------------------------------
@@ -326,84 +296,34 @@ impl ApiClient {
             }
             return true;
         }
+        let upstream = self.upstream();
         if let Some(e) = msg.downcast_ref::<ApiWatchEvent>() {
-            match self.stream_check(e.watch, from, e.stream_seq) {
-                StreamCheck::Ok => {
-                    let st = self.watches.get_mut(&e.watch).expect("checked");
-                    st.resume = st.resume.max(e.revision);
-                    st.last_seen = ctx.now();
-                    out.push(ApiCompletion::WatchEvents {
-                        watch: e.watch,
-                        events: e.events.clone(),
-                        revision: e.revision,
-                    });
-                }
-                StreamCheck::Broken => self.reconnect_watch(e.watch, ctx),
-                StreamCheck::Ignore => {}
+            let (watch, revision) = (e.watch, e.revision);
+            if self
+                .watches
+                .receive(from, watch, e.stream_seq, revision, ctx, || upstream)
+            {
+                let events = e.events.clone();
+                out.push(ApiCompletion::WatchEvents {
+                    watch,
+                    events,
+                    revision,
+                });
             }
             return true;
         }
         if let Some(p) = msg.downcast_ref::<ApiWatchProgress>() {
-            match self.stream_check(p.watch, from, p.stream_seq) {
-                StreamCheck::Ok => {
-                    let st = self.watches.get_mut(&p.watch).expect("checked");
-                    st.resume = st.resume.max(p.revision);
-                    st.last_seen = ctx.now();
-                }
-                StreamCheck::Broken => self.reconnect_watch(p.watch, ctx),
-                StreamCheck::Ignore => {}
-            }
+            self.watches
+                .receive(from, p.watch, p.stream_seq, p.revision, ctx, || upstream);
             return true;
         }
         if let Some(c) = msg.downcast_ref::<ApiWatchCancelled>() {
-            if self.watches.remove(&c.watch).is_some() {
+            if self.watches.ended(c.watch) {
                 out.push(ApiCompletion::WatchTooOld { watch: c.watch });
             }
             return true;
         }
         false
-    }
-
-    /// Validates a stream message's sequence number.
-    fn stream_check(&mut self, watch: u64, from: ActorId, seq: u64) -> StreamCheck {
-        let Some(st) = self.watches.get_mut(&watch) else {
-            return StreamCheck::Ignore;
-        };
-        if st.node != from {
-            return StreamCheck::Ignore;
-        }
-        use std::cmp::Ordering;
-        match seq.cmp(&st.expect_seq) {
-            Ordering::Equal => {
-                st.expect_seq += 1;
-                StreamCheck::Ok
-            }
-            Ordering::Less => StreamCheck::Ignore,
-            Ordering::Greater => StreamCheck::Broken,
-        }
-    }
-
-    /// Tears a broken stream down and re-creates it from the last
-    /// contiguously received revision, on the current preferred upstream.
-    fn reconnect_watch(&mut self, watch: u64, ctx: &mut Ctx) {
-        let Some(st) = self.watches.get(&watch).cloned() else {
-            return;
-        };
-        ctx.counter_inc("apiclient.watch_reconnects");
-        ctx.send(st.node, ApiWatchCancelReq { watch });
-        let node = self.upstream();
-        ctx.send(
-            node,
-            ApiWatchCreate {
-                watch,
-                prefix: st.prefix.clone(),
-                after: st.resume,
-            },
-        );
-        let entry = self.watches.get_mut(&watch).expect("exists");
-        entry.node = node;
-        entry.last_seen = ctx.now();
-        entry.expect_seq = 0;
     }
 
     fn resend(&mut self, req: u64, ctx: &mut Ctx) {
@@ -437,26 +357,9 @@ impl ApiClient {
             ctx.counter_inc("apiclient.retries");
             self.resend(req, ctx);
         }
-        let dead: Vec<u64> = self
-            .watches
-            .iter()
-            .filter(|(_, st)| now.since(st.last_seen) > WATCH_TIMEOUT)
-            .map(|(&w, _)| w)
-            .collect();
-        for watch in dead {
-            self.reconnect_watch(watch, ctx);
-        }
+        let upstream = self.upstream();
+        self.watches.reap(ctx, || upstream);
     }
-}
-
-/// Outcome of a stream sequence check.
-enum StreamCheck {
-    /// In order: process.
-    Ok,
-    /// A gap: reconnect.
-    Broken,
-    /// Duplicate/stale: drop.
-    Ignore,
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! pounding etcd" — §4.1, [1]). Writes pass through to the store with
 //! optimistic concurrency. A bounded rolling window of recent events backs
 //! watch resumption; resuming below the window fails with
-//! `TooOldResourceVersion` ([7], §4.2.3).
+//! `TooOldResourceVersion` ([7], §4.2.3). Component watch streams are
+//! served through a [`ph_store::watch::WatchRegistry`] (numbering,
+//! routing, progress), the registry every store node uses too.
 //!
 //! Consequences faithfully reproduced:
 //! * an apiserver cut off from the store keeps serving its stale cache;
@@ -23,6 +25,7 @@ use std::rc::Rc;
 
 use ph_store::kv::KvEvent;
 use ph_store::msgs::{Expect, ReadLevel};
+use ph_store::watch::WatchRegistry;
 use ph_store::{Completion, OpError, OpResult, Revision, StoreClient, StoreClientConfig, Value};
 
 use crate::api::{
@@ -128,8 +131,8 @@ pub struct ApiServer {
     /// Lowest resume point servable from the window (events ≤ floor are
     /// gone; a resume at exactly `floor` is fine).
     window_floor: Revision,
-    /// Component watchers: (client, watch id) → (prefix, next stream seq).
-    watchers: BTreeMap<(ActorId, u64), (String, u64)>,
+    /// Component watch streams.
+    watchers: WatchRegistry,
     /// In-flight store requests.
     pending: BTreeMap<u64, PendingApi>,
     /// The store watch feeding the cache.
@@ -158,7 +161,7 @@ impl ApiServer {
             objects_peak: 0,
             window_peak: 0,
             window_floor: Revision::ZERO,
-            watchers: BTreeMap::new(),
+            watchers: WatchRegistry::new(),
             pending: BTreeMap::new(),
             feed_watch: None,
             busy_until: ph_sim::SimTime::ZERO,
@@ -272,27 +275,18 @@ impl ApiServer {
         ctx.annotate("view.frontier", self.cache_rev.0.to_string());
         ctx.gauge_set("apiserver.cache_revision", self.cache_rev.0 as i64);
         // Fan out to component watchers.
-        let cache_rev = self.cache_rev;
-        for ((client, watch), (prefix, next_seq)) in self.watchers.iter_mut() {
-            let matching: Vec<Rc<ObjEvent>> = out
-                .iter()
-                .filter(|e| e.key.starts_with(prefix.as_str()))
-                .cloned()
-                .collect();
-            if !matching.is_empty() {
-                let seq = *next_seq;
-                *next_seq += 1;
-                ctx.counter_add("apiserver.watch_delivered", matching.len() as u64);
-                let batch = ApiWatchEvent {
-                    watch: *watch,
-                    stream_seq: seq,
-                    events: matching,
-                    revision: cache_rev,
-                };
-                let bytes = batch.wire_bytes();
-                ctx.send_sized(*client, batch, bytes);
-            }
-        }
+        let revision = self.cache_rev;
+        self.watchers.route(&out, |to, events| {
+            ctx.counter_add("apiserver.watch_delivered", events.len() as u64);
+            let batch = ApiWatchEvent {
+                watch: to.watch,
+                stream_seq: to.seq,
+                events,
+                revision,
+            };
+            let bytes = batch.wire_bytes();
+            ctx.send_sized(to.client, batch, bytes);
+        });
     }
 
     fn on_store_completion(&mut self, c: Completion, ctx: &mut Ctx) {
@@ -670,22 +664,14 @@ impl ApiServer {
             );
             return;
         }
-        let backlog: Vec<Rc<ObjEvent>> = self
-            .window
-            .iter()
-            .filter(|e| e.revision > after && e.key.starts_with(&w.prefix))
-            .cloned()
-            .collect();
-        let first_seq = if backlog.is_empty() { 0 } else { 1 };
-        self.watchers
-            .insert((from, w.watch), (w.prefix.clone(), first_seq));
-        if !backlog.is_empty() {
+        let backlog = self.window.iter().filter(|e| e.revision > after);
+        if let Some((seq, events)) = self.watchers.open(from, w.watch, w.prefix, backlog) {
             ctx.send(
                 from,
                 ApiWatchEvent {
                     watch: w.watch,
-                    stream_seq: 0,
-                    events: backlog,
+                    stream_seq: seq,
+                    events,
                     revision: self.cache_rev,
                 },
             );
@@ -737,7 +723,7 @@ impl Actor for ApiServer {
             return;
         }
         if let Some(c) = msg.downcast_ref::<ApiWatchCancelReq>() {
-            self.watchers.remove(&(from, c.watch));
+            self.watchers.cancel(from, c.watch);
         }
     }
 
@@ -755,19 +741,17 @@ impl Actor for ApiServer {
                 ctx.set_timer(TICK, TAG_TICK);
             }
             TAG_PROGRESS => {
-                let cache_rev = self.cache_rev;
-                for ((client, watch), (_, next_seq)) in self.watchers.iter_mut() {
-                    let seq = *next_seq;
-                    *next_seq += 1;
+                let revision = self.cache_rev;
+                self.watchers.progress(|to| {
                     ctx.send(
-                        *client,
+                        to.client,
                         ApiWatchProgress {
-                            watch: *watch,
-                            stream_seq: seq,
-                            revision: cache_rev,
+                            watch: to.watch,
+                            stream_seq: to.seq,
+                            revision,
                         },
                     );
-                }
+                });
                 ctx.set_timer(PROGRESS_INTERVAL, TAG_PROGRESS);
             }
             _ => {}

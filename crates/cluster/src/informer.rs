@@ -11,11 +11,11 @@
 use std::collections::BTreeMap;
 
 use ph_lint::summary::{ReadKind, ViewDecl};
-use ph_sim::{Ctx, Duration, SimTime};
+use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, SimTime, TimerId};
 use ph_store::Revision;
 
 use crate::api::{ApiError, ApiOk};
-use crate::apiclient::{ApiClient, ApiCompletion};
+use crate::apiclient::{ApiClient, ApiClientConfig, ApiCompletion};
 use crate::objects::Object;
 
 /// Informer tuning.
@@ -295,6 +295,70 @@ impl Informer {
                 true
             }
         }
+    }
+}
+
+/// A minimal actor owning an [`ApiClient`] and one [`Informer`], used by
+/// tests and experiments that just need "a component watching the
+/// cluster": it ticks every 30 ms and logs every event as a line (`synced`,
+/// `add NAME`, `upd NAME`, `del KEY`).
+#[derive(Debug)]
+pub struct BasicInformer {
+    /// The embedded client.
+    pub client: ApiClient,
+    /// The informer it feeds.
+    pub informer: Informer,
+    /// Every event so far, one line each.
+    pub events: Vec<String>,
+    /// Lists that synced the informer, the first one included.
+    pub relists: u32,
+}
+
+impl BasicInformer {
+    /// Mirrors `prefix` through the given apiservers.
+    pub fn new(apiservers: Vec<ActorId>, prefix: &str) -> BasicInformer {
+        BasicInformer {
+            client: ApiClient::new(ApiClientConfig::new(apiservers), 0),
+            informer: Informer::new(InformerConfig::new(prefix)),
+            events: Vec::new(),
+            relists: 0,
+        }
+    }
+}
+
+impl Actor for BasicInformer {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        ctx.set_timer(Duration::millis(30), 0);
+    }
+
+    fn on_message(&mut self, from: ActorId, msg: AnyMsg, ctx: &mut Ctx) {
+        let mut completions = Vec::new();
+        if !self.client.on_message(from, &msg, ctx, &mut completions) {
+            return;
+        }
+        let mut events = Vec::new();
+        for c in &completions {
+            self.informer
+                .on_completion(c, &mut self.client, ctx, &mut events);
+        }
+        for e in events {
+            let line = match e {
+                InformerEvent::Synced { .. } => {
+                    self.relists += 1;
+                    "synced".into()
+                }
+                InformerEvent::Added(o) => format!("add {}", o.meta.name),
+                InformerEvent::Updated { new, .. } => format!("upd {}", new.meta.name),
+                InformerEvent::Deleted { key, .. } => format!("del {key}"),
+            };
+            self.events.push(line);
+        }
+    }
+
+    fn on_timer(&mut self, _t: TimerId, _tag: u64, ctx: &mut Ctx) {
+        self.client.tick(ctx);
+        self.informer.poll(&mut self.client, ctx);
+        ctx.set_timer(Duration::millis(30), 0);
     }
 }
 

@@ -14,8 +14,7 @@ use ph_store::client::BasicClient;
 use ph_store::msgs::Expect;
 use ph_store::node::StoreNodeConfig;
 use ph_store::{
-    spawn_store_cluster, OpResult, Revision, StoreClient, StoreClientConfig, StoreCluster,
-    StoreNode,
+    spawn_store_cluster, OpResult, Revision, StoreClientConfig, StoreCluster, StoreNode,
 };
 
 use crate::apiclient::{ApiClientConfig, PickPolicy};
@@ -310,13 +309,7 @@ pub fn spawn_cluster(world: &mut World, cfg: &ClusterConfig) -> ClusterHandle {
         .node_lifecycle
         .map(|nc| world.spawn("node-lifecycle", NodeLifecycleController::new(nc)));
 
-    let admin = world.spawn(
-        "admin",
-        BasicClient::new(
-            StoreClient::new(StoreClientConfig::new(store.nodes.clone())),
-            Duration::millis(20),
-        ),
-    );
+    let admin = store.spawn_client(world, "admin", Duration::millis(20));
 
     ClusterHandle {
         store,

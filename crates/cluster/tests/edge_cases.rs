@@ -3,66 +3,13 @@
 
 use ph_cluster::apiclient::{ApiClient, ApiClientConfig, ApiCompletion};
 use ph_cluster::apiserver::{ApiServer, ApiServerConfig};
-use ph_cluster::informer::{Informer, InformerConfig, InformerEvent};
+use ph_cluster::informer::BasicInformer;
 use ph_cluster::objects::Object;
 use ph_cluster::topology::{spawn_cluster, ClusterConfig};
 use ph_sim::{Actor, ActorId, AnyMsg, Ctx, Duration, SimTime, TimerId, World, WorldConfig};
+use ph_store::client::BasicClient;
 use ph_store::node::StoreNodeConfig;
-use ph_store::{spawn_store_cluster, Revision, StoreClientConfig};
-
-/// A minimal informer-owner actor for direct informer testing.
-struct InformerHost {
-    client: ApiClient,
-    informer: Informer,
-    events: Vec<String>,
-    relists: u32,
-}
-
-impl InformerHost {
-    fn new(apiservers: Vec<ActorId>, prefix: &str) -> InformerHost {
-        InformerHost {
-            client: ApiClient::new(ApiClientConfig::new(apiservers), 0),
-            informer: Informer::new(InformerConfig::new(prefix)),
-            events: Vec::new(),
-            relists: 0,
-        }
-    }
-}
-
-impl Actor for InformerHost {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(Duration::millis(30), 0);
-    }
-    fn on_message(&mut self, from: ActorId, msg: AnyMsg, ctx: &mut Ctx) {
-        let mut completions = Vec::new();
-        if !self.client.on_message(from, &msg, ctx, &mut completions) {
-            return;
-        }
-        let mut events = Vec::new();
-        for c in &completions {
-            self.informer
-                .on_completion(c, &mut self.client, ctx, &mut events);
-        }
-        for e in events {
-            match e {
-                InformerEvent::Synced { .. } => {
-                    self.relists += 1;
-                    self.events.push("synced".into());
-                }
-                InformerEvent::Added(o) => self.events.push(format!("add {}", o.meta.name)),
-                InformerEvent::Updated { new, .. } => {
-                    self.events.push(format!("upd {}", new.meta.name))
-                }
-                InformerEvent::Deleted { key, .. } => self.events.push(format!("del {key}")),
-            }
-        }
-    }
-    fn on_timer(&mut self, _t: TimerId, _tag: u64, ctx: &mut Ctx) {
-        self.client.tick(ctx);
-        self.informer.poll(&mut self.client, ctx);
-        ctx.set_timer(Duration::millis(30), 0);
-    }
-}
+use ph_store::{spawn_store_cluster, Revision, StoreClientConfig, StoreCluster};
 
 fn base_world(seed: u64) -> (World, ph_cluster::topology::ClusterHandle) {
     let mut world = World::new(WorldConfig::default(), seed);
@@ -72,12 +19,45 @@ fn base_world(seed: u64) -> (World, ph_cluster::topology::ClusterHandle) {
     (world, cluster)
 }
 
+/// One apiserver with a `window`-event watch window over a 3-node store,
+/// ready at 1 s, and the store.
+fn windowed(seed: u64, window: usize) -> (World, ActorId, StoreCluster) {
+    let mut world = World::new(WorldConfig::default(), seed);
+    let store = spawn_store_cluster(&mut world, 3, StoreNodeConfig::default());
+    let mut cfg = ApiServerConfig::new(StoreClientConfig::new(store.nodes.clone()));
+    cfg.window = window;
+    let api = world.spawn("apiserver-1", ApiServer::new(cfg));
+    store
+        .wait_for_leader(&mut world, SimTime(Duration::secs(1).as_nanos()))
+        .expect("leader");
+    world.run_until(SimTime(Duration::secs(1).as_nanos()));
+    (world, api, store)
+}
+
+/// Writes node `nodes/n{i}` for each `i`, each committed before the next.
+fn put_nodes(world: &mut World, admin: ActorId, nodes: std::ops::Range<usize>) {
+    for i in nodes {
+        let req = world.invoke::<BasicClient, _>(admin, move |bc, ctx| {
+            let node = Object::node(format!("n{i}")).encode();
+            bc.client.put(format!("nodes/n{i}"), node, ctx)
+        });
+        while world
+            .actor_ref::<BasicClient>(admin)
+            .unwrap()
+            .result_of(req)
+            .is_none()
+        {
+            world.step();
+        }
+    }
+}
+
 #[test]
 fn informer_mirrors_adds_updates_and_deletes() {
     let (mut world, cluster) = base_world(81);
     let host = world.spawn(
         "host",
-        InformerHost::new(cluster.apiservers.clone(), "nodes/"),
+        BasicInformer::new(cluster.apiservers.clone(), "nodes/"),
     );
     world.run_for(Duration::millis(300));
     let dl = SimTime(world.now().0 + Duration::secs(5).as_nanos());
@@ -85,7 +65,7 @@ fn informer_mirrors_adds_updates_and_deletes() {
     cluster.create_object(&mut world, &Object::node("n1"), dl); // update
     cluster.delete_key(&mut world, "nodes/n1", dl);
     world.run_for(Duration::millis(300));
-    let h = world.actor_ref::<InformerHost>(host).unwrap();
+    let h = world.actor_ref::<BasicInformer>(host).unwrap();
     assert_eq!(
         h.events,
         vec!["synced", "add n1", "upd n1", "del nodes/n1"],
@@ -102,11 +82,11 @@ fn apiserver_restart_forces_informer_resync() {
     cluster.create_object(&mut world, &Object::node("n1"), dl);
     let host = world.spawn(
         "host",
-        InformerHost::new(vec![cluster.apiservers[0]], "nodes/"),
+        BasicInformer::new(vec![cluster.apiservers[0]], "nodes/"),
     );
     world.run_for(Duration::millis(300));
     assert_eq!(
-        world.actor_ref::<InformerHost>(host).unwrap().relists,
+        world.actor_ref::<BasicInformer>(host).unwrap().relists,
         1,
         "initial sync"
     );
@@ -117,7 +97,7 @@ fn apiserver_restart_forces_informer_resync() {
     world.run_for(Duration::millis(200));
     world.restart(cluster.apiservers[0]);
     world.run_for(Duration::secs(3));
-    let h = world.actor_ref::<InformerHost>(host).unwrap();
+    let h = world.actor_ref::<BasicInformer>(host).unwrap();
     assert!(h.informer.is_synced());
     assert!(
         h.informer.get("nodes/n2").is_some(),
@@ -130,42 +110,10 @@ fn apiserver_restart_forces_informer_resync() {
 fn watch_window_overflow_cancels_old_resumes() {
     // A tiny window: resuming after a burst larger than the window must be
     // refused with TooOldResourceVersion, forcing a re-list (§4.2.3, [7]).
-    let mut world = World::new(WorldConfig::default(), 83);
-    let store = spawn_store_cluster(&mut world, 3, StoreNodeConfig::default());
-    let mut cfg = ApiServerConfig::new(StoreClientConfig::new(store.nodes.clone()));
-    cfg.window = 5;
-    let api = world.spawn("apiserver-1", ApiServer::new(cfg));
-    store
-        .wait_for_leader(&mut world, SimTime(Duration::secs(1).as_nanos()))
-        .expect("leader");
-    world.run_until(SimTime(Duration::secs(1).as_nanos()));
-
-    // Host A keeps a live informer (to observe normal operation); we also
-    // seed 20 writes so the 5-event window rolls over many times.
-    let admin = world.spawn(
-        "admin",
-        ph_store::client::BasicClient::new(
-            ph_store::StoreClient::new(StoreClientConfig::new(store.nodes.clone())),
-            Duration::millis(20),
-        ),
-    );
-    for i in 0..20 {
-        let req = world.invoke::<ph_store::client::BasicClient, _>(admin, move |bc, ctx| {
-            bc.client.put(
-                format!("nodes/n{i}"),
-                Object::node(format!("n{i}")).encode(),
-                ctx,
-            )
-        });
-        while world
-            .actor_ref::<ph_store::client::BasicClient>(admin)
-            .unwrap()
-            .result_of(req)
-            .is_none()
-        {
-            world.step();
-        }
-    }
+    // Seed 20 writes so the 5-event window rolls over many times.
+    let (mut world, api, store) = windowed(83, 5);
+    let admin = store.spawn_client(&mut world, "admin", Duration::millis(20));
+    put_nodes(&mut world, admin, 0..20);
 
     // Now ask for a watch from revision 1 — far below the window floor.
     struct RawWatcher {
@@ -202,50 +150,19 @@ fn informer_survives_window_overflow_via_relist() {
     // End-to-end: an informer whose apiserver has a tiny window and whose
     // feed is interrupted long enough to overflow it must recover by
     // re-listing, ending consistent with the truth.
-    let mut world = World::new(WorldConfig::default(), 84);
-    let store = spawn_store_cluster(&mut world, 3, StoreNodeConfig::default());
-    let mut cfg = ApiServerConfig::new(StoreClientConfig::new(store.nodes.clone()));
-    cfg.window = 4;
-    let api = world.spawn("apiserver-1", ApiServer::new(cfg));
-    store
-        .wait_for_leader(&mut world, SimTime(Duration::secs(1).as_nanos()))
-        .expect("leader");
-    world.run_until(SimTime(Duration::secs(1).as_nanos()));
-
-    let host = world.spawn("host", InformerHost::new(vec![api], "nodes/"));
+    let (mut world, api, store) = windowed(84, 4);
+    let host = world.spawn("host", BasicInformer::new(vec![api], "nodes/"));
     world.run_for(Duration::millis(300));
 
     // Cut the host off from the apiserver while 12 writes roll the window.
     let p = world.partition(&[host], &[api]);
-    let admin = world.spawn(
-        "admin",
-        ph_store::client::BasicClient::new(
-            ph_store::StoreClient::new(StoreClientConfig::new(store.nodes.clone())),
-            Duration::millis(20),
-        ),
-    );
-    for i in 0..12 {
-        let req = world.invoke::<ph_store::client::BasicClient, _>(admin, move |bc, ctx| {
-            bc.client.put(
-                format!("nodes/n{i}"),
-                Object::node(format!("n{i}")).encode(),
-                ctx,
-            )
-        });
-        while world
-            .actor_ref::<ph_store::client::BasicClient>(admin)
-            .unwrap()
-            .result_of(req)
-            .is_none()
-        {
-            world.step();
-        }
-    }
+    let admin = store.spawn_client(&mut world, "admin", Duration::millis(20));
+    put_nodes(&mut world, admin, 0..12);
     world.run_for(Duration::millis(500));
     world.heal(p);
     world.run_for(Duration::secs(4));
 
-    let h = world.actor_ref::<InformerHost>(host).unwrap();
+    let h = world.actor_ref::<BasicInformer>(host).unwrap();
     assert!(h.informer.is_synced());
     assert_eq!(h.informer.len(), 12, "informer must converge after re-list");
     assert!(

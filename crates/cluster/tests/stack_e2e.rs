@@ -11,17 +11,33 @@ use ph_cluster::controllers::VcMode;
 use ph_cluster::kubelet::Kubelet;
 use ph_cluster::objects::{Body, Object, PodPhase};
 use ph_cluster::operator::OperatorPaths;
-use ph_cluster::topology::{spawn_cluster, ClusterConfig};
+use ph_cluster::topology::{spawn_cluster, ClusterConfig, ClusterHandle};
 use ph_sim::{Duration, SimTime, World, WorldConfig};
 
 fn deadline() -> SimTime {
     SimTime(Duration::secs(30).as_nanos())
 }
 
+/// A ready cluster on `seed` with its nodes and `workload` created.
+fn seeded(seed: u64, cfg: &ClusterConfig, workload: Object) -> (World, ClusterHandle) {
+    let mut world = World::new(WorldConfig::default(), seed);
+    let cluster = spawn_cluster(&mut world, cfg);
+    assert!(cluster.wait_ready(&mut world, deadline()));
+    for n in &cfg.nodes {
+        cluster
+            .create_object(&mut world, &Object::node(n.clone()), deadline())
+            .expect("seed node");
+    }
+    cluster
+        .create_object(&mut world, &workload, deadline())
+        .expect("seed workload");
+    (world, cluster)
+}
+
 /// Runs until `pred` holds over the ground truth, or panics at `limit`.
 fn settle(
     world: &mut World,
-    cluster: &ph_cluster::topology::ClusterHandle,
+    cluster: &ClusterHandle,
     limit: Duration,
     what: &str,
     pred: impl Fn(&std::collections::BTreeMap<String, Object>, &World) -> bool,
@@ -40,51 +56,37 @@ fn settle(
     }
 }
 
+/// `true` for a running pod.
+fn is_running(o: &Object) -> bool {
+    matches!(
+        o.body,
+        Body::Pod {
+            phase: PodPhase::Running,
+            ..
+        }
+    )
+}
+
+/// Runs until exactly `n` pods are running, or panics at `limit`.
+fn settle_running(world: &mut World, cluster: &ClusterHandle, limit: Duration, n: usize) {
+    let what = format!("{n} running pods");
+    settle(world, cluster, limit, &what, |s, _| {
+        s.values().filter(|o| is_running(o)).count() == n
+    });
+}
+
 #[test]
 fn replicaset_pipeline_runs_pods() {
-    let mut world = World::new(WorldConfig::default(), 41);
     let cfg = ClusterConfig {
         scheduler: Some(false),
         rs_controller: Some(false),
         ..ClusterConfig::default()
     };
-    let cluster = spawn_cluster(&mut world, &cfg);
-    assert!(cluster.wait_ready(&mut world, deadline()));
-    for n in &cfg.nodes {
-        cluster
-            .create_object(&mut world, &Object::node(n.clone()), deadline())
-            .expect("seed node");
-    }
-    cluster
-        .create_object(
-            &mut world,
-            &Object::new("web", Body::ReplicaSet { replicas: 3 }),
-            deadline(),
-        )
-        .expect("seed rs");
+    let web = Object::new("web", Body::ReplicaSet { replicas: 3 });
+    let (mut world, cluster) = seeded(41, &cfg, web);
 
     // RS controller creates 3 pods, scheduler binds, kubelets run.
-    settle(
-        &mut world,
-        &cluster,
-        Duration::secs(10),
-        "3 running pods",
-        |s, _| {
-            let running = s
-                .values()
-                .filter(|o| {
-                    matches!(
-                        o.body,
-                        Body::Pod {
-                            phase: PodPhase::Running,
-                            ..
-                        }
-                    )
-                })
-                .count();
-            running == 3
-        },
-    );
+    settle_running(&mut world, &cluster, Duration::secs(10), 3);
 
     // Kubelets actually hold the containers.
     let total_running: usize = cluster
@@ -105,48 +107,16 @@ fn replicaset_pipeline_runs_pods() {
 
 #[test]
 fn scale_down_stops_and_finalizes_pods() {
-    let mut world = World::new(WorldConfig::default(), 42);
     let cfg = ClusterConfig {
         scheduler: Some(false),
         rs_controller: Some(true), // with PVCs
         volume_controller: Some(VcMode::FreshOrphan),
         ..ClusterConfig::default()
     };
-    let cluster = spawn_cluster(&mut world, &cfg);
-    assert!(cluster.wait_ready(&mut world, deadline()));
-    for n in &cfg.nodes {
-        cluster
-            .create_object(&mut world, &Object::node(n.clone()), deadline())
-            .expect("seed node");
-    }
-    cluster
-        .create_object(
-            &mut world,
-            &Object::new("db", Body::ReplicaSet { replicas: 2 }),
-            deadline(),
-        )
-        .expect("seed rs");
+    let db = Object::new("db", Body::ReplicaSet { replicas: 2 });
+    let (mut world, cluster) = seeded(42, &cfg, db);
 
-    settle(
-        &mut world,
-        &cluster,
-        Duration::secs(10),
-        "2 running pods",
-        |s, _| {
-            s.values()
-                .filter(|o| {
-                    matches!(
-                        o.body,
-                        Body::Pod {
-                            phase: PodPhase::Running,
-                            ..
-                        }
-                    )
-                })
-                .count()
-                == 2
-        },
-    );
+    settle_running(&mut world, &cluster, Duration::secs(10), 2);
     // PVCs exist for both pods.
     let s = cluster.ground_truth(&world);
     assert_eq!(s.keys().filter(|k| k.starts_with("pvcs/")).count(), 2);
@@ -182,26 +152,13 @@ fn scale_down_stops_and_finalizes_pods() {
 
 #[test]
 fn cassandra_operator_scales_up_and_down() {
-    let mut world = World::new(WorldConfig::default(), 43);
     let cfg = ClusterConfig {
         scheduler: Some(false),
         operator: Some(OperatorPaths::fixed()),
         ..ClusterConfig::default()
     };
-    let cluster = spawn_cluster(&mut world, &cfg);
-    assert!(cluster.wait_ready(&mut world, deadline()));
-    for n in &cfg.nodes {
-        cluster
-            .create_object(&mut world, &Object::node(n.clone()), deadline())
-            .expect("seed node");
-    }
-    cluster
-        .create_object(
-            &mut world,
-            &Object::new("dc1", Body::CassandraDatacenter { desired: 3 }),
-            deadline(),
-        )
-        .expect("seed dc");
+    let dc1 = Object::new("dc1", Body::CassandraDatacenter { desired: 3 });
+    let (mut world, cluster) = seeded(43, &cfg, dc1);
 
     settle(
         &mut world,
@@ -214,13 +171,7 @@ fn cassandra_operator_scales_up_and_down() {
                 .filter(|o| {
                     o.kind() == ph_cluster::ObjectKind::Pod
                         && o.meta.owner.as_deref() == Some("dc1")
-                        && matches!(
-                            o.body,
-                            Body::Pod {
-                                phase: PodPhase::Running,
-                                ..
-                            }
-                        )
+                        && is_running(o)
                 })
                 .count();
             let pvcs = s.keys().filter(|k| k.starts_with("pvcs/dc1-pvc-")).count();
@@ -251,46 +202,14 @@ fn cassandra_operator_scales_up_and_down() {
 
 #[test]
 fn apiserver_crash_recovery_resumes_service() {
-    let mut world = World::new(WorldConfig::default(), 44);
     let cfg = ClusterConfig {
         scheduler: Some(false),
         rs_controller: Some(false),
         ..ClusterConfig::default()
     };
-    let cluster = spawn_cluster(&mut world, &cfg);
-    assert!(cluster.wait_ready(&mut world, deadline()));
-    for n in &cfg.nodes {
-        cluster
-            .create_object(&mut world, &Object::node(n.clone()), deadline())
-            .expect("seed node");
-    }
-    cluster
-        .create_object(
-            &mut world,
-            &Object::new("web", Body::ReplicaSet { replicas: 2 }),
-            deadline(),
-        )
-        .expect("seed rs");
-    settle(
-        &mut world,
-        &cluster,
-        Duration::secs(10),
-        "2 running",
-        |s, _| {
-            s.values()
-                .filter(|o| {
-                    matches!(
-                        o.body,
-                        Body::Pod {
-                            phase: PodPhase::Running,
-                            ..
-                        }
-                    )
-                })
-                .count()
-                == 2
-        },
-    );
+    let web = Object::new("web", Body::ReplicaSet { replicas: 2 });
+    let (mut world, cluster) = seeded(44, &cfg, web);
+    settle_running(&mut world, &cluster, Duration::secs(10), 2);
 
     // Crash apiserver-1 (most components' upstream), scale up while down,
     // restart, and require convergence.
@@ -306,47 +225,19 @@ fn apiserver_crash_recovery_resumes_service() {
     world.run_for(Duration::millis(500));
     world.restart(api1);
 
-    settle(
-        &mut world,
-        &cluster,
-        Duration::secs(20),
-        "4 running",
-        |s, _| {
-            s.values()
-                .filter(|o| {
-                    matches!(
-                        o.body,
-                        Body::Pod {
-                            phase: PodPhase::Running,
-                            ..
-                        }
-                    )
-                })
-                .count()
-                == 4
-        },
-    );
+    settle_running(&mut world, &cluster, Duration::secs(20), 4);
 }
 
 #[test]
 fn identical_seeds_identical_cluster_traces() {
     let run = |seed: u64| {
-        let mut world = World::new(WorldConfig::default(), seed);
         let cfg = ClusterConfig {
             scheduler: Some(false),
             rs_controller: Some(false),
             ..ClusterConfig::default()
         };
-        let cluster = spawn_cluster(&mut world, &cfg);
-        cluster.wait_ready(&mut world, deadline());
-        for n in &cfg.nodes {
-            cluster.create_object(&mut world, &Object::node(n.clone()), deadline());
-        }
-        cluster.create_object(
-            &mut world,
-            &Object::new("web", Body::ReplicaSet { replicas: 2 }),
-            deadline(),
-        );
+        let web = Object::new("web", Body::ReplicaSet { replicas: 2 });
+        let (mut world, _) = seeded(seed, &cfg, web);
         world.run_for(Duration::secs(3));
         world.trace().digest()
     };

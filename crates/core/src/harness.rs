@@ -108,9 +108,8 @@ pub struct TrialOutcome {
     /// a strategy that plans no schedule counts as its own class).
     pub distinct_classes: u32,
     /// Always 0: every trial runs under its own seed, so none repeats
-    /// another and none is skipped. Kept because readers outside the
-    /// workspace (the benchmark's matrix workload) and the
-    /// `ph_hunt_deduped_trials_total` exposition read it.
+    /// another and none is skipped. Kept only because the benchmark's
+    /// matrix workload reads it.
     pub deduped_trials: u32,
     /// 1-based index of the first failing trial, `None` if none failed.
     pub first_violation: Option<u32>,

@@ -34,9 +34,7 @@ impl TrialOutcome {
 
     /// Cumulative simulated nanoseconds burned until (and including) the
     /// first violating trial — the time-to-detection, in the only clock the
-    /// simulator has. `None` when nothing was detected, and also when
-    /// deduplicated trials precede the detection: `first_violation` counts
-    /// considered trials, `trial_sim_ns` only executed ones.
+    /// simulator has. `None` when nothing was detected.
     pub fn time_to_detection_ns(&self) -> Option<u64> {
         let trials = self.first_violation? as usize;
         Some(self.trial_sim_ns.get(..trials)?.iter().sum())
@@ -71,16 +69,8 @@ impl DetectionMatrix {
             .unwrap_or(8)
             .max("cell".len());
         let mut out = format!(
-            "{:<first_col$}  {:>6}  {:>7}  {:>7}  {:>9}  {:>12}  {:>9}  {:>9}  {:>7}\n",
-            "cell",
-            "trials",
-            "classes",
-            "deduped",
-            "events",
-            "events/sim-s",
-            "p95-trial",
-            "detect",
-            "inj-eff"
+            "{:<first_col$}  {:>6}  {:>7}  {:>9}  {:>12}  {:>9}  {:>9}  {:>7}\n",
+            "cell", "trials", "classes", "events", "events/sim-s", "p95-trial", "detect", "inj-eff"
         );
         for r in self.cells() {
             let label = format!("{} / {}", r.scenario, r.strategy);
@@ -95,11 +85,9 @@ impl DetectionMatrix {
             };
             let _ = writeln!(
                 out,
-                "{label:<first_col$}  {:>6}  {:>7}  {:>7}  {:>9}  {:>12}  {p95:>9}  {ttd:>9}  \
-                 {eff:>7}",
+                "{label:<first_col$}  {:>6}  {:>7}  {:>9}  {:>12}  {p95:>9}  {ttd:>9}  {eff:>7}",
                 r.trials_run,
                 r.distinct_classes,
-                r.deduped_trials,
                 r.total_events,
                 r.events_per_sim_sec(),
             );
@@ -143,7 +131,7 @@ type CellValue = fn(&TrialOutcome) -> Option<u64>;
 
 /// The single-sample families of [`DetectionMatrix::to_prometheus`]: name,
 /// help, type, and a cell's value (a cell without one writes no sample).
-const FAMILIES: [(&str, &str, &str, CellValue); 7] = [
+const FAMILIES: [(&str, &str, &str, CellValue); 6] = [
     (
         "ph_hunt_trials_total",
         "Trials executed per (scenario, strategy).",
@@ -155,12 +143,6 @@ const FAMILIES: [(&str, &str, &str, CellValue); 7] = [
         "Distinct canonical schedule classes considered per cell.",
         "gauge",
         |r| Some(r.distinct_classes.into()),
-    ),
-    (
-        "ph_hunt_deduped_trials_total",
-        "Trials skipped as canonical-schedule duplicates per cell.",
-        "counter",
-        |r| Some(r.deduped_trials.into()),
     ),
     (
         "ph_hunt_events_total",
@@ -218,7 +200,7 @@ mod tests {
             strategy: "guided".into(),
             trials_run: 3,
             distinct_classes: 2,
-            deduped_trials: 1,
+            deduped_trials: 0,
             first_violation: first,
             example: None,
             total_events: 300,
@@ -257,8 +239,6 @@ mod tests {
         assert!(prom.contains("ph_hunt_trials_total{scenario=\"s\",strategy=\"guided\"} 3"));
         assert!(prom.contains("# TYPE ph_hunt_distinct_classes gauge"));
         assert!(prom.contains("ph_hunt_distinct_classes{scenario=\"s\",strategy=\"guided\"} 2"));
-        assert!(prom.contains("# TYPE ph_hunt_deduped_trials_total counter"));
-        assert!(prom.contains("ph_hunt_deduped_trials_total{scenario=\"s\",strategy=\"guided\"} 1"));
         assert!(prom.contains("le=\"+Inf\""));
         assert!(prom.contains("ph_hunt_trial_sim_ns_count{scenario=\"s\",strategy=\"guided\"} 3"));
         // Both rows appear; the undetected one contributes no detection gauge.

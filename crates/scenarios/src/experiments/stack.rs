@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 
 use ph_cluster::apiclient::{ApiClient, ApiClientConfig, ApiCompletion};
 use ph_cluster::apiserver::{ApiServer, ApiServerConfig};
-use ph_cluster::informer::{Informer, InformerConfig, InformerEvent};
+use ph_cluster::informer::BasicInformer;
 use ph_cluster::objects::{Body, Object};
 use ph_cluster::topology::{spawn_cluster, ClusterConfig, ClusterHandle};
 use ph_core::epoch::{EpochBuffer, EpochError, EpochPartition};
@@ -20,9 +20,7 @@ use ph_sim::{
 };
 use ph_store::client::BasicClient;
 use ph_store::node::StoreNodeConfig;
-use ph_store::{
-    spawn_store_cluster, Revision, StoreClient, StoreClientConfig, StoreCluster, StoreNode,
-};
+use ph_store::{spawn_store_cluster, Revision, StoreClient, StoreClientConfig, StoreNode};
 
 use crate::common::targets_for;
 use crate::hbase_3136::RegionManager;
@@ -90,17 +88,6 @@ fn put_node(world: &mut World, admin: ActorId, i: usize) {
     }
 }
 
-/// Spawns an admin client writing straight to the store.
-fn spawn_admin(world: &mut World, store: &StoreCluster) -> ActorId {
-    world.spawn(
-        "admin",
-        BasicClient::new(
-            StoreClient::new(StoreClientConfig::new(store.nodes.clone())),
-            Duration::millis(20),
-        ),
-    )
-}
-
 /// Runs `n_readers` closed-loop readers for one simulated second; returns
 /// total completed reads.
 fn run_fanout(seed: u64, n_readers: usize, fresh: bool) -> u64 {
@@ -127,7 +114,7 @@ fn run_fanout(seed: u64, n_readers: usize, fresh: bool) -> u64 {
         .expect("leader");
 
     // Seed the key the readers hit, directly through the store.
-    let admin = spawn_admin(&mut world, &store);
+    let admin = store.spawn_client(&mut world, "admin", Duration::millis(20));
     put_node(&mut world, admin, 0);
     world.run_until(SimTime(Duration::secs(1).as_nanos()));
 
@@ -598,39 +585,6 @@ pub(super) fn e2_epochs() -> String {
 
 // ---- A1: the apiserver's rolling watch-event window ([7], §4.2.3) ----
 
-struct Host {
-    client: ApiClient,
-    informer: Informer,
-    relists: u32,
-}
-
-impl Actor for Host {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(Duration::millis(30), 0);
-    }
-    fn on_message(&mut self, from: ActorId, msg: AnyMsg, ctx: &mut Ctx) {
-        let mut completions = Vec::new();
-        if !self.client.on_message(from, &msg, ctx, &mut completions) {
-            return;
-        }
-        let mut events = Vec::new();
-        for c in &completions {
-            self.informer
-                .on_completion(c, &mut self.client, ctx, &mut events);
-        }
-        for e in events {
-            if matches!(e, InformerEvent::Synced { .. }) {
-                self.relists += 1;
-            }
-        }
-    }
-    fn on_timer(&mut self, _t: TimerId, _tag: u64, ctx: &mut Ctx) {
-        self.client.tick(ctx);
-        self.informer.poll(&mut self.client, ctx);
-        ctx.set_timer(Duration::millis(30), 0);
-    }
-}
-
 struct Recovery {
     relists: u32,
     converged: bool,
@@ -650,19 +604,15 @@ fn run_ablation(seed: u64, window: usize, burst: usize) -> Recovery {
         .expect("leader");
     world.run_until(SimTime(Duration::secs(1).as_nanos()));
 
-    let host = world.spawn(
-        "host",
-        Host {
-            client: ApiClient::new(ApiClientConfig::new(vec![api]), 0),
-            informer: Informer::new(InformerConfig::new("nodes/")),
-            relists: 0,
-        },
-    );
-    let admin = spawn_admin(&mut world, &store);
+    let host = world.spawn("host", BasicInformer::new(vec![api], "nodes/"));
+    let admin = store.spawn_client(&mut world, "admin", Duration::millis(20));
     // Seed one object and let the informer sync.
     put_node(&mut world, admin, 0);
     world.run_for(Duration::millis(300));
-    let baseline_relists = world.actor_ref::<Host>(host).expect("host").relists;
+    let baseline_relists = world
+        .actor_ref::<BasicInformer>(host)
+        .expect("host")
+        .relists;
 
     // Disconnect, burst, reconnect.
     let p = world.partition(&[host], &[api]);
@@ -678,13 +628,13 @@ fn run_ablation(seed: u64, window: usize, burst: usize) -> Recovery {
     let mut recovery_ms = u64::MAX;
     while world.now() < deadline {
         world.run_for(Duration::millis(20));
-        let h = world.actor_ref::<Host>(host).expect("host");
+        let h = world.actor_ref::<BasicInformer>(host).expect("host");
         if h.informer.len() == burst + 1 {
             recovery_ms = world.now().since(healed_at).as_millis();
             break;
         }
     }
-    let h = world.actor_ref::<Host>(host).expect("host");
+    let h = world.actor_ref::<BasicInformer>(host).expect("host");
     Recovery {
         relists: h.relists - baseline_relists,
         converged: h.informer.len() == burst + 1,

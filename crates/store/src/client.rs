@@ -20,8 +20,9 @@ use ph_sim::{ActorId, AnyMsg, Ctx, Duration, SimTime};
 use crate::kv::{Key, KvEvent, Revision, Value};
 use crate::msgs::{
     ClientRequest, ClientResponse, Expect, Op, OpError, OpResult, ReadLevel, RequestError,
-    WatchCancelReq, WatchCancelled, WatchCreate, WatchNotify, WatchProgress,
+    WatchCancelled, WatchCreate, WatchNotify, WatchProgress,
 };
+use crate::watch::{Stream, Streams};
 
 /// Client tuning.
 #[derive(Debug, Clone)]
@@ -95,31 +96,14 @@ struct Pending {
     deadline: SimTime,
 }
 
-/// State of one client-side watch.
-#[derive(Debug, Clone)]
-pub struct WatchState {
-    /// Prefix being watched.
-    pub prefix: String,
-    /// Deliver events after this revision on (re)connect.
-    pub resume: Revision,
-    /// Node currently serving the stream.
-    pub node: ActorId,
-    last_seen: SimTime,
-    /// Next expected stream sequence number; a gap ⇒ the network lost a
-    /// stream message ⇒ reconnect from `resume` instead of silently
-    /// skipping history.
-    expect_seq: u64,
-}
-
 /// The client state machine. See the module docs for the embedding contract.
 #[derive(Debug)]
 pub struct StoreClient {
     cfg: StoreClientConfig,
     leader_hint: Option<ActorId>,
     next_req: u64,
-    next_watch: u64,
     pending: BTreeMap<u64, Pending>,
-    watches: BTreeMap<u64, WatchState>,
+    watches: Streams<WatchCreate>,
     rr: usize,
 }
 
@@ -142,9 +126,8 @@ impl StoreClient {
             cfg,
             leader_hint: None,
             next_req: 0,
-            next_watch: 0,
             pending: BTreeMap::new(),
-            watches: BTreeMap::new(),
+            watches: Streams::new(WATCH_TIMEOUT),
             rr: 0,
         }
     }
@@ -155,25 +138,13 @@ impl StoreClient {
     }
 
     /// State of one watch, if it exists.
-    pub fn watch_state(&self, watch: u64) -> Option<&WatchState> {
-        self.watches.get(&watch)
-    }
-
-    fn rotate(&mut self) -> ActorId {
-        let node = self.cfg.nodes[self.rr % self.cfg.nodes.len()];
-        self.rr += 1;
-        node
-    }
-
-    fn affinity_node(&mut self) -> ActorId {
-        match self.cfg.affinity {
-            Some(i) => self.cfg.nodes[i],
-            None => self.rotate(),
-        }
+    pub fn watch_state(&self, watch: u64) -> Option<&Stream> {
+        self.watches.get(watch)
     }
 
     fn write_target(&mut self) -> ActorId {
-        self.leader_hint.unwrap_or_else(|| self.rotate())
+        self.leader_hint
+            .unwrap_or_else(|| rotate(&self.cfg, &mut self.rr))
     }
 
     // -----------------------------------------------------------------
@@ -186,7 +157,7 @@ impl StoreClient {
         let req = self.next_req;
         self.next_req += 1;
         let target = match (&op, level) {
-            (Op::Read { .. }, ReadLevel::Serializable) => self.affinity_node(),
+            (Op::Read { .. }, ReadLevel::Serializable) => affinity_node(&self.cfg, &mut self.rr),
             _ => self.write_target(),
         };
         ctx.send(
@@ -274,36 +245,13 @@ impl StoreClient {
     /// (0 = the node's full retained history). Events arrive as
     /// [`Completion::WatchEvents`].
     pub fn watch(&mut self, prefix: impl Into<String>, after: Revision, ctx: &mut Ctx) -> u64 {
-        let watch = self.next_watch;
-        self.next_watch += 1;
-        let node = self.affinity_node();
-        let prefix = prefix.into();
-        ctx.send(
-            node,
-            WatchCreate {
-                watch,
-                prefix: prefix.clone(),
-                after,
-            },
-        );
-        self.watches.insert(
-            watch,
-            WatchState {
-                prefix,
-                resume: after,
-                node,
-                last_seen: ctx.now(),
-                expect_seq: 0,
-            },
-        );
-        watch
+        let node = affinity_node(&self.cfg, &mut self.rr);
+        self.watches.open(prefix.into(), after, node, ctx)
     }
 
     /// Cancels a watch.
     pub fn cancel_watch(&mut self, watch: u64, ctx: &mut Ctx) {
-        if let Some(st) = self.watches.remove(&watch) {
-            ctx.send(st.node, WatchCancelReq { watch });
-        }
+        self.watches.cancel(watch, ctx);
     }
 
     // -----------------------------------------------------------------
@@ -324,37 +272,30 @@ impl StoreClient {
             self.on_response(from, resp, ctx, out);
             return true;
         }
+        let (cfg, rr) = (&self.cfg, &mut self.rr);
+        let pick = || affinity_node(cfg, rr);
         if let Some(n) = msg.downcast_ref::<WatchNotify>() {
-            match self.stream_check(n.watch, from, n.stream_seq) {
-                StreamCheck::Ok => {
-                    let st = self.watches.get_mut(&n.watch).expect("checked");
-                    st.resume = st.resume.max(n.revision);
-                    st.last_seen = ctx.now();
-                    out.push(Completion::WatchEvents {
-                        watch: n.watch,
-                        events: n.events.clone(),
-                        revision: n.revision,
-                    });
-                }
-                StreamCheck::Broken => self.reconnect_watch(n.watch, ctx),
-                StreamCheck::Ignore => {}
+            let (watch, revision) = (n.watch, n.revision);
+            if self
+                .watches
+                .receive(from, watch, n.stream_seq, revision, ctx, pick)
+            {
+                let events = n.events.clone();
+                out.push(Completion::WatchEvents {
+                    watch,
+                    events,
+                    revision,
+                });
             }
             return true;
         }
         if let Some(p) = msg.downcast_ref::<WatchProgress>() {
-            match self.stream_check(p.watch, from, p.stream_seq) {
-                StreamCheck::Ok => {
-                    let st = self.watches.get_mut(&p.watch).expect("checked");
-                    st.resume = st.resume.max(p.revision);
-                    st.last_seen = ctx.now();
-                }
-                StreamCheck::Broken => self.reconnect_watch(p.watch, ctx),
-                StreamCheck::Ignore => {}
-            }
+            self.watches
+                .receive(from, p.watch, p.stream_seq, p.revision, ctx, pick);
             return true;
         }
         if let Some(c) = msg.downcast_ref::<WatchCancelled>() {
-            if self.watches.remove(&c.watch).is_some() {
+            if self.watches.ended(c.watch) {
                 out.push(Completion::WatchCompacted { watch: c.watch });
             }
             return true;
@@ -404,59 +345,18 @@ impl StoreClient {
         }
     }
 
-    /// Validates a stream message's sequence number.
-    fn stream_check(&mut self, watch: u64, from: ActorId, seq: u64) -> StreamCheck {
-        let Some(st) = self.watches.get_mut(&watch) else {
-            return StreamCheck::Ignore;
-        };
-        if st.node != from {
-            return StreamCheck::Ignore; // stale registration elsewhere
-        }
-        use std::cmp::Ordering;
-        match seq.cmp(&st.expect_seq) {
-            Ordering::Equal => {
-                st.expect_seq += 1;
-                StreamCheck::Ok
-            }
-            Ordering::Less => StreamCheck::Ignore, // pre-reconnect leftover
-            Ordering::Greater => StreamCheck::Broken, // a message was lost
-        }
-    }
-
-    /// Tears a broken stream down and re-creates it from the last
-    /// contiguously received revision.
-    fn reconnect_watch(&mut self, watch: u64, ctx: &mut Ctx) {
-        let Some(st) = self.watches.get(&watch).cloned() else {
-            return;
-        };
-        ctx.send(st.node, WatchCancelReq { watch });
-        let node = self.affinity_node();
-        ctx.send(
-            node,
-            WatchCreate {
-                watch,
-                prefix: st.prefix.clone(),
-                after: st.resume,
-            },
-        );
-        let entry = self.watches.get_mut(&watch).expect("exists");
-        entry.node = node;
-        entry.last_seen = ctx.now();
-        entry.expect_seq = 0;
-    }
-
     fn resend(&mut self, req: u64, ctx: &mut Ctx) {
         let Some(p) = self.pending.get(&req) else {
             return;
         };
         let (op, level, old_target) = (p.op.clone(), p.level, p.target);
         let target = match (&op, level) {
-            (Op::Read { .. }, ReadLevel::Serializable) => self.affinity_node(),
+            (Op::Read { .. }, ReadLevel::Serializable) => affinity_node(&self.cfg, &mut self.rr),
             _ => {
                 // Avoid immediately re-asking the node that just refused.
                 let mut t = self.write_target();
                 if t == old_target {
-                    t = self.rotate();
+                    t = rotate(&self.cfg, &mut self.rr);
                 }
                 t
             }
@@ -482,26 +382,24 @@ impl StoreClient {
             self.leader_hint = None;
             self.resend(req, ctx);
         }
-        let dead: Vec<u64> = self
-            .watches
-            .iter()
-            .filter(|(_, st)| now.since(st.last_seen) > WATCH_TIMEOUT)
-            .map(|(&w, _)| w)
-            .collect();
-        for watch in dead {
-            self.reconnect_watch(watch, ctx);
-        }
+        self.watches
+            .reap(ctx, || affinity_node(&self.cfg, &mut self.rr));
     }
 }
 
-/// Outcome of a stream sequence check.
-enum StreamCheck {
-    /// In order: process.
-    Ok,
-    /// A gap: the stream lost a message; reconnect.
-    Broken,
-    /// Duplicate/stale: drop silently.
-    Ignore,
+/// The next node in round-robin order.
+fn rotate(cfg: &StoreClientConfig, rr: &mut usize) -> ActorId {
+    let node = cfg.nodes[*rr % cfg.nodes.len()];
+    *rr += 1;
+    node
+}
+
+/// The node serializable reads and watches go to.
+fn affinity_node(cfg: &StoreClientConfig, rr: &mut usize) -> ActorId {
+    match cfg.affinity {
+        Some(i) => cfg.nodes[i],
+        None => rotate(cfg, rr),
+    }
 }
 
 /// A minimal actor wrapping a [`StoreClient`], used by tests, benches and

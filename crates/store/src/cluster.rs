@@ -2,8 +2,9 @@
 
 use std::rc::Rc;
 
-use ph_sim::{ActorId, SimTime, World};
+use ph_sim::{ActorId, Duration, SimTime, World};
 
+use crate::client::{BasicClient, StoreClient, StoreClientConfig};
 use crate::node::{StoreNode, StoreNodeConfig};
 
 /// Handle to a spawned store cluster.
@@ -37,6 +38,13 @@ impl StoreCluster {
                     .actor_ref::<StoreNode>(n)
                     .is_some_and(|s| s.is_leader())
         })
+    }
+
+    /// Spawns a [`BasicClient`] named `name` over every member, ticking
+    /// every `tick`.
+    pub fn spawn_client(&self, world: &mut World, name: &str, tick: Duration) -> ActorId {
+        let client = StoreClient::new(StoreClientConfig::new(self.nodes.clone()));
+        world.spawn(name, BasicClient::new(client, tick))
     }
 
     /// Runs the world until a leader exists or `deadline` passes.

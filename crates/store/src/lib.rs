@@ -18,9 +18,12 @@
 //!   window that makes old events unobservable (§4.2.3);
 //! * [`node`] — the store server actor: Raft + MVCC + watch streams +
 //!   leases + auto-compaction;
-//! * [`watch`] — per-node watch registries; watches are served from each
-//!   node's *applied* state, so follower-served streams lag exactly like
-//!   etcd's;
+//! * [`watch`] — the watch-stream protocol, the one implementation both
+//!   this store and `ph-cluster`'s apiservers use: the server-side
+//!   [`watch::WatchRegistry`] and the client-side [`watch::Streams`]
+//!   tracker (sequence check, reconnect from the last contiguous revision,
+//!   dead-stream reaping); watches are served from each node's *applied*
+//!   state, so follower-served streams lag exactly like etcd's;
 //! * [`client`] — an embeddable, retrying client state machine used by every
 //!   upper-layer component (apiservers, controllers) to talk to the store;
 //! * [`cluster`] — topology helper to spawn an n-node store cluster.

@@ -259,6 +259,23 @@ pub struct WatchCancelReq {
     pub watch: u64,
 }
 
+impl crate::watch::StreamWire for WatchCreate {
+    type Cancel = WatchCancelReq;
+    const RECONNECTS: Option<&'static str> = None;
+
+    fn create(watch: u64, prefix: String, after: Revision) -> WatchCreate {
+        WatchCreate {
+            watch,
+            prefix,
+            after,
+        }
+    }
+
+    fn cancel(watch: u64) -> WatchCancelReq {
+        WatchCancelReq { watch }
+    }
+}
+
 /// A batch of watch events from a node's applied state.
 #[derive(Debug, Clone)]
 pub struct WatchNotify {

@@ -240,19 +240,18 @@ impl StoreNode {
             }
         }
         // Feed watchers from the applied state.
-        if !events.is_empty() {
-            for (w, evs, revision) in self.watches.route(&events, self.mvcc.revision()) {
-                ctx.send(
-                    w.client,
-                    WatchNotify {
-                        watch: w.watch,
-                        stream_seq: w.next_seq,
-                        events: evs,
-                        revision,
-                    },
-                );
-            }
-        }
+        let revision = self.mvcc.revision();
+        self.watches.route(&events, |to, events| {
+            ctx.send(
+                to.client,
+                WatchNotify {
+                    watch: to.watch,
+                    stream_seq: to.seq,
+                    events,
+                    revision,
+                },
+            );
+        });
         // Answer the client iff this node received the request. Reads are
         // charged against the node's service capacity; writes reply
         // immediately (their cost is the consensus round itself).
@@ -353,22 +352,15 @@ impl StoreNode {
                 );
             }
             Ok(backlog) => {
-                self.watches.register(from, w.watch, w.prefix.clone());
-                let matching: Vec<_> = backlog
-                    .into_iter()
-                    .filter(|e| e.key().has_prefix(&w.prefix))
-                    .collect();
-                if !matching.is_empty() {
-                    let seq = self
-                        .watches
-                        .next_seq(from, w.watch)
-                        .expect("just registered");
+                if let Some((seq, events)) =
+                    self.watches.open(from, w.watch, w.prefix.clone(), &backlog)
+                {
                     ctx.send(
                         from,
                         WatchNotify {
                             watch: w.watch,
                             stream_seq: seq,
-                            events: matching,
+                            events,
                             revision: self.mvcc.revision(),
                         },
                     );
@@ -455,20 +447,16 @@ impl Actor for StoreNode {
             }
             TAG_PROGRESS => {
                 let revision = self.mvcc.revision();
-                for w in self.watches.watchers().cloned().collect::<Vec<_>>() {
-                    let seq = self
-                        .watches
-                        .next_seq(w.client, w.watch)
-                        .expect("listed watcher");
+                self.watches.progress(|to| {
                     ctx.send(
-                        w.client,
+                        to.client,
                         WatchProgress {
-                            watch: w.watch,
-                            stream_seq: seq,
+                            watch: to.watch,
+                            stream_seq: to.seq,
                             revision,
                         },
                     );
-                }
+                });
                 ctx.set_timer(PROGRESS_INTERVAL, TAG_PROGRESS);
             }
             TAG_LEASE => {

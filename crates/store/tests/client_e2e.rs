@@ -19,8 +19,7 @@ use ph_store::{
 fn setup(seed: u64, n: usize, cfg: StoreNodeConfig) -> (World, StoreCluster, ph_sim::ActorId) {
     let mut world = World::new(WorldConfig::default(), seed);
     let cluster = spawn_store_cluster(&mut world, n, cfg);
-    let client = StoreClient::new(StoreClientConfig::new(cluster.nodes.clone()));
-    let c = world.spawn("client", BasicClient::new(client, Duration::millis(50)));
+    let c = cluster.spawn_client(&mut world, "client", Duration::millis(50));
     cluster
         .wait_for_leader(&mut world, SimTime(Duration::secs(2).as_nanos()))
         .expect("leader");

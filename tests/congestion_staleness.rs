@@ -1,7 +1,7 @@
 //! Load-emergent staleness: the acceptance gate for the queueing network
 //! model.
 //!
-//! Both tests run the congestion scenario with **no strategy at all**
+//! Both checks run the congestion scenario with **no strategy at all**
 //! ([`NoFault`] — zero injected perturbations); the only difference is the
 //! *static* modeled capacity of the apiserver→scheduler link relative to
 //! the churn workload's offered load:
@@ -14,12 +14,18 @@
 //!   `congestion-staleness` — the same class the symbolic model checker
 //!   predicts from the scenario's static access summaries. One story,
 //!   three observers: static witness, dynamic oracle, provenance chain.
+//!   The scarce run is also the one whose exports are pinned, so it runs
+//!   once, in `export_golden::congestion_queue_exports_are_pinned`, which
+//!   calls [`past_capacity_staleness_emerges_and_is_classified_as_congestion`]
+//!   on it.
 
+use ph_core::harness::RunReport;
 use ph_core::perturb::NoFault;
 use ph_core::provenance::explain;
 use ph_lint::modelcheck::model_check_all;
 use ph_lint::summary::PatternClass;
-use ph_scenarios::{congestion, Variant};
+use ph_scenarios::{congestion, Scenario, Variant};
+use ph_sim::Trace;
 
 #[test]
 fn below_capacity_the_network_only_adds_latency() {
@@ -44,11 +50,12 @@ fn below_capacity_the_network_only_adds_latency() {
     );
 }
 
-#[test]
-fn past_capacity_staleness_emerges_and_is_classified_as_congestion() {
-    let scenario = congestion::at_capacity::<{ congestion::CAPACITY_SCARCE }>();
-    let (report, trace) = scenario.run_traced(1, &mut NoFault, Variant::Buggy);
-
+/// The past-capacity gate, on the scarce run (seed 1, [`NoFault`], buggy).
+pub(crate) fn past_capacity_staleness_emerges_and_is_classified_as_congestion(
+    scenario: &Scenario,
+    report: &RunReport,
+    trace: &Trace,
+) {
     // Dynamic: the oracle sees pods wedged on the ghost node, with zero
     // perturbations injected.
     assert!(
@@ -70,7 +77,7 @@ fn past_capacity_staleness_emerges_and_is_classified_as_congestion() {
 
     // Provenance: the blame chain reaches the same class, from queue
     // artifacts alone (nothing was injected, so nothing counts as such).
-    let chain = explain(&trace, &scenario.blame, &report.violations);
+    let chain = explain(trace, &scenario.blame, &report.violations);
     assert_eq!(
         chain.class,
         PatternClass::CongestionStaleness,

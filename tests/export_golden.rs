@@ -55,10 +55,15 @@ fn check(name: &str, got: &str) {
     }
 }
 
+/// The scarce congestion run, once: the past-capacity acceptance gate,
+/// then its pinned exports.
 #[test]
 fn congestion_queue_exports_are_pinned() {
     let scenario = congestion::at_capacity::<{ congestion::CAPACITY_SCARCE }>();
     let (report, trace) = scenario.run_traced(1, &mut NoFault, Variant::Buggy);
+    crate::congestion_staleness::past_capacity_staleness_emerges_and_is_classified_as_congestion(
+        &scenario, &report, &trace,
+    );
 
     use TraceEventKind as K;
     let slice = trace.filtered(|e| {
@@ -199,7 +204,7 @@ fn telemetry_cell(first_violation: Option<u32>) -> TrialOutcome {
         strategy: "guided".into(),
         trials_run: 3,
         distinct_classes: 2,
-        deduped_trials: 1,
+        deduped_trials: 0,
         first_violation,
         example: None,
         total_events: 300,

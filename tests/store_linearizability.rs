@@ -2,20 +2,19 @@
 //! watch streams must be partial histories of `H`.
 
 use ph_core::history::{Change, ChangeOp, History, PartialHistory};
-use ph_sim::{Duration, SimRng, SimTime, World, WorldConfig};
+use ph_sim::{ActorId, Duration, SimRng, SimTime, World, WorldConfig};
 use ph_store::client::{BasicClient, Completion};
 use ph_store::kv::KvEvent;
 use ph_store::node::{AutoCompact, StoreNodeConfig};
 use ph_store::{
-    spawn_store_cluster, OpResult, ReadLevel, Revision, StoreClient, StoreClientConfig, StoreNode,
-    Value,
+    spawn_store_cluster, OpResult, ReadLevel, Revision, StoreClient, StoreClientConfig,
+    StoreCluster, StoreNode, Value,
 };
 
-fn setup(seed: u64) -> (World, ph_store::StoreCluster, ph_sim::ActorId) {
+fn setup(seed: u64, cfg: StoreNodeConfig) -> (World, StoreCluster, ActorId) {
     let mut world = World::new(WorldConfig::default(), seed);
-    let cluster = spawn_store_cluster(&mut world, 3, StoreNodeConfig::default());
-    let client = StoreClient::new(StoreClientConfig::new(cluster.nodes.clone()));
-    let c = world.spawn("client", BasicClient::new(client, Duration::millis(50)));
+    let cluster = spawn_store_cluster(&mut world, 3, cfg);
+    let c = cluster.spawn_client(&mut world, "client", Duration::millis(50));
     cluster
         .wait_for_leader(&mut world, SimTime(Duration::secs(2).as_nanos()))
         .expect("leader");
@@ -38,9 +37,36 @@ fn to_changes(events: &[std::rc::Rc<KvEvent>]) -> Vec<Change> {
         .collect()
 }
 
+/// `H`, from the leader's retained event log, and the partial history
+/// client `c` observed on `watch`.
+fn truth_and_view(
+    world: &World,
+    cluster: &StoreCluster,
+    c: ActorId,
+    watch: u64,
+) -> (History, PartialHistory) {
+    let leader = cluster.leader(world).expect("leader");
+    let node = world.actor_ref::<StoreNode>(leader).expect("node");
+    let truth = node
+        .mvcc()
+        .events_since(Revision::ZERO)
+        .expect("uncompacted");
+    let mut h = History::new();
+    for change in to_changes(&truth) {
+        let seq = h.append(change.entity.clone(), change.op);
+        assert_eq!(seq, change.seq, "H must be dense in revisions");
+    }
+    let observed = world.actor_ref::<BasicClient>(c).expect("client");
+    let mut view = PartialHistory::new();
+    for change in to_changes(&observed.watch_events(watch)) {
+        view.observe(change);
+    }
+    (h, view)
+}
+
 #[test]
 fn acknowledged_writes_survive_repeated_leader_crashes() {
-    let (mut world, cluster, c) = setup(61);
+    let (mut world, cluster, c) = setup(61, StoreNodeConfig::default());
     let mut acknowledged = Vec::new();
     for round in 0..5 {
         // Write a key and wait for the ack.
@@ -95,7 +121,7 @@ fn acknowledged_writes_survive_repeated_leader_crashes() {
 
 #[test]
 fn replicas_converge_to_identical_state_after_faults() {
-    let (mut world, cluster, c) = setup(62);
+    let (mut world, cluster, c) = setup(62, StoreNodeConfig::default());
     let mut rng = SimRng::from_seed(62);
     // Random workload with a mid-run partition and node restart.
     for i in 0..30 {
@@ -137,7 +163,7 @@ fn replicas_converge_to_identical_state_after_faults() {
 
 #[test]
 fn watch_stream_is_a_partial_history_of_h() {
-    let (mut world, cluster, c) = setup(63);
+    let (mut world, cluster, c) = setup(63, StoreNodeConfig::default());
     // Watch everything from revision 0 on the client.
     let watch =
         world.invoke::<BasicClient, _>(c, |bc, ctx| bc.client.watch("", Revision::ZERO, ctx));
@@ -157,30 +183,10 @@ fn watch_stream_is_a_partial_history_of_h() {
     }
     world.run_for(Duration::millis(500));
 
-    // Ground truth H from the leader's retained event log.
-    let leader = cluster.leader(&world).expect("leader");
-    let node = world.actor_ref::<StoreNode>(leader).expect("node");
-    let truth = node
-        .mvcc()
-        .events_since(Revision::ZERO)
-        .expect("uncompacted");
-    let mut h = History::new();
-    for change in to_changes(&truth) {
-        let seq = h.append(change.entity.clone(), change.op);
-        assert_eq!(seq, change.seq, "H must be dense in revisions");
-    }
-
     // The client's observed stream must be a partial history of H: a
     // subsequence, order preserved, nothing fabricated (§3).
-    let observed = world
-        .actor_ref::<BasicClient>(c)
-        .expect("client")
-        .watch_events(watch);
-    assert!(!observed.is_empty());
-    let mut view = PartialHistory::new();
-    for change in to_changes(&observed) {
-        view.observe(change);
-    }
+    let (h, view) = truth_and_view(&world, &cluster, c, watch);
+    assert!(!view.is_empty());
     assert!(
         view.is_partial_of(&h),
         "watch stream violated the partial-history invariant"
@@ -191,7 +197,7 @@ fn watch_stream_is_a_partial_history_of_h() {
 
 #[test]
 fn follower_watch_stream_is_partial_history_even_under_faults() {
-    let (mut world, cluster, c) = setup(64);
+    let (mut world, cluster, c) = setup(64, StoreNodeConfig::default());
     // A second client watching via a follower, which we will disturb.
     let leader = cluster.leader(&world).expect("leader");
     let follower_idx = cluster
@@ -226,24 +232,7 @@ fn follower_watch_stream_is_partial_history_even_under_faults() {
     }
     world.run_for(Duration::secs(2));
 
-    let leader = cluster.leader(&world).expect("leader");
-    let node = world.actor_ref::<StoreNode>(leader).expect("node");
-    let truth = node
-        .mvcc()
-        .events_since(Revision::ZERO)
-        .expect("uncompacted");
-    let mut h = History::new();
-    for change in to_changes(&truth) {
-        h.append(change.entity.clone(), change.op);
-    }
-    let observed = world
-        .actor_ref::<BasicClient>(c2)
-        .expect("watcher")
-        .watch_events(watch);
-    let mut view = PartialHistory::new();
-    for change in to_changes(&observed) {
-        view.observe(change);
-    }
+    let (h, view) = truth_and_view(&world, &cluster, c2, watch);
     assert!(
         view.is_partial_of(&h),
         "failover watch stream must remain a subsequence of H (no replays, \
@@ -265,13 +254,7 @@ fn watch_replay_after_compaction_errors_instead_of_skipping() {
         }),
         ..StoreNodeConfig::default()
     };
-    let mut world = World::new(WorldConfig::default(), 65);
-    let cluster = spawn_store_cluster(&mut world, 3, cfg);
-    let client = StoreClient::new(StoreClientConfig::new(cluster.nodes.clone()));
-    let c = world.spawn("client", BasicClient::new(client, Duration::millis(50)));
-    cluster
-        .wait_for_leader(&mut world, SimTime(Duration::secs(2).as_nanos()))
-        .expect("leader");
+    let (mut world, _, c) = setup(65, cfg);
 
     // Register the watch before any history exists, then churn enough
     // that the retained window rolls far past revision 1, crashing the
